@@ -66,7 +66,11 @@ func mainErr() int {
 		OutDir:      *outDir,
 		DrainOutage: *drainOutage,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Only the header read is bounded: a slow or stalled client cannot
+	// hold a connection open before its request is parsed, while /trace
+	// streams and large report GETs keep unbounded write time. POST
+	// bodies are capped in size by the handler.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -110,6 +110,22 @@ func TestSubmitRejectsBadScenarios(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected pins the front door's body cap: a scenario
+// body past maxBodyBytes gets 413 on both POST endpoints and enqueues
+// nothing.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, ts := testServer(t, Options{})
+	big := `{"experiments": ["fig3"], "pad": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/runs", "/reload"} {
+		if _, resp := postScenario(t, ts.URL, path, big); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(big), resp.StatusCode)
+		}
+	}
+	if runs := s.Runs(); len(runs) != 0 {
+		t.Errorf("oversized bodies enqueued %d runs", len(runs))
+	}
+}
+
 func TestExperimentsEndpointMatchesCatalog(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	resp, err := http.Get(ts.URL + "/experiments")

@@ -103,7 +103,7 @@ func (s *Server) Metrics() Metrics {
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST /runs              submit a scenario (run.Scenario JSON), 202 + run
+//	POST /runs              submit a scenario (run.Scenario JSON, <= 1 MiB), 202 + run
 //	GET  /runs              list runs in submission order
 //	GET  /runs/{id}         one run's lifecycle record
 //	GET  /runs/{id}/report  a finished run's exp.Report JSON
@@ -140,11 +140,31 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes caps a POSTed scenario body; a real scenario is a few
+// hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decodeScenario decodes a POSTed scenario body read through a
+// maxBodyBytes limit. On failure it writes the error response (413 for
+// an oversized body, 400 otherwise) and returns false.
+func decodeScenario(w http.ResponseWriter, r *http.Request) (run.Scenario, bool) {
+	sc, err := run.Decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, err)
+		return run.Scenario{}, false
+	}
+	return sc, true
+}
+
 // handleSubmit enqueues the POSTed scenario.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	sc, err := run.Decode(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	sc, ok := decodeScenario(w, r)
+	if !ok {
 		return
 	}
 	rec, err := s.Submit(sc)
@@ -157,9 +177,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handleReload swaps the pending queue for the POSTed scenario.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	sc, err := run.Decode(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	sc, ok := decodeScenario(w, r)
+	if !ok {
 		return
 	}
 	rec, err := s.Reload(sc)

@@ -361,7 +361,7 @@ func (l *Lab) AblationGEMMStreams(ctx context.Context) (Table, error) {
 		},
 	}
 	rows, err := sweep(ctx, l, "ablation-streams", []int{32, 128, 0, 512, 1024}, func(ctx context.Context, streams int) ([]string, error) {
-		mem, _, err := soc.MeasureLayoutSlowdown(p, op, soc.LayoutSlowdownConfig{Streams: streams})
+		mem, err := soc.MeasureMemSlowdown(p, op, soc.LayoutSlowdownConfig{Streams: streams})
 		if err != nil {
 			return nil, err
 		}

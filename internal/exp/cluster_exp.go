@@ -120,10 +120,18 @@ func (l *Lab) clusterSystem(c cluster.DeviceClass) (*engine.System, error) {
 	return e.s, e.err
 }
 
-// clusterConfig lowers one strategy's cell to a cluster.Config.
-func (cfg ClusterConfig) clusterConfig(k cluster.StrategyKind, par int, steal bool) cluster.Config {
+// clusterCell is one (strategy, steal) run of the sweep.
+type clusterCell struct {
+	strategy cluster.StrategyKind
+	steal    bool
+}
+
+// clusterConfig lowers one (strategy, steal) cell to a cluster.Config
+// whose devices advance serially: the cells are the sweep's unit of
+// parallelism.
+func (cfg ClusterConfig) clusterConfig(c clusterCell) cluster.Config {
 	return cluster.Config{
-		Strategy:               k,
+		Strategy:               c.strategy,
 		ArrivalRate:            cfg.Rate,
 		Queries:                cfg.Queries,
 		Workload:               cfg.Workload,
@@ -139,52 +147,42 @@ func (cfg ClusterConfig) clusterConfig(k cluster.StrategyKind, par int, steal bo
 		FaultMTTR:              cfg.FaultMTTR,
 		FaultFraction:          cfg.FaultFraction,
 		FaultSeed:              cfg.FaultSeed,
-		Steal:                  steal,
+		Steal:                  c.steal,
 		StealThreshold:         cfg.StealThreshold,
 		LatencySteal:           cfg.LatencySteal,
-		Parallelism:            par,
+		Parallelism:            1,
 	}
 }
 
-// clusterRuns expands the strategy sweep into (strategy, steal) cells:
+// clusterCells expands the strategy sweep into (strategy, steal) cells:
 // with Migration on, each strategy runs plain and again with stealing,
 // adjacent in the output so the rows read as paired comparisons.
-func (cfg ClusterConfig) clusterRuns() []cluster.StrategyKind {
-	if !cfg.Migration {
-		return cfg.Strategies
-	}
-	runs := make([]cluster.StrategyKind, 0, 2*len(cfg.Strategies))
+func (cfg ClusterConfig) clusterCells() []clusterCell {
+	cells := make([]clusterCell, 0, 2*len(cfg.Strategies))
 	for _, k := range cfg.Strategies {
-		runs = append(runs, k, k)
+		cells = append(cells, clusterCell{strategy: k})
+		if cfg.Migration {
+			cells = append(cells, clusterCell{strategy: k, steal: true})
+		}
 	}
-	return runs
+	return cells
 }
 
 // ClusterCompute evaluates every strategy over one shared fleet (twice
 // per strategy — without and with stealing — when Migration is on). The
-// runs execute sequentially: each cluster run already fans its devices
-// out over the lab's worker bound between telemetry barriers, and
-// results are byte-identical at any parallelism (the cluster merge's
-// determinism, not the sweep order, carries the guarantee).
+// (strategy, steal) cells are the sweep points and fan out over the
+// lab's worker bound; each cell's cluster.Run advances its devices
+// serially over the read-only Fleet. cluster.Run returns the same
+// metrics at any device parallelism, so the tables are byte-identical at
+// any worker count.
 func (l *Lab) ClusterCompute(ctx context.Context, cfg ClusterConfig) ([]cluster.Metrics, error) {
 	fl, err := cluster.NewFleet(cfg.Fleet, l.clusterSystem)
 	if err != nil {
 		return nil, err
 	}
-	runs := cfg.clusterRuns()
-	mets := make([]cluster.Metrics, len(runs))
-	for i, k := range runs {
-		steal := cfg.Migration && i%2 == 1
-		m, err := cluster.Run(ctx, fl, cfg.clusterConfig(k, l.par, steal))
-		if err != nil {
-			return nil, err
-		}
-		mets[i] = m
-		if fn := l.progress; fn != nil {
-			fn("cluster", i+1, len(runs))
-		}
-	}
-	return mets, nil
+	return sweep(ctx, l, "cluster", cfg.clusterCells(), func(ctx context.Context, c clusterCell) (cluster.Metrics, error) {
+		return cluster.Run(ctx, fl, cfg.clusterConfig(c))
+	})
 }
 
 // Cluster renders the fleet-scale routing comparison: a strategy

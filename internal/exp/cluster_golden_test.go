@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,9 +70,11 @@ func TestClusterScaleGolden(t *testing.T) {
 }
 
 // TestClusterDeterministic is the par1/parN acceptance criterion: the
-// same fleet and seeds render byte-identically when devices advance
-// serially and when they advance on 8 workers (and across repeated
-// runs, so no state leaks between runs of one lab).
+// same fleet and seeds render byte-identically when the (strategy,
+// steal) cells run serially and when they run on 8 workers over one
+// shared fleet (and across repeated runs, so no state leaks between
+// runs of one lab); and each cell run directly with its devices fanned
+// out over 8 workers matches the experiment's serial-device cell.
 func TestClusterDeterministic(t *testing.T) {
 	cfg := goldenClusterConfig()
 	render := func(par int) string {
@@ -85,6 +88,27 @@ func TestClusterDeterministic(t *testing.T) {
 	}
 	if par := render(8); par != serial {
 		t.Errorf("par 8 cluster run differs from serial:\n%s\nvs\n%s", serial, par)
+	}
+
+	l := freshLab()
+	mets, err := l.ClusterCompute(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := cluster.NewFleet(cfg.Fleet, l.clusterSystem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cfg.clusterCells() {
+		rc := cfg.clusterConfig(c)
+		rc.Parallelism = 8
+		m, err := cluster.Run(context.Background(), fl, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m, mets[i]) {
+			t.Errorf("cell %d (%s, steal %v): device fan-out changed the metrics:\n%+v\nvs\n%+v", i, c.strategy, c.steal, m, mets[i])
+		}
 	}
 }
 

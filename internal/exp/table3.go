@@ -19,73 +19,72 @@ type Table3Row struct {
 	OpSlowdown  float64
 }
 
-// table3Point is one (platform, layer shape, prefill) measurement.
-type table3Point struct {
+// table3Prefills are the prefill lengths of the paper's Table III.
+var table3Prefills = []int{4, 16, 64}
+
+// table3Shape is one (platform, layer shape) weight stream.
+type table3Shape struct {
 	platform soc.Platform
 	layer    string
 	in, out  int
 	dtype    int
-	prefill  int
 }
 
-// table3Points enumerates the measurement grid in render order.
-func table3Points() []table3Point {
-	var points []table3Point
+// table3Shapes enumerates the measured shapes in render order.
+func table3Shapes() []table3Shape {
+	var shapes []table3Shape
 	for _, p := range soc.All() {
 		m := PlatformModel(p)
-		type layer struct {
-			name    string
-			in, out int
+		add := func(name string, in, out int) {
+			shapes = append(shapes, table3Shape{platform: p, layer: name, in: in, out: out, dtype: m.DTypeBytes})
 		}
-		var layers []layer
 		if m.KVDim() != m.Hidden {
-			layers = append(layers,
-				layer{"Q/O proj", m.Hidden, m.Hidden},
-				layer{"K/V proj", m.Hidden, m.KVDim()},
-			)
+			add("Q/O proj", m.Hidden, m.Hidden)
+			add("K/V proj", m.Hidden, m.KVDim())
 		} else {
-			layers = append(layers, layer{"Q/K/V/O proj", m.Hidden, m.Hidden})
+			add("Q/K/V/O proj", m.Hidden, m.Hidden)
 		}
-		layers = append(layers,
-			layer{"FC1", m.Hidden, m.Intermediate},
-			layer{"FC2", m.Intermediate, m.Hidden},
-		)
-		for _, ly := range layers {
-			for _, pf := range []int{4, 16, 64} {
-				points = append(points, table3Point{
-					platform: p,
-					layer:    ly.name,
-					in:       ly.in,
-					out:      ly.out,
-					dtype:    m.DTypeBytes,
-					prefill:  pf,
-				})
-			}
-		}
+		add("FC1", m.Hidden, m.Intermediate)
+		add("FC2", m.Intermediate, m.Hidden)
 	}
-	return points
+	return shapes
 }
 
 // Table3Compute measures the GEMM slowdown on the PIM-optimized layout
 // for every platform's layer shapes at prefill lengths {4, 16, 64},
 // replacing the paper's GPGPU-Sim/ONNXim experiments with the in-repo
-// DRAM-contention model. Every (platform, layer, prefill) measurement is
-// an independent sweep point.
+// DRAM-contention model. The weight stream does not depend on the
+// prefill length, so each (platform, layer) shape is one sweep point
+// that replays its stream pair once; the prefill lengths only change
+// the memory-bound fraction that scales it into OpSlowdown. Rows come
+// out in (platform, layer, prefill) order.
 func (l *Lab) Table3Compute(ctx context.Context, cfg soc.LayoutSlowdownConfig) ([]Table3Row, error) {
-	return sweep(ctx, l, "tab3", table3Points(), func(ctx context.Context, pt table3Point) (Table3Row, error) {
-		op := soc.Linear{L: pt.prefill, In: pt.in, Out: pt.out, DTypeBytes: pt.dtype}
-		mem, opS, err := soc.MeasureLayoutSlowdown(pt.platform, op, cfg)
+	shapes := table3Shapes()
+	mems, err := sweep(ctx, l, "tab3", shapes, func(ctx context.Context, sh table3Shape) (float64, error) {
+		op := soc.Linear{L: table3Prefills[0], In: sh.in, Out: sh.out, DTypeBytes: sh.dtype}
+		mem, err := soc.MeasureMemSlowdown(sh.platform, op, cfg)
 		if err != nil {
-			return Table3Row{}, fmt.Errorf("exp: table3 %s %s P%d: %w", pt.platform.Name, pt.layer, pt.prefill, err)
+			return 0, fmt.Errorf("exp: table3 %s %s: %w", sh.platform.Name, sh.layer, err)
 		}
-		return Table3Row{
-			Platform:    pt.platform.Name,
-			Layer:       pt.layer,
-			Prefill:     pt.prefill,
-			MemSlowdown: mem,
-			OpSlowdown:  opS,
-		}, nil
+		return mem, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Table3Row, 0, len(shapes)*len(table3Prefills))
+	for i, sh := range shapes {
+		for _, pf := range table3Prefills {
+			op := soc.Linear{L: pf, In: sh.in, Out: sh.out, DTypeBytes: sh.dtype}
+			rows = append(rows, Table3Row{
+				Platform:    sh.platform.Name,
+				Layer:       sh.layer,
+				Prefill:     pf,
+				MemSlowdown: mems[i],
+				OpSlowdown:  mems[i] * sh.platform.MemoryBoundFraction(op),
+			})
+		}
+	}
+	return rows, nil
 }
 
 // Table3 renders the slowdown grid.

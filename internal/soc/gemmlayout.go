@@ -102,20 +102,33 @@ func gemmWeightStream(m interface {
 // SelectMapping instead of the conventional mapping, plus the end-to-end
 // slowdown for a given op (scaled by the op's memory-bound fraction).
 func MeasureLayoutSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (memSlowdown, opSlowdown float64, err error) {
+	memSlowdown, err = MeasureMemSlowdown(p, op, cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	return memSlowdown, memSlowdown * p.MemoryBoundFraction(op), nil
+}
+
+// MeasureMemSlowdown returns the memory-phase half of
+// MeasureLayoutSlowdown. The replayed weight stream depends only on the
+// weight shape (op.In, op.Out, op.DTypeBytes), never on op.L, so callers
+// sweeping prefill lengths measure each shape once and scale it by each
+// op's MemoryBoundFraction.
+func MeasureMemSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (float64, error) {
 	cfg.defaults()
 	if err := op.Validate(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	mc := mapping.MemoryConfig{Geometry: p.Spec.Geometry, HugePageBytes: 2 << 20}
 	chunk := mapping.AiMChunk(p.Spec.Geometry)
 	tab, err := mapping.NewTable(mc, chunk)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	matrix := mapping.MatrixConfig{Rows: op.Out, Cols: op.In, DTypeBytes: op.DTypeBytes}
 	sel, err := mapping.SelectMapping(matrix, mc, chunk)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	rowBytes := int64(matrix.PaddedRowBytes())
 	transfer := int64(p.Spec.Geometry.TransferBytes)
@@ -137,19 +150,14 @@ func MeasureLayoutSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (mem
 	}
 	convBW, err := run(mapping.ConventionalMapID)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	pimBW, err := run(sel.ID)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if pimBW <= 0 {
-		return 0, 0, fmt.Errorf("soc: PIM-layout stream produced zero bandwidth")
+		return 0, fmt.Errorf("soc: PIM-layout stream produced zero bandwidth")
 	}
-	memSlowdown = convBW/pimBW - 1
-	if memSlowdown < 0 {
-		memSlowdown = 0
-	}
-	opSlowdown = memSlowdown * p.MemoryBoundFraction(op)
-	return memSlowdown, opSlowdown, nil
+	return max(convBW/pimBW-1, 0), nil
 }

@@ -27,9 +27,16 @@ type Buddy struct {
 	// blockGen[s] increments on every insertFree(s, .), invalidating
 	// stale free-list entries for s.
 	blockGen []uint32
-	// frameFree marks each frame free or used (for region scans).
+	// frameFree marks each frame free or used (for double-free checks
+	// and unaligned region scans).
 	frameFree []bool
-	freeCount int64 // free frames
+	// regionFree[r] counts the free frames of 2 MB region r; the last
+	// entry covers a partial tail region when frames is not a multiple
+	// of FramesPerHugePage. insertFree and removeFreeBlock keep it
+	// current, so a region's free count costs O(1) instead of a
+	// 512-frame scan.
+	regionFree []int32
+	freeCount  int64 // free frames
 }
 
 // NewBuddy builds an allocator over `frames` 4 KB frames, all free.
@@ -49,6 +56,7 @@ func NewBuddy(frames, maxOrder int) (*Buddy, error) {
 		blockFree:  make([]bool, frames),
 		blockGen:   make([]uint32, frames),
 		frameFree:  make([]bool, frames),
+		regionFree: make([]int32, (frames+FramesPerHugePage-1)/FramesPerHugePage),
 	}
 	// Carve the range into maximal aligned free blocks.
 	pos := 0
@@ -78,6 +86,7 @@ func (b *Buddy) insertFree(start, order int) {
 	for f := start; f < start+(1<<order); f++ {
 		b.frameFree[f] = true
 	}
+	b.addRegionFree(start, order, 1)
 	b.freeCount += int64(1) << order
 }
 
@@ -89,8 +98,24 @@ func (b *Buddy) removeFreeBlock(start int) int {
 	for f := start; f < start+(1<<order); f++ {
 		b.frameFree[f] = false
 	}
+	b.addRegionFree(start, order, -1)
 	b.freeCount -= int64(1) << order
 	return order
+}
+
+// addRegionFree adds sign x the size of block (start, order) to the
+// region counters. A block below HugeOrder lies inside one region; an
+// aligned block of HugeOrder or above covers whole regions (blocks never
+// extend past the last frame, so it never touches the partial tail).
+func (b *Buddy) addRegionFree(start, order int, sign int32) {
+	if order < HugeOrder {
+		b.regionFree[start/FramesPerHugePage] += sign << order
+		return
+	}
+	first := start / FramesPerHugePage
+	for r := first; r < first+1<<(order-HugeOrder); r++ {
+		b.regionFree[r] += sign * FramesPerHugePage
+	}
 }
 
 // popFree returns a valid free block of exactly `order`, or -1.
@@ -195,16 +220,24 @@ func (b *Buddy) FMFI(order int) float64 {
 	return float64(b.freeCount-usable) / float64(b.freeCount)
 }
 
-// FreeInRegion counts free frames within [start, start+n).
+// FreeInRegion counts free frames within [start, start+n). Every 2 MB
+// region the range covers whole is read from its counter; only the
+// unaligned edges are scanned frame by frame.
 func (b *Buddy) FreeInRegion(start, n int) int {
-	end := start + n
-	if end > b.frames {
-		end = b.frames
-	}
+	end := min(start+n, b.frames)
 	c := 0
-	for f := start; f < end; f++ {
-		if b.frameFree[f] {
-			c++
+	for f := start; f < end; {
+		r := f / FramesPerHugePage
+		rEnd := min((r+1)*FramesPerHugePage, b.frames)
+		if f == r*FramesPerHugePage && rEnd <= end {
+			c += int(b.regionFree[r])
+			f = rEnd
+			continue
+		}
+		for stop := min(rEnd, end); f < stop; f++ {
+			if b.frameFree[f] {
+				c++
+			}
 		}
 	}
 	return c

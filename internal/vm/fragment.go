@@ -158,7 +158,7 @@ func (b *Buddy) CompactHugePage(cursor *int, scanWindow int) (CompactResult, err
 	best, bestFree := -1, 0
 	for i := 0; i < scanWindow; i++ {
 		r := (*cursor + i) % regions
-		free := b.FreeInRegion(r*FramesPerHugePage, FramesPerHugePage)
+		free := int(b.regionFree[r])
 		if free == FramesPerHugePage {
 			// Fully free region inside a larger free block; the
 			// caller's Alloc would have succeeded. Skip.
