@@ -75,15 +75,8 @@
 //
 // Profiling: -cpuprofile/-memprofile write pprof profiles; -pprof ADDR
 // serves net/http/pprof on ADDR (e.g. localhost:6060) for live
-// inspection of long sweeps.
-//
-// -bench runs the DRAM scheduler perf baseline (micro-benchmarks plus
-// fig6/tab1 wall times) and prints BENCH_dram.json to stdout;
-// -benchserve, -benchcluster and -benchtune do the same for the serving
-// loop (BENCH_serve.json), the cluster barrier/steal path
-// (BENCH_cluster.json) and the mapping auto-tuner estimator
-// (BENCH_tune.json); see scripts/bench.sh. -version prints the
-// module version and build info.
+// inspection of long sweeps. -version prints the module version and
+// build info.
 //
 // A failing experiment does not abort the run: remaining identifiers
 // still execute, the failures are summarized on stderr at the end
@@ -153,10 +146,6 @@ func mainErr() int {
 	tuneRun := flag.Bool("tune", false, "shorthand: run the maptune experiment (equivalent to the 'maptune' identifier)")
 	tuneBudget := flag.Int("tunebudget", 0, "maptune: candidate budget per (platform, workload) cell (0 = default)")
 	tuneSeed := flag.Int64("tuneseed", 0, "maptune: mutation-stream seed (0 = default)")
-	bench := flag.Bool("bench", false, "run the DRAM scheduler perf baseline and print BENCH_dram.json to stdout")
-	benchServe := flag.Bool("benchserve", false, "run the serving-loop perf baseline and print BENCH_serve.json to stdout")
-	benchCluster := flag.Bool("benchcluster", false, "run the cluster barrier/steal perf baseline and print BENCH_cluster.json to stdout")
-	benchTune := flag.Bool("benchtune", false, "run the mapping auto-tuner perf baseline and print BENCH_tune.json to stdout")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -226,19 +215,6 @@ func mainErr() int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *bench {
-		return runBench(ctx)
-	}
-	if *benchServe {
-		return runServeBench()
-	}
-	if *benchCluster {
-		return runClusterBench()
-	}
-	if *benchTune {
-		return runTuneBench()
-	}
 
 	// Assemble the scenario: a replayed file forms the base, explicit
 	// flags override its fields, and positional/-id identifiers replace

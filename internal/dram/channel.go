@@ -102,8 +102,8 @@ type futureArrival struct {
 // completion unlinks in O(1) instead of compacting a slice, and the
 // ready/arrival bookkeeping behind PendingReady and idle jumps is
 // tracked incrementally instead of rescanned. The command schedule is
-// bit-identical to the retained ReferenceChannel (see refsched.go and
-// the differential tests pinning the equivalence).
+// bit-identical to the retained test-only ReferenceChannel (see
+// refsched_test.go and the differential tests pinning the equivalence).
 //
 // A Channel is not safe for concurrent use.
 type Channel struct {

@@ -72,6 +72,7 @@ func TestGoldenTables(t *testing.T) {
 			return l.Table1(ctx, cfg)
 		}},
 		{"tab3", false, func() (Table, error) { return l.Table3(ctx, soc.LayoutSlowdownConfig{}) }},
+		{"serving", false, func() (Table, error) { return l.Serving(ctx) }},
 		{"serving2_small", false, func() (Table, error) { return l.Serving2(ctx, goldenServing2Config()) }},
 		{"resilience_small", false, func() (Table, error) { return l.Resilience(ctx, goldenResilienceConfig()) }},
 	}

@@ -201,7 +201,7 @@ var titles = map[string]string{
 	"quant":      "weight-quantization sensitivity",
 	"pimstyle":   "PIM microarchitecture style comparison",
 	"energy":     "per-token energy model",
-	"serving":    "closed-form serving queue (legacy extension)",
+	"serving":    "single-device FCFS serving queue under load",
 	"serving2":   "event-driven cooperative serving sweep",
 	"resilience": "fault-injection and degradation-policy sweep",
 	"cluster":    "fleet-scale heterogeneous serving with routing strategies",

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"container/heap"
-	"math/bits"
-)
+import "math/bits"
 
 // evKind discriminates simulator events.
 type evKind int8
@@ -290,37 +287,5 @@ func (w *wheel) pop(hasLim bool, limAt float64, limTick int64) (int32, bool) {
 			w.place(head)
 			head = nx
 		}
-	}
-}
-
-// floatHeap is a min-heap of float64 — the completion-time tracker that
-// replaces the old Simulate's O(n²) in-flight rescan: arrivals pop every
-// completion time at or before the clock and read the backlog as the
-// heap length, O(log n) per query.
-type floatHeap []float64
-
-func (h floatHeap) Len() int           { return len(h) }
-func (h floatHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h floatHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-
-// Push appends a completion time (container/heap plumbing).
-func (h *floatHeap) Push(x any) { *h = append(*h, x.(float64)) }
-
-// Pop removes and returns the last element (container/heap plumbing).
-func (h *floatHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-// pushTime and popExpired wrap the container/heap plumbing.
-func (h *floatHeap) pushTime(t float64) { heap.Push(h, t) }
-
-// popExpired removes every completion time at or before now.
-func (h *floatHeap) popExpired(now float64) {
-	for h.Len() > 0 && (*h)[0] <= now {
-		heap.Pop(h)
 	}
 }

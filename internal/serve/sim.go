@@ -1,3 +1,12 @@
+// Package serve layers serving on top of the inference engines: queries
+// arrive over time, wait for a device, then run prefill and decode. Sim
+// is the discrete-event loop behind every serving experiment — one
+// device with N replicas, each a SoC prefill lane and a PIM decode lane
+// on one weight copy, scheduled under a Mode. Queueing amplifies the
+// latency differences between the designs: a slower engine is closer to
+// saturation at the same arrival rate, so its *perceived*
+// time-to-first-token degrades super-linearly. Not a paper experiment —
+// an extension quantifying user-perceived responsiveness under load.
 package serve
 
 import (
@@ -17,9 +26,9 @@ import (
 type Mode int
 
 const (
-	// Serial reproduces the old closed-form queue: one query occupies
-	// the whole device from prefill start to last token, nothing
-	// overlaps. This is the pre-FACIL on-device baseline.
+	// Serial is the plain FCFS queue: one query occupies the whole
+	// device from prefill start to last token, nothing overlaps. This
+	// is the pre-FACIL on-device baseline.
 	Serial Mode = iota
 	// Cooperative is the FACIL operating point: one weight copy serves
 	// both processors, so the SoC lane prefills query B while the PIM
@@ -266,8 +275,7 @@ type Metrics struct {
 	TTFT, TTLT, TBT stats.Quantiles
 
 	// Makespan is simulation start (t=0) to the last event; the first
-	// arrival lands one exponential gap after t=0, matching the legacy
-	// Simulate clock (its utilization divides by the same span).
+	// arrival lands one exponential gap after t=0.
 	Makespan float64
 	// ThroughputQPS is completions per second of makespan; GoodputQPS
 	// counts only completions within DeadlineTTLT.
@@ -539,8 +547,8 @@ func Run(s *engine.System, cfg SimConfig) (Metrics, error) {
 //
 // Internally the event loop runs on a hierarchical timing wheel over
 // value-typed slab events merged against the in-order arrival stream;
-// ReferenceSim is the retained pre-wheel implementation, and the
-// differential tests hold the two bit-identical.
+// the test-only ReferenceSim (refsim_test.go) is the retained pre-wheel
+// implementation, and the differential tests hold the two bit-identical.
 //
 // A Sim is single-threaded: Step and Finish must not be called
 // concurrently (snapshots of the global Live counters are the
@@ -593,8 +601,8 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 		sm.relay = relay
 	}
 	// The arrival process is owned by this run: a fresh RNG consumes
-	// exactly one exponential gap per query, in arrival order, matching
-	// the legacy Simulate clock. Arrivals are not events — the slab,
+	// exactly one exponential gap per query, in arrival order. Arrivals
+	// are not events — the slab,
 	// ordered by arrival time with nextArr as cursor, is the stream; a
 	// query's slab index doubles as its event sequence number. A
 	// Stream-mode run starts with an empty, unsealed slab that Inject
@@ -1186,7 +1194,7 @@ func (sm *sim) startPrefill(qi int32, ri int) error {
 	case Serial:
 		// The whole query runs as one exclusive service interval, using
 		// the design's own prefill routing (dynamic offload included) —
-		// exactly the legacy closed-form model.
+		// the closed-form TTFT/TTLT model.
 		ttft, err := sm.sys.TTFT(sm.cfg.Kind, q.prefill)
 		if err != nil {
 			return err

@@ -32,16 +32,22 @@ func simConfig(mode Mode, kind engine.Kind, rate float64) SimConfig {
 	}
 }
 
-// TestSerialMatchesLegacySimulate locks the equivalence the new
-// simulator is bootstrapped on: Serial mode with one replica reproduces
-// the old closed-form Simulate on the same seed to float tolerance.
+// TestSerialMatchesLegacySimulate pins Serial mode with one replica to
+// the numbers of the closed-form FCFS queue the simulator was
+// bootstrapped against (start = max(arrival, device free), finish =
+// start + TTLT), recorded at %.12g for the same seed.
 func TestSerialMatchesLegacySimulate(t *testing.T) {
 	s := servingSystem(t)
-	for _, kind := range []engine.Kind{engine.HybridStatic, engine.FACIL} {
-		old, err := Simulate(s, kind, testConfig(0.3))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, want := range []struct {
+		kind                        engine.Kind
+		ttftMean, ttftP99, ttltMean float64
+		utilization                 float64
+		maxDepth                    int
+	}{
+		{engine.HybridStatic, 1.49456298726, 9.53436925434, 2.77260928646, 0.441563286944, 8},
+		{engine.FACIL, 1.11855703959, 8.09235286963, 2.39660333879, 0.40507333962, 7},
+	} {
+		kind := want.kind
 		m, err := Run(s, simConfig(Serial, kind, 0.3))
 		if err != nil {
 			t.Fatal(err)
@@ -51,12 +57,12 @@ func TestSerialMatchesLegacySimulate(t *testing.T) {
 				t.Errorf("%v %s: event-driven %.12f vs legacy %.12f", kind, name, got, want)
 			}
 		}
-		closeTo("TTFT mean", m.TTFT.Mean, old.PerceivedTTFTMean)
-		closeTo("TTFT p99", m.TTFT.P99, old.PerceivedTTFTP99)
-		closeTo("TTLT mean", m.TTLT.Mean, old.PerceivedTTLTMean)
-		closeTo("utilization", m.SoCUtilization, old.Utilization)
-		if m.MaxQueueDepth != old.MaxQueueDepth {
-			t.Errorf("%v max depth: %d vs legacy %d", kind, m.MaxQueueDepth, old.MaxQueueDepth)
+		closeTo("TTFT mean", m.TTFT.Mean, want.ttftMean)
+		closeTo("TTFT p99", m.TTFT.P99, want.ttftP99)
+		closeTo("TTLT mean", m.TTLT.Mean, want.ttltMean)
+		closeTo("utilization", m.SoCUtilization, want.utilization)
+		if m.MaxQueueDepth != want.maxDepth {
+			t.Errorf("%v max depth: %d vs legacy %d", kind, m.MaxQueueDepth, want.maxDepth)
 		}
 		if m.Completed != 120 || m.Rejected != 0 || m.TimedOut != 0 {
 			t.Errorf("%v accounting: %+v", kind, m)
@@ -277,9 +283,8 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 // TestScaleBoundedTime is the O(n²)-regression guard: 50k queries flow
-// through both the fixed legacy queue and the event-driven simulator in
-// bounded wall-clock time (the old depth scan was quadratic — 50k
-// queries took minutes).
+// through the serial and the cooperative simulator in bounded
+// wall-clock time (a quadratic queue-depth scan took minutes).
 func TestScaleBoundedTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50k-query scale run skipped in -short mode")
@@ -287,23 +292,16 @@ func TestScaleBoundedTime(t *testing.T) {
 	s := servingSystem(t)
 	const n = 50000
 	start := time.Now()
-	old, err := Simulate(s, engine.FACIL, Config{
-		ArrivalRate: 5, Queries: n, Workload: workload.AlpacaSpec(), Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.MaxQueueDepth < 1 {
-		t.Errorf("legacy depth = %d", old.MaxQueueDepth)
-	}
-	cfg := simConfig(Cooperative, engine.FACIL, 5)
-	cfg.Queries = n
-	m, err := Run(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Arrived != n || m.Completed != n {
-		t.Errorf("accounting at scale: %+v", m)
+	for _, mode := range []Mode{Serial, Cooperative} {
+		cfg := simConfig(mode, engine.FACIL, 5)
+		cfg.Queries = n
+		m, err := Run(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Arrived != n || m.Completed != n || m.MaxQueueDepth < 1 {
+			t.Errorf("%v accounting at scale: %+v", mode, m)
+		}
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Minute {
 		t.Errorf("50k-query runs took %v — queue bookkeeping is super-linear again", elapsed)

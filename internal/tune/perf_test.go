@@ -9,8 +9,8 @@ import (
 
 // BenchmarkEvaluatorScore measures the tier-one hot loop: one paced
 // virtual-time replay of the windowed trace per candidate. This is the
-// raw per-candidate cost the search pays Budget times; BENCH_tune.json
-// records the committed baseline for it.
+// raw per-candidate cost the search pays Budget times;
+// TestEstimatorSpeedupGate holds it against BenchmarkSimScore's.
 func BenchmarkEvaluatorScore(b *testing.B) {
 	spec := dram.JetsonOrinLPDDR5
 	s := testSpace(b, spec)

@@ -1,81 +1,21 @@
 #!/bin/sh
-# bench.sh — the single entry point for every committed perf baseline
-# (BENCH_*.json in the repo root) plus the raw go-test micro-benchmarks
-# for eyeballing.
+# bench.sh — the per-layer go-test micro-benchmarks, for comparing
+# before/after numbers when touching a layer's hot path. Run from
+# anywhere on an otherwise idle machine:
 #
-# Run from anywhere on an otherwise idle machine:
+#   ./scripts/bench.sh
 #
-#   ./scripts/bench.sh            # refresh all baselines + print benches
-#
-# Each suite generates to a temp file, is checked non-empty, and only
-# then replaces the committed baseline, so an interrupted or failing run
-# never truncates one. After all suites run, the script fails if any
-# committed BENCH_*.json was NOT regenerated — adding a new baseline
-# without wiring its suite into this script is an error.
-#
-# BENCH_dram.json is the committed perf trajectory of the DRAM scheduler
-# hot path: ns/request and allocs/op for the optimized channel scheduler,
-# the retained reference scheduler it is measured against,
-# streaming-replay throughput, and the wall times of the fig6/tab1
-# headline experiments. Compare before/after numbers when touching
-# internal/dram.
-#
-# BENCH_serve.json is the serving event loop's counterpart: full-run
-# ns/query and simulated queries/sec for the timing-wheel engine against
-# the retained heap ReferenceSim. Compare before/after numbers when
-# touching internal/serve.
-#
-# BENCH_cluster.json covers the fleet router: full-run ns/query and
-# queries/sec for a faulted benchmark fleet without and with the barrier
-# re-route (steal) phase, plus their ratio — the price of the migration
-# machinery. Compare before/after numbers when touching
-# internal/cluster.
-#
-# BENCH_tune.json covers the mapping auto-tuner: per-candidate cost of
-# the tier-one replay estimator vs the full FR-FCFS scheduler (and their
-# ratio, which the >= 100x acceptance gate enforces), end-to-end search
-# throughput, and estimator-vs-scheduler top-4 rank agreement over the
-# search survivors. Compare before/after numbers when touching
-# internal/tune.
+# The end-to-end and per-layer perf ledger is facilbench (bench/run.sh,
+# see bench/README.md); the ratio gates (optimized vs reference
+# scheduler and sim, estimator vs full scheduler) and the zero-alloc
+# gates are ordinary tests in the same packages.
 set -eu
 cd "$(dirname "$0")/.."
 
-# Raw micro-benchmarks (not committed; for eyeballing alongside the
-# baselines).
 go test ./internal/dram/ -run '^$' -bench 'BenchmarkChannelDrain|BenchmarkReferenceChannelDrain|BenchmarkReplayStream' -benchmem
 
 go test ./internal/serve/ -run '^$' -bench 'BenchmarkSimDrain|BenchmarkReferenceSimDrain' -benchmem
 
-go test ./internal/tune/ -run '^$' -bench 'BenchmarkEvaluatorScore|BenchmarkSearch' -benchmem
+go test ./internal/cluster/ -run '^$' -bench 'BenchmarkClusterRun' -benchmem
 
-# Committed baselines: "<suite> <facilsim flag>" pairs. Every committed
-# BENCH_<suite>.json must have a line here (the guard below enforces it).
-suites="
-dram -bench
-serve -benchserve
-cluster -benchcluster
-tune -benchtune
-"
-
-echo "$suites" | while read -r name flag; do
-	[ -n "$name" ] || continue
-	go run ./cmd/facilsim "$flag" > "BENCH_$name.json.tmp"
-	if ! [ -s "BENCH_$name.json.tmp" ]; then
-		echo "bench.sh: $flag produced an empty BENCH_$name.json" >&2
-		rm -f "BENCH_$name.json.tmp"
-		exit 1
-	fi
-	mv "BENCH_$name.json.tmp" "BENCH_$name.json"
-	cat "BENCH_$name.json"
-done
-
-# Guard: every committed baseline must belong to a suite above, so none
-# can silently go stale.
-for f in BENCH_*.json; do
-	name=${f#BENCH_}
-	name=${name%.json}
-	if ! echo "$suites" | grep -q "^$name "; then
-		echo "bench.sh: committed baseline $f has no suite in this script — add one or remove the file" >&2
-		exit 1
-	fi
-done
+go test ./internal/tune/ -run '^$' -bench 'BenchmarkEvaluatorScore|BenchmarkSimScore|BenchmarkSearch' -benchmem
