@@ -50,7 +50,7 @@ func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	l := lab()
 	for i := 0; i < b.N; i++ {
-		tabs, err := l.Run(context.Background(), id)
+		tabs, err := l.Run(context.Background(), id, exp.DefaultConfigs())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 					l := exp.NewLab(engine.DefaultConfig())
 					l.SetParallelism(par)
 					b.StartTimer()
-					tabs, err := l.Run(context.Background(), id)
+					tabs, err := l.Run(context.Background(), id, exp.DefaultConfigs())
 					if err != nil {
 						b.Fatal(err)
 					}

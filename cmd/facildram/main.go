@@ -95,7 +95,7 @@ func main() {
 
 	reqs := trace.ToRequests(entries, m)
 	if *noRefresh || *traceOut != "" {
-		// MeasureStreamWindow builds its own controller; run manually
+		// MeasureStreamFuncWindow builds its own controller; run manually
 		// when refresh must be disabled or a tracer attached.
 		ctl, err := dram.NewController(spec)
 		if err != nil {

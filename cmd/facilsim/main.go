@@ -114,7 +114,6 @@ func mainErr() int {
 	list := flag.Bool("list", false, "list experiment identifiers and exit")
 	version := flag.Bool("version", false, "print the module version and build info, then exit")
 	format := flag.String("format", "table", "output format: table, csv or json")
-	csvOut := flag.Bool("csv", false, "deprecated alias for -format csv")
 	outDir := flag.String("o", "", "write per-experiment result files plus manifest.json into this directory")
 	idList := flag.String("id", "", "comma-separated experiment identifiers (merged with positional arguments)")
 	scenarioFile := flag.String("scenario", "", "replay a recorded scenario file (explicit flags override its fields)")
@@ -123,29 +122,33 @@ func mainErr() int {
 	traceBuf := flag.Int("tracebuf", obs.DefaultCapacity, "trace ring-buffer capacity in events (oldest evicted on overflow)")
 	par := flag.Int("par", 0, "max concurrent sweep workers (0 = GOMAXPROCS, 1 = serial)")
 	verbose := flag.Bool("v", false, "report sweep progress on stderr")
-	queries := flag.Int("queries", 0, "dataset experiments: queries per dataset (0 = default)")
-	seed := flag.Int64("seed", 0, "dataset experiments: sampling seed (0 = default)")
-	scale := flag.Int64("scale", 0, "tab1: memory down-scale factor (0 = default 8, 1 = paper-size)")
-	rates := flag.String("rates", "", "serving2: comma-separated arrival rates in q/s (empty = default)")
-	replicas := flag.String("replicas", "", "serving2: comma-separated replica counts (empty = default)")
-	modes := flag.String("modes", "", "serving2: comma-separated modes (serial, cooperative, relayout-hybrid)")
-	queueCap := flag.Int("queuecap", -1, "serving2/resilience: admission queue capacity (0 = unbounded, -1 = default)")
-	slo := flag.Float64("slo", -1, "serving2/resilience: TTLT goodput deadline in seconds (0 = none, -1 = default)")
-	faults := flag.String("faults", "", "resilience: comma-separated lane MTBFs in seconds (empty = default)")
-	faultSeed := flag.Int64("faultseed", 0, "resilience: fault-scenario seed (0 = default)")
-	policy := flag.String("policy", "", "resilience: comma-separated degradation policies (none, soc-fallback, failover)")
+	// The override flags write straight into the scenario; a replayed
+	// -scenario file is loaded over it and the flags parsed again, so
+	// explicit flags still beat the file.
+	sc := run.DefaultScenario()
+	flag.IntVar(&sc.Queries, "queries", 0, "dataset experiments: queries per dataset (0 = default)")
+	flag.Int64Var(&sc.Seed, "seed", 0, "dataset experiments: sampling seed (0 = default)")
+	flag.Int64Var(&sc.Scale, "scale", 0, "tab1: memory down-scale factor (0 = default 8, 1 = paper-size)")
+	flag.StringVar(&sc.Rates, "rates", "", "serving2: comma-separated arrival rates in q/s (empty = default)")
+	flag.StringVar(&sc.Replicas, "replicas", "", "serving2: comma-separated replica counts (empty = default)")
+	flag.StringVar(&sc.Modes, "modes", "", "serving2: comma-separated modes (serial, cooperative, relayout-hybrid)")
+	flag.IntVar(&sc.QueueCap, "queuecap", -1, "serving2/resilience: admission queue capacity (0 = unbounded, -1 = default)")
+	flag.Float64Var(&sc.SLO, "slo", -1, "serving2/resilience: TTLT goodput deadline in seconds (0 = none, -1 = default)")
+	flag.StringVar(&sc.Faults, "faults", "", "resilience: comma-separated lane MTBFs in seconds (empty = default)")
+	flag.Int64Var(&sc.FaultSeed, "faultseed", 0, "resilience: fault-scenario seed (0 = default)")
+	flag.StringVar(&sc.Policy, "policy", "", "resilience: comma-separated degradation policies (none, soc-fallback, failover)")
 	clusterRun := flag.Bool("cluster", false, "shorthand: run the cluster experiment (equivalent to the 'cluster' identifier)")
-	strategy := flag.String("strategy", "", "cluster: comma-separated balancing strategies (round-robin, least-loaded, latency-weighted, slo-tiered; empty = all)")
-	fleet := flag.String("fleet", "", "cluster: device-class roster as platform[/macN]:count comma list (empty = default)")
-	devices := flag.Int("devices", 0, "cluster: rescale the fleet to this many devices, preserving the class mix (0 = keep roster counts)")
-	rate := flag.Float64("rate", 0, "cluster: cluster-wide arrival rate in q/s (0 = default)")
-	sync_ := flag.Float64("sync", 0, "cluster: telemetry-barrier interval in virtual seconds (0 = default)")
+	flag.StringVar(&sc.Strategy, "strategy", "", "cluster: comma-separated balancing strategies (round-robin, least-loaded, latency-weighted, slo-tiered; empty = all)")
+	flag.StringVar(&sc.Fleet, "fleet", "", "cluster: device-class roster as platform[/macN]:count comma list (empty = default)")
+	flag.IntVar(&sc.Devices, "devices", 0, "cluster: rescale the fleet to this many devices, preserving the class mix (0 = keep roster counts)")
+	flag.Float64Var(&sc.Rate, "rate", 0, "cluster: cluster-wide arrival rate in q/s (0 = default)")
+	flag.Float64Var(&sc.Sync, "sync", 0, "cluster: telemetry-barrier interval in virtual seconds (0 = default)")
 	steal := flag.Bool("steal", true, "cluster: add cross-device migration (+steal) rows to the strategy sweep")
-	stealThreshold := flag.Int("stealthreshold", -1, "cluster: in-system depth that triggers stealing from a healthy device (0 = breaker-driven only, -1 = default)")
-	stealScore := flag.String("stealscore", "", "cluster: steal-destination scoring, depth or latency (empty = default)")
+	flag.IntVar(&sc.StealThreshold, "stealthreshold", -1, "cluster: in-system depth that triggers stealing from a healthy device (0 = breaker-driven only, -1 = default)")
+	flag.StringVar(&sc.StealScore, "stealscore", "", "cluster: steal-destination scoring, depth or latency (empty = default)")
 	tuneRun := flag.Bool("tune", false, "shorthand: run the maptune experiment (equivalent to the 'maptune' identifier)")
-	tuneBudget := flag.Int("tunebudget", 0, "maptune: candidate budget per (platform, workload) cell (0 = default)")
-	tuneSeed := flag.Int64("tuneseed", 0, "maptune: mutation-stream seed (0 = default)")
+	flag.IntVar(&sc.TuneBudget, "tunebudget", 0, "maptune: candidate budget per (platform, workload) cell (0 = default)")
+	flag.Int64Var(&sc.TuneSeed, "tuneseed", 0, "maptune: mutation-stream seed (0 = default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -165,9 +168,6 @@ func mainErr() int {
 			fmt.Printf("%-10s  %s\n", info.ID, info.Title)
 		}
 		return 0
-	}
-	if *csvOut {
-		*format = "csv"
 	}
 	switch *format {
 	case "table", "csv", "json":
@@ -216,85 +216,23 @@ func mainErr() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Assemble the scenario: a replayed file forms the base, explicit
-	// flags override its fields, and positional/-id identifiers replace
-	// its experiment list when given.
-	sc := run.DefaultScenario()
 	if *scenarioFile != "" {
 		var err error
 		if sc, err = run.Load(*scenarioFile); err != nil {
 			fmt.Fprintf(os.Stderr, "facilsim: -scenario: %v\n", err)
 			return 1
 		}
+		flag.Parse()
 	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["queries"] {
-		sc.Queries = *queries
-	}
-	if set["seed"] {
-		sc.Seed = *seed
-	}
-	if set["scale"] {
-		sc.Scale = *scale
-	}
-	if set["rates"] {
-		sc.Rates = *rates
-	}
-	if set["replicas"] {
-		sc.Replicas = *replicas
-	}
-	if set["modes"] {
-		sc.Modes = *modes
-	}
-	if set["queuecap"] {
-		sc.QueueCap = *queueCap
-	}
-	if set["slo"] {
-		sc.SLO = *slo
-	}
-	if set["faults"] {
-		sc.Faults = *faults
-	}
-	if set["faultseed"] {
-		sc.FaultSeed = *faultSeed
-	}
-	if set["policy"] {
-		sc.Policy = *policy
-	}
-	if set["strategy"] {
-		sc.Strategy = *strategy
-	}
-	if set["fleet"] {
-		sc.Fleet = *fleet
-	}
-	if set["devices"] {
-		sc.Devices = *devices
-	}
-	if set["rate"] {
-		sc.Rate = *rate
-	}
-	if set["sync"] {
-		sc.Sync = *sync_
-	}
-	if set["steal"] {
-		sc.Steal = 0
-		if *steal {
-			sc.Steal = 1
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "steal" {
+			sc.Steal = 0
+			if *steal {
+				sc.Steal = 1
+			}
 		}
-	}
-	if set["stealthreshold"] {
-		sc.StealThreshold = *stealThreshold
-	}
-	if set["stealscore"] {
-		sc.StealScore = *stealScore
-	}
-	if set["tunebudget"] {
-		sc.TuneBudget = *tuneBudget
-	}
-	if set["tuneseed"] {
-		sc.TuneSeed = *tuneSeed
-	}
+	})
+	// Positional/-id identifiers replace the experiment list when given.
 	ids := flag.Args()
 	for _, id := range strings.Split(*idList, ",") {
 		if id = strings.TrimSpace(id); id != "" {

@@ -156,7 +156,7 @@ func RunExperiment(id string) ([]string, error) {
 func RunExperimentContext(ctx context.Context, id string, par int) ([]string, error) {
 	lab := exp.NewLab(engine.DefaultConfig())
 	lab.SetParallelism(par)
-	tabs, err := lab.Run(ctx, id)
+	tabs, err := lab.Run(ctx, id, exp.DefaultConfigs())
 	if err != nil {
 		return nil, err
 	}

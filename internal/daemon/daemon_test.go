@@ -110,6 +110,21 @@ func TestSubmitRejectsBadScenarios(t *testing.T) {
 	}
 }
 
+// TestSubmitAcceptsResilienceSweeps pins that the cluster experiment's
+// single-policy and single-MTBF rule does not reject a resilience-only
+// multi-policy, multi-MTBF sweep.
+func TestSubmitAcceptsResilienceSweeps(t *testing.T) {
+	s, ts := testServer(t, Options{})
+	body := `{"experiments":["resilience"],"queries":4,"policy":"none,failover","faults":"60,15"}`
+	rec, resp := postScenario(t, ts.URL, "/runs", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s: status %d, want 202", body, resp.StatusCode)
+	}
+	if fin := waitDone(t, s, rec.ID); fin.State != StateDone {
+		t.Errorf("run finished %s (%s)", fin.State, fin.Error)
+	}
+}
+
 // TestOversizedBodyRejected pins the front door's body cap: a scenario
 // body past maxBodyBytes gets 413 on both POST endpoints and enqueues
 // nothing.

@@ -243,7 +243,7 @@ func TestRandomTrafficCompletesAndCounts(t *testing.T) {
 
 func TestMeasureStreamBandwidth(t *testing.T) {
 	spec := smallSpec()
-	var reqs []*Request
+	var reqs []Request
 	// Sequential physical stream under the conventional
 	// row:rank:column:bank:channel mapping: consecutive 2 KB segments
 	// land in consecutive banks of the same row, letting the scheduler
@@ -252,11 +252,11 @@ func TestMeasureStreamBandwidth(t *testing.T) {
 	for row := 0; row < 4; row++ {
 		for bank := 0; bank < 16; bank++ {
 			for col := 0; col < 64; col++ {
-				reqs = append(reqs, &Request{Addr: Addr{Bank: bank, Row: row, Column: col}})
+				reqs = append(reqs, Request{Addr: Addr{Bank: bank, Row: row, Column: col}})
 			}
 		}
 	}
-	res, err := MeasureStream(spec, reqs)
+	res, err := MeasureStreamFunc(spec, SliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}

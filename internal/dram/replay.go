@@ -1,39 +1,5 @@
 package dram
 
-// Replay feeds a request stream through a fresh controller and returns the
-// completion cycle along with controller statistics. Requests are enqueued
-// with their stated arrival cycles; the queue is drained incrementally so
-// arbitrarily long traces use bounded memory per channel.
-func Replay(spec Spec, reqs []*Request) (int64, ChannelStats, error) {
-	return replayWindow(spec, reqs, 0)
-}
-
-func replayWindow(spec Spec, reqs []*Request, window int) (int64, ChannelStats, error) {
-	ctl, err := NewController(spec)
-	if err != nil {
-		return 0, ChannelStats{}, err
-	}
-	if window > 0 {
-		for i := 0; i < spec.Geometry.Channels; i++ {
-			ctl.Channel(i).SetWindow(window)
-		}
-	}
-	const maxQueue = 4096
-	for _, r := range reqs {
-		if err := ctl.Enqueue(r); err != nil {
-			return 0, ChannelStats{}, err
-		}
-		ch := ctl.channels[r.Addr.Channel]
-		if ch.Pending() > maxQueue {
-			ch.DrainUpTo(maxQueue / 2)
-		}
-	}
-	done := ctl.Drain()
-	stats := ctl.Stats()
-	Global.record(stats, done)
-	return done, stats, nil
-}
-
 // RequestSource is a pull-style request generator: each call fills *r
 // with the next request of the stream and returns true, or returns false
 // when the stream is exhausted. Sources let arbitrarily long traces
@@ -56,10 +22,12 @@ func SliceSource(reqs []Request) RequestSource {
 	}
 }
 
-// ReplayStream is Replay for a pull source: requests are enqueued by
-// value as the source produces them, with the same bounded-queue drain
-// policy, so the schedule is identical to materializing the stream and
-// calling Replay.
+// ReplayStream feeds a request stream through a fresh controller and
+// returns the completion cycle along with controller statistics.
+// Requests are enqueued by value, with their stated arrival cycles, as
+// the source produces them; a channel queue past 4096 entries is
+// drained incrementally, so arbitrarily long traces use bounded memory
+// per channel.
 func ReplayStream(spec Spec, src RequestSource) (int64, ChannelStats, error) {
 	return replayStreamWindow(spec, src, 0)
 }
@@ -106,24 +74,8 @@ type StreamResult struct {
 	Stats      ChannelStats
 }
 
-// MeasureStream replays reqs on spec and summarizes achieved bandwidth.
-func MeasureStream(spec Spec, reqs []*Request) (StreamResult, error) {
-	return MeasureStreamWindow(spec, reqs, 0)
-}
-
-// MeasureStreamWindow is MeasureStream with an explicit FR-FCFS reorder
-// window on every channel (0 keeps the default); used by scheduler
-// ablations.
-func MeasureStreamWindow(spec Spec, reqs []*Request, window int) (StreamResult, error) {
-	cycles, stats, err := replayWindow(spec, reqs, window)
-	if err != nil {
-		return StreamResult{}, err
-	}
-	return summarize(spec, cycles, stats), nil
-}
-
 // MeasureStreamFunc replays a pull source on spec and summarizes achieved
-// bandwidth — MeasureStream without materializing the request slice.
+// bandwidth.
 func MeasureStreamFunc(spec Spec, src RequestSource) (StreamResult, error) {
 	return MeasureStreamFuncWindow(spec, src, 0)
 }

@@ -9,27 +9,6 @@ import (
 	"facil/internal/soc"
 )
 
-// TestAllIDsMatchesRegistry pins the experiment index: AllIDs and the
-// registry must contain exactly the same identifiers (no drift in either
-// direction, no duplicates in the presentation order).
-func TestAllIDsMatchesRegistry(t *testing.T) {
-	seen := map[string]bool{}
-	for _, id := range AllIDs {
-		if seen[id] {
-			t.Errorf("AllIDs lists %q twice", id)
-		}
-		seen[id] = true
-		if _, ok := registry[id]; !ok {
-			t.Errorf("AllIDs entry %q has no registry runner", id)
-		}
-	}
-	for id := range registry {
-		if !seen[id] {
-			t.Errorf("registered experiment %q missing from AllIDs", id)
-		}
-	}
-}
-
 // TestParallelMatchesSerial is the determinism contract: a sweep fanned
 // out over many workers must render byte-identical tables to a serial
 // run. Exercised on fig13 (platform x prefill grid) and fig14 (TTLT
@@ -80,7 +59,7 @@ func TestRunHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := l.Run(ctx, "fig13")
+	_, err := l.Run(ctx, "fig13", DefaultConfigs())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run under cancelled ctx: err = %v, want context.Canceled", err)
 	}

@@ -15,7 +15,7 @@ import (
 func TestRenderFig2aFig3Fig6(t *testing.T) {
 	l := testLab()
 	for _, id := range []string{"fig2a", "fig3", "fig6"} {
-		tabs, err := l.Run(context.Background(), id)
+		tabs, err := l.Run(context.Background(), id, DefaultConfigs())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

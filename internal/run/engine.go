@@ -10,7 +10,6 @@ import (
 	"facil/internal/exp"
 	"facil/internal/obs"
 	"facil/internal/parallel"
-	"facil/internal/workload"
 )
 
 // Options configures an Engine: the engine.Config its Lab builds
@@ -90,9 +89,13 @@ type ExecOpts struct {
 // manifest stamped with the scenario's canonical command line plus one
 // Result per experiment in request order. Per-experiment failures are
 // recorded in their Result (and the manifest's Failed list) without
-// aborting the remaining identifiers; Execute itself errors only on
-// export I/O failures.
+// aborting the remaining identifiers; Execute itself errors only on a
+// malformed override (before anything runs) and on export I/O failures.
 func (e *Engine) Execute(ctx context.Context, sc Scenario, opts ExecOpts) (exp.Report, error) {
+	cfg, err := sc.Configs()
+	if err != nil {
+		return exp.Report{}, err
+	}
 	ids := sc.IDs()
 	manifest := obs.NewManifest(e.tool, sc.Args())
 	manifest.Seed = sc.Seed
@@ -111,7 +114,7 @@ func (e *Engine) Execute(ctx context.Context, sc Scenario, opts ExecOpts) (exp.R
 
 	var report exp.Report
 	var failed []string
-	results := e.launch(ctx, ids, sc)
+	results := e.launch(ctx, ids, cfg)
 	for i, id := range ids {
 		<-results[i].ready
 		res := results[i].res
@@ -153,7 +156,7 @@ type pending struct {
 // the per-identifier futures. A failing experiment is captured in its
 // Result rather than cancelling the sweep, so one bad experiment cannot
 // take the others down.
-func (e *Engine) launch(ctx context.Context, ids []string, sc Scenario) []pending {
+func (e *Engine) launch(ctx context.Context, ids []string, cfg exp.Configs) []pending {
 	results := make([]pending, len(ids))
 	for i := range results {
 		results[i].ready = make(chan struct{})
@@ -166,7 +169,7 @@ func (e *Engine) launch(ctx context.Context, ids []string, sc Scenario) []pendin
 		finished := make([]bool, len(ids))
 		_, _ = parallel.Sweep(ctx, idxs, func(ctx context.Context, i int) (struct{}, error) {
 			start := time.Now()
-			tabs, err := e.runOne(ctx, ids[i], sc)
+			tabs, err := e.lab.Run(ctx, ids[i], cfg)
 			res := exp.Result{ID: ids[i], Tables: tabs, ElapsedSeconds: time.Since(start).Seconds()}
 			if err != nil {
 				res.Error = err.Error()
@@ -188,88 +191,6 @@ func (e *Engine) launch(ctx context.Context, ids []string, sc Scenario) []pendin
 		}
 	}()
 	return results
-}
-
-// runOne dispatches one experiment, honoring the scenario's overrides
-// for the parameterizable ones.
-func (e *Engine) runOne(ctx context.Context, id string, sc Scenario) ([]exp.Table, error) {
-	switch id {
-	case "tab1":
-		cfg := exp.DefaultTable1Config()
-		if sc.Scale > 0 {
-			cfg.Scale = sc.Scale
-		}
-		if sc.Seed != 0 {
-			cfg.Seed = sc.Seed
-		}
-		t, err := e.lab.Table1(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []exp.Table{t}, nil
-	case "serving2":
-		cfg := exp.DefaultServing2Config()
-		if err := sc.applyServing2(&cfg); err != nil {
-			return nil, err
-		}
-		t, err := e.lab.Serving2(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []exp.Table{t}, nil
-	case "resilience":
-		cfg := exp.DefaultResilienceConfig()
-		if err := sc.applyResilience(&cfg); err != nil {
-			return nil, err
-		}
-		t, err := e.lab.Resilience(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []exp.Table{t}, nil
-	case "cluster":
-		cfg := exp.DefaultClusterConfig()
-		if err := sc.applyCluster(&cfg); err != nil {
-			return nil, err
-		}
-		return e.lab.Cluster(ctx, cfg)
-	case "maptune":
-		cfg := exp.DefaultMapTuneConfig()
-		if err := sc.applyMapTune(&cfg); err != nil {
-			return nil, err
-		}
-		return e.lab.MapTune(ctx, cfg)
-	case "fig15", "fig16":
-		if sc.Queries <= 0 && sc.Seed == 0 {
-			return e.lab.Run(ctx, id)
-		}
-		cfg := exp.DefaultDatasetConfig()
-		if sc.Queries > 0 {
-			cfg.Queries = sc.Queries
-		}
-		if sc.Seed != 0 {
-			cfg.Seed = sc.Seed
-		}
-		var out []exp.Table
-		for _, spec := range []workload.Spec{workload.AlpacaSpec(), workload.AutocompleteSpec()} {
-			var (
-				t   exp.Table
-				err error
-			)
-			if id == "fig15" {
-				t, err = e.lab.Fig15(ctx, spec, cfg)
-			} else {
-				t, err = e.lab.Fig16(ctx, spec, cfg)
-			}
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, t)
-		}
-		return out, nil
-	default:
-		return e.lab.Run(ctx, id)
-	}
 }
 
 // writeResultFile mirrors one result into dir as <id>.<ext>.

@@ -125,7 +125,55 @@ func TestValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid stealscore/tune fields rejected: %v", err)
 	}
+
+	// The cluster experiment's single-value policy/faults rule binds
+	// only scenarios that run cluster (explicitly or via the empty list).
+	for _, tc := range []struct {
+		json  string
+		valid bool
+	}{
+		{`{"experiments":["resilience"],"policy":"none,failover"}`, true},
+		{`{"experiments":["resilience"],"faults":"60,15"}`, true},
+		{`{"experiments":["cluster"],"policy":"failover"}`, true},
+		{`{"experiments":["resilience","cluster"],"policy":"none,failover"}`, false},
+		{`{"experiments":["cluster"],"faults":"60,15"}`, false},
+		{`{"policy":"none,failover"}`, false},
+		// Bounds on untrusted sizes: the largest documented commands
+		// validate; oversized, negative or overflowing fields do not.
+		{`{"experiments":["cluster"],"queries":100000,"devices":104}`, true},
+		{`{"experiments":["maptune"],"tunebudget":1024}`, true},
+		{`{"experiments":["cluster"],"fleet":"jetson:50000,iphone:50000"}`, true},
+		{`{"queries":10000001}`, false},
+		{`{"queries":-1}`, false},
+		{`{"scale":-8}`, false},
+		{`{"devices":-3}`, false},
+		{`{"devices":100001}`, false},
+		{`{"rate":-1}`, false},
+		{`{"sync":-0.5}`, false},
+		{`{"tunebudget":1048577}`, false},
+		{`{"queuecap":-2}`, false},
+		{`{"slo":-1.5}`, false},
+		{`{"steal":-7}`, false},
+		{`{"stealthreshold":-2}`, false},
+		{`{"experiments":["cluster"],"fleet":"jetson:50000,iphone:50001"}`, false},
+		{`{"experiments":["cluster"],"fleet":"jetson:100001","devices":12}`, false},
+		// Per-class counts near MaxInt once overflowed the fleet sum and
+		// hung Validate in cluster.ScaleFleet.
+		{hangBody, false},
+		{`{"experiments":["cluster"],"fleet":"jetson:9223372036854775807,iphone:9223372036854775807"}`, false},
+	} {
+		sc, err := Decode(strings.NewReader(tc.json))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Validate(); (err == nil) != tc.valid {
+			t.Errorf("Validate(%s) = %v, want valid=%v", tc.json, err, tc.valid)
+		}
+	}
 }
+
+// hangBody is a scenario whose fleet class counts overflow an int sum.
+const hangBody = `{"experiments":["cluster"],"fleet":"jetson:9223372036854775807,iphone:9223372036854775807","devices":1000000000000}`
 
 // cheapEngine builds an engine suitable for fast registry-driven tests.
 func cheapEngine(t *testing.T) *Engine {
@@ -169,6 +217,28 @@ func TestExecuteOrderAndFailures(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Manifest.Experiments, sc.Experiments) {
 		t.Errorf("manifest experiments = %v", rep.Manifest.Experiments)
+	}
+}
+
+// TestExecuteRejectsMalformedOverride pins the fail-fast contract: a
+// malformed override fails Execute before any experiment runs, even
+// one that does not read it.
+func TestExecuteRejectsMalformedOverride(t *testing.T) {
+	sc := DefaultScenario()
+	sc.Experiments = []string{"tab2"}
+	sc.Rates = "potato"
+	calls := 0
+	_, err := cheapEngine(t).Execute(context.Background(), sc, ExecOpts{
+		Sink: func(exp.Result) error {
+			calls++
+			return nil
+		},
+	})
+	if err == nil {
+		t.Error("Execute accepted rates \"potato\"")
+	}
+	if calls != 0 {
+		t.Errorf("sink called %d times, want 0", calls)
 	}
 }
 

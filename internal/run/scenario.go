@@ -1,8 +1,8 @@
 // Package run is the run-engine layer between the front ends (the
 // facilsim CLI, the facild daemon) and the experiment stack: it owns
-// the scenario schema, experiment dispatch with per-identifier
-// overrides, Lab construction with tracer and progress wiring, manifest
-// assembly and result export. cmd/facilsim and internal/daemon are thin
+// the scenario schema and its folding into exp.Configs, Lab
+// construction with tracer and progress wiring, manifest assembly and
+// result export. cmd/facilsim and internal/daemon are thin
 // shells over this package — a scenario runs identically (byte-for-byte
 // in its Report tables) whichever front end submits it.
 package run
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -218,232 +219,194 @@ func (sc Scenario) Args() []string {
 	return args
 }
 
-// Validate resolves every experiment identifier and parses every sweep
-// list, returning the first problem. The daemon rejects a bad scenario
-// at submission with this; the CLI instead lets unknown identifiers
-// surface as per-experiment failures so one typo cannot take down a
-// batch of valid experiments.
+// Validate resolves every experiment identifier and folds every
+// override (Configs), returning the first problem. The daemon rejects a
+// bad scenario at submission with this; the CLI instead lets unknown
+// identifiers surface as per-experiment failures so one typo cannot
+// take down a batch of valid experiments.
 func (sc Scenario) Validate() error {
 	for _, id := range sc.Experiments {
 		if !exp.Known(id) {
 			return fmt.Errorf("run: unknown experiment %q (see -list or GET /experiments)", id)
 		}
 	}
-	s2 := exp.DefaultServing2Config()
-	if err := sc.applyServing2(&s2); err != nil {
-		return err
-	}
-	rc := exp.DefaultResilienceConfig()
-	if err := sc.applyResilience(&rc); err != nil {
-		return err
-	}
-	cc := exp.DefaultClusterConfig()
-	if err := sc.applyCluster(&cc); err != nil {
-		return err
-	}
-	mt := exp.DefaultMapTuneConfig()
-	if err := sc.applyMapTune(&mt); err != nil {
-		return err
-	}
-	return nil
+	_, err := sc.Configs()
+	return err
 }
 
-// applyServing2 folds the scenario's overrides into a serving2 config.
-func (sc Scenario) applyServing2(cfg *exp.Serving2Config) error {
-	if sc.Queries > 0 {
-		cfg.Queries = sc.Queries
-	}
-	if sc.Seed != 0 {
-		cfg.Seed = sc.Seed
-	}
-	if sc.QueueCap >= 0 {
-		cfg.QueueCap = sc.QueueCap
-	}
-	if sc.SLO >= 0 {
-		cfg.DeadlineTTLT = sc.SLO
-	}
-	if sc.Rates != "" {
-		cfg.Rates = cfg.Rates[:0]
-		for _, f := range strings.Split(sc.Rates, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || r <= 0 {
-				return fmt.Errorf("run: bad rates entry %q", f)
-			}
-			cfg.Rates = append(cfg.Rates, r)
-		}
-	}
-	if sc.Replicas != "" {
-		cfg.Replicas = cfg.Replicas[:0]
-		for _, f := range strings.Split(sc.Replicas, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("run: bad replicas entry %q", f)
-			}
-			cfg.Replicas = append(cfg.Replicas, n)
-		}
-	}
-	if sc.Modes != "" {
-		cfg.Modes = cfg.Modes[:0]
-		for _, f := range strings.Split(sc.Modes, ",") {
-			m, err := serve.ParseMode(strings.TrimSpace(f))
-			if err != nil {
-				return err
-			}
-			cfg.Modes = append(cfg.Modes, m)
-		}
-	}
-	return nil
-}
+// Bounds on untrusted scenario sizes: each admits every documented
+// command with room to spare, and keeps one POST from tying up (or
+// overflowing) the engine.
+const (
+	maxQueries    = 10_000_000
+	maxDevices    = 100_000
+	maxTuneBudget = 1 << 20
+)
 
-// applyResilience folds the scenario's overrides into a resilience
-// config.
-func (sc Scenario) applyResilience(cfg *exp.ResilienceConfig) error {
+// Configs folds the scenario's overrides into every experiment's
+// default parameters. Each field is parsed once and applied to every
+// experiment that reads it: Queries and Seed seed the dataset and
+// serving experiments (Seed also tab1's fragmentation), QueueCap and
+// SLO bound every serving queue, Modes and Faults/Policy sweep
+// serving2 and resilience, and the cluster experiment reads a single
+// Policy and a single Faults MTBF per device — a rule enforced only
+// when the scenario runs cluster.
+func (sc Scenario) Configs() (exp.Configs, error) {
+	c := exp.DefaultConfigs()
+	switch {
+	case sc.Queries < 0 || sc.Queries > maxQueries:
+		return c, fmt.Errorf("run: bad queries %d (want 0..%d)", sc.Queries, maxQueries)
+	case sc.Scale < 0:
+		return c, fmt.Errorf("run: bad scale %d (want >= 0)", sc.Scale)
+	case sc.Devices < 0 || sc.Devices > maxDevices:
+		return c, fmt.Errorf("run: bad devices %d (want 0..%d)", sc.Devices, maxDevices)
+	case sc.Rate < 0 || sc.Sync < 0:
+		return c, fmt.Errorf("run: bad rate %g / sync %g (want >= 0)", sc.Rate, sc.Sync)
+	case sc.TuneBudget < 0 || sc.TuneBudget > maxTuneBudget:
+		return c, fmt.Errorf("run: bad tunebudget %d (want 0..%d)", sc.TuneBudget, maxTuneBudget)
+	case sc.QueueCap < -1 || sc.SLO < -1 || sc.Steal < -1 || sc.StealThreshold < -1:
+		return c, fmt.Errorf("run: queuecap, slo, steal and stealthreshold take -1 (default) or a value >= 0")
+	}
 	if sc.Queries > 0 {
-		cfg.Queries = sc.Queries
+		c.Dataset.Queries, c.Serving2.Queries, c.Resilience.Queries, c.Cluster.Queries = sc.Queries, sc.Queries, sc.Queries, sc.Queries
 	}
 	if sc.Seed != 0 {
-		cfg.Seed = sc.Seed
+		c.Table1.Seed, c.Dataset.Seed, c.Serving2.Seed, c.Resilience.Seed, c.Cluster.Seed = sc.Seed, sc.Seed, sc.Seed, sc.Seed, sc.Seed
 	}
 	if sc.FaultSeed != 0 {
-		cfg.FaultSeed = sc.FaultSeed
+		c.Resilience.FaultSeed, c.Cluster.FaultSeed = sc.FaultSeed, sc.FaultSeed
 	}
 	if sc.QueueCap >= 0 {
-		cfg.QueueCap = sc.QueueCap
+		c.Serving2.QueueCap, c.Resilience.QueueCap, c.Cluster.QueueCap = sc.QueueCap, sc.QueueCap, sc.QueueCap
 	}
 	if sc.SLO >= 0 {
-		cfg.DeadlineTTLT = sc.SLO
+		c.Serving2.DeadlineTTLT, c.Resilience.DeadlineTTLT, c.Cluster.DeadlineTTLT = sc.SLO, sc.SLO, sc.SLO
 	}
-	if sc.Faults != "" {
-		cfg.LaneMTBFs = cfg.LaneMTBFs[:0]
-		for _, f := range strings.Split(sc.Faults, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || v <= 0 {
-				return fmt.Errorf("run: bad faults entry %q (want a positive MTBF in seconds)", f)
-			}
-			cfg.LaneMTBFs = append(cfg.LaneMTBFs, v)
-		}
-	}
-	if sc.Policy != "" {
-		cfg.Policies = cfg.Policies[:0]
-		for _, f := range strings.Split(sc.Policy, ",") {
-			p, err := serve.ParsePolicy(strings.TrimSpace(f))
-			if err != nil {
-				return err
-			}
-			cfg.Policies = append(cfg.Policies, p)
-		}
-	}
-	if sc.Modes != "" {
-		cfg.Modes = cfg.Modes[:0]
-		for _, f := range strings.Split(sc.Modes, ",") {
-			m, err := serve.ParseMode(strings.TrimSpace(f))
-			if err != nil {
-				return err
-			}
-			cfg.Modes = append(cfg.Modes, m)
-		}
-	}
-	return nil
-}
-
-// applyCluster folds the scenario's overrides into a cluster config.
-// The shared fields keep their meaning from the other serving
-// experiments: Queries/Seed/FaultSeed seed the run, QueueCap and SLO
-// bound each device, a single-entry Policy list picks every device's
-// degradation policy, and a single-entry Faults list overrides the
-// lane MTBF on the faulty fraction of the fleet.
-func (sc Scenario) applyCluster(cfg *exp.ClusterConfig) error {
-	if sc.Queries > 0 {
-		cfg.Queries = sc.Queries
-	}
-	if sc.Seed != 0 {
-		cfg.Seed = sc.Seed
-	}
-	if sc.FaultSeed != 0 {
-		cfg.FaultSeed = sc.FaultSeed
-	}
-	if sc.QueueCap >= 0 {
-		cfg.QueueCap = sc.QueueCap
-	}
-	if sc.SLO >= 0 {
-		cfg.DeadlineTTLT = sc.SLO
+	if sc.Scale > 0 {
+		c.Table1.Scale = sc.Scale
 	}
 	if sc.Rate > 0 {
-		cfg.Rate = sc.Rate
+		c.Cluster.Rate = sc.Rate
 	}
 	if sc.Sync > 0 {
-		cfg.SyncInterval = sc.Sync
-	}
-	if sc.Strategy != "" {
-		cfg.Strategies = cfg.Strategies[:0]
-		for _, f := range strings.Split(sc.Strategy, ",") {
-			k, err := cluster.ParseStrategy(strings.TrimSpace(f))
-			if err != nil {
-				return err
-			}
-			cfg.Strategies = append(cfg.Strategies, k)
-		}
-	}
-	if sc.Fleet != "" {
-		classes, err := cluster.ParseFleet(sc.Fleet)
-		if err != nil {
-			return err
-		}
-		cfg.Fleet = classes
-	}
-	if sc.Devices > 0 {
-		cfg.Fleet = cluster.ScaleFleet(cfg.Fleet, sc.Devices)
-	}
-	if sc.Policy != "" {
-		ps := strings.Split(sc.Policy, ",")
-		if len(ps) != 1 {
-			return fmt.Errorf("run: the cluster experiment takes a single -policy, got %q", sc.Policy)
-		}
-		p, err := serve.ParsePolicy(strings.TrimSpace(ps[0]))
-		if err != nil {
-			return err
-		}
-		cfg.Policy = p
-	}
-	if sc.Faults != "" {
-		fs := strings.Split(sc.Faults, ",")
-		if len(fs) != 1 {
-			return fmt.Errorf("run: the cluster experiment takes a single -faults MTBF, got %q", sc.Faults)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(fs[0]), 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("run: bad faults entry %q (want a positive MTBF in seconds)", fs[0])
-		}
-		cfg.FaultMTBF = v
+		c.Cluster.SyncInterval = sc.Sync
 	}
 	if sc.Steal >= 0 {
-		cfg.Migration = sc.Steal != 0
+		c.Cluster.Migration = sc.Steal != 0
 	}
 	if sc.StealThreshold >= 0 {
-		cfg.StealThreshold = sc.StealThreshold
+		c.Cluster.StealThreshold = sc.StealThreshold
+	}
+	if sc.TuneBudget > 0 {
+		c.MapTune.Budget = sc.TuneBudget
+	}
+	if sc.TuneSeed != 0 {
+		c.MapTune.Seed = sc.TuneSeed
 	}
 	switch sc.StealScore {
 	case "":
-	case "depth":
-		cfg.LatencySteal = false
-	case "latency":
-		cfg.LatencySteal = true
+	case "depth", "latency":
+		c.Cluster.LatencySteal = sc.StealScore == "latency"
 	default:
-		return fmt.Errorf("run: bad stealscore %q (want depth or latency)", sc.StealScore)
+		return c, fmt.Errorf("run: bad stealscore %q (want depth or latency)", sc.StealScore)
+	}
+
+	var err error
+	if sc.Rates != "" {
+		if c.Serving2.Rates, err = parseList(sc.Rates, positive("rates")); err != nil {
+			return c, err
+		}
+	}
+	if sc.Replicas != "" {
+		if c.Serving2.Replicas, err = parseList(sc.Replicas, func(f string) (int, error) {
+			n, err := strconv.Atoi(f)
+			if err != nil || n <= 0 {
+				return 0, fmt.Errorf("run: bad replicas entry %q", f)
+			}
+			return n, nil
+		}); err != nil {
+			return c, err
+		}
+	}
+	if sc.Modes != "" {
+		if c.Serving2.Modes, err = parseList(sc.Modes, serve.ParseMode); err != nil {
+			return c, err
+		}
+		c.Resilience.Modes = c.Serving2.Modes
+	}
+	if sc.Strategy != "" {
+		if c.Cluster.Strategies, err = parseList(sc.Strategy, cluster.ParseStrategy); err != nil {
+			return c, err
+		}
+	}
+	runsCluster := slices.Contains(sc.IDs(), "cluster")
+	if sc.Policy != "" {
+		if c.Resilience.Policies, err = parseList(sc.Policy, serve.ParsePolicy); err != nil {
+			return c, err
+		}
+		if len(c.Resilience.Policies) > 1 && runsCluster {
+			return c, fmt.Errorf("run: the cluster experiment takes a single -policy, got %q", sc.Policy)
+		}
+		c.Cluster.Policy = c.Resilience.Policies[0]
+	}
+	if sc.Faults != "" {
+		if c.Resilience.LaneMTBFs, err = parseList(sc.Faults, positive("faults")); err != nil {
+			return c, err
+		}
+		if len(c.Resilience.LaneMTBFs) > 1 && runsCluster {
+			return c, fmt.Errorf("run: the cluster experiment takes a single -faults MTBF, got %q", sc.Faults)
+		}
+		c.Cluster.FaultMTBF = c.Resilience.LaneMTBFs[0]
+	}
+	if sc.Fleet != "" {
+		if c.Cluster.Fleet, err = cluster.ParseFleet(sc.Fleet); err != nil {
+			return c, err
+		}
+	}
+	if err := checkFleet(c.Cluster.Fleet); err != nil {
+		return c, err
+	}
+	// The rescaled fleet has max(Devices, classes) devices, both within
+	// the bound by now.
+	if sc.Devices > 0 {
+		c.Cluster.Fleet = cluster.ScaleFleet(c.Cluster.Fleet, sc.Devices)
+	}
+	return c, nil
+}
+
+// checkFleet bounds a device roster, class by class before summing so
+// the total cannot overflow.
+func checkFleet(fleet []cluster.DeviceClass) error {
+	total := 0
+	for _, d := range fleet {
+		if d.Count > maxDevices-total {
+			return fmt.Errorf("run: fleet exceeds %d devices", maxDevices)
+		}
+		total += d.Count
 	}
 	return nil
 }
 
-// applyMapTune folds the scenario's overrides into a maptune config.
-func (sc Scenario) applyMapTune(cfg *exp.MapTuneConfig) error {
-	if sc.TuneBudget < 0 {
-		return fmt.Errorf("run: bad tunebudget %d (want >= 0)", sc.TuneBudget)
+// parseList parses a comma-separated override list entry by entry.
+func parseList[T any](list string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, f := range strings.Split(list, ",") {
+		v, err := parse(strings.TrimSpace(f))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
 	}
-	if sc.TuneBudget > 0 {
-		cfg.Budget = sc.TuneBudget
+	return out, nil
+}
+
+// positive parses one positive float entry of the named list.
+func positive(name string) func(string) (float64, error) {
+	return func(f string) (float64, error) {
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil || v <= 0 {
+			return 0, fmt.Errorf("run: bad %s entry %q (want a positive number)", name, f)
+		}
+		return v, nil
 	}
-	if sc.TuneSeed != 0 {
-		cfg.Seed = sc.TuneSeed
-	}
-	return nil
 }
