@@ -100,8 +100,8 @@ type futureArrival struct {
 // requests live in a reusable slot pool, FR-FCFS candidate selection
 // walks per-bank intrusive lists (only banks with visible work), request
 // completion unlinks in O(1) instead of compacting a slice, and the
-// ready/arrival bookkeeping behind PendingReady and idle jumps is
-// tracked incrementally instead of rescanned. The command schedule is
+// ready/arrival bookkeeping behind PendingReady is tracked
+// incrementally instead of rescanned. The command schedule is
 // bit-identical to the retained test-only ReferenceChannel (see
 // refsched_test.go and the differential tests pinning the equivalence).
 //
@@ -131,11 +131,24 @@ type Channel struct {
 	bankHead    []int32
 	bankTail    []int32
 	bankLen     []int32
+	bankWrites  []int32 // visible writes per bank
 	activeBanks []int32
 	bankPos     []int32 // bank -> index into activeBanks, -1 if absent
+	// bankLoc resolves a dense bank index to its rank and bank state,
+	// precomputed so the pick loop never divides by BanksPerRank.
+	bankLoc []bankLoc
+
+	// inOrder holds while queued arrivals are non-decreasing in enqueue
+	// order; lastArrival is the arrival of the most recent push. Under
+	// inOrder the first entry of each command class in a bank list wins
+	// that class, so pickCommand can stop walking early.
+	inOrder     bool
+	lastArrival int64
 
 	// Arrival tracking: readyCount counts live requests with
-	// Arrival <= now; future holds the rest, ordered by arrival.
+	// Arrival <= now; future holds the rest, ordered by arrival. The heap
+	// only feeds PendingReady: every candidate's earliest cycle already
+	// folds in its arrival, so scheduling never reads it.
 	readyCount int
 	future     futureHeap
 
@@ -178,6 +191,12 @@ type Channel struct {
 	tracePID       int64
 	traceUSPerCyc  float64
 	colSinceSample int
+}
+
+// bankLoc is one bank's rank and bank state.
+type bankLoc struct {
+	rk *rank
+	b  *bank
 }
 
 // traceSampleEvery is the counter sampling stride in column commands: a
@@ -226,11 +245,15 @@ func NewChannel(spec *Spec) *Channel {
 	c.bankHead = make([]int32, nb)
 	c.bankTail = make([]int32, nb)
 	c.bankLen = make([]int32, nb)
+	c.bankWrites = make([]int32, nb)
 	c.bankPos = make([]int32, nb)
+	c.bankLoc = make([]bankLoc, nb)
 	for i := 0; i < nb; i++ {
 		c.bankHead[i] = noSlot
 		c.bankTail[i] = noSlot
 		c.bankPos[i] = -1
+		rk := &c.ranks[i/spec.Geometry.BanksPerRank]
+		c.bankLoc[i] = bankLoc{rk: rk, b: &rk.banks[i%spec.Geometry.BanksPerRank]}
 	}
 	c.activeBanks = make([]int32, 0, nb)
 	return c
@@ -375,11 +398,16 @@ func (c *Channel) push(r Request, user *Request) {
 	sl.bnext, sl.bprev = noSlot, noSlot
 	if c.tail == noSlot {
 		c.head, c.tail = s, s
+		c.inOrder = true
 	} else {
+		if r.Arrival < c.lastArrival {
+			c.inOrder = false
+		}
 		c.slots[c.tail].next = s
 		sl.prev = c.tail
 		c.tail = s
 	}
+	c.lastArrival = r.Arrival
 	c.count++
 	if c.visCount < c.window {
 		c.makeVisible(s)
@@ -418,6 +446,9 @@ func (c *Channel) makeVisible(s int32) {
 		c.bankTail[b] = s
 	}
 	c.bankLen[b]++
+	if sl.req.Write {
+		c.bankWrites[b]++
+	}
 	c.visTail = s
 	c.visCount++
 }
@@ -439,6 +470,9 @@ func (c *Channel) bankUnlink(s int32) {
 	}
 	sl.bnext, sl.bprev = noSlot, noSlot
 	c.bankLen[b]--
+	if sl.req.Write {
+		c.bankWrites[b]--
+	}
 	if c.bankLen[b] == 0 {
 		i := c.bankPos[b]
 		last := c.activeBanks[len(c.activeBanks)-1]
@@ -567,21 +601,14 @@ func (c *Channel) step() {
 		}
 	}
 
-	best, ok := c.pickCommand()
-	if !ok {
-		// Nothing issuable: every queued request is still in the
-		// future. The earliest pending arrival is the heap minimum —
-		// tracked incrementally, no queue rescan.
-		if len(c.future) > 0 {
-			c.advanceNow(c.future[0].arrival)
-		}
-		return
-	}
-	c.issue(best)
+	c.issue(c.pickCommand())
 }
 
-// pickCommand selects the next command FR-FCFS style. It returns false if
-// no request inside the window has arrived yet.
+// pickCommand selects the next command FR-FCFS style. The queue must be
+// non-empty: every visible request yields a column, ACT or PRE candidate
+// whose earliest cycle already folds in its arrival, so a queue whose
+// requests all lie in the future still picks one, and issuing it is the
+// idle jump.
 //
 // The scheduler tracks the best column (data) command and the best
 // preparatory command (ACT/PRE) separately. A preparatory command is
@@ -595,18 +622,25 @@ func (c *Channel) step() {
 // (earliest, FCFS position), which is iteration-order independent, so
 // walking bank-by-bank selects exactly the command the reference
 // scheduler's window-order scan selects.
-func (c *Channel) pickCommand() (candidate, bool) {
+//
+// While inOrder holds, pos rises strictly and arrival never falls along
+// each bank list, so within one class (read hit, write hit, ACT) the
+// candidate earliest cycle max(floor, arrival) never decreases and the
+// first entry wins. The walk then stops once every class the bank has
+// visible entries of has produced its first hit, and an idle bank takes
+// its head as the ACT candidate. A bank without hits is still walked in
+// full, since a hit further down must suppress its precharge.
+func (c *Channel) pickCommand() candidate {
 	var bestCol, bestPrep candidate
 	haveCol, havePrep := false, false
 
-	banksPerRank := c.spec.Geometry.BanksPerRank
 	rowCmdBase := maxi64(c.rowCmdEarliest(), c.now)
 	rdBase := c.columnEarliest(CmdRD)
 	wrBase := c.columnEarliest(CmdWR)
 
 	for _, bi := range c.activeBanks {
-		rk := &c.ranks[int(bi)/banksPerRank]
-		b := &rk.banks[int(bi)%banksPerRank]
+		loc := c.bankLoc[bi]
+		b := loc.b
 		head := c.bankHead[bi]
 
 		if b.state == bankActive {
@@ -621,12 +655,19 @@ func (c *Channel) pickCommand() (candidate, bool) {
 			preEarliest := maxi64(b.nextPRE, rowCmdBase)
 			var hit, pre candidate
 			haveHit, havePre := false, false
+			// Classes still without a first hit; a class the bank has
+			// no visible entries of has nothing to find.
+			wantRD := c.bankLen[bi] > c.bankWrites[bi]
+			wantWR := c.bankWrites[bi] > 0
 			for s := head; s != noSlot; s = c.slots[s].bnext {
 				sl := &c.slots[s]
 				if sl.req.Addr.Row == open {
 					kind, e := CmdRD, rdEarliest
 					if sl.req.Write {
 						kind, e = CmdWR, wrEarliest
+						wantWR = false
+					} else {
+						wantRD = false
 					}
 					if sl.req.Arrival > e {
 						e = sl.req.Arrival
@@ -634,6 +675,9 @@ func (c *Channel) pickCommand() (candidate, bool) {
 					if !haveHit || hit.better(e, sl.pos) {
 						hit = candidate{kind: kind, slot: s, pos: sl.pos, earliest: e}
 						haveHit = true
+					}
+					if c.inOrder && !wantRD && !wantWR {
+						break
 					}
 				} else if !haveHit {
 					// Collecting a PRE candidate is pointless once a
@@ -665,44 +709,34 @@ func (c *Channel) pickCommand() (candidate, bool) {
 
 		// Idle bank: every visible request is an ACT candidate; only
 		// the arrival varies, so the floors hoist out of the loop.
-		actBase := maxi64(maxi64(b.nextACT, rk.earliestACT()), rowCmdBase)
+		actBase := maxi64(maxi64(b.nextACT, loc.rk.earliestACT()), rowCmdBase)
 		var act candidate
-		haveAct := false
 		for s := head; s != noSlot; s = c.slots[s].bnext {
 			sl := &c.slots[s]
 			e := actBase
 			if sl.req.Arrival > e {
 				e = sl.req.Arrival
 			}
-			if !haveAct || act.better(e, sl.pos) {
+			if s == head || act.better(e, sl.pos) {
 				act = candidate{kind: CmdACT, slot: s, pos: sl.pos, earliest: e}
-				haveAct = true
+			}
+			if c.inOrder {
+				break
 			}
 		}
-		if haveAct {
-			if !havePrep || bestPrep.better(act.earliest, act.pos) {
-				bestPrep = act
-				havePrep = true
-			}
+		if !havePrep || bestPrep.better(act.earliest, act.pos) {
+			bestPrep = act
+			havePrep = true
 		}
 	}
 
-	switch {
-	case haveCol && havePrep:
-		// Row and column commands ride different command slots; issue
-		// the preparatory command as long as it is not later than the
-		// best column command.
-		if bestPrep.earliest <= bestCol.earliest {
-			return bestPrep, true
-		}
-		return bestCol, true
-	case haveCol:
-		return bestCol, true
-	case havePrep:
-		return bestPrep, true
-	default:
-		return candidate{}, false
+	// Row and column commands ride different command slots; issue the
+	// preparatory command as long as it is not later than the best
+	// column command.
+	if havePrep && (!haveCol || bestPrep.earliest <= bestCol.earliest) {
+		return bestPrep
 	}
+	return bestCol
 }
 
 // rowStillWanted reports whether any visible request targets row a.Row in

@@ -11,10 +11,29 @@ import (
 // identical per-request Done cycles, identical clock, identical stats, for
 // randomized streams across row policies, window sizes and refresh modes.
 
+// Arrival pacings of diffStream. The scheduler takes an early-exit walk
+// while queued arrivals are non-decreasing and the full walk otherwise,
+// so the differential tests cover both and the switch between them.
+const (
+	// paceMonotone: arrivals never decrease (the early-exit walk only).
+	paceMonotone = iota
+	// paceJitter: each arrival is jittered around the monotone clock,
+	// so arrivals go backwards throughout (the full walk only).
+	paceJitter
+	// pacePhased: in order, then out of order from n/3 while the queue
+	// still holds in-order entries, then in order again from n/2, where
+	// runDifferential drains the queue empty (full walk, then back to
+	// the early exit).
+	pacePhased
+)
+
+var paceNames = []string{"monotone", "jitter", "phased"}
+
 // diffStream generates one randomized request stream. shape selects the
 // address pattern; arrivals are paced so the stream mixes back-pressured
-// and idle phases (exercising both the FR-FCFS window and the idle jump).
-func diffStream(spec *Spec, shape string, n int, seed int64) []Request {
+// and idle phases (exercising both the FR-FCFS window and the idle jump),
+// and pace selects whether they may go backwards.
+func diffStream(spec *Spec, shape string, pace, n int, seed int64) []Request {
 	rng := rand.New(rand.NewSource(seed))
 	g := spec.Geometry
 	cols := g.ColumnsPerRow()
@@ -64,15 +83,19 @@ func diffStream(spec *Spec, shape string, n int, seed int64) []Request {
 			Arrival: arrival,
 			ID:      int64(i),
 		}
+		if pace == paceJitter || (pace == pacePhased && i >= n/3 && i < n/2) {
+			reqs[i].Arrival += int64(rng.Intn(48))
+		}
 	}
 	return reqs
 }
 
 // runDifferential pumps the same stream through both schedulers in
 // identical waves (bounding the reference's O(n) queues) and asserts
-// bit-identical behavior. It also cross-checks PendingReady — the
-// incrementally tracked count against the reference's full rescan — at
-// every wave boundary.
+// bit-identical behavior. Halfway through the stream both queues are
+// drained empty, so every stream also restarts from an empty queue. It
+// also cross-checks PendingReady — the incrementally tracked count
+// against the reference's full rescan — at every wave boundary.
 func runDifferential(t *testing.T, spec *Spec, reqs []Request, policy RowPolicy, window int, refresh bool) {
 	t.Helper()
 
@@ -98,6 +121,10 @@ func runDifferential(t *testing.T, spec *Spec, reqs []Request, policy RowPolicy,
 			hi = len(reqs)
 		}
 		for i := lo; i < hi; i++ {
+			if i == len(reqs)/2 {
+				opt.Drain()
+				ref.Drain()
+			}
 			if err := opt.Enqueue(&optReqs[i]); err != nil {
 				t.Fatalf("opt enqueue %d: %v", i, err)
 			}
@@ -131,8 +158,8 @@ func runDifferential(t *testing.T, spec *Spec, reqs []Request, policy RowPolicy,
 }
 
 // TestDifferentialScheduler sweeps the full config cross-product. Each
-// config sees >= 1e5 randomized requests in full mode (reduced under
-// -short to keep the race-enabled CI run fast).
+// config and pacing sees >= 1e5 randomized requests in full mode (reduced
+// under -short to keep the race-enabled CI run fast).
 func TestDifferentialScheduler(t *testing.T) {
 	spec := smallSpec()
 	n := 100_000
@@ -144,17 +171,22 @@ func TestDifferentialScheduler(t *testing.T) {
 		for _, refresh := range []bool{true, false} {
 			for _, window := range []int{1, 4, 32, 128} {
 				for si, shape := range shapes {
-					policy, refresh, window, shape, si := policy, refresh, window, shape, si
-					name := fmt.Sprintf("policy=%d/refresh=%v/window=%d/%s", policy, refresh, window, shape)
-					t.Run(name, func(t *testing.T) {
-						per := n / len(shapes)
-						seed := int64(1000*si + window + 7)
-						if !refresh {
-							seed += 31
+					for pace, paceName := range paceNames {
+						policy, refresh, window, shape, si, pace := policy, refresh, window, shape, si, pace
+						name := fmt.Sprintf("policy=%d/refresh=%v/window=%d/%s", policy, refresh, window, shape)
+						if pace != paceMonotone {
+							name += "-" + paceName
 						}
-						reqs := diffStream(&spec, shape, per, seed)
-						runDifferential(t, &spec, reqs, policy, window, refresh)
-					})
+						t.Run(name, func(t *testing.T) {
+							per := n / len(shapes)
+							seed := int64(1000*si + window + 7 + 100_000*pace)
+							if !refresh {
+								seed += 31
+							}
+							reqs := diffStream(&spec, shape, pace, per, seed)
+							runDifferential(t, &spec, reqs, policy, window, refresh)
+						})
+					}
 				}
 			}
 		}
@@ -166,7 +198,7 @@ func TestDifferentialScheduler(t *testing.T) {
 // pattern — checking clock and ready-count equivalence at every step.
 func TestDifferentialStepInterleave(t *testing.T) {
 	spec := smallSpec()
-	reqs := diffStream(&spec, "hotrow", 4_000, 99)
+	reqs := diffStream(&spec, "hotrow", paceMonotone, 4_000, 99)
 	opt := NewChannel(&spec)
 	ref := NewReferenceChannel(&spec)
 
@@ -214,7 +246,7 @@ func TestDifferentialStepInterleave(t *testing.T) {
 // reference just changes a bound — both must agree afterwards.
 func TestSetWindowMidStream(t *testing.T) {
 	spec := smallSpec()
-	reqs := diffStream(&spec, "random", 6_000, 42)
+	reqs := diffStream(&spec, "random", paceMonotone, 6_000, 42)
 	opt := NewChannel(&spec)
 	ref := NewReferenceChannel(&spec)
 
@@ -264,16 +296,22 @@ func TestSetWindowMidStream(t *testing.T) {
 // enqueue/drain cycles force the optimized scheduler's slot pool through
 // free-list reuse and its arrival heap through stale-entry invalidation —
 // the queue "wraparound" states a single monotone drain never reaches.
+// mode also picks the arrival pacing (mode/4), so the fuzzer moves queues
+// between in-order and out-of-order arrivals; a drain byte below 4
+// empties the queue, which restarts the in-order tracking.
 func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0), []byte{40, 10, 80, 200, 5, 60})
 	f.Add(int64(7), uint8(1), uint8(1), []byte{255, 0, 3, 3, 3, 128, 17})
 	f.Add(int64(42), uint8(3), uint8(2), []byte{16, 16, 16, 16, 16, 16, 16, 16})
+	f.Add(int64(3), uint8(4), uint8(2), []byte{90, 40, 120, 0, 60, 8, 200})
+	f.Add(int64(11), uint8(8), uint8(1), []byte{60, 200, 60, 0, 120, 30, 90})
 	f.Fuzz(func(t *testing.T, seed int64, mode, windowSel uint8, script []byte) {
 		if len(script) == 0 || len(script) > 64 {
 			t.Skip()
 		}
 		spec := smallSpec()
 		shape := []string{"sequential", "random", "hotrow"}[int(mode)%3]
+		pace := int(mode/4) % len(paceNames)
 		window := []int{1, 4, 32, 128}[int(windowSel)%4]
 
 		opt := NewChannel(&spec)
@@ -293,7 +331,7 @@ func FuzzSchedulerDifferential(f *testing.F) {
 		if total == 0 {
 			t.Skip()
 		}
-		reqs := diffStream(&spec, shape, total, seed)
+		reqs := diffStream(&spec, shape, pace, total, seed)
 		optReqs := make([]Request, len(reqs))
 		refReqs := make([]Request, len(reqs))
 		copy(optReqs, reqs)

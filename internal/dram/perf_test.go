@@ -86,28 +86,12 @@ func BenchmarkReferenceChannelDrain(b *testing.B) {
 // wall-clock second (MB/s throughput of the simulator itself).
 func BenchmarkReplayStream(b *testing.B) {
 	spec := smallSpec()
-	g := spec.Geometry
-	cols := g.ColumnsPerRow()
 	const n = 1 << 16
-	b.SetBytes(int64(n) * int64(g.TransferBytes))
+	b.SetBytes(int64(n) * int64(spec.Geometry.TransferBytes))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		emitted := 0
-		_, _, err := ReplayStream(spec, func(r *Request) bool {
-			if emitted >= n {
-				return false
-			}
-			*r = Request{Addr: Addr{
-				Bank:   (emitted / cols) % g.BanksPerRank,
-				Rank:   (emitted / cols / g.BanksPerRank) % g.RanksPerChannel,
-				Row:    (emitted / cols / g.BanksPerRank / g.RanksPerChannel) % g.Rows,
-				Column: emitted % cols,
-			}}
-			emitted++
-			return true
-		})
-		if err != nil {
+		if _, _, err := ReplayStream(spec, sequentialSource(&spec, n)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,13 +25,22 @@ func SliceSource(reqs []Request) RequestSource {
 // ReplayStream feeds a request stream through a fresh controller and
 // returns the completion cycle along with controller statistics.
 // Requests are enqueued by value, with their stated arrival cycles, as
-// the source produces them; a channel queue past 4096 entries is
-// drained incrementally, so arbitrarily long traces use bounded memory
-// per channel.
+// the source produces them; a channel queue past twice the FR-FCFS
+// window is drained incrementally, so arbitrarily long traces use
+// bounded memory per channel.
 func ReplayStream(spec Spec, src RequestSource) (int64, ChannelStats, error) {
 	return replayStreamWindow(spec, src, 0)
 }
 
+// replayStreamWindow replays src with the given FR-FCFS window (0 keeps
+// DefaultWindow). A channel whose queue passes 2d entries is drained to
+// d = min(window, 2048). FR-FCFS only sees the oldest window entries.
+// For windows up to 2048, d is the window, so every step of a drain still
+// has more than window requests queued and sees the same visible set as
+// with the whole stream enqueued up front: the schedule is exact while
+// the replay keeps only about 2*window slots per channel. Windows above
+// 2048 keep the 4096 bound, whose drains see fewer entries than the
+// window.
 func replayStreamWindow(spec Spec, src RequestSource, window int) (int64, ChannelStats, error) {
 	ctl, err := NewController(spec)
 	if err != nil {
@@ -41,16 +50,18 @@ func replayStreamWindow(spec Spec, src RequestSource, window int) (int64, Channe
 		for i := 0; i < spec.Geometry.Channels; i++ {
 			ctl.Channel(i).SetWindow(window)
 		}
+	} else {
+		window = DefaultWindow
 	}
-	const maxQueue = 4096
+	drainTo := min(window, 2048)
 	var r Request
 	for src(&r) {
 		if err := ctl.EnqueueValue(r); err != nil {
 			return 0, ChannelStats{}, err
 		}
 		ch := ctl.channels[r.Addr.Channel]
-		if ch.Pending() > maxQueue {
-			ch.DrainUpTo(maxQueue / 2)
+		if ch.Pending() > 2*drainTo {
+			ch.DrainUpTo(drainTo)
 		}
 	}
 	done := ctl.Drain()
