@@ -71,9 +71,8 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	}
 	n := fl.Devices()
 
-	// Build one Stream-mode sim per device. Per-device seeds are
-	// decorrelated with splitmix64; the per-device ArrivalRate share
-	// only sizes each sim's timing wheel (arrivals come from Inject).
+	// Build one Stream-mode sim per device (arrivals come from Inject).
+	// Per-device seeds are decorrelated with splitmix64.
 	devs := make([]*device, 0, n)
 	for ci, cl := range fl.classes {
 		for k := 0; k < cl.Count; k++ {
@@ -82,7 +81,6 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 				Mode:             serve.Cooperative,
 				Kind:             engine.FACIL,
 				Replicas:         1,
-				ArrivalRate:      cfg.ArrivalRate / float64(n),
 				Stream:           true,
 				NoTBT:            true,
 				Seed:             int64(splitmix64(uint64(cfg.Seed) + 0x5EED*uint64(di))),

@@ -249,6 +249,8 @@ func FuzzSimDifferential(f *testing.F) {
 	f.Add(int64(7), 0.3, 25, 1, 0, 1, 0, 0.0, 0, 0.0, 0.0, 0.0, 0)
 	f.Add(int64(9), 5.0, 60, 3, 2, 16, 4, 8.0, 3, 15.0, 3.0, 0.2, 2)
 	f.Add(int64(3), 1.0, 30, 2, 1, 4, 0, 5.0, 0, 6.0, 2.0, 1.0, 0)
+	// A valid but far-future MTBF: no outage may begin inside the run.
+	f.Add(int64(5), 0.3, 40, 2, 1, 8, 4, 0.0, 2, 1e300, 5.0, 0.3, 2)
 	f.Fuzz(func(t *testing.T, seed int64, rate float64, queries, replicas, mode, preempt, queueCap int,
 		timeout float64, retries int, mtbf, mttr, corrupt float64, policy int) {
 		cfg := SimConfig{

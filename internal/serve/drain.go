@@ -49,14 +49,6 @@ func (sm *sim) applyDrainOutage(d float64) {
 	}
 	if sm.flt == nil {
 		sm.flt = &faultState{thermal: 1}
-		sm.failoverPen = sm.cfg.FailoverPenalty
-		if sm.failoverPen == 0 {
-			sm.failoverPen = DefaultFailoverPenalty
-		}
-		sm.brkCooldown = sm.cfg.BreakerCooldown
-		if sm.brkCooldown == 0 {
-			sm.brkCooldown = DefaultBreakerCooldown
-		}
 	}
 	for ri := range sm.reps {
 		sm.push(event{at: sm.now, kind: evLaneDown, rep: int32(ri), until: sm.now + d})

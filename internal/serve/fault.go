@@ -10,20 +10,17 @@ import (
 	"facil/internal/stats"
 )
 
-// Defaults for the fault-handling knobs SimConfig leaves at zero.
+// Fault-handling constants.
 const (
 	// DefaultFailoverPenalty is the decode-migration cost in seconds
-	// (KV-cache transfer to the adopting replica) when
-	// SimConfig.FailoverPenalty is 0.
+	// (KV-cache transfer to the adopting replica) under PolicyFailover.
 	DefaultFailoverPenalty = 0.05
 	// DefaultBreakerCooldown is the open-state dwell in seconds before
 	// a half-open probe when SimConfig.BreakerCooldown is 0.
 	DefaultBreakerCooldown = 1.0
-	// DefaultRetryBase is the first client-retry backoff in seconds
-	// when SimConfig.RetryBase is 0.
+	// DefaultRetryBase is the first client-retry backoff in seconds.
 	DefaultRetryBase = 0.05
-	// DefaultRetryCap bounds the exponential backoff in seconds when
-	// SimConfig.RetryCap is 0.
+	// DefaultRetryCap bounds the exponential backoff in seconds.
 	DefaultRetryCap = 2.0
 	// MapIDRepairSeconds is the page-table re-walk that repairs a
 	// corrupted PTE MapID after the MC frontend rejects it with
@@ -73,14 +70,6 @@ func (sm *sim) initFaults(s *engine.System) error {
 		}
 	}
 	sm.flt = fs
-	sm.failoverPen = sm.cfg.FailoverPenalty
-	if sm.failoverPen == 0 {
-		sm.failoverPen = DefaultFailoverPenalty
-	}
-	sm.brkCooldown = sm.cfg.BreakerCooldown
-	if sm.brkCooldown == 0 {
-		sm.brkCooldown = DefaultBreakerCooldown
-	}
 	return nil
 }
 
@@ -231,7 +220,7 @@ func (sm *sim) degrade(qi int32, ri int) error {
 		if rj := sm.liveReplica(ri); rj >= 0 {
 			sm.m.FailedOver++
 			Live.failedOver.Add(1)
-			q.penalty += sm.failoverPen
+			q.penalty += DefaultFailoverPenalty
 			sm.traceInstant("failover", q)
 			sm.reps[rj].decodeQ.push(sm.qs, qi)
 			return sm.dispatchDecode(rj)
@@ -295,9 +284,9 @@ func (sm *sim) dispatchSoCDecode(ri int) error {
 // a retry attempt (attempt >= 1). The jitter comes from the run-owned
 // retry RNG, so runs stay reproducible.
 func (sm *sim) backoff(attempt int) float64 {
-	d := sm.retryBase * math.Pow(2, float64(attempt-1))
-	if d > sm.retryCap {
-		d = sm.retryCap
+	d := DefaultRetryBase * math.Pow(2, float64(attempt-1))
+	if d > DefaultRetryCap {
+		d = DefaultRetryCap
 	}
 	return d/2 + sm.retryRNG.Float64()*d/2
 }

@@ -20,9 +20,9 @@ func outageScenario(start, end float64) fault.Scenario {
 }
 
 // TestFaultConfigValidation is the table-driven rejection check of every
-// fault/retry knob: NaN and Inf durations, negative limits, inconsistent
-// retry bounds, unknown policies, bad scenarios and serial-mode faults
-// must all be rejected before a run starts.
+// fault/retry knob: NaN and Inf durations, negative limits, retries
+// without a queue bound, unknown policies, bad scenarios and serial-mode
+// faults must all be rejected before a run starts.
 func TestFaultConfigValidation(t *testing.T) {
 	base := simConfig(Cooperative, engine.FACIL, 1)
 	cases := []struct {
@@ -36,14 +36,9 @@ func TestFaultConfigValidation(t *testing.T) {
 		{"negative deadline", func(c *SimConfig) { c.DeadlineTTLT = -1 }},
 		{"NaN timeout", func(c *SimConfig) { c.Timeout = math.NaN() }},
 		{"Inf timeout", func(c *SimConfig) { c.Timeout = math.Inf(1) }},
-		{"NaN failover penalty", func(c *SimConfig) { c.FailoverPenalty = math.NaN() }},
-		{"negative failover penalty", func(c *SimConfig) { c.FailoverPenalty = -0.1 }},
 		{"Inf breaker cooldown", func(c *SimConfig) { c.BreakerCooldown = math.Inf(1) }},
 		{"negative breaker threshold", func(c *SimConfig) { c.BreakerThreshold = -1 }},
 		{"negative retries", func(c *SimConfig) { c.MaxRetries = -1 }},
-		{"NaN retry base", func(c *SimConfig) { c.RetryBase = math.NaN() }},
-		{"Inf retry cap", func(c *SimConfig) { c.RetryCap = math.Inf(1) }},
-		{"retry base above cap", func(c *SimConfig) { c.RetryBase = 2; c.RetryCap = 1 }},
 		{"retries without queue cap", func(c *SimConfig) { c.MaxRetries = 3 }},
 		{"policy below range", func(c *SimConfig) { c.Policy = Policy(-1) }},
 		{"policy above range", func(c *SimConfig) { c.Policy = Policy(99) }},
@@ -134,8 +129,41 @@ func TestFaultConservation(t *testing.T) {
 	}
 }
 
+// TestFarFutureFaultsDrain: a lane MTBF far beyond any makespan is a
+// valid scenario and must leave the run unharmed — it drains within a
+// small step budget (each short query takes four events), every query
+// completes and no outage begins. The event queue orders raw
+// timestamps, so a far-future fault time cannot overflow into an
+// earlier one.
+func TestFarFutureFaultsDrain(t *testing.T) {
+	s := servingSystem(t)
+	cfg := simConfig(Cooperative, engine.FACIL, 0.3)
+	cfg.Replicas = 2
+	cfg.Workload = fixedSpec(128, 16)
+	cfg.Faults = fault.Scenario{LaneMTBF: 1e300, LaneMTTR: 5}
+	sim, err := NewSim(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 10 * cfg.Queries
+	for steps, more := 0, true; more; steps++ {
+		if steps == budget {
+			m := sim.Finish()
+			t.Fatalf("not drained after %d steps: %d of %d completed, %d lane failures, clock at %g s",
+				budget, m.Completed, cfg.Queries, m.LaneFailures, sim.Now())
+		}
+		if more, err = sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := sim.Finish()
+	if m.Completed != cfg.Queries || m.LaneFailures != 0 {
+		t.Errorf("completed %d of %d with %d lane failures, want all and 0", m.Completed, cfg.Queries, m.LaneFailures)
+	}
+}
+
 // TestEmptyScenarioPolicyInert locks the zero-impact contract from the
-// other side: with an empty fault scenario, the policy/breaker/failover
+// other side: with an empty fault scenario, the policy and breaker
 // knobs change nothing — the fault layer is off, so every policy yields
 // metrics deeply equal to the plain config's.
 func TestEmptyScenarioPolicyInert(t *testing.T) {
@@ -153,7 +181,6 @@ func TestEmptyScenarioPolicyInert(t *testing.T) {
 		cfg := plain
 		cfg.Policy = pol
 		cfg.BreakerThreshold = 3
-		cfg.FailoverPenalty = 0.5
 		got, err := Run(s, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -39,9 +39,9 @@ func drainSim(tb testing.TB, sim *Sim) Metrics {
 }
 
 // TestServeSteadyStateZeroAllocs is the allocation regression gate on
-// the serving loop: after warmup (event-arena slab, flat latency caches,
-// TimeHist levels and the engine's memoized caches all grown), stepping
-// the simulation must not allocate at all.
+// the serving loop: after warmup (event-heap capacity, flat latency
+// caches, TimeHist levels and the engine's memoized caches all grown),
+// stepping the simulation must not allocate at all.
 func TestServeSteadyStateZeroAllocs(t *testing.T) {
 	s := servingSystem(t)
 	cfg := perfConfig(4000)
@@ -106,11 +106,10 @@ func TestServeSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestOptimizedSimSpeedup gates the perf win of the timing-wheel
-// rebuild: a full simulation run (construction included) must beat the
-// retained reference engine by at least 3x (the acceptance bar; it
-// measures well above that on an idle runner, leaving headroom for CI
-// noise).
+// TestOptimizedSimSpeedup gates the perf win of the value-typed event
+// loop: a full simulation run must beat the retained pointer-boxed
+// reference engine by at least 3x (the acceptance bar; it measures well
+// above that on an idle runner, leaving headroom for CI noise).
 func TestOptimizedSimSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping timing comparison in -short mode")

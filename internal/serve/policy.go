@@ -20,7 +20,7 @@ const (
 	PolicySoCFallback
 	// PolicyFailover migrates the decode to another replica whose PIM
 	// lane is live and idle with no decode backlog, paying
-	// FailoverPenalty (the KV-cache transfer) before its next quantum;
+	// DefaultFailoverPenalty (the KV-cache transfer) before its next quantum;
 	// with no spare capacity anywhere it degrades to the SoC fallback
 	// path. Failover therefore never does worse than PolicySoCFallback:
 	// it only replaces SoC-speed decode with idle PIM-speed decode.

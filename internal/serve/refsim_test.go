@@ -15,7 +15,7 @@ import (
 )
 
 // ReferenceSim is the retained heap-based serving simulator: the
-// implementation serve.Sim had before the timing-wheel rebuild, kept
+// implementation serve.Sim had before its event loop was rebuilt, kept
 // verbatim as the differential-testing oracle (the dram.ReferenceChannel
 // pattern). It drives every event through a global container/heap of
 // pointer-boxed events and allocates per query; the optimized Sim must
@@ -66,13 +66,6 @@ func NewReferenceSim(s *engine.System, cfg SimConfig) (*ReferenceSim, error) {
 	}
 	sm.open = cfg.Queries
 	if cfg.MaxRetries > 0 {
-		sm.retryBase, sm.retryCap = cfg.RetryBase, cfg.RetryCap
-		if sm.retryBase == 0 {
-			sm.retryBase = DefaultRetryBase
-		}
-		if sm.retryCap == 0 {
-			sm.retryCap = DefaultRetryCap
-		}
 		sm.retryRNG = rand.New(rand.NewSource(cfg.Seed + 2))
 	}
 	if !cfg.Faults.Empty() {
@@ -124,7 +117,7 @@ func (s *ReferenceSim) Finish() Metrics {
 }
 
 // refEvent is one entry of the reference simulator's time-ordered heap:
-// the pre-wheel pointer-boxed event layout.
+// the original pointer-boxed event layout.
 type refEvent struct {
 	at     float64
 	seq    int64
@@ -163,8 +156,8 @@ func (h *refEventHeap) Pop() any {
 	return e
 }
 
-// refArena is the reference simulator's pointer free list — the original
-// eventArena, retained alongside the heap it fed.
+// refArena is the reference simulator's pointer free list, retained
+// alongside the heap it fed.
 type refArena struct {
 	free []*refEvent
 }
@@ -199,7 +192,7 @@ type refReplica struct {
 }
 
 // refSim is the run state of one reference simulation — a field-for-field
-// copy of the pre-wheel sim.
+// copy of the original sim.
 type refSim struct {
 	cfg   SimConfig
 	sys   *engine.System
@@ -219,12 +212,9 @@ type refSim struct {
 	open int
 
 	flt         *faultState
-	failoverPen float64
 	brkCooldown float64
 
-	retryRNG  *rand.Rand
-	retryBase float64
-	retryCap  float64
+	retryRNG *rand.Rand
 
 	socBusySecs, pimBusySecs float64
 
@@ -666,10 +656,6 @@ func (sm *refSim) initFaults(s *engine.System) error {
 		}
 	}
 	sm.flt = fs
-	sm.failoverPen = sm.cfg.FailoverPenalty
-	if sm.failoverPen == 0 {
-		sm.failoverPen = DefaultFailoverPenalty
-	}
 	sm.brkCooldown = sm.cfg.BreakerCooldown
 	if sm.brkCooldown == 0 {
 		sm.brkCooldown = DefaultBreakerCooldown
@@ -785,7 +771,7 @@ func (sm *refSim) degrade(q *query, ri int) error {
 		if rj := sm.liveReplica(ri); rj >= 0 {
 			sm.m.FailedOver++
 			Live.failedOver.Add(1)
-			q.penalty += sm.failoverPen
+			q.penalty += DefaultFailoverPenalty
 			sm.traceInstant("failover", q)
 			sm.reps[rj].decodeQ = append(sm.reps[rj].decodeQ, q)
 			return sm.dispatchDecode(rj)
@@ -841,9 +827,9 @@ func (sm *refSim) dispatchSoCDecode(ri int) error {
 }
 
 func (sm *refSim) backoff(attempt int) float64 {
-	d := sm.retryBase * math.Pow(2, float64(attempt-1))
-	if d > sm.retryCap {
-		d = sm.retryCap
+	d := DefaultRetryBase * math.Pow(2, float64(attempt-1))
+	if d > DefaultRetryCap {
+		d = DefaultRetryCap
 	}
 	return d/2 + sm.retryRNG.Float64()*d/2
 }

@@ -10,16 +10,15 @@ import (
 
 // streamConfig is the externally-driven sim shape the cluster router
 // runs: a Stream-mode two-lane scheduler fed by Inject/InjectResume
-// between AdvanceTo horizons. Workload and Queries stay zero — arrivals
-// carry their own token lengths.
+// between AdvanceTo horizons. Workload, Queries and ArrivalRate stay
+// zero — arrivals carry their own times and token lengths.
 func streamConfig(replicas, queueCap int) SimConfig {
 	return SimConfig{
-		Mode:        Cooperative,
-		Kind:        engine.FACIL,
-		Replicas:    replicas,
-		ArrivalRate: 2,
-		QueueCap:    queueCap,
-		Stream:      true,
+		Mode:     Cooperative,
+		Kind:     engine.FACIL,
+		Replicas: replicas,
+		QueueCap: queueCap,
+		Stream:   true,
 	}
 }
 

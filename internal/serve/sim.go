@@ -125,9 +125,6 @@ type SimConfig struct {
 	// Policy selects the degradation response to PIM-lane loss and
 	// detected MapID corruption (PolicyNone fails affected queries).
 	Policy Policy
-	// FailoverPenalty is the decode-migration cost in seconds under
-	// PolicyFailover (0 = DefaultFailoverPenalty).
-	FailoverPenalty float64
 	// BreakerThreshold opens a replica's circuit breaker after that
 	// many consecutive failed PIM dispatches (0 disables the breaker).
 	BreakerThreshold int
@@ -136,22 +133,18 @@ type SimConfig struct {
 	BreakerCooldown float64
 	// MaxRetries is the client-side retry budget of a rejected
 	// arrival: each retry re-submits the query after a jittered,
-	// capped exponential backoff; exhausting the budget counts the
-	// query as Rejected. 0 disables retries.
+	// capped exponential backoff (DefaultRetryBase doubling up to
+	// DefaultRetryCap); exhausting the budget counts the query as
+	// Rejected. 0 disables retries.
 	MaxRetries int
-	// RetryBase and RetryCap bound the exponential backoff in seconds
-	// (0 = DefaultRetryBase / DefaultRetryCap).
-	RetryBase float64
-	RetryCap  float64
 
 	// Stream marks an externally-driven run: instead of generating
 	// Queries arrivals from Workload at construction, the host feeds
 	// arrivals one at a time with (*Sim).Inject while moving virtual
 	// time forward with (*Sim).AdvanceTo, then calls (*Sim).Seal when
-	// the stream ends. Queries must be 0 and Workload is unused;
-	// ArrivalRate remains required as the expected offered rate (it
-	// sizes the timing wheel's tick). The cluster router drives one
-	// Stream-mode Sim per fleet device.
+	// the stream ends. Queries must be 0, and ArrivalRate and Workload
+	// are unused. The cluster router drives one Stream-mode Sim per
+	// fleet device.
 	Stream bool
 	// NoTBT drops the per-token inter-token-gap samples (Metrics.TBT
 	// reports zero quantiles). A fleet host running hundreds of devices
@@ -164,13 +157,11 @@ type SimConfig struct {
 const DefaultPreemptSteps = 8
 
 // Validate rejects degenerate scenarios: non-positive sizes, negative
-// limits, NaN/Inf rates or durations anywhere (including the fault and
-// retry knobs), unknown policies, and fault injection in Serial mode
-// (the fault model targets the two-lane schedulers).
+// limits, NaN/Inf rates or durations anywhere (including the fault
+// knobs), unknown policies, and fault injection in Serial mode (the
+// fault model targets the two-lane schedulers). A Stream-mode run takes
+// its arrivals from Inject, so only a generated run needs a rate.
 func (c SimConfig) Validate() error {
-	if badRate(c.ArrivalRate) {
-		return fmt.Errorf("serve: arrival rate must be positive and finite, got %g", c.ArrivalRate)
-	}
 	if c.Stream {
 		if c.Queries != 0 {
 			return fmt.Errorf("serve: Stream mode takes arrivals from Inject; Queries must be 0, got %d", c.Queries)
@@ -178,6 +169,8 @@ func (c SimConfig) Validate() error {
 		if c.MaxRetries > 0 {
 			return fmt.Errorf("serve: Stream mode leaves retry decisions to the host; MaxRetries must be 0")
 		}
+	} else if badRate(c.ArrivalRate) {
+		return fmt.Errorf("serve: arrival rate must be positive and finite, got %g", c.ArrivalRate)
 	} else if c.Queries <= 0 {
 		return fmt.Errorf("serve: query count must be positive")
 	}
@@ -187,10 +180,7 @@ func (c SimConfig) Validate() error {
 	for name, v := range map[string]float64{
 		"DeadlineTTLT":    c.DeadlineTTLT,
 		"Timeout":         c.Timeout,
-		"FailoverPenalty": c.FailoverPenalty,
 		"BreakerCooldown": c.BreakerCooldown,
-		"RetryBase":       c.RetryBase,
-		"RetryCap":        c.RetryCap,
 	} {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("serve: %s must be a finite non-negative duration, got %g", name, v)
@@ -198,9 +188,6 @@ func (c SimConfig) Validate() error {
 	}
 	if c.QueueCap < 0 || c.PreemptSteps < 0 || c.MaxRetries < 0 || c.BreakerThreshold < 0 {
 		return fmt.Errorf("serve: negative limit in %+v", c)
-	}
-	if c.RetryCap > 0 && c.RetryBase > c.RetryCap {
-		return fmt.Errorf("serve: RetryBase %g exceeds RetryCap %g", c.RetryBase, c.RetryCap)
 	}
 	if c.MaxRetries > 0 && c.QueueCap == 0 {
 		return fmt.Errorf("serve: retries require a bounded queue (QueueCap > 0); nothing rejects otherwise")
@@ -381,26 +368,20 @@ type replica struct {
 	socQ      qlist
 }
 
-// wheelTicksPerGap is the tick resolution relative to the mean arrival
-// gap: with 8 ticks per gap, simultaneous dynamic events of one burst
-// spread across level-0 slots while the per-event tick math stays in
-// cheap int64 range for any realistic makespan.
-const wheelTicksPerGap = 8
-
 // sim is the run state of one event-driven simulation. The hot path is
 // allocation-free in steady state: queries live in one slab indexed by
 // arrival order (the arrival stream needs no scheduling structure at
-// all — nextArr is a cursor), dynamic events live in the timing wheel's
-// slab arena, pending queries thread through intrusive qlists, and the
-// per-token engine latencies are memoized in flat per-context arrays
-// that bypass the engine's mutex-guarded cache.
+// all — nextArr is a cursor), dynamic events live in a value-typed
+// min-heap that keeps its capacity, pending queries thread through
+// intrusive qlists, and the per-token engine latencies are memoized in
+// flat per-context arrays that bypass the engine's mutex-guarded cache.
 type sim struct {
 	cfg SimConfig
 	sys *engine.System
-	evs wheel
+	evs eventQueue
 	// seq numbers dynamic events after the arrival stream: arrivals own
 	// sequence numbers 0..Queries-1 (their slab index), so an arrival
-	// beats any wheel event scheduled at the same instant — exactly the
+	// beats any queued event scheduled at the same instant — exactly the
 	// reference heap's push order.
 	seq     int64
 	qs      []query
@@ -439,13 +420,10 @@ type sim struct {
 
 	// flt is nil with an empty fault scenario (layer off).
 	flt         *faultState
-	failoverPen float64
 	brkCooldown float64
 
 	// retryRNG exists only when MaxRetries > 0.
-	retryRNG  *rand.Rand
-	retryBase float64
-	retryCap  float64
+	retryRNG *rand.Rand
 
 	// drainSeen is the drain-outage generation this sim has applied
 	// (captured at construction, so only sims already running when
@@ -545,9 +523,9 @@ func Run(s *engine.System, cfg SimConfig) (Metrics, error) {
 // is byte-identical to Run with the same config: stepping changes who
 // turns the crank, not what happens.
 //
-// Internally the event loop runs on a hierarchical timing wheel over
-// value-typed slab events merged against the in-order arrival stream;
-// the test-only ReferenceSim (refsim_test.go) is the retained pre-wheel
+// Internally the event loop runs on a min-heap of value-typed events
+// merged against the in-order arrival stream; the test-only
+// ReferenceSim (refsim_test.go) is the retained pointer-boxed
 // implementation, and the differential tests hold the two bit-identical.
 //
 // A Sim is single-threaded: Step and Finish must not be called
@@ -630,7 +608,10 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 	sm.seq = int64(len(sm.qs))
 	sm.open = cfg.Queries
 	sm.sealed = !cfg.Stream
-	sm.evs.init(wheelTicksPerGap * cfg.ArrivalRate)
+	sm.brkCooldown = cfg.BreakerCooldown
+	if sm.brkCooldown == 0 {
+		sm.brkCooldown = DefaultBreakerCooldown
+	}
 	sm.stepMain = make([]float64, maxCtx+1)
 	sm.stepSoC = make([]float64, maxCtx+1)
 	sm.preStatic = make([]float64, maxPre+1)
@@ -641,13 +622,6 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 	// arrival stream claimed its sequence numbers, so a faultless run's
 	// event sequence (and RNG stream) is untouched.
 	if cfg.MaxRetries > 0 {
-		sm.retryBase, sm.retryCap = cfg.RetryBase, cfg.RetryCap
-		if sm.retryBase == 0 {
-			sm.retryBase = DefaultRetryBase
-		}
-		if sm.retryCap == 0 {
-			sm.retryCap = DefaultRetryCap
-		}
 		sm.retryRNG = rand.New(rand.NewSource(cfg.Seed + 2))
 	}
 	if !cfg.Faults.Empty() {
@@ -671,10 +645,10 @@ func (s *Sim) Step() (bool, error) {
 func (s *Sim) Now() float64 { return s.sm.now }
 
 // Pending returns the number of scheduled events not yet processed:
-// arrivals still to stream plus wheel events (including tail fault
+// arrivals still to stream plus queued events (including tail fault
 // events that Step will discard).
 func (s *Sim) Pending() int {
-	return len(s.sm.qs) - int(s.sm.nextArr) + s.sm.evs.count
+	return len(s.sm.qs) - int(s.sm.nextArr) + len(s.sm.evs)
 }
 
 // Finish reduces the run into its Metrics. Call it once, after Step
@@ -939,12 +913,11 @@ func (s *Sim) InjectResume(at float64, r Retracted, penalty float64) error {
 	return nil
 }
 
-// push schedules a dynamic event with the next tie-break sequence
-// number into the timing wheel.
+// push queues a dynamic event with the next tie-break sequence number.
 func (sm *sim) push(ev event) {
 	ev.seq = sm.seq
 	sm.seq++
-	sm.evs.schedule(ev)
+	sm.evs.push(ev)
 }
 
 // stepSeconds is the flat-cache front of engine.DecodeStepSeconds: the
@@ -992,7 +965,7 @@ func (sm *sim) ttftStatic(prefill int) (float64, error) {
 
 // advance moves the clock to t, charging the elapsed interval to the
 // time-weighted histograms at the state held since the last change.
-// Every clock movement funnels through here — arrivals, wheel events,
+// Every clock movement funnels through here — arrivals, queued events,
 // idle-gap jumps — so the histograms and the Live odometer cannot
 // disagree about elapsed virtual time.
 func (sm *sim) advance(t float64) {
@@ -1014,15 +987,16 @@ func (sm *sim) step() (bool, error) {
 	return sm.stepUntil(math.Inf(1))
 }
 
-// stepUntil merges the arrival cursor against the timing wheel, pops the
+// stepUntil merges the arrival cursor against the event heap, pops the
 // earlier of the two if it lies strictly before horizon, handles it, and
 // reports whether an event was processed. Arrivals always carry lower
-// sequence numbers than wheel events, so on an exact (at) tie the
-// arrival goes first — the reference heap's order. Events at or past the
-// horizon stay pending and the clock does not reach the horizon: the
-// clock only ever sits on a processed event, which is what makes
-// fixed-horizon advancement composable with Inject (a later injection
-// at t < horizon is still in this sim's future).
+// sequence numbers than queued events, so on an exact (at) tie the
+// arrival goes first — the reference heap's order. An infinite horizon
+// bounds nothing. Events at or past a finite horizon stay pending and
+// the clock does not reach the horizon: the clock only ever sits on a
+// processed event, which is what makes fixed-horizon advancement
+// composable with Inject (a later injection at t < horizon is still in
+// this sim's future).
 //
 // Once every query is terminal in a sealed run, remaining fault events
 // are discarded without advancing the clock: the makespan (and the
@@ -1035,47 +1009,32 @@ func (sm *sim) stepUntil(horizon float64) (bool, error) {
 	}
 	for {
 		hasArr := int(sm.nextArr) < len(sm.qs)
-		var limAt float64
-		var limTick int64
-		hasLim, arrLim := false, false
+		if len(sm.evs) > 0 {
+			at := sm.evs[0].at
+			if (!hasArr || at < sm.qs[sm.nextArr].start) && (at < horizon || math.IsInf(horizon, 1)) {
+				ev := sm.evs.pop()
+				if (ev.kind == evLaneDown || ev.kind == evLaneUp) && sm.open == 0 && sm.sealed {
+					continue
+				}
+				sm.advance(ev.at)
+				Live.events.Add(1)
+				var err error
+				switch ev.kind {
+				case evArrival:
+					err = sm.onArrival(ev.q)
+				case evPrefillDone:
+					err = sm.onPrefillDone(ev.q, int(ev.rep))
+				case evQuantumDone:
+					err = sm.onQuantumDone(&ev)
+				case evLaneDown:
+					err = sm.onLaneDown(int(ev.rep), ev.until)
+				case evLaneUp:
+					err = sm.onLaneUp(int(ev.rep))
+				}
+				return true, err
+			}
+		}
 		if hasArr && sm.qs[sm.nextArr].start < horizon {
-			limAt = sm.qs[sm.nextArr].start
-			hasLim, arrLim = true, true
-		} else if !math.IsInf(horizon, 1) {
-			limAt = horizon
-			hasLim = true
-		}
-		if hasLim {
-			limTick = sm.evs.tickOf(limAt)
-		}
-		idx, limFirst := sm.evs.pop(hasLim, limAt, limTick)
-		if idx >= 0 {
-			// Copy the event out and retire its slot before handling:
-			// everything the handler schedules allocates fresh slots, so
-			// no callback can alias a recycled event.
-			ev := sm.evs.arena.slab[idx]
-			sm.evs.arena.release(idx)
-			if (ev.kind == evLaneDown || ev.kind == evLaneUp) && sm.open == 0 && sm.sealed {
-				continue
-			}
-			sm.advance(ev.at)
-			Live.events.Add(1)
-			var err error
-			switch ev.kind {
-			case evArrival:
-				err = sm.onArrival(ev.q)
-			case evPrefillDone:
-				err = sm.onPrefillDone(ev.q, int(ev.rep))
-			case evQuantumDone:
-				err = sm.onQuantumDone(&ev)
-			case evLaneDown:
-				err = sm.onLaneDown(int(ev.rep), ev.until)
-			case evLaneUp:
-				err = sm.onLaneUp(int(ev.rep))
-			}
-			return true, err
-		}
-		if limFirst && arrLim {
 			qi := sm.nextArr
 			sm.nextArr++
 			sm.advance(sm.qs[qi].start)

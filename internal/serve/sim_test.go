@@ -337,7 +337,8 @@ func TestMetricsSanity(t *testing.T) {
 	}
 }
 
-// TestSimConfigValidation rejects degenerate scenarios.
+// TestSimConfigValidation rejects degenerate scenarios and accepts a
+// Stream-mode config without an arrival rate (Inject supplies arrivals).
 func TestSimConfigValidation(t *testing.T) {
 	s := servingSystem(t)
 	bad := []SimConfig{
@@ -351,6 +352,10 @@ func TestSimConfigValidation(t *testing.T) {
 		if _, err := Run(s, cfg); err == nil {
 			t.Errorf("config accepted: %+v", cfg)
 		}
+	}
+	stream := SimConfig{Mode: Cooperative, Kind: engine.FACIL, Replicas: 1, Stream: true}
+	if err := stream.Validate(); err != nil {
+		t.Errorf("Stream-mode config with rate 0 rejected: %v", err)
 	}
 	if _, err := ParseMode("nope"); err == nil {
 		t.Error("bad mode parsed")

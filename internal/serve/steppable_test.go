@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"facil/internal/engine"
@@ -91,24 +94,41 @@ func TestLiveCountersAdvance(t *testing.T) {
 	}
 }
 
-// TestEventArenaRecycles pins the free-list contract: a released slot is
-// handed back by the next alloc, cleared, and an empty free list grows
-// the slab instead of double-issuing a slot.
-func TestEventArenaRecycles(t *testing.T) {
-	var a eventArena
-	a.reset()
-	i1 := a.alloc()
-	a.slab[i1].kind = evQuantumDone
-	a.slab[i1].steps = 3
-	a.release(i1)
-	i2 := a.alloc()
-	if i2 != i1 {
-		t.Errorf("alloc returned slot %d, want the retired slot %d", i2, i1)
+// TestEventQueueOrder interleaves random pushes and pops and checks the
+// heap hands events back in (at, seq) order — the reference's order —
+// across heavy timestamp ties and the extreme values a far-future fault
+// stream can produce (0, 1e300, MaxFloat64, +Inf).
+func TestEventQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ats := []float64{0, 1, 2.5, 2.5, 3, 1e300, math.MaxFloat64, math.Inf(1)}
+	byOrder := func(evs []event) func(a, b int) bool {
+		return func(a, b int) bool { return evs[a].before(&evs[b]) }
 	}
-	if e := a.slab[i2]; e.kind != evArrival || e.steps != 0 || e.next != -1 {
-		t.Errorf("retired slot not cleared: %+v", e)
+	var q eventQueue
+	var live []event // pushed but not yet popped
+	check := func() {
+		t.Helper()
+		sort.Slice(live, byOrder(live))
+		if got := q.pop(); got != live[0] {
+			t.Fatalf("pop = (%g, %d), want (%g, %d)", got.at, got.seq, live[0].at, live[0].seq)
+		}
+		live = live[1:]
 	}
-	if i3 := a.alloc(); i3 == i1 {
-		t.Error("empty free list re-issued an in-use slot")
+	for seq := int64(0); seq < 4000; seq++ {
+		ev := event{at: ats[rng.Intn(len(ats))], seq: seq}
+		if rng.Intn(2) == 0 {
+			ev.at = float64(rng.Intn(20)) / 4
+		}
+		q.push(ev)
+		live = append(live, ev)
+		for len(live) > 0 && rng.Intn(2) == 0 {
+			check()
+		}
+	}
+	for len(live) > 0 {
+		check()
+	}
+	if len(q) != 0 {
+		t.Errorf("%d events left after popping every push", len(q))
 	}
 }
