@@ -3,20 +3,20 @@ package facil
 import (
 	"fmt"
 
-	"facil/internal/core"
 	"facil/internal/mapping"
 	"facil/internal/soc"
 	"facil/internal/vm"
 )
 
-// Arena is the user-facing pimalloc walkthrough: a FACIL memory system
-// (internal/core) on one platform. It demonstrates the paper's full
-// Fig. 7 flow — allocate a weight matrix with a PIM-optimized MapID
-// recorded in the page table, then access the same bytes from the SoC by
-// virtual address while the frontend applies the right PA-to-DA mapping
-// per page.
+// Arena is the user-facing pimalloc walkthrough of paper Fig. 7 on one
+// platform's memory system. Pimalloc records a PIM-optimized MapID in
+// the huge-page PTEs; every access then walks the TLB to {PA, MapID} and
+// the mapping table, which is the memory-controller mux of Fig. 12,
+// applies that page's PA-to-DA mapping.
 type Arena struct {
-	sys *core.Facil
+	space *vm.AddressSpace
+	tlb   *vm.TLB
+	table *mapping.Table
 }
 
 // DRAMLocation is a fully resolved burst location.
@@ -59,18 +59,28 @@ func NewArena(platform string) (*Arena, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.New(p.Spec, core.Options{Seed: 1})
+	mem := mapping.MemoryConfig{Geometry: p.Spec.Geometry, HugePageBytes: vm.HugePageBytes}
+	chunk := mapping.AiMChunk(p.Spec.Geometry)
+	space, err := vm.NewAddressSpace(mem, chunk, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &Arena{sys: sys}, nil
+	tlb, err := vm.NewTLB(64, 4, space.PageTable())
+	if err != nil {
+		return nil, err
+	}
+	table, err := mapping.NewTable(mem, chunk)
+	if err != nil {
+		return nil, err
+	}
+	return &Arena{space: space, tlb: tlb, table: table}, nil
 }
 
 // Pimalloc allocates a rows x cols matrix of dtypeBytes elements with a
 // PIM-optimized mapping.
 func (a *Arena) Pimalloc(rows, cols, dtypeBytes int) (*Tensor, error) {
 	m := mapping.MatrixConfig{Rows: rows, Cols: cols, DTypeBytes: dtypeBytes}
-	reg, err := a.sys.Pimalloc(m)
+	reg, err := a.space.Pimalloc(m)
 	if err != nil {
 		return nil, err
 	}
@@ -84,38 +94,45 @@ func (a *Arena) Pimalloc(rows, cols, dtypeBytes int) (*Tensor, error) {
 		MapID:            int(reg.MapID),
 		Partitioned:      reg.Selection.Partitioned,
 		PartitionsPerRow: reg.Selection.PartitionsPerRow,
-		MappingLayout:    a.sys.Frontend().Table().Lookup(reg.MapID).String(),
+		MappingLayout:    a.table.Lookup(reg.MapID).String(),
 		HugePages:        len(reg.Pages),
 	}, nil
 }
 
-// Free releases a tensor's huge pages and unmaps it.
+// Free releases a tensor's huge pages, unmaps it and shoots down the
+// TLB, so no stale translation (or stale MapID) survives the unmap.
 func (a *Arena) Free(t *Tensor) error {
 	if t.region == nil {
 		return fmt.Errorf("facil: tensor already freed")
 	}
-	if err := a.sys.Free(t.region); err != nil {
+	if err := a.space.Free(t.region); err != nil {
 		return err
 	}
+	a.tlb.Flush()
 	t.region = nil
 	return nil
 }
 
 // Translate resolves a virtual address all the way to its DRAM location:
-// TLB/page walk yields {physical address, MapID}; the frontend mux applies
+// TLB/page walk yields {physical address, MapID}; the mapping mux applies
 // the mapping. This is exactly the access path of paper Fig. 7(b)/(c).
 func (a *Arena) Translate(va uint64) (DRAMLocation, error) {
-	addr, err := a.sys.Resolve(va)
+	return a.resolve(va, false)
+}
+
+// resolve walks the TLB to {PA, MapID} and translates the PA under the
+// page's mapping, or under the conventional one when conventional is set.
+func (a *Arena) resolve(va uint64, conventional bool) (DRAMLocation, error) {
+	tr, err := a.tlb.Translate(va)
 	if err != nil {
 		return DRAMLocation{}, err
 	}
-	return DRAMLocation{
-		Channel: addr.Channel,
-		Rank:    addr.Rank,
-		Bank:    addr.Bank,
-		Row:     addr.Row,
-		Column:  addr.Column,
-	}, nil
+	m := a.table.Lookup(tr.MapID)
+	if conventional {
+		m = a.table.Conventional()
+	}
+	d, _ := m.Translate(tr.Phys)
+	return DRAMLocation{Channel: d.Channel, Rank: d.Rank, Bank: d.Bank, Row: d.Row, Column: d.Column}, nil
 }
 
 // ElementVA returns the virtual address of matrix element (row, col),
@@ -137,34 +154,25 @@ func (a *Arena) ElementLocation(t *Tensor, row, col int) (DRAMLocation, error) {
 	return a.Translate(va)
 }
 
-// ConventionalLocation shows where a physical address would land under
-// the SoC's default mapping — the contrast that motivates FACIL.
+// ConventionalLocation shows where the bytes at a virtual address would
+// land if their page used the SoC's default mapping instead of its
+// MapID — the contrast that motivates FACIL.
 func (a *Arena) ConventionalLocation(va uint64) (DRAMLocation, error) {
-	addr, err := a.sys.ResolveConventional(va)
-	if err != nil {
-		return DRAMLocation{}, err
-	}
-	return DRAMLocation{
-		Channel: addr.Channel,
-		Rank:    addr.Rank,
-		Bank:    addr.Bank,
-		Row:     addr.Row,
-		Column:  addr.Column,
-	}, nil
+	return a.resolve(va, true)
 }
 
 // MapIDOf returns the MapID the page table records for a virtual address.
 func (a *Arena) MapIDOf(va uint64) (int, error) {
-	tr, err := a.sys.TLB().Translate(va)
+	tr, err := a.tlb.Translate(va)
 	if err != nil {
 		return 0, err
 	}
 	return int(tr.MapID), nil
 }
 
-// SupportedMappings returns the frontend's mux fan-in (PIM mappings plus
-// the conventional one).
-func (a *Arena) SupportedMappings() int { return a.sys.Frontend().Table().Size() }
+// SupportedMappings returns the mux fan-in (PIM mappings plus the
+// conventional one).
+func (a *Arena) SupportedMappings() int { return a.table.Size() }
 
 // TLBHitRate reports the arena TLB's hit rate so far.
-func (a *Arena) TLBHitRate() float64 { return a.sys.TLB().Stats().HitRate() }
+func (a *Arena) TLBHitRate() float64 { return a.tlb.Stats().HitRate() }

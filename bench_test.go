@@ -15,7 +15,6 @@ import (
 	"facil/internal/engine"
 	"facil/internal/exp"
 	"facil/internal/mapping"
-	"facil/internal/mc"
 	"facil/internal/pim"
 	"facil/internal/soc"
 	"facil/internal/vm"
@@ -201,14 +200,13 @@ func BenchmarkMappingTranslate(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkFrontendTranslate measures the memory-controller frontend's
+// mux (paper Fig. 12): the MapID picks a mapping from the table, which
+// splits the physical address into DRAM coordinates.
 func BenchmarkFrontendTranslate(b *testing.B) {
 	spec := soc.IPhone.Spec
 	mcfg := mapping.MemoryConfig{Geometry: spec.Geometry, HugePageBytes: 2 << 20}
 	tab, err := mapping.NewTable(mcfg, mapping.AiMChunk(spec.Geometry))
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := mc.NewFrontend(spec, tab)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -221,7 +219,7 @@ func BenchmarkFrontendTranslate(b *testing.B) {
 		if i%2 == 0 {
 			id = min
 		}
-		a := f.Translate(uint64(i)*32%uint64(spec.Geometry.CapacityBytes()), id)
+		a, _ := tab.Lookup(id).Translate(uint64(i) * 32 % uint64(spec.Geometry.CapacityBytes()))
 		sink += a.Row
 	}
 	_ = sink

@@ -13,7 +13,8 @@ import (
 
 func main() {
 	// An arena wraps one platform's memory system: page table, TLB,
-	// buddy allocator and the MapID-aware memory-controller frontend.
+	// buddy allocator and the mapping table that the MapID selects from
+	// (the memory-controller frontend's mux).
 	arena, err := facil.NewArena("Apple iPhone 15 Pro")
 	if err != nil {
 		log.Fatal(err)

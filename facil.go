@@ -7,7 +7,7 @@
 //   - Arena: the pimalloc allocation path — select a PIM-optimized MapID
 //     for a weight matrix, back it with huge pages, record the MapID in
 //     the page-table entries, and translate virtual addresses through the
-//     flexible memory-controller frontend.
+//     mapping table that is the memory-controller frontend's mux.
 //   - System: end-to-end inference latency modeling — TTFT and TTLT for
 //     the designs the paper compares (SoC-only, hybrid static/dynamic,
 //     FACIL, weight duplication) on the paper's four platforms.

@@ -177,6 +177,31 @@ func TestArenaFree(t *testing.T) {
 	}
 }
 
+func TestFreeShootsDownTLB(t *testing.T) {
+	a, err := NewArena("Apple iPhone 15 Pro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := a.Pimalloc(256, 1024, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the TLB with the tensor's translation.
+	if _, err := a.Translate(w.VA); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Free(w); err != nil {
+		t.Fatal(err)
+	}
+	// The stale cached translation must not survive the unmap.
+	if _, err := a.Translate(w.VA); err == nil {
+		t.Error("TLB served a translation for freed memory")
+	}
+	if _, err := a.MapIDOf(w.VA); err == nil {
+		t.Error("TLB served a MapID for freed memory")
+	}
+}
+
 func TestArenaErrors(t *testing.T) {
 	if _, err := NewArena("Nokia"); err == nil {
 		t.Error("unknown platform accepted")

@@ -280,15 +280,6 @@ type Config struct {
 	// BreakerCooldown is the open-state dwell in seconds before a
 	// half-open probe (0 = serve.DefaultBreakerCooldown).
 	BreakerCooldown float64
-	// EWMAAlpha weights the newest TTFT sample in the per-device
-	// latency EWMA behind LatencyWeighted routing (0 =
-	// DefaultEWMAAlpha).
-	EWMAAlpha float64
-	// ShedStandard and ShedBatch are the SLOTiered strategy's
-	// least-loaded-device depth thresholds above which Standard and
-	// Batch arrivals are shed (0 = the defaults).
-	ShedStandard int
-	ShedBatch    int
 	// FaultMTBF, with FaultMTTR, arms per-device PIM-lane fault streams
 	// on the FaultFraction of devices selected by FaultSeed (MTBF 0 =
 	// no faults anywhere).
@@ -307,7 +298,7 @@ type Config struct {
 	// StealThreshold (admission-queued only) and re-injects it on the
 	// least-loaded eligible device with room (see LatencySteal for the
 	// latency-aware destination choice). Prefilled queries are
-	// charged MigrationPenalty at the destination — the KV-cache
+	// charged DefaultMigrationPenalty at the destination — the KV-cache
 	// transfer and re-layout into the adopting device's mapping —
 	// while unstarted queries move free.
 	Steal bool
@@ -325,33 +316,26 @@ type Config struct {
 	// with no TTFT observation yet score zero and win first, matching
 	// LatencyWeighted's probing behavior.
 	LatencySteal bool
-	// MigrationPenalty is the per-query cross-device handoff cost in
-	// seconds charged when a prefilled query resumes elsewhere
-	// (0 = DefaultMigrationPenalty).
-	MigrationPenalty float64
-	// ProbeQuota caps the queries routed or stolen to a device whose
-	// health breaker is half-open, per barrier interval, until a
-	// probe outcome is observed (0 = DefaultProbeQuota): recovered
-	// devices re-earn traffic gradually instead of being slammed the
-	// moment their cooldown expires.
-	ProbeQuota int
 	// Parallelism caps the workers advancing devices between barriers
 	// (0 = GOMAXPROCS). It cannot change results, only wall-clock.
 	Parallelism int
 }
 
-// DefaultEWMAAlpha is the TTFT EWMA weight when Config leaves it 0.
+// DefaultEWMAAlpha weights the newest TTFT sample in the per-device
+// latency EWMA behind LatencyWeighted routing and LatencySteal.
 const DefaultEWMAAlpha = 0.2
 
 // DefaultMigrationPenalty is the cross-device handoff cost in seconds
-// when Config leaves MigrationPenalty 0: moving a prefilled query's KV
-// cache off-device and re-laying it into the destination's mapping —
+// charged when a prefilled query resumes on another device: moving its
+// KV cache off-device and re-laying it into the destination's mapping —
 // an order of magnitude above serve.DefaultFailoverPenalty, which only
 // crosses replicas inside one device.
 const DefaultMigrationPenalty = 0.25
 
-// DefaultProbeQuota is the per-barrier half-open traffic cap when
-// Config leaves ProbeQuota 0.
+// DefaultProbeQuota caps the queries routed or stolen to a device whose
+// health breaker is half-open, per barrier interval, until a probe
+// outcome is observed: recovered devices re-earn traffic gradually
+// instead of being slammed the moment their cooldown expires.
 const DefaultProbeQuota = 1
 
 // withDefaults resolves the zero-value knobs.
@@ -361,21 +345,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = serve.DefaultBreakerCooldown
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = DefaultEWMAAlpha
-	}
-	if c.ShedStandard == 0 {
-		c.ShedStandard = DefaultShedStandard
-	}
-	if c.ShedBatch == 0 {
-		c.ShedBatch = DefaultShedBatch
-	}
-	if c.MigrationPenalty == 0 {
-		c.MigrationPenalty = DefaultMigrationPenalty
-	}
-	if c.ProbeQuota == 0 {
-		c.ProbeQuota = DefaultProbeQuota
 	}
 	return c
 }
@@ -392,12 +361,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: query count must be positive")
 	}
 	for name, v := range map[string]float64{
-		"SyncInterval":     c.SyncInterval,
-		"DeadlineTTLT":     c.DeadlineTTLT,
-		"BreakerCooldown":  c.BreakerCooldown,
-		"FaultMTBF":        c.FaultMTBF,
-		"FaultMTTR":        c.FaultMTTR,
-		"MigrationPenalty": c.MigrationPenalty,
+		"SyncInterval":    c.SyncInterval,
+		"DeadlineTTLT":    c.DeadlineTTLT,
+		"BreakerCooldown": c.BreakerCooldown,
+		"FaultMTBF":       c.FaultMTBF,
+		"FaultMTTR":       c.FaultMTTR,
 	} {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("cluster: %s must be a finite non-negative duration, got %g", name, v)
@@ -406,11 +374,8 @@ func (c Config) Validate() error {
 	if c.SyncInterval <= 0 {
 		return fmt.Errorf("cluster: SyncInterval must be positive, got %g", c.SyncInterval)
 	}
-	if c.QueueCap < 0 || c.BreakerThreshold < 0 || c.DeviceBreakerThreshold < 0 || c.ShedStandard < 0 || c.ShedBatch < 0 || c.StealThreshold < 0 || c.ProbeQuota < 0 {
+	if c.QueueCap < 0 || c.BreakerThreshold < 0 || c.DeviceBreakerThreshold < 0 || c.StealThreshold < 0 {
 		return fmt.Errorf("cluster: negative limit in %+v", c)
-	}
-	if math.IsNaN(c.EWMAAlpha) || c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		return fmt.Errorf("cluster: EWMAAlpha must be in (0, 1], got %g", c.EWMAAlpha)
 	}
 	if c.FaultFraction < 0 || c.FaultFraction > 1 || math.IsNaN(c.FaultFraction) {
 		return fmt.Errorf("cluster: FaultFraction must be in [0, 1], got %g", c.FaultFraction)
@@ -467,10 +432,10 @@ type Metrics struct {
 
 	// Steal echoes Config.Steal. Stolen counts queries migrated between
 	// devices at barrier re-route phases; StolenPrefilled is the subset
-	// that had already finished prefill (each charged MigrationPenalty
-	// at its destination). Retracted sums the device-side retraction
-	// counters and always equals Stolen — kept separate as a
-	// conservation cross-check.
+	// that had already finished prefill (each charged
+	// DefaultMigrationPenalty at its destination). Retracted sums the
+	// device-side retraction counters and always equals Stolen — kept
+	// separate as a conservation cross-check.
 	Steal                   bool
 	Stolen, StolenPrefilled int
 	Retracted               int

@@ -115,7 +115,6 @@ func FuzzCluster(f *testing.F) {
 		if stealB&0x80 != 0 {
 			cfg.Steal = true
 			cfg.StealThreshold = int(stealB) % 8 // 0 = breaker-driven only
-			cfg.ProbeQuota = 1 + int(stealB>>3)%4
 		}
 		run := func(par int) Metrics {
 			c := cfg

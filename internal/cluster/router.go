@@ -115,7 +115,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	}
 	arrRNG := rand.New(rand.NewSource(cfg.Seed))
 	clsRNG := rand.New(rand.NewSource(cfg.Seed + 3))
-	strat := NewStrategy(cfg.Strategy, cfg)
+	strat := NewStrategy(cfg.Strategy)
 	views := make([]DeviceView, n)
 	idxs := make([]int, n)
 	for i := range idxs {
@@ -136,7 +136,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 		if d.brk.Blocked(at, cfg.BreakerCooldown) {
 			return false
 		}
-		return !d.brk.Probing() || d.probes < cfg.ProbeQuota
+		return !d.brk.Probing() || d.probes < DefaultProbeQuota
 	}
 
 	// advanceAll moves every device's virtual clock up to (strictly
@@ -173,7 +173,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 				if d.ewma == 0 {
 					d.ewma = v
 				} else {
-					d.ewma = cfg.EWMAAlpha*v + (1-cfg.EWMAAlpha)*d.ewma
+					d.ewma = DefaultEWMAAlpha*v + (1-DefaultEWMAAlpha)*d.ewma
 				}
 			}
 			d.ttftSeen = len(ttft)
@@ -254,7 +254,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 				}
 				pen := 0.0
 				if r.Prefilled {
-					pen = cfg.MigrationPenalty
+					pen = DefaultMigrationPenalty
 				}
 				if err := devs[dst].sim.InjectResume(at, r, pen); err != nil {
 					return err
@@ -275,8 +275,28 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 		return nil
 	}
 
-	var clock float64
+	// barrier crosses the next telemetry barrier: advance every device
+	// to it, settle the ledger, run the re-route phase, and schedule the
+	// one after.
 	nextB := cfg.SyncInterval
+	barrier := func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := advanceAll(nextB); err != nil {
+			return err
+		}
+		collect(nextB)
+		if err := reroute(nextB); err != nil {
+			return err
+		}
+		m.Barriers++
+		Live.barriers.Add(1)
+		nextB += cfg.SyncInterval
+		return nil
+	}
+
+	var clock float64
 	for qi := 0; qi < cfg.Queries; qi++ {
 		clock += arrRNG.ExpFloat64() / cfg.ArrivalRate
 		u := clsRNG.Float64()
@@ -290,19 +310,9 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 		// Cross every barrier at or before this arrival first, so the
 		// routing signals are at most one SyncInterval stale.
 		for clock >= nextB {
-			if err := ctx.Err(); err != nil {
+			if err := barrier(); err != nil {
 				return Metrics{}, err
 			}
-			if err := advanceAll(nextB); err != nil {
-				return Metrics{}, err
-			}
-			collect(nextB)
-			if err := reroute(nextB); err != nil {
-				return Metrics{}, err
-			}
-			m.Barriers++
-			Live.barriers.Add(1)
-			nextB += cfg.SyncInterval
 		}
 		q := QueryInfo{
 			ID: qi, Arrival: clock,
@@ -366,19 +376,9 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			if !busy {
 				break
 			}
-			if err := ctx.Err(); err != nil {
+			if err := barrier(); err != nil {
 				return Metrics{}, err
 			}
-			if err := advanceAll(nextB); err != nil {
-				return Metrics{}, err
-			}
-			collect(nextB)
-			if err := reroute(nextB); err != nil {
-				return Metrics{}, err
-			}
-			m.Barriers++
-			Live.barriers.Add(1)
-			nextB += cfg.SyncInterval
 		}
 	}
 	if err := advanceAll(math.Inf(1)); err != nil {

@@ -130,14 +130,14 @@ type Strategy interface {
 
 // NewStrategy builds a fresh strategy instance (cursor state zeroed)
 // for one run.
-func NewStrategy(k StrategyKind, cfg Config) Strategy {
+func NewStrategy(k StrategyKind) Strategy {
 	switch k {
 	case LeastLoaded:
 		return leastLoaded{}
 	case LatencyWeighted:
 		return latencyWeighted{}
 	case SLOTiered:
-		return &sloTiered{shedStandard: cfg.ShedStandard, shedBatch: cfg.ShedBatch}
+		return sloTiered{}
 	default:
 		return &roundRobin{}
 	}
@@ -208,20 +208,18 @@ func (latencyWeighted) Pick(views []DeviceView, _ QueryInfo) int {
 	return best
 }
 
-// sloTiered is least-loaded routing behind classful admission gates.
-type sloTiered struct {
-	shedStandard int
-	shedBatch    int
-}
+// sloTiered is least-loaded routing behind classful admission gates
+// (DefaultShedStandard, DefaultShedBatch).
+type sloTiered struct{}
 
 // Kind identifies the strategy.
-func (*sloTiered) Kind() StrategyKind { return SLOTiered }
+func (sloTiered) Kind() StrategyKind { return SLOTiered }
 
 // Pick admits the arrival against its class's depth threshold — judged
 // on the least-loaded eligible device, so a single hot device cannot
 // shed traffic the rest of the fleet could take — then routes
 // least-loaded.
-func (t *sloTiered) Pick(views []DeviceView, q QueryInfo) int {
+func (sloTiered) Pick(views []DeviceView, q QueryInfo) int {
 	best := leastLoaded{}.Pick(views, q)
 	if best < 0 {
 		return -1
@@ -229,11 +227,11 @@ func (t *sloTiered) Pick(views []DeviceView, q QueryInfo) int {
 	depth := views[best].InFlight
 	switch q.Class {
 	case Standard:
-		if depth >= t.shedStandard {
+		if depth >= DefaultShedStandard {
 			return -1
 		}
 	case Batch:
-		if depth >= t.shedBatch {
+		if depth >= DefaultShedBatch {
 			return -1
 		}
 	}

@@ -37,7 +37,7 @@ func eq(a, b []int) bool {
 }
 
 func TestRoundRobinOrder(t *testing.T) {
-	s := NewStrategy(RoundRobin, Config{})
+	s := NewStrategy(RoundRobin)
 	views := []DeviceView{v(true, 0, 0), v(false, 0, 0), v(true, 0, 0)}
 	qs := make([]QueryInfo, 5)
 	// Ineligible device 1 is skipped; the cursor wraps past it.
@@ -52,7 +52,7 @@ func TestRoundRobinOrder(t *testing.T) {
 }
 
 func TestLeastLoadedOrder(t *testing.T) {
-	s := NewStrategy(LeastLoaded, Config{})
+	s := NewStrategy(LeastLoaded)
 	views := []DeviceView{v(true, 2, 0), v(true, 0, 0), v(true, 1, 0)}
 	// Fills the shallowest first, then lowest index on depth ties.
 	if got := picks(s, views, make([]QueryInfo, 4)); !eq(got, []int{1, 1, 2, 0}) {
@@ -66,7 +66,7 @@ func TestLeastLoadedOrder(t *testing.T) {
 }
 
 func TestLatencyWeightedOrder(t *testing.T) {
-	s := NewStrategy(LatencyWeighted, Config{})
+	s := NewStrategy(LatencyWeighted)
 	// Unobserved device 2 scores zero and is probed before the fast one.
 	views := []DeviceView{v(true, 0, 0.9), v(true, 0, 0.1), v(true, 0, 0)}
 	if p := s.Pick(views, QueryInfo{}); p != 2 {
@@ -84,15 +84,22 @@ func TestLatencyWeightedOrder(t *testing.T) {
 }
 
 func TestSLOTieredAdmission(t *testing.T) {
-	s := NewStrategy(SLOTiered, Config{ShedStandard: 3, ShedBatch: 1}.withDefaults())
-	views := []DeviceView{v(true, 2, 0), v(true, 1, 0)}
-	// Least-loaded depth is 1: Batch is at its threshold and sheds,
+	s := NewStrategy(SLOTiered)
+	views := []DeviceView{v(true, 3, 0), v(true, 2, 0)}
+	// Least-loaded depth is 2: Batch is at DefaultShedBatch and sheds,
 	// Standard and Interactive are admitted.
 	if p := s.Pick(views, QueryInfo{Class: Batch}); p != -1 {
-		t.Errorf("batch admitted at depth 1 with threshold 1: device %d", p)
+		t.Errorf("batch admitted at depth 2 with threshold 2: device %d", p)
 	}
 	if p := s.Pick(views, QueryInfo{Class: Standard}); p != 1 {
 		t.Errorf("standard routed to %d, want least-loaded 1", p)
+	}
+	// Standard sheds exactly at DefaultShedStandard.
+	if p := s.Pick([]DeviceView{v(true, 5, 0)}, QueryInfo{Class: Standard}); p != 0 {
+		t.Errorf("standard shed at depth 5 with threshold 6: pick %d", p)
+	}
+	if p := s.Pick([]DeviceView{v(true, 6, 0)}, QueryInfo{Class: Standard}); p != -1 {
+		t.Errorf("standard admitted at depth 6 with threshold 6: device %d", p)
 	}
 	// Interactive is admitted at any depth while a device is eligible.
 	deep := []DeviceView{v(true, 100, 0)}
@@ -100,7 +107,7 @@ func TestSLOTieredAdmission(t *testing.T) {
 		t.Errorf("interactive shed at depth 100: pick %d", p)
 	}
 	if p := s.Pick(deep, QueryInfo{Class: Standard}); p != -1 {
-		t.Errorf("standard admitted at depth 100 with threshold 3: device %d", p)
+		t.Errorf("standard admitted at depth 100 with threshold 6: device %d", p)
 	}
 }
 
@@ -177,7 +184,6 @@ func TestConfigValidate(t *testing.T) {
 		{Strategy: LeastLoaded, ArrivalRate: 2, Queries: 0},
 		{Strategy: LeastLoaded, ArrivalRate: 2, Queries: 10, FaultMTBF: 100},
 		{Strategy: LeastLoaded, ArrivalRate: 2, Queries: 10, FaultFraction: 1.5},
-		{Strategy: LeastLoaded, ArrivalRate: 2, Queries: 10, EWMAAlpha: 2},
 		{Strategy: LeastLoaded, ArrivalRate: 2, Queries: 10, QueueCap: -1},
 	}
 	for i, c := range bad {

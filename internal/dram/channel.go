@@ -27,12 +27,6 @@ type ChannelStats struct {
 	Refreshes   int64
 	// DataBusCycles counts cycles the data bus carried a burst.
 	DataBusCycles int64
-	// BadMapIDs counts requests that reached this channel through the
-	// MC frontend's degrade-to-conventional path after failing MapID
-	// validation (see mc.Frontend.SetDegradeOnBadMapID) — they are
-	// served, but under the conventional mapping, so their PIM row
-	// locality is gone.
-	BadMapIDs int64
 	// LastDone is the completion cycle of the last finished request.
 	LastDone int64
 }
@@ -48,7 +42,6 @@ func (s *ChannelStats) Merge(o ChannelStats) {
 	s.RowMisses += o.RowMisses
 	s.Refreshes += o.Refreshes
 	s.DataBusCycles += o.DataBusCycles
-	s.BadMapIDs += o.BadMapIDs
 	if o.LastDone > s.LastDone {
 		s.LastDone = o.LastDone
 	}
@@ -310,11 +303,6 @@ func (c *Channel) traceCounters(at int64) {
 
 // Now returns the cycle of the most recently issued command.
 func (c *Channel) Now() int64 { return c.now }
-
-// NoteBadMapID records one degraded request: the MC frontend caught an
-// invalid MapID and routed the access here under the conventional
-// mapping instead of rejecting it.
-func (c *Channel) NoteBadMapID() { c.stats.BadMapIDs++ }
 
 // Stats returns a snapshot of the channel statistics. The snapshot is a
 // pure copy: all counters (including refreshes) are folded into it at

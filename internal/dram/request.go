@@ -2,7 +2,7 @@ package dram
 
 // Request is one burst-sized memory access presented to the controller.
 // The address is already translated to DRAM coordinates; physical-to-DRAM
-// mapping happens in the memory-controller frontend (internal/mc).
+// mapping happens before the controller (see mapping.Table).
 type Request struct {
 	// Addr is the DRAM coordinate of the burst.
 	Addr Addr

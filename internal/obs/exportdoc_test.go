@@ -16,7 +16,7 @@ import (
 // part of `go test ./...`, which the CI workflow executes on every
 // push, so missing comments fail the build.
 func TestExportedDocComments(t *testing.T) {
-	for _, dir := range []string{".", "../serve", "../stats", "../fault", "../run", "../daemon", "../cluster", "../tune"} {
+	for _, dir := range []string{".", "../serve", "../stats", "../fault", "../run", "../daemon", "../cluster", "../tune", "../.."} {
 		checkPackageDocs(t, dir)
 	}
 }

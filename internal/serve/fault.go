@@ -23,9 +23,9 @@ const (
 	// DefaultRetryCap bounds the exponential backoff in seconds.
 	DefaultRetryCap = 2.0
 	// MapIDRepairSeconds is the page-table re-walk that repairs a
-	// corrupted PTE MapID after the MC frontend rejects it with
-	// ErrBadMapID (policies other than PolicyNone detect-and-repair
-	// instead of decoding garbage).
+	// query's corrupted PTE MapID at its decode handoff. Every policy
+	// other than PolicyNone detects the bad ID and pays this penalty
+	// instead of decoding under the wrong mapping.
 	MapIDRepairSeconds = 0.002
 )
 
@@ -94,13 +94,15 @@ func (sm *sim) maybeCorrupt(q *query) {
 	}
 }
 
-// onCorruptHandoff resolves a corrupted MapID at the decode handoff —
-// where the PTE-carried ID first reaches the MC frontend mux. Under
-// PolicyNone the garbage ID is silently mis-translated (the pre-FACIL
-// frontend has no validator) and the query fails terminally; under the
-// other policies the frontend's ErrBadMapID triggers a page-table
-// re-walk that repairs the PTE for MapIDRepairSeconds. Returns whether
-// the query survived.
+// onCorruptHandoff resolves a query that maybeCorrupt marked at
+// admission, at its decode handoff: the first point where the PIM lane
+// addresses the weights through the PTE-carried MapID. No bit is
+// flipped and no address is translated; the model is the outcome.
+// Under PolicyNone the wrong ID goes undetected, the decode runs under
+// the wrong mapping, and the query fails terminally. Under the other
+// policies the bad ID is detected and a page-table re-walk repairs it,
+// adding MapIDRepairSeconds to the query. Returns whether the query
+// survived.
 func (sm *sim) onCorruptHandoff(q *query) bool {
 	if sm.cfg.Policy == PolicyNone {
 		sm.failQuery(q, "corrupt-mapid")

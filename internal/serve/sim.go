@@ -240,9 +240,9 @@ type Metrics struct {
 	// transitions (including half-open reopens).
 	Degraded, FailedOver, Retries, BreakerOpens int
 	// CorruptMapIDs counts queries whose PTE MapID the scenario
-	// corrupted; CorruptRepaired the subset caught by the validating
-	// MC frontend and repaired by a page-table re-walk (the rest
-	// surface in Failed).
+	// corrupted; CorruptRepaired the subset detected at the decode
+	// handoff and repaired by a page-table re-walk (the rest surface
+	// in Failed).
 	CorruptMapIDs, CorruptRepaired int
 
 	// LaneFailures is the number of PIM-lane outages that began during

@@ -101,32 +101,6 @@ func (p PTE) MapID() mapping.MapID {
 	return mapping.MapID((p & pteMapIDMask) >> pteMapIDShift)
 }
 
-// WithMapID returns a copy of a huge entry with the MapID replaced.
-func (p PTE) WithMapID(id mapping.MapID) (PTE, error) {
-	if !p.Huge() {
-		return 0, fmt.Errorf("vm: MapID requires a huge-page entry")
-	}
-	if id < 0 || int(id) > MaxPTEMapID {
-		return 0, fmt.Errorf("vm: MapID %d does not fit in %d PTE bits", id, pteMapIDBits)
-	}
-	return p&^pteMapIDMask | PTE(id)<<pteMapIDShift, nil
-}
-
-// WithFlippedMapIDBit returns a copy of a huge entry with one bit of
-// the embedded MapID field inverted — the fault model's single-event
-// upset on the repurposed PTE bits of paper Fig. 11. bit is reduced
-// modulo the field width, so any non-negative index selects a real bit.
-// Non-huge entries carry no MapID field and are returned unchanged.
-func (p PTE) WithFlippedMapIDBit(bit int) PTE {
-	if !p.Huge() {
-		return p
-	}
-	if bit < 0 {
-		bit = -bit
-	}
-	return p ^ PTE(1)<<(pteMapIDShift+bit%pteMapIDBits)
-}
-
 // String renders the entry for diagnostics.
 func (p PTE) String() string {
 	if !p.Present() {

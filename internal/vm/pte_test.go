@@ -70,27 +70,6 @@ func TestMapIDDoesNotDisturbAddress(t *testing.T) {
 	}
 }
 
-func TestWithMapID(t *testing.T) {
-	e, err := NewHugePTE(0x4000_0000, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := e.WithMapID(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.MapID() != 7 || e2.PhysAddr() != e.PhysAddr() {
-		t.Errorf("WithMapID broke entry: %v", e2)
-	}
-	base, _ := NewPTE(0x1000, 0)
-	if _, err := base.WithMapID(1); err == nil {
-		t.Error("WithMapID on 4K entry accepted")
-	}
-	if _, err := e.WithMapID(MaxPTEMapID + 1); err == nil {
-		t.Error("WithMapID accepted oversized ID")
-	}
-}
-
 func TestPTEString(t *testing.T) {
 	var zero PTE
 	if got := zero.String(); got != "PTE(not present)" {
@@ -99,42 +78,5 @@ func TestPTEString(t *testing.T) {
 	e, _ := NewHugePTE(0x4000_0000, 5, 0)
 	if got := e.String(); !strings.Contains(got, "2M") || !strings.Contains(got, "mapid=5") {
 		t.Errorf("huge PTE string = %q", got)
-	}
-}
-
-func TestWithFlippedMapIDBit(t *testing.T) {
-	pte, err := NewHugePTE(64<<21, 5, PTEWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bit := 0; bit < 4; bit++ {
-		f := pte.WithFlippedMapIDBit(bit)
-		if f.MapID() == pte.MapID() {
-			t.Errorf("bit %d flip left MapID %d unchanged", bit, pte.MapID())
-		}
-		if got, want := int(f.MapID())^int(pte.MapID()), 1<<bit; got != want {
-			t.Errorf("bit %d flip changed MapID by %#x, want %#x", bit, got, want)
-		}
-		if f.PhysAddr() != pte.PhysAddr() || !f.Huge() || !f.Present() {
-			t.Errorf("bit %d flip disturbed non-MapID fields: %v vs %v", bit, f, pte)
-		}
-		if f.WithFlippedMapIDBit(bit) != pte {
-			t.Errorf("double flip of bit %d is not the identity", bit)
-		}
-	}
-	// Index reduction: bit 4 targets the same bit as 0, negatives fold.
-	if pte.WithFlippedMapIDBit(4) != pte.WithFlippedMapIDBit(0) {
-		t.Error("bit index not reduced modulo the field width")
-	}
-	if pte.WithFlippedMapIDBit(-1) != pte.WithFlippedMapIDBit(1) {
-		t.Error("negative bit index not folded")
-	}
-	// A 4 KB entry has no MapID field to corrupt.
-	small, err := NewPTE(0x5000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.WithFlippedMapIDBit(2) != small {
-		t.Error("non-huge PTE modified")
 	}
 }
