@@ -66,11 +66,7 @@ func mainErr() int {
 		OutDir:      *outDir,
 		DrainOutage: *drainOutage,
 	})
-	// Only the header read is bounded: a slow or stalled client cannot
-	// hold a connection open before its request is parsed, while /trace
-	// streams and large report GETs keep unbounded write time. POST
-	// bodies are capped in size by the handler.
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	hs := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -112,4 +108,20 @@ func mainErr() int {
 	}
 	log.Printf("drained cleanly")
 	return 0
+}
+
+// newHTTPServer bounds the two waits a client controls without sending
+// a request: the header read, so a slow or stalled client cannot hold a
+// connection open before its request is parsed, and the idle time
+// between keep-alive requests, so abandoned connections are closed.
+// ReadTimeout and WriteTimeout stay 0: /trace streams and large report
+// GETs keep unbounded write time, and POST bodies are capped in size by
+// the handler instead.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }

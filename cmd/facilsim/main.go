@@ -45,27 +45,25 @@
 // (comma-separated degradation policies: none, soc-fallback, failover);
 // -modes, -queuecap and -slo apply as for serving2.
 //
-// cluster (the fleet-scale serving extension; `facilsim -cluster` is
-// shorthand for the identifier) accepts -strategy (comma-separated
-// balancing strategies: round-robin, least-loaded, latency-weighted,
-// slo-tiered), -fleet (a platform[/macN]:count comma list, e.g.
-// "jetson:26,ideapad/mac8:26"), -devices (rescale the fleet preserving
-// its mix), -rate (cluster-wide q/s), -sync (telemetry-barrier
-// interval in virtual seconds), -steal (pair every strategy row with a
-// cross-device migration "+steal" row), -stealthreshold (the
-// in-system depth that triggers stealing from a healthy device;
-// 0 = breaker-driven evacuation only) and -stealscore (steal-destination
-// scoring: depth picks the least-loaded device, latency minimizes the
-// TTFT-EWMA expected-wait proxy); -queries, -seed, -queuecap,
-// -slo, -faultseed, a single -policy and a single -faults MTBF apply
-// per device.
+// cluster (the fleet-scale serving extension; `facilsim -id cluster`)
+// accepts -strategy (comma-separated balancing strategies: round-robin,
+// least-loaded, latency-weighted, slo-tiered), -fleet (a
+// platform[/macN]:count comma list, e.g. "jetson:26,ideapad/mac8:26"),
+// -devices (rescale the fleet preserving its mix), -rate (cluster-wide
+// q/s), -sync (telemetry-barrier interval in virtual seconds), -steal
+// (pair every strategy row with a cross-device migration "+steal" row),
+// -stealthreshold (the in-system depth that triggers stealing from a
+// healthy device; 0 = breaker-driven evacuation only) and -stealscore
+// (steal-destination scoring: depth picks the least-loaded device,
+// latency minimizes the TTFT-EWMA expected-wait proxy); -queries,
+// -seed, -queuecap, -slo, -faultseed, a single -policy and a single
+// -faults MTBF apply per device.
 //
-// maptune (the mapping auto-tuner extension; `facilsim -tune` is
-// shorthand for the identifier) searches generalized page-offset
-// permutation+XOR PA-to-DA mappings against per-workload traces and
-// re-validates the Pareto front on the full scheduler. -tunebudget
-// bounds the candidates scored per (platform, workload) cell and
-// -tuneseed picks the mutation stream.
+// maptune (the mapping auto-tuner extension; `facilsim -id maptune`)
+// searches generalized page-offset permutation+XOR PA-to-DA mappings
+// against per-workload traces and re-validates the Pareto front on the
+// full scheduler. -tunebudget bounds the candidates scored per
+// (platform, workload) cell and -tuneseed picks the mutation stream.
 //
 // -par N bounds the worker pool: independent experiment identifiers run
 // concurrently, and each ported experiment additionally fans its sweep
@@ -137,7 +135,6 @@ func mainErr() int {
 	flag.StringVar(&sc.Faults, "faults", "", "resilience: comma-separated lane MTBFs in seconds (empty = default)")
 	flag.Int64Var(&sc.FaultSeed, "faultseed", 0, "resilience: fault-scenario seed (0 = default)")
 	flag.StringVar(&sc.Policy, "policy", "", "resilience: comma-separated degradation policies (none, soc-fallback, failover)")
-	clusterRun := flag.Bool("cluster", false, "shorthand: run the cluster experiment (equivalent to the 'cluster' identifier)")
 	flag.StringVar(&sc.Strategy, "strategy", "", "cluster: comma-separated balancing strategies (round-robin, least-loaded, latency-weighted, slo-tiered; empty = all)")
 	flag.StringVar(&sc.Fleet, "fleet", "", "cluster: device-class roster as platform[/macN]:count comma list (empty = default)")
 	flag.IntVar(&sc.Devices, "devices", 0, "cluster: rescale the fleet to this many devices, preserving the class mix (0 = keep roster counts)")
@@ -146,7 +143,6 @@ func mainErr() int {
 	steal := flag.Bool("steal", true, "cluster: add cross-device migration (+steal) rows to the strategy sweep")
 	flag.IntVar(&sc.StealThreshold, "stealthreshold", -1, "cluster: in-system depth that triggers stealing from a healthy device (0 = breaker-driven only, -1 = default)")
 	flag.StringVar(&sc.StealScore, "stealscore", "", "cluster: steal-destination scoring, depth or latency (empty = default)")
-	tuneRun := flag.Bool("tune", false, "shorthand: run the maptune experiment (equivalent to the 'maptune' identifier)")
 	flag.IntVar(&sc.TuneBudget, "tunebudget", 0, "maptune: candidate budget per (platform, workload) cell (0 = default)")
 	flag.Int64Var(&sc.TuneSeed, "tuneseed", 0, "maptune: mutation-stream seed (0 = default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -238,12 +234,6 @@ func mainErr() int {
 		if id = strings.TrimSpace(id); id != "" {
 			ids = append(ids, id)
 		}
-	}
-	if *clusterRun {
-		ids = append(ids, "cluster")
-	}
-	if *tuneRun {
-		ids = append(ids, "maptune")
 	}
 	if len(ids) > 0 {
 		sc.Experiments = ids

@@ -55,12 +55,6 @@ func WithXOR(m *Mapping, pairs []XORPair) (*HashedMapping, error) {
 	return &HashedMapping{base: m, pairs: append([]XORPair(nil), pairs...)}, nil
 }
 
-// Geometry returns the base geometry.
-func (h *HashedMapping) Geometry() dram.Geometry { return h.base.Geometry() }
-
-// Base returns the undecorated mapping.
-func (h *HashedMapping) Base() *Mapping { return h.base }
-
 // apply folds the row bits into the interleave fields (self-inverse).
 func (h *HashedMapping) apply(a dram.Addr) dram.Addr {
 	for _, p := range h.pairs {

@@ -26,7 +26,7 @@ func hashedTestMapping(t *testing.T) *HashedMapping {
 
 func TestXORRoundTrip(t *testing.T) {
 	h := hashedTestMapping(t)
-	g := h.Geometry()
+	g := h.base.Geometry()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 10000; i++ {
 		pa := rng.Uint64() % uint64(g.CapacityBytes())
@@ -42,7 +42,7 @@ func TestXORRoundTrip(t *testing.T) {
 
 func TestXORRoundTripProperty(t *testing.T) {
 	h := hashedTestMapping(t)
-	max := uint64(h.Geometry().CapacityBytes())
+	max := uint64(h.base.Geometry().CapacityBytes())
 	f := func(pa uint64) bool {
 		pa %= max
 		a, off := h.Translate(pa)
@@ -89,10 +89,10 @@ func TestXORSpreadsPathologicalStride(t *testing.T) {
 
 func TestXORPreservesRowAndColumn(t *testing.T) {
 	h := hashedTestMapping(t)
-	base := h.Base()
+	base := h.base
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 2000; i++ {
-		pa := rng.Uint64() % uint64(h.Geometry().CapacityBytes())
+		pa := rng.Uint64() % uint64(h.base.Geometry().CapacityBytes())
 		a, _ := base.Translate(pa)
 		b, _ := h.Translate(pa)
 		if a.Row != b.Row || a.Column != b.Column || a.Rank != b.Rank {

@@ -121,10 +121,6 @@ func NewFleet(classes []DeviceClass, build SystemBuilder) (*Fleet, error) {
 	return fl, nil
 }
 
-// Classes returns the fleet's device-class roster (callers must not
-// mutate it).
-func (f *Fleet) Classes() []DeviceClass { return f.classes }
-
 // Devices is the total device count across all classes.
 func (f *Fleet) Devices() int {
 	n := 0

@@ -27,22 +27,6 @@ type LiveStats struct {
 // Live aggregates every cluster run in the process.
 var Live LiveStats
 
-// RunsStarted returns the number of cluster runs started.
-func (l *LiveStats) RunsStarted() int64 { return l.runsStarted.Load() }
-
-// RunsFinished returns the number of cluster runs that completed.
-func (l *LiveStats) RunsFinished() int64 { return l.runsFinished.Load() }
-
-// Routed returns the total arrivals dispatched to a device.
-func (l *LiveStats) Routed() int64 { return l.routed.Load() }
-
-// Shed returns the total arrivals dropped at the router.
-func (l *LiveStats) Shed() int64 { return l.shed.Load() }
-
-// Stolen returns the total queries migrated between devices at barrier
-// re-route phases.
-func (l *LiveStats) Stolen() int64 { return l.stolen.Load() }
-
 // LiveSnapshot is one point-in-time copy of the cluster counters,
 // shaped for JSON export inside the facild /metrics payload. Fields are
 // read atomically but not as one transaction — fine for observability,

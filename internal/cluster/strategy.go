@@ -121,8 +121,6 @@ type QueryInfo struct {
 // calls Pick serially in arrival order, so any internal state (e.g. the
 // round-robin cursor) evolves deterministically too.
 type Strategy interface {
-	// Kind identifies the strategy.
-	Kind() StrategyKind
 	// Pick returns the index of the chosen device, or -1 to shed the
 	// arrival. Picking an ineligible device is a contract violation.
 	Pick(views []DeviceView, q QueryInfo) int
@@ -148,9 +146,6 @@ type roundRobin struct {
 	next int
 }
 
-// Kind identifies the strategy.
-func (*roundRobin) Kind() StrategyKind { return RoundRobin }
-
 // Pick returns the next eligible device at or after the cursor.
 func (r *roundRobin) Pick(views []DeviceView, _ QueryInfo) int {
 	n := len(views)
@@ -166,9 +161,6 @@ func (r *roundRobin) Pick(views []DeviceView, _ QueryInfo) int {
 
 // leastLoaded picks the shallowest eligible device.
 type leastLoaded struct{}
-
-// Kind identifies the strategy.
-func (leastLoaded) Kind() StrategyKind { return LeastLoaded }
 
 // Pick returns the eligible device with minimum in-flight count
 // (lowest index on ties), or -1 when none is eligible.
@@ -187,9 +179,6 @@ func (leastLoaded) Pick(views []DeviceView, _ QueryInfo) int {
 
 // latencyWeighted minimizes an expected-wait proxy.
 type latencyWeighted struct{}
-
-// Kind identifies the strategy.
-func (latencyWeighted) Kind() StrategyKind { return LatencyWeighted }
 
 // Pick returns the eligible device minimizing TTFTEWMA × (InFlight+1),
 // lowest index on ties; unobserved devices score 0 and win first.
@@ -211,9 +200,6 @@ func (latencyWeighted) Pick(views []DeviceView, _ QueryInfo) int {
 // sloTiered is least-loaded routing behind classful admission gates
 // (DefaultShedStandard, DefaultShedBatch).
 type sloTiered struct{}
-
-// Kind identifies the strategy.
-func (sloTiered) Kind() StrategyKind { return SLOTiered }
 
 // Pick admits the arrival against its class's depth threshold — judged
 // on the least-loaded eligible device, so a single hot device cannot

@@ -166,12 +166,3 @@ func (c *Channel) ReadMACResults(rk, bursts int) (int64, error) {
 	}
 	return done, nil
 }
-
-// AdvanceTo moves the channel clock forward to cycle `cycle` (no-op if the
-// clock is already past it). Used to model synchronization points.
-func (c *Channel) AdvanceTo(cycle int64) {
-	c.advanceNow(cycle)
-	if cycle > c.cmdBusFree {
-		c.cmdBusFree = cycle
-	}
-}

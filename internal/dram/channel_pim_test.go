@@ -129,13 +129,13 @@ func TestMACDoesNotUseDataBus(t *testing.T) {
 func TestAdvanceToMonotone(t *testing.T) {
 	spec := smallSpec()
 	ch := NewChannel(&spec)
-	ch.AdvanceTo(500)
+	ch.advanceNow(500)
 	if ch.Now() != 500 {
-		t.Errorf("Now = %d after AdvanceTo(500)", ch.Now())
+		t.Errorf("Now = %d after advanceNow(500)", ch.Now())
 	}
-	ch.AdvanceTo(100) // must not go backwards
+	ch.advanceNow(100) // must not go backwards
 	if ch.Now() != 500 {
-		t.Errorf("AdvanceTo moved clock backwards to %d", ch.Now())
+		t.Errorf("advanceNow moved clock backwards to %d", ch.Now())
 	}
 }
 

@@ -59,22 +59,3 @@ func (k CommandKind) String() string {
 		return "UNKNOWN"
 	}
 }
-
-// usesDataBus reports whether the command occupies the channel data bus for
-// one burst cycle.
-func (k CommandKind) usesDataBus() bool {
-	switch k {
-	case CmdRD, CmdWR, CmdWRGB, CmdRDMAC:
-		return true
-	}
-	return false
-}
-
-// isColumn reports whether the command is a column access subject to tCCD.
-func (k CommandKind) isColumn() bool {
-	switch k {
-	case CmdRD, CmdWR, CmdMACab, CmdWRGB, CmdRDMAC:
-		return true
-	}
-	return false
-}

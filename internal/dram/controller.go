@@ -31,9 +31,6 @@ func NewController(spec Spec) (*Controller, error) {
 	return ctl, nil
 }
 
-// Spec returns the controller's memory spec.
-func (ctl *Controller) Spec() Spec { return ctl.spec }
-
 // Channel returns the scheduler for channel i.
 func (ctl *Controller) Channel(i int) *Channel { return ctl.channels[i] }
 
@@ -128,20 +125,4 @@ func (ctl *Controller) Stats() ChannelStats {
 		s.Merge(c.Stats())
 	}
 	return s
-}
-
-// Seconds converts cycles to seconds using the spec's burst clock.
-func (ctl *Controller) Seconds(cycles int64) float64 {
-	return ctl.spec.Timing.Seconds(cycles)
-}
-
-// AchievedBandwidthGBs computes the effective bandwidth of a finished run:
-// total transferred bytes divided by the wall-clock completion time.
-func (ctl *Controller) AchievedBandwidthGBs() float64 {
-	s := ctl.Stats()
-	if s.LastDone == 0 {
-		return 0
-	}
-	bytes := float64(s.Reads+s.Writes) * float64(ctl.spec.Geometry.TransferBytes)
-	return bytes / ctl.Seconds(s.LastDone) / 1e9
 }

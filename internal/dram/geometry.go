@@ -1,5 +1,5 @@
 // Package dram implements a cycle-level DRAM device and memory-channel
-// simulator for LPDDR5/LPDDR5X/HBM2-class parts.
+// simulator for LPDDR5/LPDDR5X-class parts.
 //
 // The simulator operates at burst granularity: one simulator cycle is the
 // time needed to move one data burst (TransferBytes, typically 32 B) across
@@ -78,11 +78,6 @@ func (g Geometry) TotalBanks() int {
 	return g.Channels * g.RanksPerChannel * g.BanksPerRank
 }
 
-// BanksPerChannel returns the number of banks sharing one channel.
-func (g Geometry) BanksPerChannel() int {
-	return g.RanksPerChannel * g.BanksPerRank
-}
-
 // ColumnsPerRow returns the number of bursts per DRAM row.
 func (g Geometry) ColumnsPerRow() int {
 	return g.RowBytes / g.TransferBytes
@@ -92,11 +87,6 @@ func (g Geometry) ColumnsPerRow() int {
 func (g Geometry) CapacityBytes() int64 {
 	return int64(g.Channels) * int64(g.RanksPerChannel) * int64(g.BanksPerRank) *
 		int64(g.Rows) * int64(g.RowBytes)
-}
-
-// BankBytes returns the capacity of a single bank.
-func (g Geometry) BankBytes() int64 {
-	return int64(g.Rows) * int64(g.RowBytes)
 }
 
 // ChannelBits, RankBits, BankBits, RowBits, ColumnBits and OffsetBits report

@@ -368,3 +368,11 @@ func (c *ReferenceChannel) issue(cand refCandidate) {
 		c.now = at
 	}
 }
+
+// Kind returns the data command this request needs.
+func (r *Request) Kind() CommandKind {
+	if r.Write {
+		return CmdWR
+	}
+	return CmdRD
+}

@@ -16,11 +16,3 @@ type Request struct {
 	// ID is an optional caller tag carried through the pipeline.
 	ID int64
 }
-
-// Kind returns the data command this request needs.
-func (r *Request) Kind() CommandKind {
-	if r.Write {
-		return CmdWR
-	}
-	return CmdRD
-}

@@ -101,40 +101,6 @@ func presetLPDDR5(name string, busWidthBits, dataRateMbps, ranksPerChannel int, 
 	return s
 }
 
-// HBM2 returns an HBM2 spec: 128-bit pseudo-channels, BL4 (32 B bursts),
-// 2 KB rows, 16 banks per rank.
-func HBM2(name string, channels, dataRateMbps int, capacityBytes int64) (Spec, error) {
-	const channelWidth = 128
-	const rowBytes = 2048
-	const transferBytes = 32 // BL4? 128 bits x 2 beats = 32 B
-	const banksPerRank = 16
-	g := Geometry{
-		Channels:        channels,
-		RanksPerChannel: 1,
-		BanksPerRank:    banksPerRank,
-		RowBytes:        rowBytes,
-		TransferBytes:   transferBytes,
-	}
-	perBank := capacityBytes / int64(g.Channels*g.BanksPerRank)
-	rows := perBank / rowBytes
-	if rows <= 0 || rows&(rows-1) != 0 {
-		return Spec{}, fmt.Errorf("%w: capacity %d does not yield a power-of-two row count", ErrConfig, capacityBytes)
-	}
-	g.Rows = int(rows)
-	cyc := burstCycleNS(transferBytes, channelWidth, dataRateMbps)
-	s := Spec{
-		Name:             name,
-		Geometry:         g,
-		Timing:           timingFromNS(cyc, hbm2NS),
-		DataRateMbps:     dataRateMbps,
-		ChannelWidthBits: channelWidth,
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
-}
-
 // GiB is a capacity helper.
 const GiB = int64(1) << 30
 

@@ -92,17 +92,3 @@ func TestLPDDR5Errors(t *testing.T) {
 		t.Error("non-power-of-two rows accepted")
 	}
 }
-
-func TestHBM2Preset(t *testing.T) {
-	s, err := HBM2("HBM2-2000 4ch", 4, 2000, 4*GiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Geometry.ColumnsPerRow(); got != 64 {
-		t.Errorf("HBM2 columns/row = %d, want 64", got)
-	}
-	// 4 channels x 128 bit x 2 Gbps = 128 GB/s.
-	if got := s.PeakBandwidthGBs(); math.Abs(got-128) > 0.5 {
-		t.Errorf("HBM2 peak = %.1f, want 128", got)
-	}
-}

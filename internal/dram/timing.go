@@ -5,7 +5,7 @@ import "fmt"
 // Timing holds DRAM timing constraints expressed in burst cycles (one cycle
 // = time for one TransferBytes burst on the channel data bus).
 //
-// The values are derived from JEDEC LPDDR5/5X (JESD209-5) and HBM2
+// The values are derived from JEDEC LPDDR5/5X (JESD209-5)
 // datasheet-class numbers, quantized to the burst clock. They intentionally
 // model the constraints that dominate achieved bandwidth and row-locality
 // effects; exotic constraints (per-bank-group tCCD_S/L distinction,
@@ -136,13 +136,4 @@ var lpddr5NS = nsParams{
 	tRRD: 5, tFAW: 20,
 	tWR: 34, tWTR: 10, tRTP: 7.5, tRTW: 2.5,
 	cl: 17, cwl: 9, tRFCab: 280, tREFI: 3906,
-}
-
-// hbm2NS holds HBM2-class core timing in nanoseconds.
-var hbm2NS = nsParams{
-	tRCD: 14, tRP: 14, tRAS: 33, tRC: 47,
-	tCCD: 0,
-	tRRD: 4, tFAW: 16,
-	tWR: 16, tWTR: 8, tRTP: 5, tRTW: 2,
-	cl: 14, cwl: 7, tRFCab: 260, tREFI: 3900,
 }

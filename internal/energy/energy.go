@@ -15,11 +15,7 @@
 // datasheet-exact numbers.
 package energy
 
-import (
-	"fmt"
-
-	"facil/internal/dram"
-)
+import "facil/internal/dram"
 
 // Params holds per-operation energies in picojoules.
 type Params struct {
@@ -49,15 +45,6 @@ func DefaultLPDDR5() Params {
 		MACPJPerByte:        6,
 		BackgroundMW:        80,
 	}
-}
-
-// Validate rejects non-physical parameters.
-func (p Params) Validate() error {
-	if p.ACTpJ < 0 || p.ArrayReadPJPerByte < 0 || p.ArrayWritePJPerByte < 0 ||
-		p.IOPJPerByte < 0 || p.MACPJPerByte < 0 || p.BackgroundMW < 0 {
-		return fmt.Errorf("energy: parameters must be non-negative: %+v", p)
-	}
-	return nil
 }
 
 // Breakdown is an energy account in joules.

@@ -6,14 +6,15 @@ import (
 	"facil/internal/dram"
 )
 
+// TestDefaultsValidate checks the defaults are physical: every energy
+// and power constant is positive.
 func TestDefaultsValidate(t *testing.T) {
-	if err := DefaultLPDDR5().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultLPDDR5()
-	bad.ACTpJ = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative energy accepted")
+	p := DefaultLPDDR5()
+	for i, v := range []float64{p.ACTpJ, p.ArrayReadPJPerByte, p.ArrayWritePJPerByte,
+		p.IOPJPerByte, p.MACPJPerByte, p.BackgroundMW} {
+		if v <= 0 {
+			t.Errorf("DefaultLPDDR5 field %d = %g, want > 0: %+v", i, v, p)
+		}
 	}
 }
 

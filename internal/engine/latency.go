@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"facil/internal/mapping"
-	"facil/internal/soc"
 )
 
 // otherStepSeconds is the non-linear per-token SoC work of one decode
@@ -12,7 +11,7 @@ import (
 // the paper's Fig. 2(a) breakdown (>90% linear) holds, and so PIM offload
 // cannot accelerate it (Amdahl).
 func (s *System) otherStepSeconds() float64 {
-	return s.cfg.OtherFraction * s.socDecodeLinearSeconds()
+	return otherFraction * s.socDecodeLinearSeconds()
 }
 
 // socDecodeLinearSeconds is one decode step's linear (GEMV) time on the
@@ -71,7 +70,7 @@ func (s *System) pimAttentionSeconds(ctx int) (float64, error) {
 
 // prefillSoCSeconds is the prefill GEMM time on the SoC at length l.
 // pimLayout applies the platform's conservative Table III slowdown.
-// The (1 + OtherFraction) factor covers the non-linear prefill work.
+// The (1 + otherFraction) factor covers the non-linear prefill work.
 func (s *System) prefillSoCSeconds(l int, pimLayout bool) float64 {
 	var t float64
 	for _, op := range s.Model.PrefillLinears(l) {
@@ -81,7 +80,7 @@ func (s *System) prefillSoCSeconds(l int, pimLayout bool) float64 {
 			t += s.Platform.Seconds(op)
 		}
 	}
-	return t * (1 + s.cfg.OtherFraction)
+	return t * (1 + otherFraction)
 }
 
 // prefillPIMSeconds runs the whole prefill on PIM: l GEMV passes over the
@@ -189,10 +188,4 @@ func (s *System) DecodeStepBreakdown(k Kind, ctx int) (PIMStepBreakdown, error) 
 	b.LinearSeconds = lin
 	b.AttentionSeconds = at
 	return b, nil
-}
-
-// SoCDecodeLinears exposes the per-matrix decode GEMV shapes with their
-// SoC utilizations (Fig. 2(b)).
-func (s *System) SoCDecodeLinears() []soc.Linear {
-	return s.Model.DecodeLinears()
 }

@@ -57,28 +57,22 @@ func (k Kind) String() string {
 	}
 }
 
-// Kinds lists all designs in presentation order.
-func Kinds() []Kind {
-	return []Kind{SoCOnly, HybridStatic, HybridDynamic, FACIL, WeightDuplication}
-}
+// otherFraction sizes the non-linear per-token work (norms, softmax,
+// rope, sampling, kernel launches) that stays on the SoC, as a fraction
+// of the SoC's decode-phase linear time. The paper's Fig. 2(a) shows
+// linear ops take >90% of decode time.
+const otherFraction = 0.09
 
-// Config tunes secondary modeling constants.
+// Config overrides the stack's default modeling choices.
 type Config struct {
-	// OtherFraction sizes the non-linear per-token work (norms,
-	// softmax, rope, sampling, kernel launches) that stays on the SoC,
-	// as a fraction of the SoC's decode-phase linear time. The paper's
-	// Fig. 2(a) shows linear ops take >90% of decode time, so the
-	// default is 0.09.
-	OtherFraction float64
-	// RelayoutSampleBytes bounds the re-layout simulation window.
-	RelayoutSampleBytes int64
 	// PIM overrides the default AiM configuration when non-nil.
 	PIM *pim.Config
 }
 
-// DefaultConfig returns the paper-calibrated constants.
+// DefaultConfig returns the paper's configuration: the default AiM
+// PIM device.
 func DefaultConfig() Config {
-	return Config{OtherFraction: 0.09}
+	return Config{}
 }
 
 // System is one platform+model evaluation stack.
@@ -92,10 +86,7 @@ func DefaultConfig() Config {
 type System struct {
 	Platform soc.Platform
 	Model    llm.Model
-	cfg      Config
-
 	mem      mapping.MemoryConfig
-	table    *mapping.Table
 	pimDev   *pim.Device
 	relayout *relayout.Engine
 
@@ -127,27 +118,23 @@ func NewSystem(p soc.Platform, m llm.Model, cfg Config) (*System, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.OtherFraction < 0 || cfg.OtherFraction >= 1 {
-		return nil, fmt.Errorf("engine: OtherFraction %g out of [0,1)", cfg.OtherFraction)
-	}
 	s := &System{
 		Platform: p,
 		Model:    m,
-		cfg:      cfg,
 		mem:      mapping.MemoryConfig{Geometry: p.Spec.Geometry, HugePageBytes: 2 << 20},
 	}
 	pimCfg := pim.DefaultAiM(p.Spec.Geometry)
 	if cfg.PIM != nil {
 		pimCfg = *cfg.PIM
 	}
-	var err error
-	if s.table, err = mapping.NewTable(s.mem, pimCfg.Chunk); err != nil {
+	table, err := mapping.NewTable(s.mem, pimCfg.Chunk)
+	if err != nil {
 		return nil, err
 	}
 	if s.pimDev, err = pim.NewDevice(p.Spec, pimCfg); err != nil {
 		return nil, err
 	}
-	if s.relayout, err = relayout.NewEngine(p.Spec, s.table, cfg.RelayoutSampleBytes); err != nil {
+	if s.relayout, err = relayout.NewEngine(p.Spec, table, 0); err != nil { // 0 = DefaultSampleBytes
 		return nil, err
 	}
 	for _, w := range m.WeightMatrices() {
@@ -167,12 +154,6 @@ func NewSystem(p soc.Platform, m llm.Model, cfg Config) (*System, error) {
 
 // PIMDevice exposes the PIM simulation (for Fig. 3-style analyses).
 func (s *System) PIMDevice() *pim.Device { return s.pimDev }
-
-// Relayout exposes the re-layout engine.
-func (s *System) Relayout() *relayout.Engine { return s.relayout }
-
-// Table exposes the mapping table.
-func (s *System) Table() *mapping.Table { return s.table }
 
 // WeightFootprint returns the memory the design holds for weights:
 // WeightDuplication stores two copies.

@@ -2,12 +2,14 @@ package exp
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"facil/internal/cluster"
 	"facil/internal/soc"
+	"facil/internal/stats"
 )
 
 // goldenClusterConfig keeps the cluster golden cheap: an 8-device
@@ -161,11 +163,21 @@ func TestClusterAccounting(t *testing.T) {
 			t.Errorf("%s: per-class sums routed %d/completed %d != %d/%d",
 				name, routed, completed, m.Routed, m.Completed)
 		}
-		if !m.TTFT.Finite() || !m.TTLT.Finite() {
+		if !finite(m.TTFT) || !finite(m.TTLT) {
 			t.Errorf("%s: non-finite latency quantiles %+v %+v", name, m.TTFT, m.TTLT)
 		}
 	}
 	if !sawSteal {
 		t.Error("accounting sweep never exercised a stealing run")
 	}
+}
+
+// finite reports whether every quantile is a finite number.
+func finite(q stats.Quantiles) bool {
+	for _, v := range []float64{q.Mean, q.P50, q.P95, q.P99} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

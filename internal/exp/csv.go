@@ -3,7 +3,6 @@ package exp
 import (
 	"encoding/csv"
 	"io"
-	"strings"
 )
 
 // WriteCSV emits the table in RFC-4180 CSV form: one header row followed
@@ -32,13 +31,4 @@ func (t Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// CSV renders the table as a CSV string.
-func (t Table) CSV() (string, error) {
-	var b strings.Builder
-	if err := t.WriteCSV(&b); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }

@@ -12,10 +12,11 @@ func TestTableCSV(t *testing.T) {
 		Rows:   [][]string{{"1", "x,y"}, {"2", "z"}},
 		Notes:  []string{"caveat"},
 	}
-	out, err := tab.CSV()
-	if err != nil {
+	var b strings.Builder
+	if err := tab.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
+	out := b.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("lines = %d: %q", len(lines), out)
@@ -33,10 +34,11 @@ func TestTableCSV(t *testing.T) {
 
 func TestExperimentTablesExportCSV(t *testing.T) {
 	tab := Table2()
-	out, err := tab.CSV()
-	if err != nil {
+	var b strings.Builder
+	if err := tab.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
+	out := b.String()
 	if !strings.Contains(out, "NVIDIA Jetson AGX Orin 64GB") {
 		t.Error("CSV missing platform row")
 	}

@@ -132,9 +132,6 @@ func NewLab(cfg engine.Config) *Lab {
 // Results are byte-identical at any setting.
 func (l *Lab) SetParallelism(n int) { l.par = n }
 
-// Parallelism returns the configured worker bound (0 = GOMAXPROCS).
-func (l *Lab) Parallelism() int { return l.par }
-
 // SetProgress installs a progress observer for every sweep (nil disables).
 func (l *Lab) SetProgress(fn ProgressFunc) { l.progress = fn }
 
@@ -143,9 +140,6 @@ func (l *Lab) SetProgress(fn ProgressFunc) { l.progress = fn }
 // default) disables tracing. Like the other knobs, configure it before
 // the first Run. The tracer is safe for concurrent sweep points.
 func (l *Lab) SetTracer(tr *obs.Tracer) { l.tracer = tr }
-
-// Tracer returns the configured tracer (nil = tracing off).
-func (l *Lab) Tracer() *obs.Tracer { return l.tracer }
 
 // System returns (building on first use) the shared stack for a
 // platform. The returned System is goroutine-safe; sweep points of the
@@ -162,13 +156,6 @@ func (l *Lab) System(p soc.Platform) (*engine.System, error) {
 		e.s, e.err = engine.NewSystem(p, PlatformModel(p), l.cfg)
 	})
 	return e.s, e.err
-}
-
-// FreshSystem builds a new, unshared stack for a platform with the lab's
-// configuration. Use it when a sweep point needs exclusive ownership —
-// e.g. to mutate configuration — instead of the shared System instance.
-func (l *Lab) FreshSystem(p soc.Platform) (*engine.System, error) {
-	return engine.NewSystem(p, PlatformModel(p), l.cfg)
 }
 
 // sweepOpts assembles the parallel options for one experiment's sweep.
@@ -191,8 +178,7 @@ func sweep[P, R any](ctx context.Context, l *Lab, experiment string, points []P,
 // newDetRand returns a deterministic PRNG for experiment inputs.
 func newDetRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// f2, f1, pc and ms format numeric cells.
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
+// f1, pc, ms and x format numeric cells.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func pc(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 func ms(v float64) string { return fmt.Sprintf("%.1f ms", 1e3*v) }

@@ -29,8 +29,6 @@ type Serving2Config struct {
 	QueueCap int
 	// DeadlineTTLT is the goodput SLO in seconds (0 = none).
 	DeadlineTTLT float64
-	// PreemptSteps is the decode-lane quantum (0 = serve default).
-	PreemptSteps int
 }
 
 // DefaultServing2Config mirrors the old serving extension's traffic
@@ -116,7 +114,6 @@ func (l *Lab) Serving2Compute(ctx context.Context, cfg Serving2Config) ([]serve.
 			Seed:         cfg.Seed,
 			QueueCap:     cfg.QueueCap,
 			DeadlineTTLT: cfg.DeadlineTTLT,
-			PreemptSteps: cfg.PreemptSteps,
 			Tracer:       l.tracer,
 			TracePIDBase: pidBase[i],
 			TraceLabel:   fmt.Sprintf("%s %.2fq/s x%d", pt.mode, pt.rate, pt.replicas),
@@ -148,7 +145,7 @@ func (l *Lab) Serving2(ctx context.Context, cfg Serving2Config) (Table, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("%d queries/point, queue cap %d, TTLT SLO %.0f s; decode quantum %d steps",
-				cfg.Queries, cfg.QueueCap, cfg.DeadlineTTLT, effectiveQuantum(cfg.PreemptSteps)),
+				cfg.Queries, cfg.QueueCap, cfg.DeadlineTTLT, serve.DefaultPreemptSteps),
 			"serial mode reproduces the legacy closed-form queue (see serve.TestSerialMatchesLegacySimulate)",
 		},
 	}
@@ -170,12 +167,4 @@ func (l *Lab) Serving2(ctx context.Context, cfg Serving2Config) (Table, error) {
 		})
 	}
 	return tab, nil
-}
-
-// effectiveQuantum echoes serve's default resolution for the notes line.
-func effectiveQuantum(q int) int {
-	if q == 0 {
-		return serve.DefaultPreemptSteps
-	}
-	return q
 }

@@ -128,15 +128,3 @@ func (l *Lab) Table3(ctx context.Context, cfg soc.LayoutSlowdownConfig) (Table, 
 	}
 	return tab, nil
 }
-
-// Table3WorstCase returns the per-platform worst-case op slowdown, the
-// constant the engine applies conservatively to all FACIL GEMMs.
-func Table3WorstCase(rows []Table3Row) map[string]float64 {
-	worst := map[string]float64{}
-	for _, r := range rows {
-		if r.OpSlowdown > worst[r.Platform] {
-			worst[r.Platform] = r.OpSlowdown
-		}
-	}
-	return worst
-}

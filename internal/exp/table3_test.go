@@ -9,7 +9,7 @@ import (
 
 // TestTable3MatchesPerPointMeasurement pins Table3Compute's one-replay-
 // per-shape shortcut: with a small sample window, every row must equal a
-// direct soc.MeasureLayoutSlowdown of its own (platform, layer, prefill)
+// direct soc.MeasureMemSlowdown of its own (platform, layer, prefill)
 // point. The direct calls replay the weight stream at each prefill
 // length, so if the stream ever starts to depend on the prefill, the
 // P16/P64 rows diverge here instead of drifting silently.
@@ -29,10 +29,11 @@ func TestTable3MatchesPerPointMeasurement(t *testing.T) {
 			t.Fatalf("row %d is %s %s P%d, want %s %s P%d", i, r.Platform, r.Layer, r.Prefill, sh.platform.Name, sh.layer, pf)
 		}
 		op := soc.Linear{L: pf, In: sh.in, Out: sh.out, DTypeBytes: sh.dtype}
-		mem, opS, err := soc.MeasureLayoutSlowdown(sh.platform, op, cfg)
+		mem, err := soc.MeasureMemSlowdown(sh.platform, op, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		opS := mem * sh.platform.MemoryBoundFraction(op)
 		if r.MemSlowdown != mem || r.OpSlowdown != opS {
 			t.Errorf("%s %s P%d: Table3Compute (%v, %v) != per-point measurement (%v, %v)",
 				r.Platform, r.Layer, pf, r.MemSlowdown, r.OpSlowdown, mem, opS)

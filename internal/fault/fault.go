@@ -33,9 +33,6 @@ type Window struct {
 	End float64
 }
 
-// Duration returns End-Start.
-func (w Window) Duration() float64 { return w.End - w.Start }
-
 // Contains reports whether t falls inside the window.
 func (w Window) Contains(t float64) bool { return t >= w.Start && t < w.End }
 

@@ -90,7 +90,7 @@ func TestLaneStreamOrderedAndPositive(t *testing.T) {
 	prev := -1.0
 	sawSched := 0
 	for i, w := range ws {
-		if w.Duration() <= 0 {
+		if w.End <= w.Start {
 			t.Fatalf("window %d has non-positive duration: %+v", i, w)
 		}
 		if w.Start < prev {

@@ -132,17 +132,6 @@ func (m Model) TotalWeightBytes() int64 {
 	return m.LinearWeightBytes() + emb
 }
 
-// Params returns the approximate parameter count of the linear weights.
-func (m Model) Params() int64 {
-	return m.TotalWeightBytes() / int64(m.DTypeBytes)
-}
-
-// KVBytesPerToken returns the KV-cache growth per generated/prefilled
-// token across all layers (K and V).
-func (m Model) KVBytesPerToken() int64 {
-	return 2 * int64(m.Layers) * int64(m.KVDim()) * int64(m.DTypeBytes)
-}
-
 // PrefillLinears returns the GEMM operations of one prefill pass with
 // sequence length l: every per-layer matrix at batch l, plus the LM head
 // for the single next-token logit computation.

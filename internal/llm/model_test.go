@@ -23,7 +23,7 @@ func TestParameterCountsPlausible(t *testing.T) {
 		{GPTJ6B(), 5.5, 6.5},
 	}
 	for _, c := range cases {
-		b := float64(c.m.Params()) / 1e9
+		b := float64(c.m.TotalWeightBytes()/int64(c.m.DTypeBytes)) / 1e9
 		if b < c.min || b > c.max {
 			t.Errorf("%s: %.2fB params, want [%.1f, %.1f]", c.m.Name, b, c.min, c.max)
 		}
@@ -91,7 +91,7 @@ func TestPrefillDecodeOps(t *testing.T) {
 		t.Errorf("decode op count %d != prefill %d", len(dec), len(pre))
 	}
 	for _, op := range dec {
-		if !op.IsGEMV() {
+		if op.L != 1 {
 			t.Errorf("decode op not GEMV: %+v", op)
 		}
 	}
@@ -100,8 +100,8 @@ func TestPrefillDecodeOps(t *testing.T) {
 func TestKVAccounting(t *testing.T) {
 	m := Llama3_8B()
 	// 2 x 32 layers x 1024 x 2 B = 128 KiB per token.
-	if got := m.KVBytesPerToken(); got != 131072 {
-		t.Errorf("KVBytesPerToken = %d, want 131072", got)
+	if got := m.AttentionBytesPerStep(1); got != 131072 {
+		t.Errorf("AttentionBytesPerStep(1) = %d, want 131072", got)
 	}
 	if got := m.AttentionBytesPerStep(100); got != 100*131072 {
 		t.Errorf("AttentionBytesPerStep(100) = %d", got)

@@ -75,7 +75,6 @@ func BuildConventional(g dram.Geometry) (*addr.Mapping, error) {
 // PIM-optimized ones. It corresponds to the mux inputs of paper Fig. 12.
 type Table struct {
 	mc       MemoryConfig
-	chunk    ChunkConfig
 	conv     *addr.Mapping
 	pim      map[MapID]*addr.Mapping
 	min, max MapID
@@ -94,12 +93,11 @@ func NewTable(mc MemoryConfig, chunk ChunkConfig) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		mc:    mc,
-		chunk: chunk,
-		conv:  conv,
-		pim:   make(map[MapID]*addr.Mapping),
-		min:   MinMapID(mc, chunk),
-		max:   MaxMapID(mc),
+		mc:   mc,
+		conv: conv,
+		pim:  make(map[MapID]*addr.Mapping),
+		min:  MinMapID(mc, chunk),
+		max:  MaxMapID(mc),
 	}
 	for id := t.min; id <= t.max; id++ {
 		m, err := BuildPIM(mc, chunk, id)
@@ -129,9 +127,6 @@ func (t *Table) Range() (min, max MapID) { return t.min, t.max }
 
 // Memory returns the memory configuration the table was built for.
 func (t *Table) Memory() MemoryConfig { return t.mc }
-
-// Chunk returns the chunk configuration the table was built for.
-func (t *Table) Chunk() ChunkConfig { return t.chunk }
 
 // Size returns the number of mappings in the table including the
 // conventional one — the N of the paper's N-to-1 frontend multiplexers.

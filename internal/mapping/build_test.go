@@ -226,9 +226,6 @@ func TestTable(t *testing.T) {
 	if tab.Memory().HugePageBytes != mc.HugePageBytes {
 		t.Error("Memory() lost configuration")
 	}
-	if tab.Chunk().Style != chunk.Style {
-		t.Error("Chunk() lost configuration")
-	}
 }
 
 func TestBuildPIMOnRealPlatformGeometries(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // (Sec. IV-B). The paper's prose definitions ("bits between the PU-changing
 // bits and the chunk column bits" for AiM) differ from its own formula by
 // the constant chunk-column bit count; we adopt the formula's convention
-// and expose the prose variant via RowBitsBelowPU.
+// (the tests pin the prose variant in TestRowBitsBelowPU).
 //
 // MapID 0 is reserved for the conventional mapping.
 type MapID int
@@ -112,11 +112,4 @@ func MapIDBits(mc MemoryConfig, chunk ChunkConfig) int {
 		bits++
 	}
 	return bits
-}
-
-// RowBitsBelowPU converts a MapID to the paper's AiM prose definition:
-// the number of DRAM row bits between the PU-changing bits and the chunk
-// column bits.
-func RowBitsBelowPU(id MapID, mc MemoryConfig, chunk ChunkConfig) int {
-	return int(id) - chunk.chunkColBits(mc.Geometry) - chunk.chunkRowBits()
 }

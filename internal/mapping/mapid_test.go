@@ -136,6 +136,13 @@ func TestChunkDimensionsFromPaper(t *testing.T) {
 	}
 }
 
+// RowBitsBelowPU converts a MapID to the paper's AiM prose definition:
+// the number of DRAM row bits between the PU-changing bits and the chunk
+// column bits.
+func RowBitsBelowPU(id MapID, mc MemoryConfig, chunk ChunkConfig) int {
+	return int(id) - chunk.chunkColBits(mc.Geometry) - chunk.chunkRowBits()
+}
+
 func TestRowBitsBelowPU(t *testing.T) {
 	mc := testMem()
 	chunk := AiMChunk(mc.Geometry)

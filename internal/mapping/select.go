@@ -37,11 +37,6 @@ func (m MatrixConfig) PaddedRowBytes() int {
 	return cols * m.DTypeBytes
 }
 
-// Bytes returns the unpadded matrix size.
-func (m MatrixConfig) Bytes() int64 {
-	return int64(m.Rows) * int64(m.Cols) * int64(m.DTypeBytes)
-}
-
 // PaddedBytes returns the allocation size using padded rows.
 func (m MatrixConfig) PaddedBytes() int64 {
 	return int64(m.Rows) * int64(m.PaddedRowBytes())

@@ -1,8 +1,6 @@
 package pim
 
 import (
-	"fmt"
-
 	"facil/internal/dram"
 	"facil/internal/mapping"
 	"facil/internal/parallel"
@@ -60,12 +58,6 @@ func NewDevice(spec dram.Spec, cfg Config) (*Device, error) {
 		mem:  mapping.MemoryConfig{Geometry: spec.Geometry, HugePageBytes: 2 << 20},
 	}, nil
 }
-
-// Spec returns the memory spec.
-func (d *Device) Spec() dram.Spec { return d.spec }
-
-// Config returns the PIM configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // GEMV simulates y = W·x for a weight matrix placed by FACIL's mapping
 // selector. The schedule per channel:
@@ -176,29 +168,4 @@ func (d *Device) gemv(matrix mapping.MatrixConfig) (GEMVResult, error) {
 		res.EffectiveInternalGBs = float64(totalBytes) / res.Seconds / 1e9
 	}
 	return res, nil
-}
-
-// GEMVSeconds is a convenience wrapper returning only the latency.
-func (d *Device) GEMVSeconds(matrix mapping.MatrixConfig) (float64, error) {
-	r, err := d.GEMV(matrix)
-	if err != nil {
-		return 0, err
-	}
-	return r.Seconds, nil
-}
-
-// GEMMSeconds models a prefill GEMM executed on PIM as L back-to-back
-// GEMV passes: the weights stream from the banks once per input row (the
-// global buffer holds one input vector at a time), so latency scales
-// linearly with L. This is what makes PIM competitive only for
-// tall-and-skinny GEMMs (paper Sec. VI-C, "hybrid dynamic").
-func (d *Device) GEMMSeconds(matrix mapping.MatrixConfig, l int) (float64, error) {
-	if l <= 0 {
-		return 0, fmt.Errorf("pim: GEMM length %d must be positive", l)
-	}
-	s, err := d.GEMVSeconds(matrix)
-	if err != nil {
-		return 0, err
-	}
-	return float64(l) * s, nil
 }

@@ -29,12 +29,12 @@ func TestGEMVBeatsExternalBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := d.Spec().PeakBandwidthGBs()
+	ext := d.spec.PeakBandwidthGBs()
 	if res.EffectiveInternalGBs < 2*ext {
 		t.Errorf("internal BW %.1f GB/s not well above external %.1f", res.EffectiveInternalGBs, ext)
 	}
 	// And bounded by the configured MAC cadence.
-	peakInternal := d.Config().InternalBandwidthGBs(d.Spec())
+	peakInternal := d.cfg.InternalBandwidthGBs(d.spec)
 	if res.EffectiveInternalGBs > peakInternal {
 		t.Errorf("internal BW %.1f exceeds theoretical %.1f", res.EffectiveInternalGBs, peakInternal)
 	}
@@ -42,15 +42,15 @@ func TestGEMVBeatsExternalBandwidth(t *testing.T) {
 
 func TestGEMVScalesWithMatrixSize(t *testing.T) {
 	d := testDevice(t)
-	small, err := d.GEMVSeconds(mapping.MatrixConfig{Rows: 1024, Cols: 4096, DTypeBytes: 2})
+	small, err := d.GEMV(mapping.MatrixConfig{Rows: 1024, Cols: 4096, DTypeBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := d.GEMVSeconds(mapping.MatrixConfig{Rows: 4096, Cols: 4096, DTypeBytes: 2})
+	large, err := d.GEMV(mapping.MatrixConfig{Rows: 4096, Cols: 4096, DTypeBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := large / small
+	r := large.Seconds / small.Seconds
 	if r < 3 || r > 5 {
 		t.Errorf("4x weights scaled time by %.2f, want ~4", r)
 	}
@@ -58,7 +58,7 @@ func TestGEMVScalesWithMatrixSize(t *testing.T) {
 
 func TestGEMVCommandAccounting(t *testing.T) {
 	d := testDevice(t)
-	g := d.Spec().Geometry
+	g := d.spec.Geometry
 	m := mapping.MatrixConfig{Rows: 2048, Cols: 4096, DTypeBytes: 2} // 16 MiB padded
 	res, err := d.GEMV(m)
 	if err != nil {
@@ -114,25 +114,6 @@ func TestGEMVCached(t *testing.T) {
 	}
 }
 
-func TestGEMMSecondsLinearInL(t *testing.T) {
-	d := testDevice(t)
-	m := mapping.MatrixConfig{Rows: 1024, Cols: 4096, DTypeBytes: 2}
-	one, err := d.GEMMSeconds(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eight, err := d.GEMMSeconds(m, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := eight / one; r < 7.99 || r > 8.01 {
-		t.Errorf("GEMM L=8 / L=1 = %.3f, want 8", r)
-	}
-	if _, err := d.GEMMSeconds(m, 0); err == nil {
-		t.Error("L=0 accepted")
-	}
-}
-
 func TestMACIntervalGovernsGEMV(t *testing.T) {
 	spec, err := dram.LPDDR5("pim cadence", 64, 6400, 2, 2<<30)
 	if err != nil {
@@ -146,11 +127,11 @@ func TestMACIntervalGovernsGEMV(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := d.GEMVSeconds(m)
+		r, err := d.GEMV(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return r.Seconds
 	}
 	fast, slow := run(2), run(8)
 	if r := slow / fast; r < 2.5 {

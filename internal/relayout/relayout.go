@@ -141,28 +141,3 @@ func (e *Engine) Cost(src, dst mapping.MapID, bytes int64) (Result, error) {
 	}
 	return res, nil
 }
-
-// SequentialReadBandwidth measures the achieved bandwidth of a pure
-// sequential read stream under a mapping — used to verify the paper's
-// claim that the conventional row:rank:column:bank:channel mapping
-// achieves near-peak sequential bandwidth.
-func (e *Engine) SequentialReadBandwidth(id mapping.MapID) (float64, error) {
-	g := e.spec.Geometry
-	tb := int64(g.TransferBytes)
-	n := e.sample / tb
-	m := e.table.Lookup(id)
-	var i int64
-	sr, err := dram.MeasureStreamFunc(e.spec, func(r *dram.Request) bool {
-		if i >= n {
-			return false
-		}
-		a, _ := m.Translate(uint64(i) * uint64(tb))
-		*r = dram.Request{Addr: a}
-		i++
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	return sr.BandwidthGBs, nil
-}

@@ -38,10 +38,9 @@ type Options struct {
 // An Engine is safe for concurrent Execute calls (the Lab is
 // goroutine-safe), though front ends typically serialize them.
 type Engine struct {
-	lab    *exp.Lab
-	tool   string
-	par    int
-	tracer *obs.Tracer
+	lab  *exp.Lab
+	tool string
+	par  int
 }
 
 // New builds an engine and its Lab from opts.
@@ -58,15 +57,8 @@ func New(opts Options) *Engine {
 	if tool == "" {
 		tool = "run"
 	}
-	return &Engine{lab: lab, tool: tool, par: opts.Parallelism, tracer: opts.Tracer}
+	return &Engine{lab: lab, tool: tool, par: opts.Parallelism}
 }
-
-// Lab exposes the engine's shared Lab (tests and the bench path reuse
-// its cached Systems).
-func (e *Engine) Lab() *exp.Lab { return e.lab }
-
-// Tracer returns the tracer the engine was built with (nil = off).
-func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // ExecOpts carries the per-invocation (non-scenario) execution options:
 // where results stream and where files land. Scenario describes *what*

@@ -56,7 +56,7 @@ func diffGrid() []SimConfig {
 			for _, preempt := range []int{1, 8, 32} {
 				c := base(Cooperative, rate)
 				c.Replicas = reps
-				c.PreemptSteps = preempt
+				c.preemptSteps = preempt
 				grid = append(grid, c)
 			}
 		}
@@ -106,7 +106,7 @@ func diffGrid() []SimConfig {
 // diffName labels one grid cell for subtest output.
 func diffName(i int, cfg SimConfig) string {
 	return fmt.Sprintf("%02d-%s-r%g-x%d-p%d-q%d-f%v-pol%d",
-		i, cfg.Mode, cfg.ArrivalRate, cfg.Replicas, cfg.PreemptSteps,
+		i, cfg.Mode, cfg.ArrivalRate, cfg.Replicas, cfg.preemptSteps,
 		cfg.QueueCap, !cfg.Faults.Empty(), cfg.Policy)
 }
 
@@ -263,8 +263,8 @@ func FuzzSimDifferential(f *testing.F) {
 			Seed:         seed,
 			QueueCap:     clampInt(queueCap, 0, 16),
 			Timeout:      timeout,
-			PreemptSteps: clampInt(preempt, 0, 64),
 			MaxRetries:   clampInt(retries, 0, 4),
+			preemptSteps: clampInt(preempt, 0, 64),
 		}
 		if mtbf > 0 || corrupt > 0 {
 			cfg.Faults = fault.Scenario{

@@ -16,7 +16,7 @@ const (
 	// (KV-cache transfer to the adopting replica) under PolicyFailover.
 	DefaultFailoverPenalty = 0.05
 	// DefaultBreakerCooldown is the open-state dwell in seconds before
-	// a half-open probe when SimConfig.BreakerCooldown is 0.
+	// a half-open probe.
 	DefaultBreakerCooldown = 1.0
 	// DefaultRetryBase is the first client-retry backoff in seconds.
 	DefaultRetryBase = 0.05
@@ -168,7 +168,7 @@ func (sm *sim) onLaneUp(ri int) error {
 // targets).
 func (sm *sim) pimLive(ri int) bool {
 	r := &sm.reps[ri]
-	if sm.cfg.BreakerThreshold > 0 && r.brk.Blocked(sm.now, sm.brkCooldown) {
+	if sm.cfg.BreakerThreshold > 0 && r.brk.Blocked(sm.now, DefaultBreakerCooldown) {
 		return false
 	}
 	return !r.pimDown
@@ -181,7 +181,7 @@ func (sm *sim) pimLive(ri int) bool {
 func (sm *sim) acquirePIM(ri int) bool {
 	r := &sm.reps[ri]
 	threshold := sm.cfg.BreakerThreshold
-	if threshold > 0 && !r.brk.Admit(sm.now, sm.brkCooldown) {
+	if threshold > 0 && !r.brk.Admit(sm.now, DefaultBreakerCooldown) {
 		return false
 	}
 	if r.pimDown {
@@ -258,8 +258,8 @@ func (sm *sim) dispatchSoCDecode(ri int) error {
 			continue
 		}
 		steps := q.decode - 1 - q.stepsDone
-		if steps > sm.cfg.PreemptSteps {
-			steps = sm.cfg.PreemptSteps
+		if steps > sm.cfg.preemptSteps {
+			steps = sm.cfg.preemptSteps
 		}
 		factor := sm.factorAt(sm.now)
 		dur, err := sm.quantumSecondsKind(q, steps, engine.SoCOnly, factor)

@@ -36,7 +36,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		{"negative deadline", func(c *SimConfig) { c.DeadlineTTLT = -1 }},
 		{"NaN timeout", func(c *SimConfig) { c.Timeout = math.NaN() }},
 		{"Inf timeout", func(c *SimConfig) { c.Timeout = math.Inf(1) }},
-		{"Inf breaker cooldown", func(c *SimConfig) { c.BreakerCooldown = math.Inf(1) }},
 		{"negative breaker threshold", func(c *SimConfig) { c.BreakerThreshold = -1 }},
 		{"negative retries", func(c *SimConfig) { c.MaxRetries = -1 }},
 		{"retries without queue cap", func(c *SimConfig) { c.MaxRetries = 3 }},
@@ -304,7 +303,6 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	cfg.Queries = 80
 	cfg.Policy = PolicySoCFallback
 	cfg.BreakerThreshold = 1
-	cfg.BreakerCooldown = 0.5
 	cfg.Faults = outageScenario(1, 10)
 	m, err := Run(s, cfg)
 	if err != nil {

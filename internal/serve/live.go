@@ -33,30 +33,6 @@ type LiveStats struct {
 // runs or sweep points are in flight.
 var Live LiveStats
 
-// RunsStarted returns the number of simulations started.
-func (l *LiveStats) RunsStarted() int64 { return l.runsStarted.Load() }
-
-// RunsFinished returns the number of simulations that reached Finish.
-func (l *LiveStats) RunsFinished() int64 { return l.runsFinished.Load() }
-
-// Events returns the total simulator events processed.
-func (l *LiveStats) Events() int64 { return l.events.Load() }
-
-// VirtualSeconds returns the total virtual time advanced across all
-// runs, in seconds.
-func (l *LiveStats) VirtualSeconds() float64 {
-	return float64(l.virtualNanos.Load()) / 1e9
-}
-
-// Arrived returns the total queries that arrived at admission.
-func (l *LiveStats) Arrived() int64 { return l.arrived.Load() }
-
-// Admitted returns the total queries admitted into the system.
-func (l *LiveStats) Admitted() int64 { return l.admitted.Load() }
-
-// Completed returns the total queries that completed.
-func (l *LiveStats) Completed() int64 { return l.completed.Load() }
-
 // LiveSnapshot is one point-in-time copy of the live counters, shaped
 // for JSON export (the facild /metrics payload). Each field is read
 // atomically; the snapshot as a whole is taken without any lock, so

@@ -9,9 +9,9 @@ import (
 )
 
 // perfConfig is the steady-state measurement scenario: heavy sustained
-// load on a bounded queue (so the backlog pins at the cap and every
-// TimeHist level is visited during warmup), a fixed-length workload (so
-// the flat latency caches fill early), no faults, no retries, no tracer.
+// load on a bounded queue (so the backlog pins at the cap during
+// warmup), a fixed-length workload (so the flat latency caches fill
+// early), no faults, no retries, no tracer.
 func perfConfig(queries int) SimConfig {
 	return SimConfig{
 		Mode:        Cooperative,
@@ -40,7 +40,7 @@ func drainSim(tb testing.TB, sim *Sim) Metrics {
 
 // TestServeSteadyStateZeroAllocs is the allocation regression gate on
 // the serving loop: after warmup (event-heap capacity, flat latency
-// caches, TimeHist levels and the engine's memoized caches all grown),
+// caches and the engine's memoized caches all grown),
 // stepping the simulation must not allocate at all.
 func TestServeSteadyStateZeroAllocs(t *testing.T) {
 	s := servingSystem(t)

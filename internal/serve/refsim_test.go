@@ -32,8 +32,8 @@ func NewReferenceSim(s *engine.System, cfg SimConfig) (*ReferenceSim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PreemptSteps == 0 {
-		cfg.PreemptSteps = DefaultPreemptSteps
+	if cfg.preemptSteps == 0 {
+		cfg.preemptSteps = DefaultPreemptSteps
 	}
 	ds, err := workload.Generate(cfg.Workload, cfg.Queries, cfg.Seed+1)
 	if err != nil {
@@ -211,8 +211,7 @@ type refSim struct {
 
 	open int
 
-	flt         *faultState
-	brkCooldown float64
+	flt *faultState
 
 	retryRNG *rand.Rand
 
@@ -510,8 +509,8 @@ func (sm *refSim) dispatchDecode(ri int) error {
 			continue
 		}
 		steps := q.decode - 1 - q.stepsDone
-		if steps > sm.cfg.PreemptSteps {
-			steps = sm.cfg.PreemptSteps
+		if steps > sm.cfg.preemptSteps {
+			steps = sm.cfg.preemptSteps
 		}
 		start := sm.now
 		if r.pimFreeAt > start {
@@ -656,10 +655,6 @@ func (sm *refSim) initFaults(s *engine.System) error {
 		}
 	}
 	sm.flt = fs
-	sm.brkCooldown = sm.cfg.BreakerCooldown
-	if sm.brkCooldown == 0 {
-		sm.brkCooldown = DefaultBreakerCooldown
-	}
 	return nil
 }
 
@@ -731,7 +726,7 @@ func (sm *refSim) onLaneUp(ri int) error {
 
 func (sm *refSim) pimLive(ri int) bool {
 	r := &sm.reps[ri]
-	if sm.cfg.BreakerThreshold > 0 && r.brk.Blocked(sm.now, sm.brkCooldown) {
+	if sm.cfg.BreakerThreshold > 0 && r.brk.Blocked(sm.now, DefaultBreakerCooldown) {
 		return false
 	}
 	return !r.pimDown
@@ -740,7 +735,7 @@ func (sm *refSim) pimLive(ri int) bool {
 func (sm *refSim) acquirePIM(ri int) bool {
 	r := &sm.reps[ri]
 	threshold := sm.cfg.BreakerThreshold
-	if threshold > 0 && !r.brk.Admit(sm.now, sm.brkCooldown) {
+	if threshold > 0 && !r.brk.Admit(sm.now, DefaultBreakerCooldown) {
 		return false
 	}
 	if r.pimDown {
@@ -802,8 +797,8 @@ func (sm *refSim) dispatchSoCDecode(ri int) error {
 			continue
 		}
 		steps := q.decode - 1 - q.stepsDone
-		if steps > sm.cfg.PreemptSteps {
-			steps = sm.cfg.PreemptSteps
+		if steps > sm.cfg.preemptSteps {
+			steps = sm.cfg.preemptSteps
 		}
 		factor := sm.factorAt(sm.now)
 		dur, err := sm.quantumSecondsKind(q, steps, engine.SoCOnly, factor)

@@ -98,10 +98,6 @@ type SimConfig struct {
 	// scheduling boundaries (prefill dispatch and decode preemption
 	// points). 0 = never.
 	Timeout float64
-	// PreemptSteps is the decode-lane scheduling quantum in decode
-	// steps: after that many tokens the lane rotates to the next
-	// waiting query (round-robin). 0 selects DefaultPreemptSteps.
-	PreemptSteps int
 	// Tracer, when enabled, records the run's structured timeline —
 	// per-lane occupancy spans, queue-depth counters, admission/
 	// rejection/timeout instants and re-layout windows — in trace-event
@@ -128,9 +124,6 @@ type SimConfig struct {
 	// BreakerThreshold opens a replica's circuit breaker after that
 	// many consecutive failed PIM dispatches (0 disables the breaker).
 	BreakerThreshold int
-	// BreakerCooldown is the open-state dwell in seconds before a
-	// half-open probe (0 = DefaultBreakerCooldown).
-	BreakerCooldown float64
 	// MaxRetries is the client-side retry budget of a rejected
 	// arrival: each retry re-submits the query after a jittered,
 	// capped exponential backoff (DefaultRetryBase doubling up to
@@ -151,9 +144,16 @@ type SimConfig struct {
 	// over 1e5+ queries sets it to bound sample memory; TTFT and TTLT
 	// are unaffected.
 	NoTBT bool
+
+	// preemptSteps overrides the decode quantum when positive. Only
+	// this package's tests set it, to cross-check the quantum logic
+	// against the reference simulator at other values.
+	preemptSteps int
 }
 
-// DefaultPreemptSteps is the decode quantum when SimConfig leaves it 0.
+// DefaultPreemptSteps is the decode-lane scheduling quantum in decode
+// steps: after that many tokens the lane rotates to the next waiting
+// query (round-robin).
 const DefaultPreemptSteps = 8
 
 // Validate rejects degenerate scenarios: non-positive sizes, negative
@@ -178,15 +178,14 @@ func (c SimConfig) Validate() error {
 		return fmt.Errorf("serve: replica count must be positive")
 	}
 	for name, v := range map[string]float64{
-		"DeadlineTTLT":    c.DeadlineTTLT,
-		"Timeout":         c.Timeout,
-		"BreakerCooldown": c.BreakerCooldown,
+		"DeadlineTTLT": c.DeadlineTTLT,
+		"Timeout":      c.Timeout,
 	} {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("serve: %s must be a finite non-negative duration, got %g", name, v)
 		}
 	}
-	if c.QueueCap < 0 || c.PreemptSteps < 0 || c.MaxRetries < 0 || c.BreakerThreshold < 0 {
+	if c.QueueCap < 0 || c.MaxRetries < 0 || c.BreakerThreshold < 0 {
 		return fmt.Errorf("serve: negative limit in %+v", c)
 	}
 	if c.MaxRetries > 0 && c.QueueCap == 0 {
@@ -419,8 +418,7 @@ type sim struct {
 	preStatic []float64
 
 	// flt is nil with an empty fault scenario (layer off).
-	flt         *faultState
-	brkCooldown float64
+	flt *faultState
 
 	// retryRNG exists only when MaxRetries > 0.
 	retryRNG *rand.Rand
@@ -515,9 +513,11 @@ func Run(s *engine.System, cfg SimConfig) (Metrics, error) {
 }
 
 // Sim is a pausable, steppable serving simulation: Run's event loop
-// exposed one event at a time, so a long-running host (the facild
-// daemon) can advance virtual time on a background goroutine while
-// observers read lock-free Live counter snapshots between events.
+// exposed one event at a time, so a host can advance virtual time in
+// increments. The cluster router is that host: it drives one
+// Stream-mode Sim per fleet device between telemetry barriers.
+// Observers (facild's /metrics, which runs experiments through
+// run.Engine) read lock-free Live counter snapshots meanwhile.
 // Create with NewSim, call Step until it reports no more events, then
 // reduce with Finish. Driving the loop to exhaustion and calling Finish
 // is byte-identical to Run with the same config: stepping changes who
@@ -543,8 +543,8 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PreemptSteps == 0 {
-		cfg.PreemptSteps = DefaultPreemptSteps
+	if cfg.preemptSteps == 0 {
+		cfg.preemptSteps = DefaultPreemptSteps
 	}
 	var ds workload.Dataset
 	if !cfg.Stream {
@@ -608,10 +608,6 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 	sm.seq = int64(len(sm.qs))
 	sm.open = cfg.Queries
 	sm.sealed = !cfg.Stream
-	sm.brkCooldown = cfg.BreakerCooldown
-	if sm.brkCooldown == 0 {
-		sm.brkCooldown = DefaultBreakerCooldown
-	}
 	sm.stepMain = make([]float64, maxCtx+1)
 	sm.stepSoC = make([]float64, maxCtx+1)
 	sm.preStatic = make([]float64, maxPre+1)
@@ -639,16 +635,6 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 // the Sim (partial metrics are meaningless).
 func (s *Sim) Step() (bool, error) {
 	return s.sm.step()
-}
-
-// Now returns the simulation's virtual clock in seconds.
-func (s *Sim) Now() float64 { return s.sm.now }
-
-// Pending returns the number of scheduled events not yet processed:
-// arrivals still to stream plus queued events (including tail fault
-// events that Step will discard).
-func (s *Sim) Pending() int {
-	return len(s.sm.qs) - int(s.sm.nextArr) + len(s.sm.evs)
 }
 
 // Finish reduces the run into its Metrics. Call it once, after Step
@@ -1286,9 +1272,9 @@ func (sm *sim) emitTokens(q *query, start float64, steps int, kind engine.Kind, 
 }
 
 // dispatchDecode starts the next decode quantum on a replica's PIM lane
-// (round-robin over its decode queue at PreemptSteps granularity). With
-// the fault layer armed, a dead or breaker-guarded lane routes each
-// queued query through the degradation policy instead.
+// (round-robin over its decode queue, DefaultPreemptSteps steps at a
+// time). With the fault layer armed, a dead or breaker-guarded lane
+// routes each queued query through the degradation policy instead.
 func (sm *sim) dispatchDecode(ri int) error {
 	r := &sm.reps[ri]
 	for !r.pimBusy && !r.decodeQ.empty() {
@@ -1305,8 +1291,8 @@ func (sm *sim) dispatchDecode(ri int) error {
 			continue
 		}
 		steps := q.decode - 1 - q.stepsDone
-		if steps > sm.cfg.PreemptSteps {
-			steps = sm.cfg.PreemptSteps
+		if steps > sm.cfg.preemptSteps {
+			steps = sm.cfg.preemptSteps
 		}
 		// A relayout window may still hold the lane: the quantum is
 		// reserved now and starts when the weights are back.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"facil/internal/engine"
+	"facil/internal/stats"
 	"facil/internal/workload"
 )
 
@@ -239,7 +240,7 @@ func TestPreemptionRoundRobin(t *testing.T) {
 		cfg := simConfig(Cooperative, engine.FACIL, 50)
 		cfg.Workload = fixedSpec(16, 32)
 		cfg.Queries = 24
-		cfg.PreemptSteps = quantum
+		cfg.preemptSteps = quantum
 		m, err := Run(s, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -316,11 +317,9 @@ func TestMetricsSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, q := range map[string]struct {
-		v interface{ Finite() bool }
-	}{"TTFT": {m.TTFT}, "TTLT": {m.TTLT}, "TBT": {m.TBT}} {
-		if !q.v.Finite() {
-			t.Errorf("%s quantiles not finite: %+v", name, q.v)
+	for name, q := range map[string]stats.Quantiles{"TTFT": m.TTFT, "TTLT": m.TTLT, "TBT": m.TBT} {
+		if !finite(q) {
+			t.Errorf("%s quantiles not finite: %+v", name, q)
 		}
 	}
 	if m.TTFT.P50 > m.TTFT.P95 || m.TTFT.P95 > m.TTFT.P99 {
@@ -366,4 +365,14 @@ func TestSimConfigValidation(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
+}
+
+// finite reports whether every quantile is a finite number.
+func finite(q stats.Quantiles) bool {
+	for _, v := range []float64{q.Mean, q.P50, q.P95, q.P99} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

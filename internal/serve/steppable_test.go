@@ -132,3 +132,13 @@ func TestEventQueueOrder(t *testing.T) {
 		t.Errorf("%d events left after popping every push", len(q))
 	}
 }
+
+// Now returns the simulation's virtual clock in seconds.
+func (s *Sim) Now() float64 { return s.sm.now }
+
+// Pending returns the number of scheduled events not yet processed:
+// arrivals still to stream plus queued events (including tail fault
+// events that Step will discard).
+func (s *Sim) Pending() int {
+	return len(s.sm.qs) - int(s.sm.nextArr) + len(s.sm.evs)
+}

@@ -97,23 +97,13 @@ func gemmWeightStream(m interface {
 	}
 }
 
-// MeasureLayoutSlowdown returns the fractional slowdown of the GEMM's
+// MeasureMemSlowdown returns the fractional slowdown of the GEMM's
 // memory phase when the weight matrix uses the PIM mapping chosen by
-// SelectMapping instead of the conventional mapping, plus the end-to-end
-// slowdown for a given op (scaled by the op's memory-bound fraction).
-func MeasureLayoutSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (memSlowdown, opSlowdown float64, err error) {
-	memSlowdown, err = MeasureMemSlowdown(p, op, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	return memSlowdown, memSlowdown * p.MemoryBoundFraction(op), nil
-}
-
-// MeasureMemSlowdown returns the memory-phase half of
-// MeasureLayoutSlowdown. The replayed weight stream depends only on the
-// weight shape (op.In, op.Out, op.DTypeBytes), never on op.L, so callers
-// sweeping prefill lengths measure each shape once and scale it by each
-// op's MemoryBoundFraction.
+// SelectMapping instead of the conventional mapping. The op's end-to-end
+// slowdown is this times the op's MemoryBoundFraction. The replayed
+// weight stream depends only on the weight shape (op.In, op.Out,
+// op.DTypeBytes), never on op.L, so callers sweeping prefill lengths
+// measure each shape once and scale it by each op's MemoryBoundFraction.
 func MeasureMemSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (float64, error) {
 	cfg.defaults()
 	if err := op.Validate(); err != nil {

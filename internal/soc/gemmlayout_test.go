@@ -6,10 +6,11 @@ func TestLayoutSlowdownSmall(t *testing.T) {
 	// Table III: GEMM on the PIM-optimized layout loses at most a few
 	// percent when the kernel has normal memory-level parallelism.
 	op := Linear{L: 64, In: 4096, Out: 4096, DTypeBytes: 2}
-	mem, opSlow, err := MeasureLayoutSlowdown(IPhone, op, LayoutSlowdownConfig{SampleBytes: 2 << 20})
+	mem, err := MeasureMemSlowdown(IPhone, op, LayoutSlowdownConfig{SampleBytes: 2 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	opSlow := mem * IPhone.MemoryBoundFraction(op)
 	if mem < 0 {
 		t.Errorf("negative memory slowdown %g", mem)
 	}
@@ -26,11 +27,11 @@ func TestLayoutSlowdownFewStreamsWorse(t *testing.T) {
 	// bank locality hurts much more — the reason GPUs' abundant
 	// parallelism is what keeps Table III small.
 	op := Linear{L: 16, In: 4096, Out: 4096, DTypeBytes: 2}
-	oneStream, _, err := MeasureLayoutSlowdown(IPhone, op, LayoutSlowdownConfig{Streams: 1, SampleBytes: 1 << 20})
+	oneStream, err := MeasureMemSlowdown(IPhone, op, LayoutSlowdownConfig{Streams: 1, SampleBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	manyStreams, _, err := MeasureLayoutSlowdown(IPhone, op, LayoutSlowdownConfig{Streams: 128, SampleBytes: 1 << 20})
+	manyStreams, err := MeasureMemSlowdown(IPhone, op, LayoutSlowdownConfig{Streams: 128, SampleBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestLayoutSlowdownFewStreamsWorse(t *testing.T) {
 }
 
 func TestLayoutSlowdownValidation(t *testing.T) {
-	if _, _, err := MeasureLayoutSlowdown(IPhone, Linear{}, LayoutSlowdownConfig{}); err == nil {
+	if _, err := MeasureMemSlowdown(IPhone, Linear{}, LayoutSlowdownConfig{}); err == nil {
 		t.Error("invalid op accepted")
 	}
 }

@@ -39,18 +39,10 @@ func (op Linear) Bytes() float64 {
 	return w + x + y
 }
 
-// WeightBytes returns the weight footprint alone.
-func (op Linear) WeightBytes() int64 {
-	return int64(op.In) * int64(op.Out) * int64(op.DTypeBytes)
-}
-
 // ArithmeticIntensity returns FLOPs/Bytes.
 func (op Linear) ArithmeticIntensity() float64 {
 	return op.FLOPs() / op.Bytes()
 }
-
-// IsGEMV reports whether the op degenerates to a matrix-vector product.
-func (op Linear) IsGEMV() bool { return op.L == 1 }
 
 // Seconds returns the roofline execution time of the op on the platform:
 // FLOPs divided by min(peak FLOPS, AI × effective bandwidth). This mirrors

@@ -72,15 +72,6 @@ func TestLinearAccounting(t *testing.T) {
 	if got := op.Bytes(); got != wantBytes {
 		t.Errorf("Bytes = %g, want %g", got, wantBytes)
 	}
-	if got := op.WeightBytes(); got != 100*200*2 {
-		t.Errorf("WeightBytes = %d", got)
-	}
-	if !(Linear{L: 1, In: 2, Out: 2, DTypeBytes: 2}).IsGEMV() {
-		t.Error("L=1 not GEMV")
-	}
-	if (Linear{L: 2, In: 2, Out: 2, DTypeBytes: 2}).IsGEMV() {
-		t.Error("L=2 is GEMV")
-	}
 	if err := (Linear{L: 0, In: 1, Out: 1, DTypeBytes: 2}).Validate(); err == nil {
 		t.Error("L=0 accepted")
 	}

@@ -2,8 +2,8 @@ package stats
 
 // Outages accumulates down-interval observations of a repairable
 // resource (e.g. one replica's PIM decode lane): how often it went
-// down, for how long in total, and the derived mean-time-to-repair and
-// availability. The zero value is ready to use.
+// down, for how long in total, and the derived mean-time-to-repair.
+// The zero value is ready to use.
 type Outages struct {
 	// Count is the number of recorded outages.
 	Count int
@@ -21,33 +21,10 @@ func (o *Outages) Record(dur float64) {
 	o.TotalDown += dur
 }
 
-// Merge folds another tracker into o (merge-on-join, like the DRAM
-// channel counters).
-func (o *Outages) Merge(other Outages) {
-	o.Count += other.Count
-	o.TotalDown += other.TotalDown
-}
-
 // MTTR returns the mean outage duration, or 0 with no observations.
 func (o Outages) MTTR() float64 {
 	if o.Count == 0 {
 		return 0
 	}
 	return o.TotalDown / float64(o.Count)
-}
-
-// Availability returns the up-fraction over a span of resource-seconds,
-// clamped to [0, 1]; a non-positive span reports full availability.
-func (o Outages) Availability(span float64) float64 {
-	if span <= 0 {
-		return 1
-	}
-	a := 1 - o.TotalDown/span
-	if a < 0 {
-		return 0
-	}
-	if a > 1 {
-		return 1
-	}
-	return a
 }

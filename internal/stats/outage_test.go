@@ -4,8 +4,8 @@ import "testing"
 
 func TestOutages(t *testing.T) {
 	var o Outages
-	if o.MTTR() != 0 || o.Availability(10) != 1 {
-		t.Fatalf("zero tracker: MTTR=%g availability=%g", o.MTTR(), o.Availability(10))
+	if o.MTTR() != 0 {
+		t.Fatalf("zero tracker: MTTR=%g", o.MTTR())
 	}
 	o.Record(2)
 	o.Record(4)
@@ -16,20 +16,5 @@ func TestOutages(t *testing.T) {
 	}
 	if got := o.MTTR(); got != 3 {
 		t.Fatalf("MTTR = %g, want 3", got)
-	}
-	if got := o.Availability(12); got != 0.5 {
-		t.Fatalf("Availability(12) = %g, want 0.5", got)
-	}
-	if got := o.Availability(3); got != 0 {
-		t.Fatalf("Availability(3) = %g, want clamp to 0", got)
-	}
-	if got := o.Availability(0); got != 1 {
-		t.Fatalf("Availability(0) = %g, want 1", got)
-	}
-	var sum Outages
-	sum.Merge(o)
-	sum.Merge(Outages{Count: 1, TotalDown: 2})
-	if sum.Count != 3 || sum.TotalDown != 8 {
-		t.Fatalf("merged = %+v", sum)
 	}
 }

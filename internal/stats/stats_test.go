@@ -57,39 +57,13 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// TestMinMax checks that the 0th and 100th percentiles are the extrema.
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("Min/Max = %g/%g", Min(xs), Max(xs))
+	if lo, hi := Percentile(xs, 0), Percentile(xs, 100); lo != -1 || hi != 7 {
+		t.Errorf("p0/p100 = %g/%g, want -1/7", lo, hi)
 	}
-	if Min(nil) != 0 || Max(nil) != 0 {
+	if Percentile(nil, 0) != 0 || Percentile(nil, 100) != 0 {
 		t.Error("empty extrema must be 0")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 0.5, 1.5, 2.5, 9.9, 10, -1}, 0, 10, 10)
-	if h[0] != 2 || h[1] != 1 || h[2] != 1 || h[9] != 1 {
-		t.Errorf("Histogram = %v", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != 5 { // 10 and -1 excluded
-		t.Errorf("histogram counted %d values, want 5", total)
-	}
-	if got := Histogram(nil, 0, 0, 0); len(got) != 0 {
-		t.Errorf("degenerate histogram = %v", got)
 	}
 }

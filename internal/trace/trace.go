@@ -1,4 +1,4 @@
-// Package trace reads, writes and generates physical-address memory
+// Package trace reads and generates physical-address memory
 // traces for the DRAM simulator, in a line-oriented text format
 // compatible with common academic trace tools:
 //
@@ -70,21 +70,6 @@ func Parse(r io.Reader) ([]Entry, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Write emits entries in the text format.
-func Write(w io.Writer, entries []Entry) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range entries {
-		op := "R"
-		if e.Write {
-			op = "W"
-		}
-		if _, err := fmt.Fprintf(bw, "%d %s 0x%x\n", e.Arrival, op, e.Phys); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // ToRequests translates entries into DRAM requests through a mapping.

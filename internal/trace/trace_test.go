@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -129,4 +132,19 @@ func TestTraceThroughSimulator(t *testing.T) {
 	if res.BandwidthGBs < 0.8*spec.PeakBandwidthGBs() {
 		t.Errorf("sequential trace bandwidth %.1f GB/s", res.BandwidthGBs)
 	}
+}
+
+// Write emits entries in the text format.
+func Write(w io.Writer, entries []Entry) error {
+	bw := bufio.NewWriter(w)
+	for _, e := range entries {
+		op := "R"
+		if e.Write {
+			op = "W"
+		}
+		if _, err := fmt.Fprintf(bw, "%d %s 0x%x\n", e.Arrival, op, e.Phys); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }

@@ -176,22 +176,6 @@ func (e *Evaluator) prepare(g Genome) error {
 	return nil
 }
 
-// packedDA translates one burst code through the prepared LUTs and
-// unpacks the coordinates the cost loop uses: dense global bank
-// (bank | rank<<bankBits | channel<<(bankBits+rankBits)), full row
-// index, column, and channel. Tests verify it bit-identical to the
-// built addr mapping.
-func (e *Evaluator) packedDA(code uint32) (gb, row, col, ch uint32) {
-	pb := code & e.pageMask
-	pg := code >> e.pageBits
-	da := e.lo[pb&0xff] ^ e.hi[pb>>8]
-	gb = (da >> e.colBits) & e.puMask
-	row = (da >> (e.colBits + e.puBits)) | (pg << e.pageRowBits)
-	col = da & (1<<e.colBits - 1)
-	ch = gb >> (e.bankBits + e.rankBit)
-	return
-}
-
 // Score evaluates one candidate with a paced virtual-time replay:
 // bursts arrive at the memory system's peak consumption rate (one per
 // channel per cycle, matching SimScore's pacing), each burst issues

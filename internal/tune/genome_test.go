@@ -56,14 +56,14 @@ func TestSpaceAllPlatforms(t *testing.T) {
 	for _, spec := range testSpecs() {
 		s := testSpace(t, spec)
 		g := spec.Geometry
-		if got, want := s.PageBits(), 21-g.OffsetBits(); got != want {
+		if got, want := s.pageBits, 21-g.OffsetBits(); got != want {
 			t.Errorf("%s: PageBits = %d, want %d", spec.Name, got, want)
 		}
-		wantRow := s.PageBits() - g.ColumnBits() - g.BankBits() - g.RankBits() - g.ChannelBits()
-		if got := s.PageRowBits(); got != wantRow {
+		wantRow := s.pageBits - g.ColumnBits() - g.BankBits() - g.RankBits() - g.ChannelBits()
+		if got := s.pageRowBits; got != wantRow {
 			t.Errorf("%s: PageRowBits = %d, want %d", spec.Name, got, wantRow)
 		}
-		if got := s.ChunkPrefixBits(); got != g.ColumnBits() {
+		if got := s.chunkPrefix; got != g.ColumnBits() {
 			t.Errorf("%s: ChunkPrefixBits = %d, want %d (AiM chunk = whole row)", spec.Name, got, g.ColumnBits())
 		}
 	}
@@ -136,7 +136,7 @@ func TestValidateRejects(t *testing.T) {
 			g.XOR = []addr.XORPair{p, p}
 		})},
 		{"non-page row source", mutate(func(g *Genome) {
-			g.XOR = []addr.XORPair{{Target: addr.FieldBank, TargetBit: 0, RowBit: s.PageRowBits()}}
+			g.XOR = []addr.XORPair{{Target: addr.FieldBank, TargetBit: 0, RowBit: s.pageRowBits}}
 		})},
 		{"XOR target out of range", mutate(func(g *Genome) {
 			g.XOR = []addr.XORPair{{Target: addr.FieldChannel, TargetBit: 99, RowBit: 0}}
@@ -185,7 +185,7 @@ func TestGeneralizedBijectionExhaustive(t *testing.T) {
 		s := testSpace(t, spec)
 		g := spec.Geometry
 		offBits := uint(g.OffsetBits())
-		pageBursts := 1 << uint(s.PageBits())
+		pageBursts := 1 << uint(s.pageBits)
 		for _, genome := range exhaustiveGenomes(t, s) {
 			m, err := s.Build(genome)
 			if err != nil {
@@ -241,7 +241,7 @@ func genomeFromFuzz(s *Space, permSeed uint64, xorA, xorB uint16) (Genome, bool)
 		return Genome{}, false
 	}
 	g := genomes[int(permSeed%uint64(len(genomes)))].Clone()
-	lo := s.ChunkPrefixBits()
+	lo := s.chunkPrefix
 	x := permSeed
 	for j := len(g.Fields) - 1; j > lo; j-- {
 		x = splitmix64(x)

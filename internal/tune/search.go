@@ -15,12 +15,9 @@ import (
 
 // Config parameterizes one search run.
 type Config struct {
-	// Spec is the memory system candidates are scored against.
+	// Spec is the memory system candidates are scored against; the
+	// space is its 2 MiB huge page under AiM chunks.
 	Spec dram.Spec
-	// HugePageBytes is the OS huge-page size (default 2 MiB).
-	HugePageBytes int
-	// Chunk is the PIM chunk shape (zero value selects AiM).
-	Chunk mapping.ChunkConfig
 	// Trace is the captured workload trace every candidate replays.
 	Trace *Trace
 	// Baseline is the fixed MapID re-layout cost is measured against —
@@ -29,13 +26,8 @@ type Config struct {
 	Baseline mapping.MapID
 	// Budget caps the number of unique candidates scored (default 512).
 	Budget int
-	// PopSize is the number of fresh candidates per generation
-	// (default 32).
-	PopSize int
 	// TopK caps the returned Pareto front (default 8).
 	TopK int
-	// MaxXOR caps a candidate's XOR hash terms (default 2).
-	MaxXOR int
 	// Seed drives the deterministic mutation stream (default 1).
 	Seed int64
 	// Workers bounds the evaluation pool (<= 0 selects GOMAXPROCS).
@@ -46,24 +38,19 @@ type Config struct {
 	EstWindow int
 }
 
+// popSize is the number of fresh candidates per generation, and maxXOR
+// caps a candidate's XOR hash terms.
+const (
+	popSize = 32
+	maxXOR  = 2
+)
+
 func (c *Config) defaults() {
-	if c.HugePageBytes <= 0 {
-		c.HugePageBytes = 2 << 20
-	}
-	if c.Chunk == (mapping.ChunkConfig{}) {
-		c.Chunk = mapping.AiMChunk(c.Spec.Geometry)
-	}
 	if c.Budget <= 0 {
 		c.Budget = 512
 	}
-	if c.PopSize <= 0 {
-		c.PopSize = 32
-	}
 	if c.TopK <= 0 {
 		c.TopK = 8
-	}
-	if c.MaxXOR <= 0 {
-		c.MaxXOR = 2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -121,7 +108,8 @@ const (
 // byte-identical results at any worker count.
 func Search(ctx context.Context, cfg Config) (*Result, error) {
 	cfg.defaults()
-	space, err := NewSpace(mapping.MemoryConfig{Geometry: cfg.Spec.Geometry, HugePageBytes: cfg.HugePageBytes}, cfg.Chunk)
+	geo := cfg.Spec.Geometry
+	space, err := NewSpace(mapping.MemoryConfig{Geometry: geo, HugePageBytes: 2 << 20}, mapping.AiMChunk(geo))
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +146,6 @@ func Search(ctx context.Context, cfg Config) (*Result, error) {
 	}}
 
 	var flight parallel.Flight[string, Cost]
-	geo := cfg.Spec.Geometry
 	score := func(g Genome, key string) (Cost, error) {
 		return flight.Do(key, func() (Cost, error) {
 			m, err := space.Build(g)
@@ -209,10 +196,10 @@ func Search(ctx context.Context, cfg Config) (*Result, error) {
 	front := paretoFront(all, 0)
 	for res.Evaluated < cfg.Budget {
 		want := cfg.Budget - res.Evaluated
-		if want > cfg.PopSize {
-			want = cfg.PopSize
+		if want > popSize {
+			want = popSize
 		}
-		batch := nextGeneration(space, rng, front, want, cfg.MaxXOR, seen)
+		batch := nextGeneration(space, rng, front, want, seen)
 		if len(batch) == 0 {
 			break // mutation stream exhausted the reachable neighborhood
 		}
@@ -229,7 +216,7 @@ func Search(ctx context.Context, cfg Config) (*Result, error) {
 // mutating random front members. The rng is consumed serially, keeping
 // the candidate stream deterministic; proposals are capped so an
 // exhausted neighborhood terminates the search instead of spinning.
-func nextGeneration(s *Space, rng *rand.Rand, front []Candidate, want, maxXOR int, seen map[string]bool) []Genome {
+func nextGeneration(s *Space, rng *rand.Rand, front []Candidate, want int, seen map[string]bool) []Genome {
 	var out []Genome
 	for tries := 0; len(out) < want && tries < 64*want; tries++ {
 		parent := front[rng.Intn(len(front))].Genome

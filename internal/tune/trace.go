@@ -48,12 +48,10 @@ type TraceConfig struct {
 	// SampleBytes bounds each phase's simulated weight window
 	// (default 2 MiB — one huge page).
 	SampleBytes int64
-	// DecodeWeight scales the GEMV segment (default 1); callers pass
-	// the workload's median decode length so the combined score
-	// reflects decode-dominance.
+	// DecodeWeight scales the GEMV segment (default 1) against the GEMM
+	// segment's fixed weight of 1; callers pass the workload's median
+	// decode length so the combined score reflects decode-dominance.
 	DecodeWeight float64
-	// PrefillWeight scales the GEMM segment (default 1).
-	PrefillWeight float64
 }
 
 // CaptureTrace generates the two-phase canonical trace for a workload:
@@ -62,7 +60,7 @@ type TraceConfig struct {
 //     the weight matrix (each all-bank pass streams every row once).
 //   - gemm: the SoC prefill access shape — Streams concurrent row
 //     walkers advancing one burst per tick, mirroring the tiled-kernel
-//     model of soc.MeasureLayoutSlowdown.
+//     model of soc.MeasureMemSlowdown.
 //
 // Both phases are emitted as physical burst indices so one captured
 // trace scores every candidate mapping.
@@ -81,9 +79,6 @@ func CaptureTrace(g dram.Geometry, cfg TraceConfig) (*Trace, error) {
 	}
 	if cfg.DecodeWeight <= 0 {
 		cfg.DecodeWeight = 1
-	}
-	if cfg.PrefillWeight <= 0 {
-		cfg.PrefillWeight = 1
 	}
 	transfer := int64(g.TransferBytes)
 	offBits := uint(g.OffsetBits())
@@ -132,7 +127,7 @@ walk:
 		}
 	}
 	tr.Segments = append(tr.Segments, TraceSegment{
-		Label: "gemm", Start: start, End: len(tr.Codes), Weight: cfg.PrefillWeight,
+		Label: "gemm", Start: start, End: len(tr.Codes), Weight: 1,
 	})
 
 	if len(tr.Codes) == 0 {

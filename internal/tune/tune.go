@@ -49,7 +49,7 @@ type Space struct {
 	rankBits    int
 	chBits      int
 	puBits      int // bankBits + rankBits + chBits
-	pageRowBits int // row bits placed inside the page offset
+	pageRowBits int // row bits inside the page offset: the only legal XOR sources
 }
 
 // NewSpace validates the configuration and derives the bit budget.
@@ -90,19 +90,6 @@ func NewSpace(mc mapping.MemoryConfig, chunk mapping.ChunkConfig) (*Space, error
 	}
 	return s, nil
 }
-
-// PageBits returns the number of searchable huge-page offset bits (above
-// the byte-within-burst offset).
-func (s *Space) PageBits() int { return s.pageBits }
-
-// PageRowBits returns how many DRAM row bits live inside the page offset
-// — the only legal XOR hash sources, since the mapping must remain a
-// pure function of the page offset for per-page PTE selection.
-func (s *Space) PageRowBits() int { return s.pageRowBits }
-
-// ChunkPrefixBits returns the number of low column bits pinned to the
-// bottom of the page offset (the chunk column dimension).
-func (s *Space) ChunkPrefixBits() int { return s.chunkPrefix }
 
 // log2 returns the floor base-2 logarithm of v (0 for v < 1); inputs are
 // validated powers of two.

@@ -64,7 +64,7 @@ func TestCompactionScanWindowBoundsWork(t *testing.T) {
 func TestAddressSpaceCompactionCountersAccumulate(t *testing.T) {
 	as := testAddressSpace(t)
 	// Fragment the buddy underneath the address space, then pimalloc.
-	b := as.Buddy()
+	b := as.buddy
 	// Consume most free memory as singles to force compaction.
 	total := b.FreeFrames()
 	for i := int64(0); i < total-3*FramesPerHugePage; i++ {

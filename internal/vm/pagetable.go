@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 
 	"facil/internal/mapping"
 )
@@ -94,29 +93,4 @@ func (pt *PageTable) Walk(va uint64) (Translation, error) {
 		}, nil
 	}
 	return Translation{}, fmt.Errorf("vm: page fault at %#x", va)
-}
-
-// Entry returns the raw PTE covering va, if any.
-func (pt *PageTable) Entry(va uint64) (PTE, bool) {
-	if e, ok := pt.huge[va>>HugePageBits]; ok {
-		return e, true
-	}
-	e, ok := pt.base[va>>BasePageBits]
-	return e, ok
-}
-
-// Mapped returns the total mapped bytes.
-func (pt *PageTable) Mapped() int64 {
-	return int64(len(pt.base))*BasePageBytes + int64(len(pt.huge))*HugePageBytes
-}
-
-// HugeEntries returns the huge-page virtual bases in ascending order;
-// useful for relayout walks and diagnostics.
-func (pt *PageTable) HugeEntries() []uint64 {
-	vas := make([]uint64, 0, len(pt.huge))
-	for vpn := range pt.huge {
-		vas = append(vas, vpn<<HugePageBits)
-	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-	return vas
 }

@@ -27,12 +27,6 @@ type Region struct {
 	PageBytes int
 }
 
-// End returns the first virtual address past the region.
-func (r *Region) End() uint64 { return r.VA + uint64(r.MappedBytes) }
-
-// Contains reports whether va falls inside the region.
-func (r *Region) Contains(va uint64) bool { return va >= r.VA && va < r.End() }
-
 // AddressSpace is the OS-side allocation state of one FACIL system: a
 // physical buddy allocator, a page table, and the mapping selector wiring
 // of paper Fig. 7(a):
@@ -94,15 +88,6 @@ func NewAddressSpace(mem mapping.MemoryConfig, chunk mapping.ChunkConfig, seed i
 // PageTable exposes the address space's page table (for the TLB and the
 // memory-controller request path).
 func (as *AddressSpace) PageTable() *PageTable { return as.pt }
-
-// Buddy exposes the physical allocator (for fragmentation experiments).
-func (as *AddressSpace) Buddy() *Buddy { return as.buddy }
-
-// Memory returns the memory configuration.
-func (as *AddressSpace) Memory() mapping.MemoryConfig { return as.mem }
-
-// Chunk returns the PIM chunk configuration.
-func (as *AddressSpace) Chunk() mapping.ChunkConfig { return as.chunk }
 
 // reserveVA carves an aligned virtual range.
 func (as *AddressSpace) reserveVA(bytes int64, align uint64) uint64 {

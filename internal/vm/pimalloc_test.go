@@ -72,9 +72,6 @@ func TestPimallocRegionGeometry(t *testing.T) {
 	if reg.MappedBytes%HugePageBytes != 0 {
 		t.Errorf("MappedBytes = %d not page multiple", reg.MappedBytes)
 	}
-	if !reg.Contains(reg.VA) || reg.Contains(reg.End()) {
-		t.Error("Contains boundary check wrong")
-	}
 }
 
 func TestConventionalAlloc(t *testing.T) {
@@ -103,18 +100,18 @@ func TestConventionalAlloc(t *testing.T) {
 
 func TestFreeReturnsMemory(t *testing.T) {
 	as := testAddressSpace(t)
-	before := as.Buddy().FreeFrames()
+	before := as.buddy.FreeFrames()
 	reg, err := as.Pimalloc(mapping.MatrixConfig{Rows: 1024, Cols: 1024, DTypeBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if as.Buddy().FreeFrames() >= before {
+	if as.buddy.FreeFrames() >= before {
 		t.Error("allocation did not consume frames")
 	}
 	if err := as.Free(reg); err != nil {
 		t.Fatal(err)
 	}
-	if got := as.Buddy().FreeFrames(); got != before {
+	if got := as.buddy.FreeFrames(); got != before {
 		t.Errorf("free frames = %d after Free, want %d", got, before)
 	}
 	if _, err := as.PageTable().Walk(reg.VA); err == nil {

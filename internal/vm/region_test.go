@@ -116,3 +116,29 @@ func BenchmarkAllocHugePageFragmented(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.CompactedPages), "compactions/op")
 }
+
+// FreeInRegion counts free frames within [start, start+n). Every 2 MB
+// region the range covers whole is read from its counter; only the
+// unaligned edges are scanned frame by frame.
+func (b *Buddy) FreeInRegion(start, n int) int {
+	end := min(start+n, b.frames)
+	c := 0
+	for f := start; f < end; {
+		r := f / FramesPerHugePage
+		rEnd := min((r+1)*FramesPerHugePage, b.frames)
+		if f == r*FramesPerHugePage && rEnd <= end {
+			c += int(b.regionFree[r])
+			f = rEnd
+			continue
+		}
+		for stop := min(rEnd, end); f < stop; f++ {
+			if b.frameFree[f] {
+				c++
+			}
+		}
+	}
+	return c
+}
+
+// FrameFree reports whether one frame is free.
+func (b *Buddy) FrameFree(f int) bool { return b.frameFree[f] }
