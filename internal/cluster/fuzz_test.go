@@ -33,6 +33,18 @@ func testModel(p soc.Platform) llm.Model {
 	}
 }
 
+// testSystem builds a device class's stack, on a derated PIM stack when
+// the class overrides its MAC interval.
+func testSystem(c DeviceClass) (*engine.System, error) {
+	cfg := engine.DefaultConfig()
+	if c.MACIntervalCycles > 0 {
+		pc := pim.DefaultAiM(c.Platform.Spec.Geometry)
+		pc.MACIntervalCycles = c.MACIntervalCycles
+		cfg.PIM = &pc
+	}
+	return engine.NewSystem(c.Platform, testModel(c.Platform), cfg)
+}
+
 // testFleet builds (or reuses) a fleet whose classes are selected by
 // the low four bits of mask — one device per selected platform, the
 // IdeaPad on a derated PIM stack so heterogeneity includes PIM config.
@@ -61,15 +73,7 @@ func testFleet(t testing.TB, mask uint8) *Fleet {
 			classes = append(classes, c)
 		}
 	}
-	fl, err := NewFleet(classes, func(c DeviceClass) (*engine.System, error) {
-		cfg := engine.DefaultConfig()
-		if c.MACIntervalCycles > 0 {
-			pc := pim.DefaultAiM(c.Platform.Spec.Geometry)
-			pc.MACIntervalCycles = c.MACIntervalCycles
-			cfg.PIM = &pc
-		}
-		return engine.NewSystem(c.Platform, testModel(c.Platform), cfg)
-	})
+	fl, err := NewFleet(classes, testSystem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +85,7 @@ func testFleet(t testing.TB, mask uint8) *Fleet {
 // (strategy, fleet-mix, fault, load, steal) corners and checks the two
 // properties every configuration must keep: the run's conservation
 // identities hold — including the migration flow when stealing is
-// enabled — and a 4-worker run reproduces the serial run exactly.
+// enabled — and 3- and 4-worker runs reproduce the serial run exactly.
 func FuzzCluster(f *testing.F) {
 	f.Add(uint8(0), uint8(0x0F), uint8(0), uint8(40), uint8(0))
 	f.Add(uint8(1), uint8(0x03), uint8(7), uint8(60), uint8(0))
@@ -141,8 +145,10 @@ func FuzzCluster(f *testing.F) {
 		if got := serial.Completed + serial.Failed + serial.TimedOut + serial.Rejected; got != serial.Routed {
 			t.Errorf("terminal %d != routed %d", got, serial.Routed)
 		}
-		if par := run(4); !reflect.DeepEqual(serial, par) {
-			t.Errorf("par 4 metrics diverge from serial:\n%+v\nvs\n%+v", serial, par)
+		for _, p := range []int{3, 4} {
+			if par := run(p); !reflect.DeepEqual(serial, par) {
+				t.Errorf("par %d metrics diverge from serial:\n%+v\nvs\n%+v", p, serial, par)
+			}
 		}
 	})
 }

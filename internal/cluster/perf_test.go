@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
-	"facil/internal/engine"
 	"facil/internal/serve"
 	"facil/internal/soc"
 	"facil/internal/workload"
@@ -34,31 +34,31 @@ func clusterBenchConfig(steal bool) Config {
 		FaultSeed:              99,
 		Steal:                  steal,
 		StealThreshold:         6,
-		Parallelism:            1,
 	}
 }
 
 // BenchmarkClusterRun measures a full serial cluster.Run per routed
 // query (fleet construction excluded) without and with the barrier
 // re-route (steal) phase; the ratio of the two is the price of the
-// migration machinery on a fleet that actually steals.
+// migration machinery on a fleet that actually steals. steal-par runs
+// the stealing case with one device shard per GOMAXPROCS worker.
 func BenchmarkClusterRun(b *testing.B) {
 	fl, err := NewFleet([]DeviceClass{
 		{Platform: soc.Jetson, Count: 2},
 		{Platform: soc.Macbook, Count: 2},
 		{Platform: soc.IPhone, Count: 4},
-	}, func(c DeviceClass) (*engine.System, error) {
-		return engine.NewSystem(c.Platform, testModel(c.Platform), engine.DefaultConfig())
-	})
+	}, testSystem)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
 		name  string
 		steal bool
-	}{{"plain", false}, {"steal", true}} {
+		par   int
+	}{{"plain", false, 1}, {"steal", true, 1}, {"steal-par", true, runtime.GOMAXPROCS(0)}} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := clusterBenchConfig(bc.steal)
+			cfg.Parallelism = bc.par
 			// One warm run so the shared latency caches don't bill the
 			// first iteration.
 			if _, err := Run(context.Background(), fl, cfg); err != nil {

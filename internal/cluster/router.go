@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"facil/internal/engine"
 	"facil/internal/fault"
@@ -57,13 +58,112 @@ func faulty(cfg Config, di int) bool {
 	return float64(h>>11)/(1<<53) < cfg.FaultFraction
 }
 
+// eligible is the router's routing/stealing admission predicate: a
+// device is out while its health breaker blocks it, and a half-open
+// device stops receiving once its probation quota for the current
+// barrier interval is spent.
+func eligible(cfg *Config, d *device, at float64) bool {
+	if cfg.BreakerThreshold == 0 {
+		return true
+	}
+	if d.brk.Blocked(at, cfg.BreakerCooldown) {
+		return false
+	}
+	return !d.brk.Probing() || d.probes < DefaultProbeQuota
+}
+
+// routeViews holds the DeviceViews the strategy reads between two
+// barriers and refreshes only the ones that can have changed. Between
+// barriers the router mutates one device per arrival — the one assign
+// routes to (ledger, half-open admission, probation count) — and every
+// other view depends on the clock only through its breaker's Blocked,
+// which can only turn false as the clock moves forward. So after a full
+// rebuild at the first arrival past a barrier, each later arrival
+// rebuilds the last assigned view plus the views that were still
+// blocked; the result equals a full rebuild at that arrival.
+type routeViews struct {
+	cfg   *Config
+	devs  []*device
+	views []DeviceView
+	// blocked lists the devices whose breaker blocked them at the last
+	// refresh, in index order.
+	blocked []int
+	// picked is the device assigned since the last refresh (-1: none).
+	picked int
+	// stale forces the next refresh to rebuild every view; set it
+	// whenever devices change outside assign (every barrier).
+	stale bool
+}
+
+func newRouteViews(cfg *Config, devs []*device) *routeViews {
+	return &routeViews{cfg: cfg, devs: devs, views: make([]DeviceView, len(devs)), picked: -1, stale: true}
+}
+
+// refresh brings every view up to date for an arrival at at (at never
+// decreases between invalidations) and returns them.
+func (rv *routeViews) refresh(at float64) []DeviceView {
+	if rv.stale {
+		rv.blocked = rv.blocked[:0]
+		for i := range rv.views {
+			if rv.set(i, at) {
+				rv.blocked = append(rv.blocked, i)
+			}
+		}
+		rv.stale = false
+	} else {
+		if rv.picked >= 0 {
+			// An assigned device was eligible, hence not blocked and
+			// not in the blocked list, and assign cannot open a breaker.
+			rv.set(rv.picked, at)
+		}
+		still := rv.blocked[:0]
+		for _, i := range rv.blocked {
+			if rv.set(i, at) {
+				still = append(still, i)
+			}
+		}
+		rv.blocked = still
+	}
+	rv.picked = -1
+	return rv.views
+}
+
+// set rebuilds view i at time at and reports whether device i's breaker
+// blocks it then.
+func (rv *routeViews) set(i int, at float64) bool {
+	d := rv.devs[i]
+	rv.views[i] = DeviceView{
+		Eligible: eligible(rv.cfg, d, at),
+		InFlight: d.inflight,
+		TTFTEWMA: d.ewma,
+	}
+	return rv.cfg.BreakerThreshold > 0 && d.brk.Blocked(at, rv.cfg.BreakerCooldown)
+}
+
+// assign books an arrival at at onto device i in the router's ledger.
+// Routing to a cooled-down open breaker is the half-open probe; the
+// next collect's outcome closes or reopens it, and the probation quota
+// meters further traffic until then.
+func (rv *routeViews) assign(i int, at float64) {
+	d := rv.devs[i]
+	if rv.cfg.BreakerThreshold > 0 {
+		d.brk.Admit(at, rv.cfg.BreakerCooldown)
+		if d.brk.Probing() {
+			d.probes++
+		}
+	}
+	d.inflight++
+	d.routed++
+	rv.picked = i
+}
+
 // Run routes cfg.Queries across the fleet under cfg.Strategy and
 // returns the cluster-level reduction. The run is deterministic in
 // (cfg, fleet) at any Parallelism: all cross-device information flows
 // through the serial route/collect phases at telemetry barriers, and
-// between barriers devices advance independently (concurrently, via
-// parallel.Sweep) with no shared mutable state — see DESIGN.md §13 for
-// the merge argument.
+// between barriers devices advance independently (one interleaved
+// device shard per worker, via parallel.Sweep) with no shared mutable
+// state — see DESIGN.md §13 for the merge argument.
 func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -116,36 +216,35 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	arrRNG := rand.New(rand.NewSource(cfg.Seed))
 	clsRNG := rand.New(rand.NewSource(cfg.Seed + 3))
 	strat := NewStrategy(cfg.Strategy)
-	views := make([]DeviceView, n)
-	idxs := make([]int, n)
-	for i := range idxs {
-		idxs[i] = i
-	}
 
 	m := Metrics{Strategy: cfg.Strategy, Devices: n, Queries: cfg.Queries, Steal: cfg.Steal}
 	Live.runsStarted.Add(1)
 
-	// eligible is the router's routing/stealing admission predicate: a
-	// device is out while its health breaker blocks it, and a half-open
-	// device stops receiving once its probation quota for the current
-	// barrier interval is spent.
-	eligible := func(d *device, at float64) bool {
-		if cfg.BreakerThreshold == 0 {
-			return true
-		}
-		if d.brk.Blocked(at, cfg.BreakerCooldown) {
-			return false
-		}
-		return !d.brk.Probing() || d.probes < DefaultProbeQuota
-	}
+	rv := newRouteViews(&cfg, devs)
 
 	// advanceAll moves every device's virtual clock up to (strictly
-	// before) t, concurrently; devices share nothing mutable, and
-	// results are discarded by index, so worker count cannot matter.
+	// before) t. Worker w advances the interleaved shard i ≡ w (mod nw)
+	// serially — interleaving spreads each class's devices over every
+	// worker — so a barrier costs nw dispatches, not n. Devices share
+	// nothing mutable, so worker count cannot matter.
+	nw := cfg.Parallelism
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
+	}
+	nw = min(nw, n)
+	shards := make([]int, nw)
+	for w := range shards {
+		shards[w] = w
+	}
 	advanceAll := func(t float64) error {
-		_, err := parallel.Sweep(ctx, idxs, func(_ context.Context, i int) (struct{}, error) {
-			return struct{}{}, devs[i].sim.AdvanceTo(t)
-		}, parallel.Workers(cfg.Parallelism))
+		_, err := parallel.Sweep(ctx, shards, func(_ context.Context, w int) (struct{}, error) {
+			for i := w; i < n; i += nw {
+				if err := devs[i].sim.AdvanceTo(t); err != nil {
+					return struct{}{}, err
+				}
+			}
+			return struct{}{}, nil
+		}, parallel.Workers(nw))
 		return err
 	}
 	// collect refreshes the router's ledger from each device's counters
@@ -214,7 +313,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 				dst := -1
 				var dstScore float64
 				for j, e := range devs {
-					if j == di || !eligible(e, at) {
+					if j == di || !eligible(&cfg, e, at) {
 						continue
 					}
 					if cfg.QueueCap > 0 && e.inflight >= cfg.QueueCap {
@@ -293,6 +392,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 		m.Barriers++
 		Live.barriers.Add(1)
 		nextB += cfg.SyncInterval
+		rv.stale = true
 		return nil
 	}
 
@@ -319,13 +419,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			Prefill: ds.Queries[qi].Prefill, Decode: ds.Queries[qi].Decode,
 			Class: class,
 		}
-		for i, d := range devs {
-			views[i] = DeviceView{
-				Eligible: eligible(d, clock),
-				InFlight: d.inflight,
-				TTFTEWMA: d.ewma,
-			}
-		}
+		views := rv.refresh(clock)
 		pick := strat.Pick(views, q)
 		if pick < 0 {
 			m.Shed++
@@ -336,21 +430,10 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 		if pick >= n || !views[pick].Eligible {
 			return Metrics{}, fmt.Errorf("cluster: strategy %s picked invalid device %d", cfg.Strategy, pick)
 		}
-		d := devs[pick]
-		if cfg.BreakerThreshold > 0 {
-			// Routing to a cooled-down open breaker is the half-open
-			// probe; the next collect's outcome closes or reopens it,
-			// and the probation quota meters further traffic until then.
-			d.brk.Admit(clock, cfg.BreakerCooldown)
-			if d.brk.Probing() {
-				d.probes++
-			}
-		}
-		if err := d.sim.Inject(clock, q.Prefill, q.Decode); err != nil {
+		rv.assign(pick, clock)
+		if err := devs[pick].sim.Inject(clock, q.Prefill, q.Decode); err != nil {
 			return Metrics{}, err
 		}
-		d.inflight++
-		d.routed++
 		m.Routed++
 		Live.routed.Add(1)
 	}
@@ -390,6 +473,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	// the per-device utilization/availability within each class.
 	var allTTFT, allTTLT []float64
 	classTTFT := make([][]float64, len(fl.classes))
+	classSorted := make([][]float64, len(fl.classes))
 	m.PerClass = make([]ClassMetrics, len(fl.classes))
 	for ci, cl := range fl.classes {
 		m.PerClass[ci] = ClassMetrics{Class: cl.Label(), Devices: cl.Count}
@@ -431,9 +515,12 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			pc.PIMUtilization /= float64(pc.Devices)
 			pc.Availability /= float64(pc.Devices)
 		}
-		pc.TTFT = stats.QuantilesOf(classTTFT[ci])
+		classSorted[ci] = stats.SortedCopy(classTTFT[ci])
+		pc.TTFT = stats.QuantilesOfSorted(classTTFT[ci], classSorted[ci])
 	}
-	m.TTFT = stats.QuantilesOf(allTTFT)
+	// The fleet's TTFT sample is the union of the class samples, so
+	// merge their sorted copies instead of sorting it again.
+	m.TTFT = stats.QuantilesOfSorted(allTTFT, stats.MergeSorted(classSorted...))
 	m.TTLT = stats.QuantilesOf(allTTLT)
 	if m.Makespan > 0 {
 		m.ThroughputQPS = float64(m.Completed) / m.Makespan

@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -38,6 +40,11 @@ const (
 
 // ErrDraining rejects submissions once a drain has begun.
 var ErrDraining = errors.New("daemon: draining, not accepting runs")
+
+// maxFinishedRuns caps how many finished (done, failed or canceled)
+// runs a Server retains; past it the oldest finished runs are evicted
+// and their IDs answer 410 Gone.
+const maxFinishedRuns = 256
 
 // Options configures a Server.
 type Options struct {
@@ -100,6 +107,10 @@ type Server struct {
 	draining bool
 	stopped  bool
 	done     chan struct{}
+	// finished counts the retained runs in a terminal state; evicted
+	// tallies the runs retention dropped, by state.
+	finished int
+	evicted  RunCounts
 }
 
 // New builds a server, its engine and its trace ring, and starts the
@@ -187,7 +198,42 @@ func (s *Server) cancelQueuedLocked() {
 		r.State = StateCanceled
 		r.Finished = &now
 	}
+	s.finished += len(s.queue)
 	s.queue = nil
+	s.evictLocked()
+}
+
+// evictLocked drops the oldest finished runs, in submission order,
+// until at most maxFinishedRuns remain. Callers hold s.mu.
+func (s *Server) evictLocked() {
+	excess := s.finished - maxFinishedRuns
+	if excess <= 0 {
+		return
+	}
+	kept := s.order[:0]
+	for _, id := range s.order {
+		r := s.runs[id]
+		if excess == 0 || r.Finished == nil {
+			kept = append(kept, id)
+			continue
+		}
+		s.evicted.add(r.State)
+		delete(s.runs, id)
+		excess--
+		s.finished--
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
+}
+
+// gone reports whether id names a run this server issued and has since
+// evicted.
+func (s *Server) gone(id string) bool {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "r"))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, retained := s.runs[id]
+	return err == nil && id == "r"+strconv.Itoa(n) && n >= 1 && n <= s.seq && !retained
 }
 
 // Get returns a run's snapshot by ID.
@@ -201,7 +247,7 @@ func (s *Server) Get(id string) (Run, bool) {
 	return *r, true
 }
 
-// Runs lists every run in submission order.
+// Runs lists every retained run in submission order.
 func (s *Server) Runs() []Run {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -312,6 +358,8 @@ func (s *Server) runner() {
 			r.State = StateDone
 			r.report = &rep
 		}
+		s.finished++
+		s.evictLocked()
 		s.active = ""
 		s.cond.Broadcast()
 		s.mu.Unlock()

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -357,5 +359,58 @@ func TestDaemonReportMatchesBatch(t *testing.T) {
 	if !bytes.Equal(dbuf.Bytes(), bbuf.Bytes()) {
 		t.Errorf("canonical reports differ between daemon and batch:\ndaemon: %.400s\nbatch:  %.400s",
 			dbuf.String(), bbuf.String())
+	}
+}
+
+// TestFinishedRunRetention pins the retention cap: past maxFinishedRuns
+// finished runs the oldest are evicted and answer 410 Gone, IDs never
+// issued still answer 404, and the metrics keep counting evicted runs.
+// The server has no runner goroutine, so every run Reload displaces is
+// canceled without simulating anything.
+func TestFinishedRunRetention(t *testing.T) {
+	s := &Server{runs: map[string]*Run{}, done: make(chan struct{})}
+	s.cond = sync.NewCond(&s.mu)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const total = maxFinishedRuns + 44
+	sc := run.Scenario{Experiments: []string{"fig3"}}
+	for i := 0; i < total; i++ {
+		if _, err := s.Reload(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// total reloads leave total-1 canceled runs and one queued.
+	evicted := total - 1 - maxFinishedRuns
+	if got := len(s.Runs()); got != maxFinishedRuns+1 {
+		t.Errorf("retained %d runs, want %d", got, maxFinishedRuns+1)
+	}
+	if got := s.Metrics().Runs; got.Canceled != total-1 || got.Queued != 1 {
+		t.Errorf("metrics run counts = %+v, want %d canceled and 1 queued", got, total-1)
+	}
+	status := func(path string) int {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for path, want := range map[string]int{
+		"/runs/r1":                                 http.StatusGone,
+		"/runs/r1/report":                          http.StatusGone,
+		fmt.Sprintf("/runs/r%d", evicted):          http.StatusGone,
+		fmt.Sprintf("/runs/r%d/report", evicted):   http.StatusGone,
+		fmt.Sprintf("/runs/r%d", evicted+1):        http.StatusOK,
+		fmt.Sprintf("/runs/r%d/report", evicted+1): http.StatusConflict,
+		fmt.Sprintf("/runs/r%d", total):            http.StatusOK,
+		fmt.Sprintf("/runs/r%d", total+1):          http.StatusNotFound,
+		fmt.Sprintf("/runs/r%d/report", total+1):   http.StatusNotFound,
+		"/runs/r0":                                 http.StatusNotFound,
+		"/runs/r01":                                http.StatusNotFound,
+		"/runs/x1":                                 http.StatusNotFound,
+	} {
+		if got := status(path); got != want {
+			t.Errorf("GET %s = %d, want %d", path, got, want)
+		}
 	}
 }

@@ -36,7 +36,8 @@ type Metrics struct {
 	Trace TraceStats `json:"trace"`
 }
 
-// RunCounts buckets the server's runs by state.
+// RunCounts buckets the server's runs by state. The terminal counts
+// include runs the server no longer retains.
 type RunCounts struct {
 	// Queued counts runs waiting for the runner.
 	Queued int `json:"queued"`
@@ -48,6 +49,22 @@ type RunCounts struct {
 	Failed int `json:"failed"`
 	// Canceled counts queued runs displaced by a reload or drain.
 	Canceled int `json:"canceled"`
+}
+
+// add counts one run in state st.
+func (c *RunCounts) add(st State) {
+	switch st {
+	case StateQueued:
+		c.Queued++
+	case StateRunning:
+		c.Running++
+	case StateDone:
+		c.Done++
+	case StateFailed:
+		c.Failed++
+	case StateCanceled:
+		c.Canceled++
+	}
 }
 
 // DRAMTotals mirrors dram.Global for the metrics document.
@@ -74,20 +91,10 @@ func (s *Server) Metrics() Metrics {
 	m := Metrics{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Draining:      s.draining,
+		Runs:          s.evicted,
 	}
 	for _, r := range s.runs {
-		switch r.State {
-		case StateQueued:
-			m.Runs.Queued++
-		case StateRunning:
-			m.Runs.Running++
-		case StateDone:
-			m.Runs.Done++
-		case StateFailed:
-			m.Runs.Failed++
-		case StateCanceled:
-			m.Runs.Canceled++
-		}
+		m.Runs.add(r.State)
 	}
 	s.mu.Unlock()
 	m.Serve = serve.Live.Snapshot()
@@ -105,8 +112,8 @@ func (s *Server) Metrics() Metrics {
 //
 //	POST /runs              submit a scenario (run.Scenario JSON, <= 1 MiB), 202 + run
 //	GET  /runs              list runs in submission order
-//	GET  /runs/{id}         one run's lifecycle record
-//	GET  /runs/{id}/report  a finished run's exp.Report JSON
+//	GET  /runs/{id}         one run's lifecycle record (410 once evicted)
+//	GET  /runs/{id}/report  a finished run's exp.Report JSON (410 once evicted)
 //	POST /reload            cancel queued runs, enqueue the new scenario
 //	GET  /metrics           live counter snapshot (Metrics JSON)
 //	GET  /trace             Chrome trace-event timeline from the ring
@@ -201,7 +208,7 @@ func submitStatus(err error) int {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.Get(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("daemon: no such run"))
+		s.noSuchRun(w, r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)
@@ -211,7 +218,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	rep, ok, ready := s.Report(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("daemon: no such run"))
+		s.noSuchRun(w, r.PathValue("id"))
 		return
 	}
 	if !ready {
@@ -223,6 +230,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; nothing more to do than drop the connection.
 		return
 	}
+}
+
+// noSuchRun answers a lookup of a run the server does not hold: 410
+// for one it issued and evicted, 404 for an ID it never issued.
+func (s *Server) noSuchRun(w http.ResponseWriter, id string) {
+	if s.gone(id) {
+		httpError(w, http.StatusGone, errors.New("daemon: run evicted"))
+		return
+	}
+	httpError(w, http.StatusNotFound, errors.New("daemon: no such run"))
 }
 
 // handleTrace streams the trace ring as a Chrome trace-event document.

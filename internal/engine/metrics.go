@@ -71,12 +71,15 @@ func (s *System) TTFT(k Kind, l int) (float64, error) {
 
 // TTFTStatic returns FACIL's TTFT without the dynamic prefill offload
 // (used for the single-query study of Figs. 13-14, where FACIL always
-// runs prefill on the SoC).
+// runs prefill on the SoC). Results are memoized; an invalid length
+// or design is an error and is never cached.
 func (s *System) TTFTStatic(k Kind, l int) (float64, error) {
 	if l <= 0 {
 		return 0, fmt.Errorf("engine: prefill length %d must be positive", l)
 	}
-	return s.prefillPathSoC(k, l)
+	return s.prefillCache.Do(prefillKey{kind: k, l: l}, func() (float64, error) {
+		return s.prefillPathSoC(k, l)
+	})
 }
 
 // DecodeSeconds sums decode steps for tokens 2..decode (the first token

@@ -96,6 +96,9 @@ type System struct {
 	// deduplicating concurrent misses so a worker storm computes each
 	// step exactly once.
 	decodeCache parallel.Flight[decodeKey, float64]
+	// prefillCache memoizes TTFTStatic by (kind, prefill length): one
+	// read-only table per System that every serving sim on it shares.
+	prefillCache parallel.Flight[prefillKey, float64]
 }
 
 type placedWeight struct {
@@ -108,6 +111,11 @@ type placedWeight struct {
 type decodeKey struct {
 	kind Kind
 	ctx  int
+}
+
+type prefillKey struct {
+	kind Kind
+	l    int
 }
 
 // NewSystem builds the stack for a platform and model.

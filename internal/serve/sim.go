@@ -410,9 +410,10 @@ type sim struct {
 	// stepMain/stepSoC memoize DecodeStepSeconds by context length for
 	// the configured design and the SoC fallback path (0 = not yet
 	// cached; real latencies are positive). preStatic memoizes
-	// TTFTStatic by prefill length. The values come from the engine's
-	// own memoized cache, so reading them here changes nothing but the
-	// lookup cost.
+	// TTFTStatic by prefill length. Both engine calls are memoized per
+	// System (shared by every sim on it), so these lock-free arrays
+	// return the very floats the engine would and change nothing but
+	// the lookup cost.
 	stepMain  []float64
 	stepSoC   []float64
 	preStatic []float64

@@ -44,6 +44,11 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return sortedPercentile(s, p)
+}
+
+// sortedPercentile is Percentile over an already sorted, non-empty s.
+func sortedPercentile(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
 	}
