@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"facil/internal/engine"
@@ -219,6 +220,92 @@ func TestRetractionAPIValidation(t *testing.T) {
 	}
 	if m := drainStream(t, sim); m.Completed != 1 {
 		t.Errorf("completed %d, want 1", m.Completed)
+	}
+}
+
+// TestInjectValidation walks every Inject rejection, plus the
+// behind-clock and out-of-order rejections InjectResume shares with it,
+// and checks that the sim stays usable after each one: a rejected
+// arrival leaves no trace in the arrival stream.
+func TestInjectValidation(t *testing.T) {
+	s := servingSystem(t)
+	fixed, err := NewSim(s, simConfig(Cooperative, engine.FACIL, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fixed.Inject(1, 64, 16); err == nil {
+		t.Error("Inject accepted a non-Stream sim")
+	}
+
+	sealed, err := NewSim(s, streamConfig(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed.Seal()
+	if err := sealed.Inject(1, 64, 16); err == nil {
+		t.Error("Inject accepted an arrival after Seal")
+	}
+	if err := sealed.InjectResume(1, Retracted{Arrival: 1, Prefill: 64, Decode: 16}, 0); err != nil {
+		t.Errorf("InjectResume after a rejected Inject on a sealed sim: %v", err)
+	}
+	if m := drainStream(t, sealed); m.Completed != 1 {
+		t.Errorf("sealed sim completed %d, want 1", m.Completed)
+	}
+
+	sim, err := NewSim(s, streamConfig(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Inject(1, 64, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.AdvanceTo(10); err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Now()
+	if now <= 1 {
+		t.Fatalf("clock %g did not move past the first arrival", now)
+	}
+	behind := (1 + now) / 2 // at or after the last arrival, behind the clock
+	later, sooner := now+10, now+5
+	if err := sim.Inject(later, 64, 16); err != nil {
+		t.Fatal(err)
+	}
+	good := Retracted{Arrival: 0, Prefill: 64, Decode: 16}
+	bad := []struct {
+		name, want string
+		inject     func() error
+	}{
+		{"zero prefill", "positive", func() error { return sim.Inject(later, 0, 16) }},
+		{"zero decode", "positive", func() error { return sim.Inject(later, 64, 0) }},
+		{"NaN time", "behind the clock", func() error { return sim.Inject(math.NaN(), 64, 16) }},
+		{"+Inf time", "behind the clock", func() error { return sim.Inject(math.Inf(1), 64, 16) }},
+		{"-Inf time", "behind the clock", func() error { return sim.Inject(math.Inf(-1), 64, 16) }},
+		{"behind the clock", "behind the clock", func() error { return sim.Inject(behind, 64, 16) }},
+		{"out of order", "time-ordered", func() error { return sim.Inject(sooner, 64, 16) }},
+		{"resume behind the clock", "behind the clock", func() error { return sim.InjectResume(behind, good, 0) }},
+		{"resume out of order", "time-ordered", func() error { return sim.InjectResume(sooner, good, 0) }},
+	}
+	for _, tc := range bad {
+		err := tc.inject()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		// The sim stays usable: a valid arrival at the last accepted
+		// time still goes in.
+		if err := sim.Inject(later, 64, 16); err != nil {
+			t.Errorf("%s: valid Inject rejected after the error: %v", tc.name, err)
+		}
+	}
+	if err := sim.InjectResume(later, good, 0); err != nil {
+		t.Errorf("valid resume rejected after the error cases: %v", err)
+	}
+	if m := drainStream(t, sim); m.Completed != 3+len(bad) {
+		t.Errorf("completed %d, want %d", m.Completed, 3+len(bad))
 	}
 }
 
