@@ -92,65 +92,15 @@ func BenchmarkTable1HugePageLoad(b *testing.B) {
 
 // --- Ablations (design choices called out in DESIGN.md) ---------------
 
-func BenchmarkAblationRelayoutPolicy(b *testing.B) {
-	l := lab()
+// BenchmarkAblations runs the whole ablations experiment: the eight
+// studies as sweep points of one lab.
+func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := l.AblationRelayoutPolicy()
+		tabs, err := lab().Ablations(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		printOnce("ablation-relayout-policy", []exp.Table{tab})
-	}
-}
-
-func BenchmarkAblationDynamicThreshold(b *testing.B) {
-	l := lab()
-	for i := 0; i < b.N; i++ {
-		tab, err := l.AblationDynamicThreshold(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("ablation-dynamic-threshold", []exp.Table{tab})
-	}
-}
-
-func BenchmarkAblationRowPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := lab().AblationRowPolicy(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("ablation-row-policy", []exp.Table{tab})
-	}
-}
-
-func BenchmarkAblationSchedulerWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := lab().AblationSchedulerWindow(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("ablation-scheduler-window", []exp.Table{tab})
-	}
-}
-
-func BenchmarkAblationConventionalMapping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := lab().AblationConventionalMapping(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("ablation-conventional-mapping", []exp.Table{tab})
-	}
-}
-
-func BenchmarkAblationMACInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := lab().AblationMACInterval(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("ablation-mac-interval", []exp.Table{tab})
+		printOnce("ablations", tabs)
 	}
 }
 

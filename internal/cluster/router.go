@@ -288,15 +288,22 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	// it steals queued work from breaker-open devices (full evacuation)
 	// and from over-threshold healthy devices (down to the threshold, and
 	// only while the move strictly improves balance), re-injecting each
-	// query on the least-loaded eligible device with queue room (or, with
-	// LatencySteal, the one minimizing the TTFT-EWMA expected-wait proxy). Both
-	// paths take admission-queued queries first — those move free — then
-	// prefilled-but-preempted ones, which pay the KV handoff penalty. It runs serially in
-	// device order — all sims are quiescent at the barrier — so the
-	// migration flow is part of the deterministic merge, and because the
-	// router's ledger is settled right after collect (inflight equals
-	// each device's in-system depth), one counter serves both the source
-	// condition and the destination choice.
+	// query on the device the leastLoaded strategy (or, with
+	// LatencySteal, latencyWeighted) picks from dst, the scratch views in
+	// which only eligible destinations with queue room count. Both paths
+	// take admission-queued queries first — those move free — then
+	// prefilled-but-preempted ones, which pay the KV handoff penalty. It
+	// runs serially in device order — all sims are quiescent at the
+	// barrier — so the migration flow is part of the deterministic
+	// merge, and because the router's ledger is settled right after
+	// collect (inflight equals each device's in-system depth), one
+	// counter serves both the source condition and the destination
+	// choice.
+	pick := leastLoaded{}.Pick
+	if cfg.LatencySteal {
+		pick = latencyWeighted{}.Pick
+	}
+	dst := make([]DeviceView, n)
 	reroute := func(at float64) error {
 		if !cfg.Steal {
 			return nil
@@ -310,38 +317,25 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 				continue
 			}
 			for d.inflight > target {
-				dst := -1
-				var dstScore float64
 				for j, e := range devs {
-					if j == di || !eligible(&cfg, e, at) {
-						continue
-					}
-					if cfg.QueueCap > 0 && e.inflight >= cfg.QueueCap {
-						continue
-					}
 					// Never fill a destination up to the steal trigger:
 					// that work would just be stolen again next barrier.
 					// Evacuations are exempt — a breaker-open source
 					// cannot serve at all, so any live destination with
 					// queue room beats leaving the query stranded.
-					if !open && cfg.StealThreshold > 0 && e.inflight >= cfg.StealThreshold {
-						continue
-					}
-					if cfg.LatencySteal {
-						// Expected-wait proxy, as LatencyWeighted routes:
-						// unobserved devices score 0 and win first.
-						score := e.ewma * (float64(e.inflight) + 1)
-						if dst < 0 || score < dstScore {
-							dst, dstScore = j, score
-						}
-					} else if dst < 0 || e.inflight < devs[dst].inflight {
-						dst = j
+					dst[j] = DeviceView{
+						Eligible: j != di && eligible(&cfg, e, at) &&
+							(cfg.QueueCap <= 0 || e.inflight < cfg.QueueCap) &&
+							(open || cfg.StealThreshold <= 0 || e.inflight < cfg.StealThreshold),
+						InFlight: e.inflight,
+						TTFTEWMA: e.ewma,
 					}
 				}
-				if dst < 0 {
+				to := pick(dst, QueryInfo{})
+				if to < 0 {
 					break
 				}
-				if !open && devs[dst].inflight+1 >= d.inflight {
+				if !open && devs[to].inflight+1 >= d.inflight {
 					break
 				}
 				r, ok := d.sim.Retract()
@@ -355,13 +349,13 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 				if r.Prefilled {
 					pen = DefaultMigrationPenalty
 				}
-				if err := devs[dst].sim.InjectResume(at, r, pen); err != nil {
+				if err := devs[to].sim.InjectResume(at, r, pen); err != nil {
 					return err
 				}
 				d.inflight--
-				devs[dst].inflight++
-				if cfg.BreakerThreshold > 0 && devs[dst].brk.Probing() {
-					devs[dst].probes++
+				devs[to].inflight++
+				if cfg.BreakerThreshold > 0 && devs[to].brk.Probing() {
+					devs[to].probes++
 				}
 				m.Stolen++
 				Live.stolen.Add(1)

@@ -120,68 +120,57 @@ func (l *Lab) clusterSystem(c cluster.DeviceClass) (*engine.System, error) {
 	return e.s, e.err
 }
 
-// clusterCell is one (strategy, steal) run of the sweep.
-type clusterCell struct {
-	strategy cluster.StrategyKind
-	steal    bool
-}
-
-// clusterConfig lowers one (strategy, steal) cell to a cluster.Config
-// whose devices advance serially: the cells are the sweep's unit of
-// parallelism.
-func (cfg ClusterConfig) clusterConfig(c clusterCell) cluster.Config {
-	return cluster.Config{
-		Strategy:               c.strategy,
-		ArrivalRate:            cfg.Rate,
-		Queries:                cfg.Queries,
-		Workload:               cfg.Workload,
-		Seed:                   cfg.Seed,
-		SyncInterval:           cfg.SyncInterval,
-		QueueCap:               cfg.QueueCap,
-		DeadlineTTLT:           cfg.DeadlineTTLT,
-		Policy:                 cfg.Policy,
-		BreakerThreshold:       cfg.BreakerThreshold,
-		BreakerCooldown:        cfg.BreakerCooldown,
-		DeviceBreakerThreshold: cfg.DeviceBreakerThreshold,
-		FaultMTBF:              cfg.FaultMTBF,
-		FaultMTTR:              cfg.FaultMTTR,
-		FaultFraction:          cfg.FaultFraction,
-		FaultSeed:              cfg.FaultSeed,
-		Steal:                  c.steal,
-		StealThreshold:         cfg.StealThreshold,
-		LatencySteal:           cfg.LatencySteal,
-		Parallelism:            1,
-	}
-}
-
-// clusterCells expands the strategy sweep into (strategy, steal) cells:
-// with Migration on, each strategy runs plain and again with stealing,
-// adjacent in the output so the rows read as paired comparisons.
-func (cfg ClusterConfig) clusterCells() []clusterCell {
-	cells := make([]clusterCell, 0, 2*len(cfg.Strategies))
+// clusterConfigs expands the strategy sweep into one cluster.Config per
+// run, its devices advancing serially (the runs are the sweep's unit of
+// parallelism): with Migration on, each strategy runs plain and again
+// with stealing, adjacent in the output so the rows read as paired
+// comparisons.
+func (cfg ClusterConfig) clusterConfigs() []cluster.Config {
+	cfgs := make([]cluster.Config, 0, 2*len(cfg.Strategies))
 	for _, k := range cfg.Strategies {
-		cells = append(cells, clusterCell{strategy: k})
+		c := cluster.Config{
+			Strategy:               k,
+			ArrivalRate:            cfg.Rate,
+			Queries:                cfg.Queries,
+			Workload:               cfg.Workload,
+			Seed:                   cfg.Seed,
+			SyncInterval:           cfg.SyncInterval,
+			QueueCap:               cfg.QueueCap,
+			DeadlineTTLT:           cfg.DeadlineTTLT,
+			Policy:                 cfg.Policy,
+			BreakerThreshold:       cfg.BreakerThreshold,
+			BreakerCooldown:        cfg.BreakerCooldown,
+			DeviceBreakerThreshold: cfg.DeviceBreakerThreshold,
+			FaultMTBF:              cfg.FaultMTBF,
+			FaultMTTR:              cfg.FaultMTTR,
+			FaultFraction:          cfg.FaultFraction,
+			FaultSeed:              cfg.FaultSeed,
+			StealThreshold:         cfg.StealThreshold,
+			LatencySteal:           cfg.LatencySteal,
+			Parallelism:            1,
+		}
+		cfgs = append(cfgs, c)
 		if cfg.Migration {
-			cells = append(cells, clusterCell{strategy: k, steal: true})
+			c.Steal = true
+			cfgs = append(cfgs, c)
 		}
 	}
-	return cells
+	return cfgs
 }
 
 // ClusterCompute evaluates every strategy over one shared fleet (twice
 // per strategy — without and with stealing — when Migration is on). The
-// (strategy, steal) cells are the sweep points and fan out over the
-// lab's worker bound; each cell's cluster.Run advances its devices
-// serially over the read-only Fleet. cluster.Run returns the same
-// metrics at any device parallelism, so the tables are byte-identical at
-// any worker count.
+// runs are the sweep points and fan out over the lab's worker bound;
+// each cluster.Run advances its devices serially over the read-only
+// Fleet. cluster.Run returns the same metrics at any device
+// parallelism, so the tables are byte-identical at any worker count.
 func (l *Lab) ClusterCompute(ctx context.Context, cfg ClusterConfig) ([]cluster.Metrics, error) {
 	fl, err := cluster.NewFleet(cfg.Fleet, l.clusterSystem)
 	if err != nil {
 		return nil, err
 	}
-	return sweep(ctx, l, "cluster", cfg.clusterCells(), func(ctx context.Context, c clusterCell) (cluster.Metrics, error) {
-		return cluster.Run(ctx, fl, cfg.clusterConfig(c))
+	return sweep(ctx, l, "cluster", cfg.clusterConfigs(), func(ctx context.Context, c cluster.Config) (cluster.Metrics, error) {
+		return cluster.Run(ctx, fl, c)
 	})
 }
 

@@ -101,15 +101,14 @@ func TestClusterDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range cfg.clusterCells() {
-		rc := cfg.clusterConfig(c)
+	for i, rc := range cfg.clusterConfigs() {
 		rc.Parallelism = 8
 		m, err := cluster.Run(context.Background(), fl, rc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(m, mets[i]) {
-			t.Errorf("cell %d (%s, steal %v): device fan-out changed the metrics:\n%+v\nvs\n%+v", i, c.strategy, c.steal, m, mets[i])
+			t.Errorf("run %d (%s, steal %v): device fan-out changed the metrics:\n%+v\nvs\n%+v", i, rc.Strategy, rc.Steal, m, mets[i])
 		}
 	}
 }

@@ -7,7 +7,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 
@@ -174,9 +173,6 @@ func (l *Lab) sweepOpts(experiment string) []parallel.Option {
 func sweep[P, R any](ctx context.Context, l *Lab, experiment string, points []P, fn func(ctx context.Context, point P) (R, error)) ([]R, error) {
 	return parallel.Sweep(ctx, points, fn, l.sweepOpts(experiment)...)
 }
-
-// newDetRand returns a deterministic PRNG for experiment inputs.
-func newDetRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // f1, pc, ms and x format numeric cells.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

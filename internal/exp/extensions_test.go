@@ -92,18 +92,30 @@ func TestServingExperiment(t *testing.T) {
 	}
 }
 
+// ablation runs the study with the given id on its own.
+func ablation(t *testing.T, l *Lab, id string) (Table, error) {
+	t.Helper()
+	for _, s := range studies {
+		if s.id == id {
+			return s.run(context.Background(), l)
+		}
+	}
+	t.Fatalf("no ablation study %q", id)
+	return Table{}, nil
+}
+
 func TestAblationTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping ablation sweeps in -short mode")
 	}
 	l := testLab()
-	if tab, err := l.AblationDynamicThreshold(context.Background()); err != nil || len(tab.Rows) != len(soc.All()) {
+	if tab, err := ablation(t, l, "offload-threshold"); err != nil || len(tab.Rows) != len(soc.All()) {
 		t.Errorf("dynamic threshold ablation: %v, %d rows", err, len(tab.Rows))
 	}
-	if tab, err := l.AblationSchedulerWindow(context.Background()); err != nil || len(tab.Rows) != 5 {
+	if tab, err := ablation(t, l, "scheduler-window"); err != nil || len(tab.Rows) != 5 {
 		t.Errorf("scheduler window ablation: %v", err)
 	}
-	if tab, err := l.AblationConventionalMapping(context.Background()); err != nil || len(tab.Rows) != 5 {
+	if tab, err := ablation(t, l, "conventional-mapping"); err != nil || len(tab.Rows) != 5 {
 		t.Errorf("conventional mapping ablation: %v", err)
 	}
 }

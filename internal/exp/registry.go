@@ -118,22 +118,8 @@ var experiments = []experiment{
 		return l.datasetPair(ctx, cfg.Dataset, (*Lab).Fig16)
 	}},
 	{"maxmap", "largest MapID the mapping family needs", static(MaxMapID)},
-	// The eight ablation studies run as sweep points of their own (each
-	// internally fanning out further), reducing in the fixed table order.
 	{"ablations", "eight design-choice ablation studies", func(ctx context.Context, l *Lab, _ Configs) ([]Table, error) {
-		studies := []func(context.Context) (Table, error){
-			func(ctx context.Context) (Table, error) { return l.AblationRelayoutPolicy() },
-			l.AblationDynamicThreshold,
-			l.AblationSchedulerWindow,
-			l.AblationRowPolicy,
-			l.AblationConventionalMapping,
-			func(ctx context.Context) (Table, error) { return AblationXORHashing() },
-			l.AblationGEMMStreams,
-			l.AblationMACInterval,
-		}
-		return sweep(ctx, l, "ablations", studies, func(ctx context.Context, f func(context.Context) (Table, error)) (Table, error) {
-			return f(ctx)
-		})
+		return l.Ablations(ctx)
 	}},
 	{"cosched", "SoC/PIM co-scheduled memory-controller interleaving", static(Cosched)},
 	{"quant", "weight-quantization sensitivity", static(Quant)},

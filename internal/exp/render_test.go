@@ -86,7 +86,7 @@ func TestRenderTable1Small(t *testing.T) {
 
 func TestRenderAblationRelayoutPolicy(t *testing.T) {
 	l := testLab()
-	tab, err := l.AblationRelayoutPolicy()
+	tab, err := ablation(t, l, "relayout-policy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRenderAblationRelayoutPolicy(t *testing.T) {
 }
 
 func TestRenderXORHashing(t *testing.T) {
-	tab, err := AblationXORHashing()
+	tab, err := ablation(t, testLab(), "xor-hashing")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,15 +5,15 @@ import (
 	"fmt"
 
 	"facil/internal/fault"
-	"facil/internal/parallel"
 	"facil/internal/serve"
-	"facil/internal/soc"
 	"facil/internal/workload"
 )
 
 // ResilienceConfig parameterizes the fault-injection sweep: lane-fault
 // rate x degradation policy x scheduling mode under one reproducible
-// fault scenario per cell.
+// fault scenario per cell. The traffic (Alpaca arrivals at
+// resilienceRate on resilienceReplicas devices) and the rest of the
+// fault scenario are fixed.
 type ResilienceConfig struct {
 	// Modes are the two-lane schedulers compared (Serial cannot host
 	// the fault model).
@@ -23,163 +23,119 @@ type ResilienceConfig struct {
 	// LaneMTBFs are the mean times between PIM-lane failures swept, in
 	// seconds (the fault-rate axis; smaller = more faults).
 	LaneMTBFs []float64
-	// LaneMTTR is the mean lane repair time in seconds.
-	LaneMTTR float64
-	// Thermal holds the thermal-throttle windows applied to every cell,
-	// derating DRAM by the measured temperature-doubled-refresh ratio.
-	Thermal []fault.Window
-	// MapIDCorruptRate is the per-query PTE MapID corruption probability.
-	MapIDCorruptRate float64
 	// FaultSeed drives the fault scenario (independent of traffic Seed)
 	// so every policy faces the same fault schedule.
 	FaultSeed int64
-
-	// Rate, Replicas, Queries, Seed and Workload shape the traffic.
-	Rate     float64
-	Replicas int
-	Queries  int
-	Seed     int64
-	Workload workload.Spec
-	// QueueCap, DeadlineTTLT, MaxRetries, BreakerThreshold mirror the
-	// serve.SimConfig knobs of every cell.
-	QueueCap         int
-	DeadlineTTLT     float64
-	MaxRetries       int
-	BreakerThreshold int
+	// Queries and Seed shape the traffic.
+	Queries int
+	Seed    int64
+	// QueueCap and DeadlineTTLT mirror the serve.SimConfig knobs of
+	// every cell.
+	QueueCap     int
+	DeadlineTTLT float64
 }
 
+// The resilience sweep's fixed traffic, device and fault-scenario
+// parameters: a mid-run thermal window derating DRAM by the measured
+// refresh-doubling ratio, a trickle of PTE MapID corruption, and client
+// retry and circuit-breaker budgets.
+const (
+	resilienceRate             float64 = 0.3
+	resilienceReplicas                 = 2
+	resilienceLaneMTTR         float64 = 5
+	resilienceMapIDCorruptRate float64 = 0.02
+	resilienceMaxRetries               = 3
+	resilienceBreakerThreshold         = 3
+)
+
+// resilienceThermal is the thermal-throttle window of every cell.
+var resilienceThermal = []fault.Window{{Start: 40, End: 100}}
+
 // DefaultResilienceConfig exercises the full degradation story: both
-// cooperative modes, all three policies, a calm and a hostile fault
-// rate, a mid-run thermal window and a trickle of PTE corruption.
+// cooperative modes, all three policies, and a calm and a hostile
+// fault rate.
 func DefaultResilienceConfig() ResilienceConfig {
 	return ResilienceConfig{
-		Modes:            []serve.Mode{serve.Cooperative, serve.RelayoutHybrid},
-		Policies:         serve.Policies(),
-		LaneMTBFs:        []float64{60, 15},
-		LaneMTTR:         5,
-		Thermal:          []fault.Window{{Start: 40, End: 100}},
-		MapIDCorruptRate: 0.02,
-		FaultSeed:        99,
-		Rate:             0.3,
-		Replicas:         2,
-		Queries:          120,
-		Seed:             11,
-		Workload:         workload.AlpacaSpec(),
-		QueueCap:         32,
-		DeadlineTTLT:     30,
-		MaxRetries:       3,
-		BreakerThreshold: 3,
+		Modes:        []serve.Mode{serve.Cooperative, serve.RelayoutHybrid},
+		Policies:     serve.Policies(),
+		LaneMTBFs:    []float64{60, 15},
+		FaultSeed:    99,
+		Queries:      120,
+		Seed:         11,
+		QueueCap:     32,
+		DeadlineTTLT: 30,
 	}
 }
 
-// resiliencePoint is one (mode, policy, MTBF) cell of the grid.
-type resiliencePoint struct {
-	mode   serve.Mode
-	policy serve.Policy
-	mtbf   float64
-}
-
-// resiliencePoints enumerates the grid mode-major, then fault rate, then
+// simConfigs enumerates the grid mode-major, then fault rate, then
 // policy — so each fault rate's policy escalation reads as consecutive
-// rows.
-func resiliencePoints(cfg ResilienceConfig) []resiliencePoint {
-	var points []resiliencePoint
+// rows. Policies within one (mode, MTBF) block share the fault scenario
+// byte-for-byte (same FaultSeed), so the comparison isolates the
+// degradation response, not the fault schedule.
+func (cfg ResilienceConfig) simConfigs() []serve.SimConfig {
+	var cfgs []serve.SimConfig
 	for _, m := range cfg.Modes {
 		for _, mtbf := range cfg.LaneMTBFs {
 			for _, p := range cfg.Policies {
-				points = append(points, resiliencePoint{mode: m, policy: p, mtbf: mtbf})
+				cfgs = append(cfgs, serve.SimConfig{
+					Mode:             m,
+					Kind:             serving2Kind(m),
+					Replicas:         resilienceReplicas,
+					ArrivalRate:      resilienceRate,
+					Queries:          cfg.Queries,
+					Workload:         workload.AlpacaSpec(),
+					Seed:             cfg.Seed,
+					QueueCap:         cfg.QueueCap,
+					DeadlineTTLT:     cfg.DeadlineTTLT,
+					MaxRetries:       resilienceMaxRetries,
+					BreakerThreshold: resilienceBreakerThreshold,
+					Policy:           p,
+					Faults: fault.Scenario{
+						Seed:             cfg.FaultSeed,
+						LaneMTBF:         mtbf,
+						LaneMTTR:         resilienceLaneMTTR,
+						Thermal:          resilienceThermal,
+						MapIDCorruptRate: resilienceMapIDCorruptRate,
+					},
+					TraceLabel: fmt.Sprintf("%s %s mtbf%g", m, p, mtbf),
+				})
 			}
 		}
 	}
-	return points
-}
-
-// scenario builds one cell's fault scenario. Policies within a cell
-// share it byte-for-byte (same FaultSeed), so the comparison isolates
-// the degradation response, not the fault schedule.
-func (cfg ResilienceConfig) scenario(mtbf float64) fault.Scenario {
-	return fault.Scenario{
-		Seed:             cfg.FaultSeed,
-		LaneMTBF:         mtbf,
-		LaneMTTR:         cfg.LaneMTTR,
-		Thermal:          cfg.Thermal,
-		MapIDCorruptRate: cfg.MapIDCorruptRate,
-	}
-}
-
-// ResilienceCompute evaluates the full grid. Every point owns its
-// traffic and fault RNGs (seeded inside serve.Run and fault.Scenario),
-// so results are byte-identical at any sweep parallelism; with a tracer
-// attached, points record onto disjoint deterministic pid blocks.
-func (l *Lab) ResilienceCompute(ctx context.Context, cfg ResilienceConfig) ([]serve.Metrics, error) {
-	s, err := l.System(soc.Jetson)
-	if err != nil {
-		return nil, err
-	}
-	points := resiliencePoints(cfg)
-	pidBase := make([]int64, len(points))
-	var next int64
-	for i := range points {
-		pidBase[i] = next
-		next += int64(cfg.Replicas) + 1
-	}
-	return parallel.Sweep(ctx, indexes(len(points)), func(ctx context.Context, i int) (serve.Metrics, error) {
-		if err := ctx.Err(); err != nil {
-			return serve.Metrics{}, err
-		}
-		pt := points[i]
-		return serve.Run(s, serve.SimConfig{
-			Mode:             pt.mode,
-			Kind:             Serving2Kind(pt.mode),
-			Replicas:         cfg.Replicas,
-			ArrivalRate:      cfg.Rate,
-			Queries:          cfg.Queries,
-			Workload:         cfg.Workload,
-			Seed:             cfg.Seed,
-			QueueCap:         cfg.QueueCap,
-			DeadlineTTLT:     cfg.DeadlineTTLT,
-			MaxRetries:       cfg.MaxRetries,
-			BreakerThreshold: cfg.BreakerThreshold,
-			Policy:           pt.policy,
-			Faults:           cfg.scenario(pt.mtbf),
-			Tracer:           l.tracer,
-			TracePIDBase:     pidBase[i],
-			TraceLabel:       fmt.Sprintf("%s %s mtbf%g", pt.mode, pt.policy, pt.mtbf),
-		})
-	}, l.sweepOpts("resilience")...)
+	return cfgs
 }
 
 // Resilience renders the fault-injection comparison table: how much
 // goodput each degradation policy preserves under the same fault
 // schedule.
 func (l *Lab) Resilience(ctx context.Context, cfg ResilienceConfig) (Table, error) {
-	mets, err := l.ResilienceCompute(ctx, cfg)
+	cfgs := cfg.simConfigs()
+	mets, err := l.serveSweep(ctx, "resilience", cfgs)
 	if err != nil {
 		return Table{}, err
 	}
 	tab := Table{
 		ID: "resilience",
 		Title: "Extension: graceful degradation under PIM-lane faults (Jetson, " +
-			cfg.Workload.Name + " traffic)",
+			workload.AlpacaSpec().Name + " traffic)",
 		Header: []string{
 			"mode", "policy", "lane MTBF", "completed", "failed", "degraded",
 			"failed over", "retries", "goodput", "availability", "lane MTTR", "TTLT p95",
 		},
 		Notes: []string{
 			fmt.Sprintf("%d queries/point at %.2f q/s, %d replicas, queue cap %d, TTLT SLO %.0f s, retry budget %d, breaker threshold %d",
-				cfg.Queries, cfg.Rate, cfg.Replicas, cfg.QueueCap, cfg.DeadlineTTLT, cfg.MaxRetries, cfg.BreakerThreshold),
+				cfg.Queries, resilienceRate, resilienceReplicas, cfg.QueueCap, cfg.DeadlineTTLT, resilienceMaxRetries, resilienceBreakerThreshold),
 			fmt.Sprintf("lane MTTR %.0f s; thermal windows %v derate DRAM by the measured refresh-doubling ratio; MapID corruption rate %.2f",
-				cfg.LaneMTTR, cfg.Thermal, cfg.MapIDCorruptRate),
+				resilienceLaneMTTR, resilienceThermal, resilienceMapIDCorruptRate),
 			"goodput is the fraction of offered queries completed within the SLO (per-second rates would reward dropping the backlog)",
 			"all policies within one (mode, MTBF) block face a byte-identical fault schedule",
 		},
 	}
-	points := resiliencePoints(cfg)
 	for i, m := range mets {
 		tab.Rows = append(tab.Rows, []string{
 			m.Mode.String(),
-			points[i].policy.String(),
-			fmt.Sprintf("%.0f s", points[i].mtbf),
+			cfgs[i].Policy.String(),
+			fmt.Sprintf("%.0f s", cfgs[i].Faults.LaneMTBF),
 			fmt.Sprintf("%d", m.Completed),
 			fmt.Sprintf("%d", m.Failed),
 			fmt.Sprintf("%d", m.Degraded),

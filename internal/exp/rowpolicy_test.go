@@ -1,12 +1,9 @@
 package exp
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 func TestAblationRowPolicyShape(t *testing.T) {
-	tab, err := testLab().AblationRowPolicy(context.Background())
+	tab, err := ablation(t, testLab(), "row-policy")
 	if err != nil {
 		t.Fatal(err)
 	}

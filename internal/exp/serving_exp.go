@@ -10,10 +10,28 @@ import (
 	"facil/internal/workload"
 )
 
-// servingPoint is one (arrival rate, design) cell of the serving table.
-type servingPoint struct {
-	rate float64
-	kind engine.Kind
+// serveSweep runs one serve.Run per config on the Jetson system, fanned
+// out over the lab's worker pool. Every config owns its arrival and
+// fault RNGs (seeded inside serve.Run), so results are byte-identical at
+// any parallelism. Configs that set a TraceLabel record into the lab's
+// tracer on disjoint pid blocks assigned up front in config order
+// (Replicas+1 tracks each: the replicas plus the admission-queue
+// counter), keeping traces deterministic at any parallelism too.
+func (l *Lab) serveSweep(ctx context.Context, experiment string, cfgs []serve.SimConfig) ([]serve.Metrics, error) {
+	s, err := l.System(soc.Jetson)
+	if err != nil {
+		return nil, err
+	}
+	var next int64
+	for i := range cfgs {
+		if cfgs[i].TraceLabel != "" {
+			cfgs[i].Tracer, cfgs[i].TracePIDBase = l.tracer, next
+			next += int64(cfgs[i].Replicas) + 1
+		}
+	}
+	return sweep(ctx, l, experiment, cfgs, func(ctx context.Context, c serve.SimConfig) (serve.Metrics, error) {
+		return serve.Run(s, c)
+	})
 }
 
 // Serving evaluates perceived responsiveness under load: queries arrive
@@ -23,27 +41,21 @@ type servingPoint struct {
 // how FACIL's latency advantage compounds in a serving setting. Each
 // (rate, design) cell is one single-replica Serial-mode serve.Run.
 func (l *Lab) Serving(ctx context.Context) (Table, error) {
-	s, err := l.System(soc.Jetson)
-	if err != nil {
-		return Table{}, err
-	}
-	var points []servingPoint
+	var cfgs []serve.SimConfig
 	for _, rate := range []float64{0.1, 0.3, 0.45} {
 		for _, k := range []engine.Kind{engine.SoCOnly, engine.HybridStatic, engine.HybridDynamic, engine.FACIL} {
-			points = append(points, servingPoint{rate, k})
+			cfgs = append(cfgs, serve.SimConfig{
+				Mode:        serve.Serial,
+				Kind:        k,
+				Replicas:    1,
+				ArrivalRate: rate,
+				Queries:     150,
+				Workload:    workload.AlpacaSpec(),
+				Seed:        11,
+			})
 		}
 	}
-	mets, err := sweep(ctx, l, "serving", points, func(ctx context.Context, p servingPoint) (serve.Metrics, error) {
-		return serve.Run(s, serve.SimConfig{
-			Mode:        serve.Serial,
-			Kind:        p.kind,
-			Replicas:    1,
-			ArrivalRate: p.rate,
-			Queries:     150,
-			Workload:    workload.AlpacaSpec(),
-			Seed:        11,
-		})
-	})
+	mets, err := l.serveSweep(ctx, "serving", cfgs)
 	if err != nil {
 		return Table{}, err
 	}
@@ -60,8 +72,8 @@ func (l *Lab) Serving(ctx context.Context) (Table, error) {
 	}
 	for i, m := range mets {
 		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("%.2f q/s", points[i].rate),
-			points[i].kind.String(),
+			fmt.Sprintf("%.2f q/s", cfgs[i].ArrivalRate),
+			cfgs[i].Kind.String(),
 			ms(m.TTFT.Mean),
 			ms(m.TTFT.P99),
 			pc(m.SoCUtilization),

@@ -102,29 +102,14 @@ func (l *Lab) Table3(ctx context.Context, cfg soc.LayoutSlowdownConfig) (Table, 
 			"substitution: DRAM-contention stream model replaces GPGPU-Sim/ONNXim",
 		},
 	}
-	// Group rows by (platform, layer).
-	type key struct{ p, l string }
-	byKey := map[key][3]float64{}
-	var order []key
-	for _, r := range rows {
-		k := key{r.Platform, r.Layer}
-		v, ok := byKey[k]
-		if !ok {
-			order = append(order, k)
+	// Rows come in (platform, layer, prefill) order: one table row per
+	// run of len(table3Prefills).
+	for i := 0; i < len(rows); i += len(table3Prefills) {
+		row := []string{rows[i].Platform, rows[i].Layer}
+		for _, r := range rows[i : i+len(table3Prefills)] {
+			row = append(row, pc(r.OpSlowdown))
 		}
-		switch r.Prefill {
-		case 4:
-			v[0] = r.OpSlowdown
-		case 16:
-			v[1] = r.OpSlowdown
-		case 64:
-			v[2] = r.OpSlowdown
-		}
-		byKey[k] = v
-	}
-	for _, k := range order {
-		v := byKey[k]
-		tab.Rows = append(tab.Rows, []string{k.p, k.l, pc(v[0]), pc(v[1]), pc(v[2])})
+		tab.Rows = append(tab.Rows, row)
 	}
 	return tab, nil
 }

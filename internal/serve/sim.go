@@ -668,21 +668,31 @@ func (s *Sim) Inject(at float64, prefill, decode int) error {
 	if prefill <= 0 || decode <= 0 {
 		return fmt.Errorf("serve: Inject token counts must be positive, got prefill=%d decode=%d", prefill, decode)
 	}
+	return sm.appendArrival("Inject", query{arrival: at, start: at, prefill: prefill, decode: decode})
+}
+
+// appendArrival is the one path onto a Stream-mode arrival stream: it
+// rejects a start time that is not finite, behind the clock or before
+// the last arrival, then appends q to the slab as the newest open query
+// and grows the latency memos to cover its lengths. op names the caller
+// in errors.
+func (sm *sim) appendArrival(op string, q query) error {
+	at := q.start
 	if math.IsNaN(at) || math.IsInf(at, 0) || at < sm.now {
-		return fmt.Errorf("serve: Inject at %g behind the clock %g", at, sm.now)
+		return fmt.Errorf("serve: %s at %g behind the clock %g", op, at, sm.now)
 	}
 	if n := len(sm.qs); n > 0 && at < sm.qs[n-1].start {
-		return fmt.Errorf("serve: Inject arrivals must be time-ordered (%g after %g)", at, sm.qs[n-1].start)
+		return fmt.Errorf("serve: %s arrivals must be time-ordered (%g after %g)", op, at, sm.qs[n-1].start)
 	}
-	qi := len(sm.qs)
-	sm.qs = append(sm.qs, query{id: qi, arrival: at, start: at, prefill: prefill, decode: decode, next: -1})
+	q.id, q.next = len(sm.qs), -1
+	sm.qs = append(sm.qs, q)
 	sm.open++
-	if c := prefill + decode + 1; c > len(sm.stepMain) {
+	if c := q.prefill + q.decode + 1; c > len(sm.stepMain) {
 		sm.stepMain = growCache(sm.stepMain, c)
 		sm.stepSoC = growCache(sm.stepSoC, c)
 	}
-	if prefill+1 > len(sm.preStatic) {
-		sm.preStatic = growCache(sm.preStatic, prefill+1)
+	if q.prefill+1 > len(sm.preStatic) {
+		sm.preStatic = growCache(sm.preStatic, q.prefill+1)
 	}
 	return nil
 }
@@ -874,30 +884,14 @@ func (s *Sim) InjectResume(at float64, r Retracted, penalty float64) error {
 	if penalty < 0 || math.IsNaN(penalty) || math.IsInf(penalty, 0) {
 		return fmt.Errorf("serve: InjectResume penalty must be a finite non-negative duration, got %g", penalty)
 	}
-	if math.IsNaN(at) || math.IsInf(at, 0) || at < sm.now {
-		return fmt.Errorf("serve: InjectResume at %g behind the clock %g", at, sm.now)
-	}
 	if math.IsNaN(r.Arrival) || r.Arrival > at {
 		return fmt.Errorf("serve: InjectResume arrival %g after re-injection time %g", r.Arrival, at)
 	}
-	if n := len(sm.qs); n > 0 && at < sm.qs[n-1].start {
-		return fmt.Errorf("serve: Inject arrivals must be time-ordered (%g after %g)", at, sm.qs[n-1].start)
-	}
-	qi := len(sm.qs)
-	sm.qs = append(sm.qs, query{
-		id: qi, arrival: r.Arrival, start: at,
+	return sm.appendArrival("InjectResume", query{
+		arrival: r.Arrival, start: at,
 		prefill: r.Prefill, decode: r.Decode, stepsDone: r.StepsDone,
-		resumed: r.Prefilled, penalty: penalty, next: -1,
+		resumed: r.Prefilled, penalty: penalty,
 	})
-	sm.open++
-	if c := r.Prefill + r.Decode + 1; c > len(sm.stepMain) {
-		sm.stepMain = growCache(sm.stepMain, c)
-		sm.stepSoC = growCache(sm.stepSoC, c)
-	}
-	if r.Prefill+1 > len(sm.preStatic) {
-		sm.preStatic = growCache(sm.preStatic, r.Prefill+1)
-	}
-	return nil
 }
 
 // push queues a dynamic event with the next tie-break sequence number.

@@ -26,7 +26,7 @@ type LayoutSlowdownConfig struct {
 	// whose in-flight rows cover every processing unit exactly once —
 	// the regime real GEMM kernels operate in and the reason the
 	// paper's measured slowdowns stay within a few percent. The
-	// AblationGEMMStreams study documents the sensitivity to this
+	// ablations/gemm-streams study documents the sensitivity to this
 	// choice.
 	Streams int
 	// SampleBytes bounds the simulated weight window. Defaults to 4 MiB.
