@@ -7,11 +7,11 @@
 //	         [-o DIR] [-id LIST] [-queries N] [-seed S] [-scale K]
 //	         [-scenario FILE] [-record FILE] [experiment ...]
 //
-// With no arguments every experiment runs in DESIGN.md order. Run
-// `facilsim -list` for the experiment identifiers (rendered from the
-// same registry the facild daemon's GET /experiments serves). -id
-// accepts a comma-separated identifier list and merges with positional
-// arguments.
+// With no arguments, or with the identifier "all", every experiment runs
+// in DESIGN.md order. Run `facilsim -list` for the experiment identifiers
+// (rendered from the same registry the facild daemon's GET /experiments
+// serves). -id accepts a comma-separated identifier list and merges with
+// positional arguments.
 //
 // The CLI is a thin shell over the internal/run engine: flags assemble
 // a run.Scenario, the engine executes it, and the same scenario (as
@@ -149,7 +149,7 @@ func mainErr() int {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: facilsim [flags] [experiment ...]\n\nexperiments: %s\n\n",
+		fmt.Fprintf(os.Stderr, "usage: facilsim [flags] [experiment ...]\n\nexperiments (or all): %s\n\n",
 			strings.Join(exp.AllIDs, " "))
 		flag.PrintDefaults()
 	}

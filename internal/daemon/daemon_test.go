@@ -69,6 +69,26 @@ func waitDone(t *testing.T, s *Server, id string) Run {
 	return Run{}
 }
 
+// waitRunning polls a run until a worker has picked it up.
+func waitRunning(t *testing.T, s *Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	for time.Now().Before(deadline) {
+		rec, ok := s.Get(id)
+		if !ok {
+			t.Fatalf("run %s disappeared", id)
+		}
+		switch rec.State {
+		case StateRunning:
+			return
+		case StateDone, StateFailed, StateCanceled:
+			t.Fatalf("run %s finished %s before it was seen running", id, rec.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("run %s never started", id)
+}
+
 func TestSubmitRunsToCompletion(t *testing.T) {
 	s, ts := testServer(t, Options{})
 	rec, resp := postScenario(t, ts.URL, "/runs", `{"experiments": ["fig3"]}`)
@@ -243,6 +263,9 @@ func TestReloadSwapsPendingQueue(t *testing.T) {
 	first, _ := postScenario(t, ts.URL, "/runs",
 		`{"experiments": ["serving2"], "queries": 2000, "rates": "1,2", "replicas": "1,2"}`)
 	second, _ := postScenario(t, ts.URL, "/runs", `{"experiments": ["fig3"]}`)
+	// A reload that lands before the worker picks up the first run would
+	// swap it out of the queue too.
+	waitRunning(t, s, first.ID)
 	swapped, resp := postScenario(t, ts.URL, "/reload", `{"experiments": ["tab2"]}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("reload status %d", resp.StatusCode)

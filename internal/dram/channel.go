@@ -173,6 +173,8 @@ type Channel struct {
 	// state (see SetDualRowBuffer).
 	dualRowBuffer bool
 	shadow        []rank
+	// lockstep is AllBankPasses' reusable fast-path state.
+	lockstep lockstep
 
 	stats ChannelStats
 
@@ -234,22 +236,30 @@ func NewChannel(spec *Spec) *Channel {
 	for i := range c.ranks {
 		c.ranks[i] = newRank(spec.Geometry.BanksPerRank, spec.Timing.TREFI)
 	}
-	nb := spec.Geometry.RanksPerChannel * spec.Geometry.BanksPerRank
-	c.bankHead = make([]int32, nb)
-	c.bankTail = make([]int32, nb)
-	c.bankLen = make([]int32, nb)
-	c.bankWrites = make([]int32, nb)
-	c.bankPos = make([]int32, nb)
+	return c
+}
+
+// initBankLists allocates the per-bank visible lists on the first push, so
+// a channel that only runs all-bank (PIM) commands never builds them.
+func (c *Channel) initBankLists() {
+	g := c.spec.Geometry
+	nb := g.RanksPerChannel * g.BanksPerRank
+	// The per-bank index arrays share one allocation.
+	idx := make([]int32, 6*nb)
+	c.bankHead = idx[0*nb : 1*nb : 1*nb]
+	c.bankTail = idx[1*nb : 2*nb : 2*nb]
+	c.bankLen = idx[2*nb : 3*nb : 3*nb]
+	c.bankWrites = idx[3*nb : 4*nb : 4*nb]
+	c.bankPos = idx[4*nb : 5*nb : 5*nb]
+	c.activeBanks = idx[5*nb : 5*nb : 6*nb]
 	c.bankLoc = make([]bankLoc, nb)
 	for i := 0; i < nb; i++ {
 		c.bankHead[i] = noSlot
 		c.bankTail[i] = noSlot
 		c.bankPos[i] = -1
-		rk := &c.ranks[i/spec.Geometry.BanksPerRank]
-		c.bankLoc[i] = bankLoc{rk: rk, b: &rk.banks[i%spec.Geometry.BanksPerRank]}
+		rk := &c.ranks[i/g.BanksPerRank]
+		c.bankLoc[i] = bankLoc{rk: rk, b: &rk.banks[i%g.BanksPerRank]}
 	}
-	c.activeBanks = make([]int32, 0, nb)
-	return c
 }
 
 // SetRefreshEnabled toggles periodic refresh (enabled by default).
@@ -374,6 +384,9 @@ func (c *Channel) allocSlot() int32 {
 
 // push appends one request to the queue tail.
 func (c *Channel) push(r Request, user *Request) {
+	if c.bankHead == nil {
+		c.initBankLists()
+	}
 	s := c.allocSlot()
 	sl := &c.slots[s]
 	sl.req = r

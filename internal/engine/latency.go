@@ -11,17 +11,7 @@ import (
 // the paper's Fig. 2(a) breakdown (>90% linear) holds, and so PIM offload
 // cannot accelerate it (Amdahl).
 func (s *System) otherStepSeconds() float64 {
-	return otherFraction * s.socDecodeLinearSeconds()
-}
-
-// socDecodeLinearSeconds is one decode step's linear (GEMV) time on the
-// SoC with weights in their preferred layout.
-func (s *System) socDecodeLinearSeconds() float64 {
-	var t float64
-	for _, op := range s.Model.DecodeLinears() {
-		t += s.Platform.Seconds(op)
-	}
-	return t
+	return otherFraction * s.socLinearStep
 }
 
 // socAttentionSeconds is the SoC time to read the KV cache at context ctx
@@ -33,10 +23,10 @@ func (s *System) socAttentionSeconds(ctx int) float64 {
 	return float64(s.Model.AttentionBytesPerStep(ctx)) / (s.Platform.EffectiveBWGBs() * 1e9)
 }
 
-// pimLinearStepSeconds is one decode step's linear time on PIM: every
-// weight matrix streamed through the bank PUs, plus the SoC-side reduction
-// of column-partitioned partial sums.
-func (s *System) pimLinearStepSeconds() (float64, error) {
+// pimLinearStepSum is one decode step's linear time on PIM, memoized per
+// System as pimLinearStep: every weight matrix streamed through the bank
+// PUs, plus the SoC-side reduction of column-partitioned partial sums.
+func (s *System) pimLinearStepSum() (float64, error) {
 	var t float64
 	for _, pw := range s.weights {
 		r, err := s.pimDev.GEMV(pw.matrix)
@@ -87,7 +77,7 @@ func (s *System) prefillSoCSeconds(l int, pimLayout bool) float64 {
 // weights (tall-and-skinny GEMM), causal attention over the growing KV
 // cache, and the per-token non-linear work on the SoC.
 func (s *System) prefillPIMSeconds(l int) (float64, error) {
-	lin, err := s.pimLinearStepSeconds()
+	lin, err := s.pimLinearStep()
 	if err != nil {
 		return 0, err
 	}
@@ -130,9 +120,9 @@ func (s *System) DecodeStepSeconds(k Kind, ctx int) (float64, error) {
 	return s.decodeCache.Do(decodeKey{kind: k, ctx: ctx}, func() (float64, error) {
 		switch k {
 		case SoCOnly:
-			return s.socDecodeLinearSeconds() + s.socAttentionSeconds(ctx) + s.otherStepSeconds(), nil
+			return s.socLinearStep + s.socAttentionSeconds(ctx) + s.otherStepSeconds(), nil
 		case HybridStatic, HybridDynamic, FACIL, WeightDuplication:
-			lin, err := s.pimLinearStepSeconds()
+			lin, err := s.pimLinearStep()
 			if err != nil {
 				return 0, err
 			}
@@ -173,11 +163,11 @@ func (s *System) DecodeStepBreakdown(k Kind, ctx int) (PIMStepBreakdown, error) 
 	var b PIMStepBreakdown
 	b.OtherSeconds = s.otherStepSeconds()
 	if k == SoCOnly {
-		b.LinearSeconds = s.socDecodeLinearSeconds()
+		b.LinearSeconds = s.socLinearStep
 		b.AttentionSeconds = s.socAttentionSeconds(ctx)
 		return b, nil
 	}
-	lin, err := s.pimLinearStepSeconds()
+	lin, err := s.pimLinearStep()
 	if err != nil {
 		return b, err
 	}

@@ -18,6 +18,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"facil/internal/llm"
 	"facil/internal/mapping"
@@ -99,6 +100,11 @@ type System struct {
 	// prefillCache memoizes TTFTStatic by (kind, prefill length): one
 	// read-only table per System that every serving sim on it shares.
 	prefillCache parallel.Flight[prefillKey, float64]
+	// socLinearStep is one decode step's linear time on the SoC, and
+	// pimLinearStep its PIM counterpart computed on first use; both are
+	// per-step constants of the System.
+	socLinearStep float64
+	pimLinearStep func() (float64, error)
 }
 
 type placedWeight struct {
@@ -157,6 +163,10 @@ func NewSystem(p soc.Platform, m llm.Model, cfg Config) (*System, error) {
 		}
 		s.weights = append(s.weights, placedWeight{w: w, matrix: matrix, sel: sel, count: count})
 	}
+	for _, op := range m.DecodeLinears() {
+		s.socLinearStep += p.Seconds(op)
+	}
+	s.pimLinearStep = sync.OnceValues(s.pimLinearStepSum)
 	return s, nil
 }
 

@@ -74,12 +74,14 @@ func NewDevice(spec dram.Spec, cfg Config) (*Device, error) {
 // simulated and its completion time is the device's.
 func (d *Device) GEMV(matrix mapping.MatrixConfig) (GEMVResult, error) {
 	return d.cach.Do(matrix, func() (GEMVResult, error) {
-		return d.gemv(matrix)
+		return d.schedule(dram.NewChannel(&d.spec), matrix)
 	})
 }
 
-// gemv simulates one GEMV schedule; GEMV memoizes it per shape.
-func (d *Device) gemv(matrix mapping.MatrixConfig) (GEMVResult, error) {
+// schedule runs matrix's GEMV schedule on ch: per input segment, one
+// global-buffer broadcast per rank, then that segment's passes as one
+// dram.Channel.AllBankPasses call, then the output drain.
+func (d *Device) schedule(ch *dram.Channel, matrix mapping.MatrixConfig) (GEMVResult, error) {
 	sel, err := mapping.SelectMapping(matrix, d.mem, d.cfg.Chunk)
 	if err != nil {
 		return GEMVResult{}, err
@@ -110,7 +112,6 @@ func (d *Device) gemv(matrix mapping.MatrixConfig) (GEMVResult, error) {
 	burstsPerRow := g.ColumnsPerRow()
 	segBursts := d.cfg.GlobalBufferBytes / g.TransferBytes
 
-	ch := dram.NewChannel(&d.spec)
 	ranks := g.RanksPerChannel
 	row := 0
 	passesLeft := dramRowsPerBank
@@ -121,32 +122,13 @@ func (d *Device) gemv(matrix mapping.MatrixConfig) (GEMVResult, error) {
 			}
 			res.InputBursts += int64(segBursts)
 		}
-		passes := passesPerSeg
-		if passes > passesLeft {
-			passes = passesLeft
+		passes := min(passesPerSeg, passesLeft)
+		if err := ch.AllBankPasses(row%g.Rows, passes, burstsPerRow, d.cfg.MACIntervalCycles); err != nil {
+			return GEMVResult{}, err
 		}
-		for p := 0; p < passes; p++ {
-			for rk := 0; rk < ranks; rk++ {
-				if _, err := ch.AllBankACT(rk, row%g.Rows); err != nil {
-					return GEMVResult{}, err
-				}
-			}
-			res.Activations++
-			for b := 0; b < burstsPerRow; b++ {
-				for rk := 0; rk < ranks; rk++ {
-					if _, err := ch.AllBankMAC(rk, b, d.cfg.MACIntervalCycles); err != nil {
-						return GEMVResult{}, err
-					}
-				}
-				res.MACs++
-			}
-			for rk := 0; rk < ranks; rk++ {
-				if _, err := ch.AllBankPRE(rk); err != nil {
-					return GEMVResult{}, err
-				}
-			}
-			row++
-		}
+		res.Activations += int64(passes)
+		res.MACs += int64(passes) * int64(burstsPerRow)
+		row += passes
 		passesLeft -= passes
 	}
 	// Output drain: Rows x PartitionsPerRow partial elements system-

@@ -69,6 +69,26 @@ func TestIDsDefaultsToAll(t *testing.T) {
 	}
 }
 
+// TestIDsExpandAll pins "all" (facilsim -id all, or a facild POST) to
+// every experiment in DESIGN.md order, in place in the list.
+func TestIDsExpandAll(t *testing.T) {
+	sc := DefaultScenario()
+	sc.Experiments = []string{allExperiments}
+	if got := sc.IDs(); !reflect.DeepEqual(got, exp.AllIDs) {
+		t.Errorf("IDs of [all] = %v, want exp.AllIDs", got)
+	}
+	if err := sc.Validate(); err != nil {
+		t.Errorf("[all] rejected: %v", err)
+	}
+	sc.Experiments = []string{"tab2", allExperiments}
+	if got := sc.IDs(); !reflect.DeepEqual(got, append([]string{"tab2"}, exp.AllIDs...)) {
+		t.Errorf("IDs of [tab2 all] = %v", got)
+	}
+	if got := sc.Args(); !reflect.DeepEqual(got, []string{"-id", "tab2,all"}) {
+		t.Errorf("Args of [tab2 all] = %v", got)
+	}
+}
+
 func TestArgsCanonicalForm(t *testing.T) {
 	if got := DefaultScenario().Args(); len(got) != 0 {
 		t.Errorf("default scenario Args = %v, want none", got)

@@ -32,9 +32,9 @@ import (
 // unbounded queue / no SLO). Decode layers JSON over DefaultScenario so
 // omitted fields keep that semantics.
 type Scenario struct {
-	// Experiments lists the identifiers to run, in order (empty = every
-	// experiment in DESIGN.md order). Merged from positional arguments
-	// and -id on the CLI.
+	// Experiments lists the identifiers to run, in order (empty or
+	// "all" = every experiment in DESIGN.md order). Merged from
+	// positional arguments and -id on the CLI.
 	Experiments []string `json:"experiments,omitempty"`
 	// Queries overrides the per-dataset query count of the dataset and
 	// serving experiments (0 = experiment default).
@@ -156,13 +156,25 @@ func (sc Scenario) Save(path string) error {
 	return f.Close()
 }
 
-// IDs returns the experiment identifiers the scenario runs: its
-// explicit list, or every experiment in DESIGN.md order when empty.
+// allExperiments is the identifier that stands for every experiment.
+const allExperiments = "all"
+
+// IDs returns the experiment identifiers the scenario runs: its explicit
+// list with each allExperiments entry expanded, or every experiment in
+// DESIGN.md order when the list is empty.
 func (sc Scenario) IDs() []string {
-	if len(sc.Experiments) > 0 {
-		return sc.Experiments
+	if len(sc.Experiments) == 0 {
+		return exp.AllIDs
 	}
-	return exp.AllIDs
+	var ids []string
+	for _, id := range sc.Experiments {
+		if id == allExperiments {
+			ids = append(ids, exp.AllIDs...)
+		} else {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // Args renders the scenario back to its canonical facilsim flag form.
@@ -225,7 +237,7 @@ func (sc Scenario) Args() []string {
 // identifiers surface as per-experiment failures so one typo cannot
 // take down a batch of valid experiments.
 func (sc Scenario) Validate() error {
-	for _, id := range sc.Experiments {
+	for _, id := range sc.IDs() {
 		if !exp.Known(id) {
 			return fmt.Errorf("run: unknown experiment %q (see -list or GET /experiments)", id)
 		}

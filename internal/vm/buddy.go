@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 )
 
 // HugeOrder is the buddy order of a 2 MB huge page (512 x 4 KB frames).
@@ -15,18 +16,17 @@ type Buddy struct {
 	frames   int
 	maxOrder int
 	// freeLists[o] holds candidate start frames of free blocks of
-	// order o. Entries are lazily invalidated: an entry is valid only
-	// while its generation stamp matches blockGen[start], the block is
-	// free and has order o.
-	freeLists [][]listEntry
+	// order o. Removing a block leaves its entry behind, so an entry is
+	// valid only while its block is free with order o. Lists are LIFO:
+	// a block's latest insert sits above any older entry for it, so
+	// popFree meets a free block's newest entry first, and an older one
+	// only after that block left the list.
+	freeLists [][]int32
 	// blockOrder[s] is the order of the free block starting at s
 	// (meaningful only when blockFree[s]).
 	blockOrder []int8
 	// blockFree[s] marks s as the start of a free block.
 	blockFree []bool
-	// blockGen[s] increments on every insertFree(s, .), invalidating
-	// stale free-list entries for s.
-	blockGen []uint32
 	// frameFree marks each frame free or used (for double-free checks
 	// and unaligned region scans).
 	frameFree []bool
@@ -51,10 +51,9 @@ func NewBuddy(frames, maxOrder int) (*Buddy, error) {
 	b := &Buddy{
 		frames:     frames,
 		maxOrder:   maxOrder,
-		freeLists:  make([][]listEntry, maxOrder+1),
+		freeLists:  make([][]int32, maxOrder+1),
 		blockOrder: make([]int8, frames),
 		blockFree:  make([]bool, frames),
-		blockGen:   make([]uint32, frames),
 		frameFree:  make([]bool, frames),
 		regionFree: make([]int32, (frames+FramesPerHugePage-1)/FramesPerHugePage),
 	}
@@ -71,18 +70,15 @@ func NewBuddy(frames, maxOrder int) (*Buddy, error) {
 	return b, nil
 }
 
-// listEntry is a stamped free-list slot.
-type listEntry struct {
-	start int32
-	gen   uint32
-}
-
 // insertFree registers a free block.
 func (b *Buddy) insertFree(start, order int) {
 	b.blockFree[start] = true
 	b.blockOrder[start] = int8(order)
-	b.blockGen[start]++
-	b.freeLists[order] = append(b.freeLists[order], listEntry{int32(start), b.blockGen[start]})
+	list := b.freeLists[order]
+	if len(list) == cap(list) {
+		list = b.compactList(list, order)
+	}
+	b.freeLists[order] = append(list, int32(start))
 	for f := start; f < start+(1<<order); f++ {
 		b.frameFree[f] = true
 	}
@@ -118,16 +114,36 @@ func (b *Buddy) addRegionFree(start, order int, sign int32) {
 	}
 }
 
+// valid reports whether a free-list entry for s in list order is live.
+func (b *Buddy) valid(s int32, order int) bool {
+	return b.blockFree[s] && int(b.blockOrder[s]) == order
+}
+
+// compactList drops the dead entries of a full list in place, keeping the
+// live ones in order so pops stay LIFO. A list that stays more than half
+// live grows instead, so compaction costs amortized O(1) per insert.
+func (b *Buddy) compactList(list []int32, order int) []int32 {
+	live := list[:0]
+	for _, s := range list {
+		if b.valid(s, order) {
+			live = append(live, s)
+		}
+	}
+	if 2*len(live) > cap(list) {
+		return slices.Grow(live, len(live))
+	}
+	return live
+}
+
 // popFree returns a valid free block of exactly `order`, or -1.
 func (b *Buddy) popFree(order int) int {
 	list := b.freeLists[order]
 	for len(list) > 0 {
-		e := list[len(list)-1]
+		s := list[len(list)-1]
 		list = list[:len(list)-1]
-		s := int(e.start)
-		if b.blockFree[s] && int(b.blockOrder[s]) == order && b.blockGen[s] == e.gen {
+		if b.valid(s, order) {
 			b.freeLists[order] = list
-			return s
+			return int(s)
 		}
 	}
 	b.freeLists[order] = list

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -231,4 +233,92 @@ func TestFreeInRegion(t *testing.T) {
 	if !b.FrameFree(1023) {
 		t.Error("frame 1023 should be free")
 	}
+}
+
+// buddyOps runs one op stream against Buddy and refBuddy side by side and
+// fails on the first difference in a returned frame, an error or the free
+// frame count, or (every 16th op and after the last) in FreeBlocks or
+// FMFI. Each op is three bytes: a kind (Alloc, Free of a live block,
+// AllocHugePage, Free of an arbitrary aligned range) and two arguments.
+func buddyOps(t *testing.T, frames, maxOrder int, ops []byte) {
+	got, gerr := NewBuddy(frames, maxOrder)
+	want, werr := newRefBuddy(frames, maxOrder)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("NewBuddy(%d, %d): error %v, reference %v", frames, maxOrder, gerr, werr)
+	}
+	if gerr != nil {
+		return
+	}
+	type block struct{ start, order int }
+	var live []block
+	var gCursor, wCursor int
+	for i := 0; i+2 < len(ops); i += 3 {
+		kind, a, c := ops[i]%4, int(ops[i+1]), int(ops[i+2])
+		var g, w int
+		var ge, we error
+		switch kind {
+		case 0:
+			order := a % (got.maxOrder + 2)
+			g, ge = got.Alloc(order)
+			w, we = want.Alloc(order)
+			if ge == nil && we == nil {
+				live = append(live, block{g, order})
+			}
+		case 1:
+			if len(live) == 0 {
+				continue
+			}
+			k := a % len(live)
+			bl := live[k]
+			live = append(live[:k], live[k+1:]...)
+			ge, we = got.Free(bl.start, bl.order), want.Free(bl.start, bl.order)
+		case 2:
+			var gm, wm int
+			g, gm, ge = got.AllocHugePage(&gCursor, c%8)
+			w, wm, we = want.AllocHugePage(&wCursor, c%8)
+			if gm != wm || gCursor != wCursor {
+				t.Fatalf("op %d AllocHugePage: moved %d cursor %d, reference moved %d cursor %d", i/3, gm, gCursor, wm, wCursor)
+			}
+			if ge == nil && we == nil {
+				live = append(live, block{g, HugeOrder})
+			}
+		case 3:
+			order := c % 5
+			start := (a * frames / 256) &^ (1<<order - 1)
+			ge, we = got.Free(start, order), want.Free(start, order)
+		}
+		if g != w || fmt.Sprint(ge) != fmt.Sprint(we) {
+			t.Fatalf("op %d (kind %d): frame %d err %v, reference frame %d err %v", i/3, kind, g, ge, w, we)
+		}
+		if got.FreeFrames() != want.FreeFrames() {
+			t.Fatalf("op %d (kind %d): %d free frames, reference %d", i/3, kind, got.FreeFrames(), want.FreeFrames())
+		}
+		if i%48 != 0 && i+5 < len(ops) {
+			continue
+		}
+		if g, w := got.FreeBlocks(), want.FreeBlocks(); !slices.Equal(g, w) {
+			t.Fatalf("op %d: free blocks %v, reference %v", i/3, g, w)
+		}
+		for _, o := range []int{0, 3, HugeOrder} {
+			if gf, wf := got.FMFI(o), want.FMFI(o); gf != wf {
+				t.Fatalf("op %d: FMFI(%d) %v, reference %v", i/3, o, gf, wf)
+			}
+		}
+	}
+}
+
+// FuzzBuddyDifferential pins Buddy's stamp-free free lists (and their
+// in-order compaction) to refBuddy over random Alloc, Free and
+// AllocHugePage sequences.
+func FuzzBuddyDifferential(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	for _, frames := range []uint16{64, 1000, 2048, 4096 + 300} {
+		ops := make([]byte, 3*1000)
+		rng.Read(ops)
+		f.Add(frames, uint8(0), ops)
+		f.Add(frames, uint8(HugeOrder), ops)
+	}
+	f.Fuzz(func(t *testing.T, frames uint16, maxOrder uint8, ops []byte) {
+		buddyOps(t, 1+int(frames%8192), int(maxOrder%14), ops)
+	})
 }
