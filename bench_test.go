@@ -193,7 +193,7 @@ func BenchmarkDRAMSequentialStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// SliceSource enqueues by value, so iterations share the slice.
-		if _, err := dram.MeasureStreamFunc(spec, dram.SliceSource(reqs)); err != nil {
+		if _, err := dram.MeasureStream(spec, dram.SliceSource(reqs), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,10 +41,18 @@ const (
 // ErrDraining rejects submissions once a drain has begun.
 var ErrDraining = errors.New("daemon: draining, not accepting runs")
 
+// ErrQueueFull rejects a submission while maxQueuedRuns runs wait.
+var ErrQueueFull = errors.New("daemon: run queue full")
+
 // maxFinishedRuns caps how many finished (done, failed or canceled)
 // runs a Server retains; past it the oldest finished runs are evicted
 // and their IDs answer 410 Gone.
 const maxFinishedRuns = 256
+
+// maxQueuedRuns caps how many runs may wait for the runner; past it
+// Submit fails with ErrQueueFull (429 over HTTP), so a client looping
+// on POST /runs cannot grow memory and queued work without bound.
+const maxQueuedRuns = 64
 
 // Options configures a Server.
 type Options struct {
@@ -108,9 +116,11 @@ type Server struct {
 	stopped  bool
 	done     chan struct{}
 	// finished counts the retained runs in a terminal state; evicted
-	// tallies the runs retention dropped, by state.
+	// tallies the runs retention dropped, by state; rejected counts the
+	// submissions refused with ErrQueueFull.
 	finished int
 	evicted  RunCounts
+	rejected int
 }
 
 // New builds a server, its engine and its trace ring, and starts the
@@ -141,8 +151,9 @@ func New(opts Options) *Server {
 }
 
 // Submit validates and enqueues a scenario, returning the queued run's
-// snapshot. It fails with ErrDraining during a drain and with the
-// validation error for a bad scenario.
+// snapshot. It fails with ErrDraining during a drain, with ErrQueueFull
+// while maxQueuedRuns runs wait, and with the validation error for a
+// bad scenario.
 func (s *Server) Submit(sc run.Scenario) (Run, error) {
 	if err := sc.Validate(); err != nil {
 		return Run{}, err
@@ -151,6 +162,10 @@ func (s *Server) Submit(sc run.Scenario) (Run, error) {
 	defer s.mu.Unlock()
 	if s.draining || s.stopped {
 		return Run{}, ErrDraining
+	}
+	if len(s.queue) >= maxQueuedRuns {
+		s.rejected++
+		return Run{}, ErrQueueFull
 	}
 	r := s.enqueueLocked(sc)
 	return *r, nil

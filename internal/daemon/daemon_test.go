@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -435,5 +436,47 @@ func TestFinishedRunRetention(t *testing.T) {
 		if got := status(path); got != want {
 			t.Errorf("GET %s = %d, want %d", path, got, want)
 		}
+	}
+}
+
+// TestQueueCap floods a runner-less server with submissions: the queue
+// stops at maxQueuedRuns, the overflow answers 429 with Retry-After and
+// is counted in /metrics, and a reload still replaces the full queue.
+func TestQueueCap(t *testing.T) {
+	s := &Server{runs: map[string]*Run{}, done: make(chan struct{})}
+	s.cond = sync.NewCond(&s.mu)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const extra = 5
+	body := `{"experiments":["tab2"]}`
+	for i := 0; i < maxQueuedRuns+extra; i++ {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := http.StatusAccepted
+		if i >= maxQueuedRuns {
+			want = http.StatusTooManyRequests
+			if resp.Header.Get("Retry-After") == "" {
+				t.Errorf("submission %d: 429 without Retry-After", i)
+			}
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("submission %d = %d, want %d", i, resp.StatusCode, want)
+		}
+	}
+	if _, err := s.Submit(run.Scenario{Experiments: []string{"tab2"}}); !errors.Is(err, ErrQueueFull) {
+		t.Errorf("Submit on a full queue = %v, want ErrQueueFull", err)
+	}
+	m := s.Metrics()
+	if m.Runs.Queued != maxQueuedRuns || m.Rejected != extra+1 {
+		t.Errorf("metrics: %d queued, %d rejected; want %d and %d", m.Runs.Queued, m.Rejected, maxQueuedRuns, extra+1)
+	}
+	if _, err := s.Reload(run.Scenario{Experiments: []string{"tab2"}}); err != nil {
+		t.Fatalf("reload on a full queue: %v", err)
+	}
+	if got := s.Metrics().Runs; got.Queued != 1 || got.Canceled != maxQueuedRuns {
+		t.Errorf("after reload: %+v, want 1 queued and %d canceled", got, maxQueuedRuns)
 	}
 }

@@ -26,6 +26,8 @@ type Metrics struct {
 	Draining bool `json:"draining"`
 	// Runs counts runs by lifecycle state.
 	Runs RunCounts `json:"runs"`
+	// Rejected counts submissions refused because the run queue was full.
+	Rejected int `json:"rejected"`
 	// Serve is the serving simulator's live counter snapshot.
 	Serve serve.LiveSnapshot `json:"serve"`
 	// Cluster is the fleet router's live counter snapshot.
@@ -92,6 +94,7 @@ func (s *Server) Metrics() Metrics {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Draining:      s.draining,
 		Runs:          s.evicted,
+		Rejected:      s.rejected,
 	}
 	for _, r := range s.runs {
 		m.Runs.add(r.State)
@@ -110,7 +113,8 @@ func (s *Server) Metrics() Metrics {
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST /runs              submit a scenario (run.Scenario JSON, <= 1 MiB), 202 + run
+//	POST /runs              submit a scenario (run.Scenario JSON, <= 1 MiB), 202 + run;
+//	                        429 + Retry-After while maxQueuedRuns runs wait
 //	GET  /runs              list runs in submission order
 //	GET  /runs/{id}         one run's lifecycle record (410 once evicted)
 //	GET  /runs/{id}/report  a finished run's exp.Report JSON (410 once evicted)
@@ -176,7 +180,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, err := s.Submit(sc)
 	if err != nil {
-		httpError(w, submitStatus(err), err)
+		submitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, rec)
@@ -190,18 +194,24 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, err := s.Reload(sc)
 	if err != nil {
-		httpError(w, submitStatus(err), err)
+		submitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, rec)
 }
 
-// submitStatus maps a Submit/Reload error to its HTTP status.
-func submitStatus(err error) int {
-	if errors.Is(err, ErrDraining) {
-		return http.StatusServiceUnavailable
+// submitError answers a failed Submit/Reload: 503 while draining, 429
+// with a Retry-After hint when the queue is full, 400 otherwise.
+func submitError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrDraining):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrQueueFull):
+		status = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", "5")
 	}
-	return http.StatusBadRequest
+	httpError(w, status, err)
 }
 
 // handleRun serves one run's lifecycle record.

@@ -1,10 +1,6 @@
 package dram
 
-import (
-	"fmt"
-
-	"facil/internal/obs"
-)
+import "fmt"
 
 // ChannelStats aggregates per-channel scheduler statistics.
 //
@@ -177,15 +173,6 @@ type Channel struct {
 	lockstep lockstep
 
 	stats ChannelStats
-
-	// tr, when non-nil, receives sampled counter events (row hits/
-	// misses, reads/writes, activations) every traceSampleEvery column
-	// commands plus an instant per refresh, on the tracePID track with
-	// cycle timestamps scaled by traceUSPerCycle.
-	tr             *obs.Tracer
-	tracePID       int64
-	traceUSPerCyc  float64
-	colSinceSample int
 }
 
 // bankLoc is one bank's rank and bank state.
@@ -193,11 +180,6 @@ type bankLoc struct {
 	rk *rank
 	b  *bank
 }
-
-// traceSampleEvery is the counter sampling stride in column commands: a
-// sample every 64 bursts keeps trace volume ~1.5% of request volume
-// while still resolving row-locality phase changes.
-const traceSampleEvery = 64
 
 // RowPolicy selects what happens to a row after a column access.
 type RowPolicy int
@@ -286,29 +268,6 @@ func (c *Channel) SetWindow(w int) {
 		}
 		c.makeVisible(cand)
 	}
-}
-
-// SetTracer attaches an observability tracer to the scheduler: counter
-// samples (row hits/misses, reads, writes, activations) are emitted on
-// the pid track every traceSampleEvery column commands, and each
-// all-bank refresh leaves an instant marker. usPerCycle converts
-// scheduler cycles to trace microseconds (Timing.Seconds(1)*1e6). A nil
-// tracer detaches; the disabled cost is one pointer test per command.
-func (c *Channel) SetTracer(tr *obs.Tracer, pid int64, usPerCycle float64) {
-	c.tr = tr
-	c.tracePID = pid
-	c.traceUSPerCyc = usPerCycle
-	c.colSinceSample = 0
-}
-
-// traceCounters emits one sample of every scheduler counter at cycle at.
-func (c *Channel) traceCounters(at int64) {
-	ts := float64(at) * c.traceUSPerCyc
-	c.tr.Counter(c.tracePID, "row hits", ts, float64(c.stats.RowHits))
-	c.tr.Counter(c.tracePID, "row misses", ts, float64(c.stats.RowMisses))
-	c.tr.Counter(c.tracePID, "reads", ts, float64(c.stats.Reads))
-	c.tr.Counter(c.tracePID, "writes", ts, float64(c.stats.Writes))
-	c.tr.Counter(c.tracePID, "activations", ts, float64(c.stats.Activations))
 }
 
 // Now returns the cycle of the most recently issued command.
@@ -594,10 +553,6 @@ func (c *Channel) step() {
 			if c.ranks[ri].refreshDue(c.now) {
 				c.ranks[ri].applyRefresh(c.now, c.t)
 				c.stats.Refreshes++
-				if c.tr != nil {
-					c.tr.InstantArg(c.tracePID, 0, "refresh",
-						float64(c.now)*c.traceUSPerCyc, "rank", float64(ri))
-				}
 			}
 		}
 	}
@@ -813,13 +768,6 @@ func (c *Channel) issue(cand candidate) {
 			c.stats.RowMisses++
 		} else {
 			c.stats.RowHits++
-		}
-		if c.tr != nil {
-			c.colSinceSample++
-			if c.colSinceSample >= traceSampleEvery {
-				c.colSinceSample = 0
-				c.traceCounters(at)
-			}
 		}
 		if sl.user != nil {
 			sl.user.Done = done

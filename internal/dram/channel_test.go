@@ -256,7 +256,7 @@ func TestMeasureStreamBandwidth(t *testing.T) {
 			}
 		}
 	}
-	res, err := MeasureStreamFunc(spec, SliceSource(reqs))
+	res, err := MeasureStream(spec, SliceSource(reqs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"facil/internal/obs"
 	"facil/internal/parallel"
 )
 
@@ -33,19 +32,6 @@ func NewController(spec Spec) (*Controller, error) {
 
 // Channel returns the scheduler for channel i.
 func (ctl *Controller) Channel(i int) *Channel { return ctl.channels[i] }
-
-// SetTracer attaches an observability tracer to every channel, naming
-// one trace process per channel at pids [pidBase, pidBase+Channels).
-// Cycle timestamps are converted to microseconds with the spec's burst
-// clock so DRAM counters align with wall-clock trace tracks.
-func (ctl *Controller) SetTracer(tr *obs.Tracer, pidBase int64) {
-	usPerCycle := ctl.spec.Timing.Seconds(1) * 1e6
-	for i, c := range ctl.channels {
-		pid := pidBase + int64(i)
-		tr.ProcessName(pid, fmt.Sprintf("%s channel %d", ctl.spec.Name, i))
-		c.SetTracer(tr, pid, usPerCycle)
-	}
-}
 
 // SetRefreshEnabled toggles refresh on every channel.
 func (ctl *Controller) SetRefreshEnabled(v bool) {
@@ -79,22 +65,15 @@ func (ctl *Controller) EnqueueValue(r Request) error {
 // stats, so when more than one channel has pending work and GOMAXPROCS
 // allows it, they drain concurrently through internal/parallel — the
 // per-channel results (and therefore the returned cycle, Stats and every
-// request's Done) are byte-identical to a serial drain. The serial path
-// is kept when a tracer is attached: obs event timestamps stay correct
-// either way, but the trace ring buffer's drop order under overflow
-// depends on global emission order, which concurrency would scramble.
+// request's Done) are byte-identical to a serial drain.
 func (ctl *Controller) Drain() int64 {
 	busy := 0
-	traced := false
 	for _, c := range ctl.channels {
 		if c.Pending() > 0 {
 			busy++
 		}
-		if c.tr != nil {
-			traced = true
-		}
 	}
-	if busy > 1 && !traced && runtime.GOMAXPROCS(0) > 1 {
+	if busy > 1 && runtime.GOMAXPROCS(0) > 1 {
 		dones, _ := parallel.Sweep(context.Background(), ctl.channels,
 			func(_ context.Context, c *Channel) (int64, error) {
 				return c.Drain(), nil

@@ -91,7 +91,7 @@ func BenchmarkReplayStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ReplayStream(spec, sequentialSource(&spec, n)); err != nil {
+		if _, err := MeasureStream(spec, sequentialSource(&spec, n), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

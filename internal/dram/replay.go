@@ -22,54 +22,6 @@ func SliceSource(reqs []Request) RequestSource {
 	}
 }
 
-// ReplayStream feeds a request stream through a fresh controller and
-// returns the completion cycle along with controller statistics.
-// Requests are enqueued by value, with their stated arrival cycles, as
-// the source produces them; a channel queue past twice the FR-FCFS
-// window is drained incrementally, so arbitrarily long traces use
-// bounded memory per channel.
-func ReplayStream(spec Spec, src RequestSource) (int64, ChannelStats, error) {
-	return replayStreamWindow(spec, src, 0)
-}
-
-// replayStreamWindow replays src with the given FR-FCFS window (0 keeps
-// DefaultWindow). A channel whose queue passes 2d entries is drained to
-// d = min(window, 2048). FR-FCFS only sees the oldest window entries.
-// For windows up to 2048, d is the window, so every step of a drain still
-// has more than window requests queued and sees the same visible set as
-// with the whole stream enqueued up front: the schedule is exact while
-// the replay keeps only about 2*window slots per channel. Windows above
-// 2048 keep the 4096 bound, whose drains see fewer entries than the
-// window.
-func replayStreamWindow(spec Spec, src RequestSource, window int) (int64, ChannelStats, error) {
-	ctl, err := NewController(spec)
-	if err != nil {
-		return 0, ChannelStats{}, err
-	}
-	if window > 0 {
-		for i := 0; i < spec.Geometry.Channels; i++ {
-			ctl.Channel(i).SetWindow(window)
-		}
-	} else {
-		window = DefaultWindow
-	}
-	drainTo := min(window, 2048)
-	var r Request
-	for src(&r) {
-		if err := ctl.EnqueueValue(r); err != nil {
-			return 0, ChannelStats{}, err
-		}
-		ch := ctl.channels[r.Addr.Channel]
-		if ch.Pending() > 2*drainTo {
-			ch.DrainUpTo(drainTo)
-		}
-	}
-	done := ctl.Drain()
-	stats := ctl.Stats()
-	Global.record(stats, done)
-	return done, stats, nil
-}
-
 // StreamResult summarizes a replayed stream.
 type StreamResult struct {
 	// Cycles is the completion cycle of the last request.
@@ -85,28 +37,50 @@ type StreamResult struct {
 	Stats      ChannelStats
 }
 
-// MeasureStreamFunc replays a pull source on spec and summarizes achieved
-// bandwidth.
-func MeasureStreamFunc(spec Spec, src RequestSource) (StreamResult, error) {
-	return MeasureStreamFuncWindow(spec, src, 0)
-}
-
-// MeasureStreamFuncWindow is MeasureStreamFunc with an explicit FR-FCFS
-// reorder window on every channel (0 keeps the default).
-func MeasureStreamFuncWindow(spec Spec, src RequestSource, window int) (StreamResult, error) {
-	cycles, stats, err := replayStreamWindow(spec, src, window)
+// MeasureStream feeds a request stream through a fresh controller with
+// the given FR-FCFS window on every channel (0 keeps DefaultWindow) and
+// summarizes the achieved bandwidth. Requests are enqueued by value, with
+// their stated arrival cycles, as the source produces them.
+//
+// A channel whose queue passes 2d entries is drained to d = min(window,
+// 2048). FR-FCFS only sees the oldest window entries. For windows up to
+// 2048, d is the window, so every step of a drain still has more than
+// window requests queued and sees the same visible set as with the whole
+// stream enqueued up front: the schedule is exact while the replay keeps
+// only about 2*window slots per channel, so arbitrarily long traces use
+// bounded memory. Windows above 2048 keep the 4096 bound, whose drains
+// see fewer entries than the window.
+func MeasureStream(spec Spec, src RequestSource, window int) (StreamResult, error) {
+	ctl, err := NewController(spec)
 	if err != nil {
 		return StreamResult{}, err
 	}
-	return summarize(spec, cycles, stats), nil
-}
-
-func summarize(spec Spec, cycles int64, stats ChannelStats) StreamResult {
+	if window > 0 {
+		for i := 0; i < spec.Geometry.Channels; i++ {
+			ctl.Channel(i).SetWindow(window)
+		}
+	} else {
+		window = DefaultWindow
+	}
+	drainTo := min(window, 2048)
+	var r Request
+	for src(&r) {
+		if err := ctl.EnqueueValue(r); err != nil {
+			return StreamResult{}, err
+		}
+		ch := ctl.channels[r.Addr.Channel]
+		if ch.Pending() > 2*drainTo {
+			ch.DrainUpTo(drainTo)
+		}
+	}
+	done := ctl.Drain()
+	stats := ctl.Stats()
+	Global.record(stats, done)
 	res := StreamResult{
-		Cycles: cycles,
+		Cycles: done,
 		Stats:  stats,
 	}
-	res.Seconds = spec.Timing.Seconds(cycles)
+	res.Seconds = spec.Timing.Seconds(done)
 	res.Bytes = (stats.Reads + stats.Writes) * int64(spec.Geometry.TransferBytes)
 	if res.Seconds > 0 {
 		res.BandwidthGBs = float64(res.Bytes) / res.Seconds / 1e9
@@ -114,5 +88,5 @@ func summarize(spec Spec, cycles int64, stats ChannelStats) StreamResult {
 	if hm := stats.RowHits + stats.RowMisses; hm > 0 {
 		res.RowHitRate = float64(stats.RowHits) / float64(hm)
 	}
-	return res
+	return res, nil
 }

@@ -8,7 +8,7 @@ import (
 
 // TestReplayBoundMatchesFullQueue pins the streaming replay's bounded
 // queue to the unbounded schedule: replaying a stream through
-// MeasureStreamFuncWindow, which drains each channel to min(window, 2048)
+// MeasureStream, which drains each channel to min(window, 2048)
 // once it passes twice that, must give the same cycles and stats as
 // enqueueing the whole stream on a fresh Controller and draining it. The
 // stream holds 4096 requests per channel, so the 3000-entry window stays
@@ -27,7 +27,7 @@ func TestReplayBoundMatchesFullQueue(t *testing.T) {
 					for i := range reqs {
 						reqs[i].Addr.Channel = i % channels
 					}
-					res, err := MeasureStreamFuncWindow(spec, SliceSource(reqs), window)
+					res, err := MeasureStream(spec, SliceSource(reqs), window)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -79,13 +79,13 @@ func sequentialSource(spec *Spec, n int) RequestSource {
 }
 
 // TestReplayStreamAllocBound is the replay allocation gate: a 64k-request
-// ReplayStream keeps about two windows of slots per channel, so the whole
+// MeasureStream keeps about two windows of slots per channel, so the whole
 // replay, controller included, must allocate under 64 KiB.
 func TestReplayStreamAllocBound(t *testing.T) {
 	spec := smallSpec()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, err := ReplayStream(spec, sequentialSource(&spec, 1<<16)); err != nil {
+	if _, err := MeasureStream(spec, sequentialSource(&spec, 1<<16), 0); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -25,10 +25,17 @@ func (s Spec) Derated(mult float64) Spec {
 	return d
 }
 
-// throttleCache memoizes ThrottleFactor per (spec name, multiplier):
-// the measurement replays a fixed stream twice through the cycle-level
-// channel, so sweep points sharing a platform pay for it once.
-var throttleCache parallel.Flight[string, float64]
+// throttleCache memoizes ThrottleFactor per (spec, multiplier): the
+// measurement replays a fixed stream twice through the cycle-level
+// channel, so sweep points sharing a platform pay for it once. The key
+// is the whole spec, so two specs that share a name but differ in
+// timing or geometry are measured apart.
+var throttleCache parallel.Flight[throttleKey, float64]
+
+type throttleKey struct {
+	spec Spec
+	mult float64
+}
 
 // throttleStreamBursts sizes the measurement stream: long enough to
 // span many tREFI intervals (LPDDR5-6400: one refresh per ~1562 busy
@@ -50,7 +57,7 @@ func ThrottleFactor(s Spec, mult float64) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	return throttleCache.Do(fmt.Sprintf("%s|x%g", s.Name, mult), func() (float64, error) {
+	return throttleCache.Do(throttleKey{s, mult}, func() (float64, error) {
 		base, err := throttleCycles(s)
 		if err != nil {
 			return 0, err
@@ -84,7 +91,7 @@ func throttleCycles(s Spec) (int64, error) {
 	// saturates the data bus, so any extra cycles are refresh tax. It
 	// is generated on demand, one burst per pull.
 	emitted, row, bank, rank, col := 0, 0, 0, 0, 0
-	done, _, err := ReplayStream(one, func(r *Request) bool {
+	res, err := MeasureStream(one, func(r *Request) bool {
 		if emitted >= throttleStreamBursts {
 			return false
 		}
@@ -106,6 +113,6 @@ func throttleCycles(s Spec) (int64, error) {
 			}
 		}
 		return true
-	})
-	return done, err
+	}, 0)
+	return res.Cycles, err
 }

@@ -63,3 +63,36 @@ func TestThrottleFactorMeasured(t *testing.T) {
 		t.Fatalf("mult 1 = (%g, %v), want (1, nil)", f, err)
 	}
 }
+
+// TestThrottleFactorKeyedBySpec pins the memo key to the whole spec: a
+// spec that keeps another's name but triples TRFCab pays a larger refresh
+// tax, so each must get the factor measured on its own timing.
+func TestThrottleFactorKeyedBySpec(t *testing.T) {
+	a, err := LPDDR5("thermal same name", 16, 6400, 2, 256<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := a
+	b.Timing.TRFCab *= 3
+	var got [2]float64
+	for i, s := range []Spec{a, b} {
+		base, err := throttleCycles(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		derated, err := throttleCycles(s.Derated(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := max(1, float64(derated)/float64(base))
+		if got[i], err = ThrottleFactor(s, 2); err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("spec %d (TRFCab %d): factor %.4f, want %.4f", i, s.Timing.TRFCab, got[i], want)
+		}
+	}
+	if got[1] <= got[0] {
+		t.Errorf("TRFCab x3 factor %.4f not above nominal %.4f", got[1], got[0])
+	}
+}

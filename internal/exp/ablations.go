@@ -134,7 +134,7 @@ var studies = []study{
 			tab.Rows, err = sweep(ctx, l, "ablation-window", []int{1, 4, 16, 32, 128}, func(ctx context.Context, w int) ([]string, error) {
 				// SliceSource replays enqueue by value, so sweep points
 				// share the request slice without copies or write races.
-				res, err := dram.MeasureStreamFuncWindow(spec, dram.SliceSource(reqs), w)
+				res, err := dram.MeasureStream(spec, dram.SliceSource(reqs), w)
 				if err != nil {
 					return nil, err
 				}
@@ -197,7 +197,7 @@ var studies = []study{
 				}
 				n := (8 << 20) / tb
 				var i int64
-				res, err := dram.MeasureStreamFunc(spec, func(r *dram.Request) bool {
+				res, err := dram.MeasureStream(spec, func(r *dram.Request) bool {
 					if i >= n {
 						return false
 					}
@@ -205,7 +205,7 @@ var studies = []study{
 					*r = dram.Request{Addr: a}
 					i++
 					return true
-				})
+				}, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -356,7 +356,7 @@ func measureXORHashing(_ context.Context, _ *Lab, tab *Table) error {
 	}
 	run := func(m translator) (float64, error) {
 		var i int64
-		res, err := dram.MeasureStreamFunc(spec, func(r *dram.Request) bool {
+		res, err := dram.MeasureStream(spec, func(r *dram.Request) bool {
 			if i >= 4096 {
 				return false
 			}
@@ -364,7 +364,7 @@ func measureXORHashing(_ context.Context, _ *Lab, tab *Table) error {
 			*r = dram.Request{Addr: a, Arrival: i / int64(g.Channels)}
 			i++
 			return true
-		})
+		}, 0)
 		if err != nil {
 			return 0, err
 		}

@@ -96,7 +96,7 @@ func (e *Engine) replay(src, dst mapping.MapID) (Result, error) {
 	dstBase := uint64(e.spec.Geometry.CapacityBytes() / 2)
 	var i int64
 	write := false
-	sr, err := dram.MeasureStreamFunc(e.spec, func(r *dram.Request) bool {
+	sr, err := dram.MeasureStream(e.spec, func(r *dram.Request) bool {
 		if i >= n {
 			return false
 		}
@@ -111,7 +111,7 @@ func (e *Engine) replay(src, dst mapping.MapID) (Result, error) {
 		}
 		write = !write
 		return true
-	})
+	}, 0)
 	if err != nil {
 		return Result{}, err
 	}

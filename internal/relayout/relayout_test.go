@@ -138,7 +138,7 @@ func (e *Engine) SequentialReadBandwidth(id mapping.MapID) (float64, error) {
 	n := e.sample / tb
 	m := e.table.Lookup(id)
 	var i int64
-	sr, err := dram.MeasureStreamFunc(e.spec, func(r *dram.Request) bool {
+	sr, err := dram.MeasureStream(e.spec, func(r *dram.Request) bool {
 		if i >= n {
 			return false
 		}
@@ -146,7 +146,7 @@ func (e *Engine) SequentialReadBandwidth(id mapping.MapID) (float64, error) {
 		*r = dram.Request{Addr: a}
 		i++
 		return true
-	})
+	}, 0)
 	if err != nil {
 		return 0, err
 	}

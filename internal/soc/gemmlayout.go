@@ -129,7 +129,7 @@ func MeasureMemSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (float6
 	run := func(id mapping.MapID) (float64, error) {
 		m := tab.Lookup(id)
 		src := gemmWeightStream(m, op.Out, rowBytes, cfg.Streams, p.Spec.Geometry.Channels, cfg.SampleBytes, transfer)
-		res, err := dram.MeasureStreamFunc(p.Spec, src)
+		res, err := dram.MeasureStream(p.Spec, src, 0)
 		if err != nil {
 			return 0, err
 		}

@@ -18,7 +18,7 @@ type SimResult struct {
 }
 
 // SimScore is the tier-two validator: it replays the full trace through
-// the real FR-FCFS controller (dram.MeasureStreamFunc) under mapping m
+// the real FR-FCFS controller (dram.MeasureStream) under mapping m
 // and returns the weighted cycle score the estimator approximates. Each
 // segment is replayed on a fresh controller, paced at the memory
 // system's peak consumption rate (one burst per channel per cycle) so a
@@ -46,7 +46,7 @@ func SimScore(spec dram.Spec, tr *Trace, m Translator) (SimResult, error) {
 			i++
 			return true
 		}
-		res, err := dram.MeasureStreamFunc(spec, src)
+		res, err := dram.MeasureStream(spec, src, 0)
 		if err != nil {
 			return SimResult{}, err
 		}
