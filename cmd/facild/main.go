@@ -114,9 +114,9 @@ func mainErr() int {
 // a request: the header read, so a slow or stalled client cannot hold a
 // connection open before its request is parsed, and the idle time
 // between keep-alive requests, so abandoned connections are closed.
-// ReadTimeout and WriteTimeout stay 0: /trace streams and large report
-// GETs keep unbounded write time, and POST bodies are capped in size by
-// the handler instead.
+// ReadTimeout and WriteTimeout stay 0: POST bodies are capped in size by
+// the handler, and each route but the streaming /trace sets its own
+// write deadline.
 func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,

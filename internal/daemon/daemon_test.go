@@ -480,3 +480,61 @@ func TestQueueCap(t *testing.T) {
 		t.Errorf("after reload: %+v, want 1 queued and %d canceled", got, maxQueuedRuns)
 	}
 }
+
+// deadlineRecorder is a ResponseWriter that records the write deadlines
+// a handler sets through http.ResponseController.
+type deadlineRecorder struct {
+	*httptest.ResponseRecorder
+	deadlines []time.Time
+}
+
+func (d *deadlineRecorder) SetWriteDeadline(t time.Time) error {
+	d.deadlines = append(d.deadlines, t)
+	return nil
+}
+
+// TestWriteDeadlines checks that every non-streaming route sets a write
+// deadline about writeTimeout ahead, and that the streaming /trace sets
+// none.
+func TestWriteDeadlines(t *testing.T) {
+	s := &Server{runs: map[string]*Run{}, done: make(chan struct{}), tracer: obs.New(64)}
+	s.cond = sync.NewCond(&s.mu)
+	h := s.Handler()
+	body := `{"experiments":["tab2"]}`
+	for _, tc := range []struct {
+		method, target, body string
+		deadline             bool
+	}{
+		{"POST", "/runs", body, true},
+		{"GET", "/runs", "", true},
+		{"GET", "/runs/r1", "", true},
+		{"GET", "/runs/r1/report", "", true},
+		{"POST", "/reload", body, true},
+		{"GET", "/metrics", "", true},
+		{"GET", "/experiments", "", true},
+		{"GET", "/version", "", true},
+		{"GET", "/pimalloc?rows=64", "", true},
+		{"GET", "/healthz", "", true},
+		{"GET", "/trace", "", false},
+	} {
+		rec := &deadlineRecorder{ResponseRecorder: httptest.NewRecorder()}
+		before := time.Now()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+		if rec.Code >= 500 {
+			t.Errorf("%s %s = %d", tc.method, tc.target, rec.Code)
+		}
+		if !tc.deadline {
+			if len(rec.deadlines) != 0 {
+				t.Errorf("%s %s set write deadlines %v, want none", tc.method, tc.target, rec.deadlines)
+			}
+			continue
+		}
+		if len(rec.deadlines) != 1 {
+			t.Errorf("%s %s set %d write deadlines, want 1", tc.method, tc.target, len(rec.deadlines))
+			continue
+		}
+		if d := rec.deadlines[0]; d.Before(before.Add(writeTimeout)) || d.After(time.Now().Add(writeTimeout)) {
+			t.Errorf("%s %s deadline %v not writeTimeout after the request", tc.method, tc.target, d)
+		}
+	}
+}

@@ -125,31 +125,46 @@ func (s *Server) Metrics() Metrics {
 //	GET  /version           the binary's build identity
 //	GET  /pimalloc          a pimalloc walkthrough on the public Arena API
 //	GET  /healthz           liveness probe
+//
+// Every route but the streaming /trace writes its response under a
+// writeTimeout deadline.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /runs", s.handleSubmit)
-	mux.HandleFunc("GET /runs", func(w http.ResponseWriter, r *http.Request) {
+	handle := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			// A writer without deadline support serves without one.
+			_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(writeTimeout))
+			h(w, r)
+		})
+	}
+	handle("POST /runs", s.handleSubmit)
+	handle("GET /runs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Runs())
 	})
-	mux.HandleFunc("GET /runs/{id}", s.handleRun)
-	mux.HandleFunc("GET /runs/{id}/report", s.handleReport)
-	mux.HandleFunc("POST /reload", s.handleReload)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /runs/{id}", s.handleRun)
+	handle("GET /runs/{id}/report", s.handleReport)
+	handle("POST /reload", s.handleReload)
+	handle("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Metrics())
 	})
 	mux.HandleFunc("GET /trace", s.handleTrace)
-	mux.HandleFunc("GET /experiments", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /experiments", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, exp.Catalog())
 	})
-	mux.HandleFunc("GET /version", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /version", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, obs.CurrentBuild())
 	})
-	mux.HandleFunc("GET /pimalloc", s.handlePimalloc)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /pimalloc", s.handlePimalloc)
+	handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	})
 	return mux
 }
+
+// writeTimeout bounds the write of one non-streaming response, so a
+// client that stops reading cannot hold a handler and its connection
+// open. It is generous: a reading client fetches any report in far less.
+const writeTimeout = time.Minute
 
 // maxBodyBytes caps a POSTed scenario body; a real scenario is a few
 // hundred bytes.

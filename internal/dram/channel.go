@@ -59,25 +59,12 @@ type slot struct {
 	// activated is set once the scheduler issued an ACT on behalf of
 	// this request; used to classify row hits vs misses.
 	activated bool
-	// ready marks the request as counted in readyCount (Arrival <= now).
-	ready bool
-	// gen is bumped on every free, invalidating stale arrival-heap
-	// entries that still point at this slot.
-	gen uint32
 	// pos is the global enqueue sequence number — the FCFS tie-breaker
 	// (monotone with the reference scheduler's queue index).
 	pos uint64
 
 	next, prev   int32 // queue-order list links
 	bnext, bprev int32 // per-bank visible list links
-}
-
-// futureArrival is one queued request whose arrival is still in the
-// future, tracked in Channel.future (a min-heap on arrival).
-type futureArrival struct {
-	arrival int64
-	slot    int32
-	gen     uint32
 }
 
 // Channel is a single-channel DRAM command scheduler implementing
@@ -88,11 +75,10 @@ type futureArrival struct {
 // The scheduler's hot path is allocation-free in steady state: queued
 // requests live in a reusable slot pool, FR-FCFS candidate selection
 // walks per-bank intrusive lists (only banks with visible work), request
-// completion unlinks in O(1) instead of compacting a slice, and the
-// ready/arrival bookkeeping behind PendingReady is tracked
-// incrementally instead of rescanned. The command schedule is
-// bit-identical to the retained test-only ReferenceChannel (see
-// refsched_test.go and the differential tests pinning the equivalence).
+// completion unlinks in O(1) instead of compacting a slice. The command
+// schedule is bit-identical to the retained test-only ReferenceChannel
+// (see refsched_test.go and the differential tests pinning the
+// equivalence).
 //
 // A Channel is not safe for concurrent use.
 type Channel struct {
@@ -109,9 +95,8 @@ type Channel struct {
 	seq      uint64
 
 	// Visible-window state: the first min(count, window) queue entries
-	// are "visible" to FR-FCFS. Visibility only ever extends forward
-	// (enqueue fills a non-full window; completion slides it), except
-	// for SetWindow, which rebuilds the boundary.
+	// are "visible" to FR-FCFS. Visibility only ever extends forward:
+	// enqueue fills a non-full window and completion slides it.
 	visTail  int32
 	visCount int
 
@@ -130,16 +115,10 @@ type Channel struct {
 	// inOrder holds while queued arrivals are non-decreasing in enqueue
 	// order; lastArrival is the arrival of the most recent push. Under
 	// inOrder the first entry of each command class in a bank list wins
-	// that class, so pickCommand can stop walking early.
+	// that class, so pickCommand can stop walking early, and the queue
+	// head holds the earliest arrival (HasReady).
 	inOrder     bool
 	lastArrival int64
-
-	// Arrival tracking: readyCount counts live requests with
-	// Arrival <= now; future holds the rest, ordered by arrival. The heap
-	// only feeds PendingReady: every candidate's earliest cycle already
-	// folds in its arrival, so scheduling never reads it.
-	readyCount int
-	future     futureHeap
 
 	// now is the cycle of the most recently issued command.
 	now int64
@@ -251,23 +230,12 @@ func (c *Channel) SetRefreshEnabled(v bool) { c.refreshEnabled = v }
 func (c *Channel) SetRowPolicy(p RowPolicy) { c.rowPolicy = p }
 
 // SetWindow sets the FR-FCFS reorder window; w < 1 means strict FCFS.
-// The visible-window boundary is rebuilt, so SetWindow may be called with
-// requests already queued.
+// It panics if requests are queued: the window is set before enqueueing.
 func (c *Channel) SetWindow(w int) {
-	if w < 1 {
-		w = 1
+	if c.count > 0 {
+		panic("dram: SetWindow on a channel with queued requests")
 	}
-	c.window = w
-	for c.visCount > w {
-		c.hideVisTail()
-	}
-	for c.visCount < w {
-		cand := c.firstInvisible()
-		if cand == noSlot {
-			break
-		}
-		c.makeVisible(cand)
-	}
+	c.window = max(w, 1)
 }
 
 // Now returns the cycle of the most recently issued command.
@@ -320,11 +288,22 @@ func (c *Channel) EnqueueValue(r Request) error {
 // Pending returns the number of queued requests.
 func (c *Channel) Pending() int { return c.count }
 
-// PendingReady returns the number of queued requests that have arrived by
-// the current clock and can therefore be scheduled without advancing time
-// to a future arrival. Co-schedulers use it to interleave SoC requests
-// with PIM work. The count is tracked incrementally (O(1) here).
-func (c *Channel) PendingReady() int { return c.readyCount }
+// HasReady reports whether a queued request has arrived by the current
+// clock, so a step issues queue work without jumping to a future
+// arrival. Co-schedulers use it to interleave SoC requests with PIM
+// work. Under inOrder only the queue head is read; otherwise the queue
+// is walked until an arrived request turns up.
+func (c *Channel) HasReady() bool {
+	for s := c.head; s != noSlot; s = c.slots[s].next {
+		if c.slots[s].req.Arrival <= c.now {
+			return true
+		}
+		if c.inOrder {
+			break
+		}
+	}
+	return false
+}
 
 // bankIndex returns the per-channel dense bank index of a.
 func (c *Channel) bankIndex(a Addr) int32 {
@@ -351,7 +330,6 @@ func (c *Channel) push(r Request, user *Request) {
 	sl.req = r
 	sl.user = user
 	sl.activated = false
-	sl.ready = false
 	sl.pos = c.seq
 	c.seq++
 	sl.next, sl.prev = noSlot, noSlot
@@ -371,12 +349,6 @@ func (c *Channel) push(r Request, user *Request) {
 	c.count++
 	if c.visCount < c.window {
 		c.makeVisible(s)
-	}
-	if r.Arrival <= c.now {
-		sl.ready = true
-		c.readyCount++
-	} else {
-		c.future.push(futureArrival{arrival: r.Arrival, slot: s, gen: sl.gen})
 	}
 }
 
@@ -443,21 +415,10 @@ func (c *Channel) bankUnlink(s int32) {
 	}
 }
 
-// hideVisTail shrinks the visible window by one entry (SetWindow only).
-func (c *Channel) hideVisTail() {
-	s := c.visTail
-	c.bankUnlink(s)
-	c.visTail = c.slots[s].prev
-	c.visCount--
-}
-
 // remove completes and frees a visible queue entry in O(1), sliding the
 // visible window forward over the next invisible entry (if any).
 func (c *Channel) remove(s int32) {
 	sl := &c.slots[s]
-	if sl.ready {
-		c.readyCount--
-	}
 	c.bankUnlink(s)
 	if c.visTail == s {
 		c.visTail = sl.prev
@@ -480,30 +441,13 @@ func (c *Channel) remove(s int32) {
 		}
 	}
 	sl.user = nil
-	sl.gen++
 	sl.next = c.freeHead
 	c.freeHead = s
 }
 
-// advanceNow moves the channel clock forward to cycle t, promoting
-// future arrivals that have now been reached into the ready count. All
-// clock advances funnel through here so PendingReady stays exact.
-func (c *Channel) advanceNow(t int64) {
-	if t <= c.now {
-		return
-	}
-	c.now = t
-	for len(c.future) > 0 && c.future[0].arrival <= t {
-		fa := c.future.pop()
-		sl := &c.slots[fa.slot]
-		// A stale heap entry (slot since completed and reused) is
-		// recognized by its generation stamp and dropped.
-		if sl.gen == fa.gen && !sl.ready {
-			sl.ready = true
-			c.readyCount++
-		}
-	}
-}
+// advanceNow moves the channel clock forward to cycle t; it never moves
+// it back.
+func (c *Channel) advanceNow(t int64) { c.now = max(c.now, t) }
 
 // candidate is one issuable command considered by the scheduler.
 type candidate struct {
@@ -785,51 +729,4 @@ func (c *Channel) issue(cand candidate) {
 		}
 	}
 	c.advanceNow(at)
-}
-
-// futureHeap is a binary min-heap of pending arrivals, ordered by arrival
-// cycle. It is hand-rolled (instead of container/heap) so push and pop
-// stay allocation- and interface-free on the scheduler hot path.
-type futureHeap []futureArrival
-
-// push adds one entry, sifting it up.
-func (h *futureHeap) push(fa futureArrival) {
-	*h = append(*h, fa)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].arrival <= s[i].arrival {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum entry. The caller must ensure the
-// heap is non-empty.
-func (h *futureHeap) pop() futureArrival {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s[l].arrival < s[min].arrival {
-			min = l
-		}
-		if r < n && s[r].arrival < s[min].arrival {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
 }

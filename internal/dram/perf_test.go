@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // benchStream builds a locality-mixed request stream (the relayout-style
 // read/write interleave plus bank rotation) sized for steady-state
@@ -28,7 +25,7 @@ func benchStream(spec *Spec, n int) []Request {
 
 // BenchmarkChannelDrain measures the optimized scheduler's steady-state
 // cost per request on the default test LPDDR5 spec. The channel is warmed
-// before timing so the slot pool and arrival heap are grown; after that
+// before timing so the slot pool is grown; after that
 // the enqueue+drain loop must not allocate (the 0 allocs/op acceptance
 // gate, also enforced by TestSteadyStateZeroAllocs).
 func BenchmarkChannelDrain(b *testing.B) {
@@ -155,70 +152,5 @@ func TestOptimizedSchedulerSpeedup(t *testing.T) {
 	if ratio := refNs / optNs; ratio < 3 {
 		t.Errorf("optimized scheduler only %.2fx faster than reference (opt %.0f ns, ref %.0f ns), want >= 3x",
 			ratio, optNs, refNs)
-	}
-}
-
-// TestParallelDrainMatchesSerial pins the parallel controller drain to the
-// serial one: same completion cycle, same merged stats, same per-request
-// Done cycles. GOMAXPROCS is raised for the parallel run so the test
-// exercises the concurrent path even on a single-core runner.
-func TestParallelDrainMatchesSerial(t *testing.T) {
-	spec, err := LPDDR5("par drain test", 64, 6400, 2, 1<<30) // 4 channels
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := spec.Geometry
-	cols := g.ColumnsPerRow()
-	mkReqs := func() []Request {
-		reqs := make([]Request, 20_000)
-		for i := range reqs {
-			reqs[i] = Request{
-				Addr: Addr{
-					Channel: i % g.Channels,
-					Rank:    (i / cols) % g.RanksPerChannel,
-					Bank:    (i * 7 / cols) % g.BanksPerRank,
-					Row:     (i / cols / g.BanksPerRank) % g.Rows,
-					Column:  i % cols,
-				},
-				Write:   i%5 == 0,
-				Arrival: int64(i / (2 * g.Channels)),
-			}
-		}
-		return reqs
-	}
-
-	run := func(procs int) (int64, ChannelStats, []int64) {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		ctl, err := NewController(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs := mkReqs()
-		for i := range reqs {
-			if err := ctl.Enqueue(&reqs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		last := ctl.Drain()
-		dones := make([]int64, len(reqs))
-		for i := range reqs {
-			dones[i] = reqs[i].Done
-		}
-		return last, ctl.Stats(), dones
-	}
-
-	serialLast, serialStats, serialDones := run(1)
-	parLast, parStats, parDones := run(4)
-	if serialLast != parLast {
-		t.Fatalf("completion diverged: serial=%d parallel=%d", serialLast, parLast)
-	}
-	if serialStats != parStats {
-		t.Fatalf("stats diverged:\nserial:   %+v\nparallel: %+v", serialStats, parStats)
-	}
-	for i := range serialDones {
-		if serialDones[i] != parDones[i] {
-			t.Fatalf("request %d Done diverged: serial=%d parallel=%d", i, serialDones[i], parDones[i])
-		}
 	}
 }

@@ -4,10 +4,9 @@ package dram
 // implementation, retained verbatim so the optimized scheduler in
 // channel.go can be pinned against it command-for-command.
 //
-// The optimized scheduler replaces this code's per-step scratch map, its
-// O(n) append-compaction queue removal and its full-queue arrival rescans
-// with a slot pool, per-bank intrusive lists and incremental arrival
-// tracking — data-structure changes only. Both schedulers must produce
+// The optimized scheduler replaces this code's per-step scratch map and
+// its O(n) append-compaction queue removal with a slot pool and per-bank
+// intrusive lists — data-structure changes only. Both schedulers must produce
 // bit-identical schedules (per-request Done cycles and ChannelStats) for
 // any request stream; the differential property tests and fuzz target in
 // diffsched_test.go enforce that, and BenchmarkChannelDrain measures the
@@ -110,8 +109,8 @@ func (c *ReferenceChannel) Enqueue(r *Request) error {
 func (c *ReferenceChannel) Pending() int { return len(c.queue) }
 
 // PendingReady counts queued requests that have arrived by the current
-// clock (full-queue rescan, the behavior the optimized scheduler tracks
-// incrementally).
+// clock (full-queue rescan); the optimized scheduler's HasReady must
+// equal PendingReady() > 0.
 func (c *ReferenceChannel) PendingReady() int {
 	n := 0
 	for i := range c.queue {

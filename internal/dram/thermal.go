@@ -2,8 +2,7 @@ package dram
 
 import (
 	"fmt"
-
-	"facil/internal/parallel"
+	"sync"
 )
 
 // Derated returns a copy of the spec with refresh issued mult times
@@ -29,8 +28,13 @@ func (s Spec) Derated(mult float64) Spec {
 // measurement replays a fixed stream twice through the cycle-level
 // channel, so sweep points sharing a platform pay for it once. The key
 // is the whole spec, so two specs that share a name but differ in
-// timing or geometry are measured apart.
-var throttleCache parallel.Flight[throttleKey, float64]
+// timing or geometry are measured apart. The lock is held across a
+// measurement, so sweep points that miss on one key together measure it
+// once.
+var throttleCache struct {
+	sync.Mutex
+	m map[throttleKey]float64
+}
 
 type throttleKey struct {
 	spec Spec
@@ -57,24 +61,29 @@ func ThrottleFactor(s Spec, mult float64) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	return throttleCache.Do(throttleKey{s, mult}, func() (float64, error) {
-		base, err := throttleCycles(s)
-		if err != nil {
-			return 0, err
-		}
-		derated, err := throttleCycles(s.Derated(mult))
-		if err != nil {
-			return 0, err
-		}
-		if base <= 0 {
-			return 0, fmt.Errorf("dram: throttle measurement of %q produced no cycles", s.Name)
-		}
-		f := float64(derated) / float64(base)
-		if f < 1 {
-			f = 1
-		}
+	key := throttleKey{s, mult}
+	throttleCache.Lock()
+	defer throttleCache.Unlock()
+	if f, ok := throttleCache.m[key]; ok {
 		return f, nil
-	})
+	}
+	base, err := throttleCycles(s)
+	if err != nil {
+		return 0, err
+	}
+	derated, err := throttleCycles(s.Derated(mult))
+	if err != nil {
+		return 0, err
+	}
+	if base <= 0 {
+		return 0, fmt.Errorf("dram: throttle measurement of %q produced no cycles", s.Name)
+	}
+	f := max(1, float64(derated)/float64(base))
+	if throttleCache.m == nil {
+		throttleCache.m = make(map[throttleKey]float64)
+	}
+	throttleCache.m[key] = f
+	return f, nil
 }
 
 // throttleCycles replays the measurement stream on one channel of the

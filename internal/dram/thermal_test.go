@@ -2,6 +2,7 @@ package dram
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -94,5 +95,34 @@ func TestThrottleFactorKeyedBySpec(t *testing.T) {
 	}
 	if got[1] <= got[0] {
 		t.Errorf("TRFCab x3 factor %.4f not above nominal %.4f", got[1], got[0])
+	}
+}
+
+// TestThrottleFactorConcurrent calls ThrottleFactor on one cold key from
+// several goroutines at once, as parallel sweep points do (a probe for
+// the memo's locking under -race): every caller gets the same factor.
+func TestThrottleFactorConcurrent(t *testing.T) {
+	spec, err := LPDDR5("thermal concurrent", 16, 6400, 2, 256<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f, err := ThrottleFactor(spec, 3)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = f
+		}(i)
+	}
+	wg.Wait()
+	for i, f := range got {
+		if f != got[0] || f <= 1 {
+			t.Errorf("caller %d got factor %g (caller 0: %g), want one factor > 1", i, f, got[0])
+		}
 	}
 }

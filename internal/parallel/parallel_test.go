@@ -62,8 +62,14 @@ func TestSweepMatchesSerial(t *testing.T) {
 
 // TestSweepFirstErrorCancels checks that a failing point cancels the
 // context seen by other points and that the lowest-index error wins.
+// Points are dispatched in index order, so with four workers points 0-2
+// are in flight beside point 3, which fails only once all three have
+// started; they then block until the cancellation reaches them. The
+// fail-safe timeout only bounds a broken Sweep, and fails the test.
 func TestSweepFirstErrorCancels(t *testing.T) {
+	const failSafe = 30 * time.Second
 	errBoom := errors.New("boom")
+	started := make(chan struct{}, 3)
 	var cancelled atomic.Int64
 	points := make([]int, 50)
 	for i := range points {
@@ -71,21 +77,32 @@ func TestSweepFirstErrorCancels(t *testing.T) {
 	}
 	_, err := Sweep(context.Background(), points, func(ctx context.Context, p int) (int, error) {
 		if p == 3 {
+			for i := 0; i < 3; i++ {
+				select {
+				case <-started:
+				case <-time.After(failSafe):
+					t.Error("points 0-2 never started beside point 3")
+				}
+			}
 			return 0, errBoom
+		}
+		if p < 3 {
+			started <- struct{}{}
 		}
 		select {
 		case <-ctx.Done():
 			cancelled.Add(1)
 			return 0, ctx.Err()
-		case <-time.After(20 * time.Millisecond):
+		case <-time.After(failSafe):
+			t.Errorf("point %d never saw the cancellation", p)
 			return p, nil
 		}
 	}, Workers(4))
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want %v", err, errBoom)
 	}
-	if cancelled.Load() == 0 {
-		t.Error("no in-flight point observed cancellation")
+	if got := cancelled.Load(); got < 3 {
+		t.Errorf("%d in-flight points observed cancellation, want 3", got)
 	}
 }
 

@@ -19,6 +19,7 @@ func FuzzScenarioDecode(f *testing.F) {
 	f.Add([]byte(`{"experiments":["cluster"],"strategy":"least-loaded","fleet":"jetson:26,ideapad/mac8:26","devices":12,"rate":3,"sync":5,"steal":1,"stealthreshold":0,"stealscore":"depth"}`))
 	f.Add([]byte(`{"experiments":["maptune"],"tunebudget":64,"tuneseed":5,"seed":-3,"scale":1}`))
 	f.Add([]byte(`{"rates":"potato"}`))
+	f.Add([]byte(`{"experiments":["serving2","resilience"],"rates":"NaN","faults":"Inf"}`))
 	f.Add([]byte(hangBody))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Decode(bytes.NewReader(data))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -145,6 +146,22 @@ func TestValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid stealscore/tune fields rejected: %v", err)
 	}
+	// NaN fails both the < 0 and the >= 0 test, so a non-finite rate,
+	// sync or slo must be refused outright (JSON cannot carry them; the
+	// CLI flags can).
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*Scenario){
+			func(sc *Scenario) { sc.Rate = v },
+			func(sc *Scenario) { sc.Sync = v },
+			func(sc *Scenario) { sc.SLO = v },
+		} {
+			bad := DefaultScenario()
+			set(&bad)
+			if err := bad.Validate(); err == nil {
+				t.Errorf("non-finite override accepted: rate %g sync %g slo %g", bad.Rate, bad.Sync, bad.SLO)
+			}
+		}
+	}
 
 	// The cluster experiment's single-value policy/faults rule binds
 	// only scenarios that run cluster (explicitly or via the empty list).
@@ -173,6 +190,11 @@ func TestValidate(t *testing.T) {
 		{`{"tunebudget":1048577}`, false},
 		{`{"queuecap":-2}`, false},
 		{`{"slo":-1.5}`, false},
+		// List entries parse with strconv, which accepts NaN and Inf.
+		{`{"experiments":["serving2"],"rates":"NaN"}`, false},
+		{`{"experiments":["serving2"],"rates":"0.5,+Inf"}`, false},
+		{`{"experiments":["resilience"],"faults":"Inf"}`, false},
+		{`{"experiments":["resilience"],"faults":"60,nan"}`, false},
 		{`{"steal":-7}`, false},
 		{`{"stealthreshold":-2}`, false},
 		{`{"experiments":["cluster"],"fleet":"jetson:50000,iphone:50001"}`, false},

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -272,6 +273,8 @@ func (sc Scenario) Configs() (exp.Configs, error) {
 		return c, fmt.Errorf("run: bad scale %d (want >= 0)", sc.Scale)
 	case sc.Devices < 0 || sc.Devices > maxDevices:
 		return c, fmt.Errorf("run: bad devices %d (want 0..%d)", sc.Devices, maxDevices)
+	case !finite(sc.Rate) || !finite(sc.Sync) || !finite(sc.SLO):
+		return c, fmt.Errorf("run: rate %g, sync %g and slo %g must be finite", sc.Rate, sc.Sync, sc.SLO)
 	case sc.Rate < 0 || sc.Sync < 0:
 		return c, fmt.Errorf("run: bad rate %g / sync %g (want >= 0)", sc.Rate, sc.Sync)
 	case sc.TuneBudget < 0 || sc.TuneBudget > maxTuneBudget:
@@ -412,13 +415,16 @@ func parseList[T any](list string, parse func(string) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// positive parses one positive float entry of the named list.
+// positive parses one positive, finite float entry of the named list.
 func positive(name string) func(string) (float64, error) {
 	return func(f string) (float64, error) {
 		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v <= 0 {
+		if err != nil || !finite(v) || v <= 0 {
 			return 0, fmt.Errorf("run: bad %s entry %q (want a positive number)", name, f)
 		}
 		return v, nil
 	}
 }
+
+// finite reports whether v is neither NaN nor an infinity.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

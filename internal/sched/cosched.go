@@ -215,7 +215,7 @@ func Cosimulate(spec dram.Spec, w Workload, policy Policy) (Result, error) {
 		}
 	}
 	drainReady := func() {
-		for ch.PendingReady() > 0 {
+		for ch.HasReady() {
 			ch.StepOne()
 		}
 	}
@@ -227,7 +227,7 @@ func Cosimulate(spec dram.Spec, w Workload, policy Policy) (Result, error) {
 	interleave := func() {}
 	if policy == DualRowBuffer {
 		interleave = func() {
-			if ch.PendingReady() > 0 {
+			if ch.HasReady() {
 				ch.StepOne()
 			}
 		}

@@ -100,10 +100,10 @@ func TestSoCStreamPacing(t *testing.T) {
 }
 
 // TestInterleavePathConsumesReadyRequests pins the interleave mechanism
-// itself — the PendingReady/StepOne loop that slips SoC requests into
-// free command slots between PIM MACs, now backed by the scheduler's
-// incremental ready tracking. If interleaving broke (PendingReady stuck
-// at 0 mid-pass, or StepOne refusing queue work between all-bank ops),
+// itself — the HasReady/StepOne loop that slips SoC requests into free
+// command slots between PIM MACs; the SoC stream arrives in order, so
+// HasReady reads only the queue head. If interleaving broke (HasReady
+// stuck false mid-pass, or StepOne refusing queue work between all-bank ops),
 // every SoC request would wait for the PIM job tail and the mean latency
 // would be on the order of the whole job; with interleaving it must sit
 // far below that.
