@@ -476,7 +476,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 		if d.inflight != 0 {
 			return Metrics{}, fmt.Errorf("cluster: device %d ledger leak: %d in flight after drain", di, d.inflight)
 		}
-		dm := d.sim.Finish()
+		dm := d.sim.Counters()
 		m.Arrived += dm.Arrived
 		m.Completed += dm.Completed
 		m.Failed += dm.Failed

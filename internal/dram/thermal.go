@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Derated returns a copy of the spec with refresh issued mult times
 // more often — the JEDEC high-temperature operating mode (mult 2 is the
@@ -24,22 +21,10 @@ func (s Spec) Derated(mult float64) Spec {
 	return d
 }
 
-// throttleCache memoizes ThrottleFactor per (spec, multiplier): the
-// measurement replays a fixed stream twice through the cycle-level
-// channel, so sweep points sharing a platform pay for it once. The key
-// is the whole spec, so two specs that share a name but differ in
-// timing or geometry are measured apart. The lock is held across a
-// measurement, so sweep points that miss on one key together measure it
-// once.
-var throttleCache struct {
-	sync.Mutex
-	m map[throttleKey]float64
-}
-
-type throttleKey struct {
-	spec Spec
-	mult float64
-}
+// throttleReplay keys a throttle measurement's replay in the process
+// memo: the stream is fixed, so the one-channel spec determines it.
+// Sweep points sharing a platform and multiplier pay for it once.
+type throttleReplay struct{ spec Spec }
 
 // throttleStreamBursts sizes the measurement stream: long enough to
 // span many tREFI intervals (LPDDR5-6400: one refresh per ~1562 busy
@@ -52,20 +37,14 @@ const throttleStreamBursts = 16384
 // needs at nominal timing. The slowdown is measured on the cycle-level
 // channel simulator — refresh blocks the rank for TRFCab every TREFI —
 // not assumed from a formula. The result is >= 1 and deterministic;
-// repeated calls for the same spec and multiplier are served from a
-// process-wide cache.
+// both replays are memoized process-wide (MeasureStreamKeyed), so
+// repeated calls only recompute the ratio.
 func ThrottleFactor(s Spec, mult float64) (float64, error) {
 	if mult <= 1 {
 		return 1, nil
 	}
 	if err := s.Validate(); err != nil {
 		return 0, err
-	}
-	key := throttleKey{s, mult}
-	throttleCache.Lock()
-	defer throttleCache.Unlock()
-	if f, ok := throttleCache.m[key]; ok {
-		return f, nil
 	}
 	base, err := throttleCycles(s)
 	if err != nil {
@@ -78,12 +57,7 @@ func ThrottleFactor(s Spec, mult float64) (float64, error) {
 	if base <= 0 {
 		return 0, fmt.Errorf("dram: throttle measurement of %q produced no cycles", s.Name)
 	}
-	f := max(1, float64(derated)/float64(base))
-	if throttleCache.m == nil {
-		throttleCache.m = make(map[throttleKey]float64)
-	}
-	throttleCache.m[key] = f
-	return f, nil
+	return max(1, float64(derated)/float64(base)), nil
 }
 
 // throttleCycles replays the measurement stream on one channel of the
@@ -100,7 +74,7 @@ func throttleCycles(s Spec) (int64, error) {
 	// saturates the data bus, so any extra cycles are refresh tax. It
 	// is generated on demand, one burst per pull.
 	emitted, row, bank, rank, col := 0, 0, 0, 0, 0
-	res, err := MeasureStream(one, func(r *Request) bool {
+	res, err := MeasureStreamKeyed(throttleReplay{one}, one, func(r *Request) bool {
 		if emitted >= throttleStreamBursts {
 			return false
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"facil/internal/cluster"
+	"facil/internal/dram"
 	"facil/internal/mapping"
 	"facil/internal/parallel"
 	"facil/internal/soc"
@@ -13,9 +14,10 @@ import (
 )
 
 // MapTuneConfig parameterizes the mapping auto-tuner experiment: a
-// (platform, workload) grid where each cell captures one canonical
-// weight trace for the platform's representative projection matrix and
-// searches the generalized permutation+XOR mapping space against it.
+// (platform, workload) grid where each platform captures one canonical
+// weight trace for its representative projection matrix, and each cell
+// weighs it by the workload and searches the generalized permutation+XOR
+// mapping space against it.
 type MapTuneConfig struct {
 	// Platforms are the memory systems tuned (row groups of the tables).
 	Platforms []soc.Platform
@@ -71,87 +73,89 @@ type MapTuneCell struct {
 	FixedSim []tune.SimResult
 }
 
-// mapTuneCell runs one grid cell: capture the trace, search the space,
-// then re-validate the survivors and the fixed family on the real
-// scheduler (fanned out over the lab's worker bound).
-func (l *Lab) mapTuneCell(ctx context.Context, cfg MapTuneConfig, p soc.Platform, w workload.Spec) (MapTuneCell, error) {
-	g := p.Spec.Geometry
-	model := PlatformModel(p)
-	matrix := mapping.MatrixConfig{Rows: model.Hidden, Cols: model.Hidden, DTypeBytes: model.DTypeBytes}
-	mc := mapping.MemoryConfig{Geometry: g, HugePageBytes: 2 << 20}
-	chunk := mapping.AiMChunk(g)
-	sel, err := mapping.SelectMapping(matrix, mc, chunk)
-	if err != nil {
-		return MapTuneCell{}, err
-	}
-	tr, err := tune.CaptureTrace(g, tune.TraceConfig{
-		Matrix:       matrix,
-		Streams:      sel.RowsPerPass,
-		SampleBytes:  cfg.SampleBytes,
-		DecodeWeight: float64(w.Decode.MedianTokens),
-	})
-	if err != nil {
-		return MapTuneCell{}, err
-	}
-	res, err := tune.Search(ctx, tune.Config{
-		Spec:      p.Spec,
-		Trace:     tr,
-		Baseline:  sel.ID,
-		Budget:    cfg.Budget,
-		TopK:      cfg.TopK,
-		Seed:      cfg.Seed,
-		Workers:   l.par,
-		EstWindow: cfg.EstWindow,
-	})
-	if err != nil {
-		return MapTuneCell{}, err
-	}
-	genomes := make([]tune.Genome, 0, len(res.Front)+len(res.Fixed))
-	for _, c := range res.Front {
-		genomes = append(genomes, c.Genome)
-	}
-	for _, f := range res.Fixed {
-		genomes = append(genomes, f.Genome)
-	}
-	sims, err := parallel.Sweep(ctx, genomes, func(_ context.Context, gn tune.Genome) (tune.SimResult, error) {
-		m, err := res.Space.Build(gn)
-		if err != nil {
-			return tune.SimResult{}, err
-		}
-		return tune.SimScore(p.Spec, tr, m)
-	}, parallel.Workers(l.par))
-	if err != nil {
-		return MapTuneCell{}, err
-	}
-	return MapTuneCell{
-		Platform:  p,
-		Workload:  w,
-		Matrix:    matrix,
-		Selection: sel,
-		Trace:     tr,
-		Result:    res,
-		FrontSim:  sims[:len(res.Front)],
-		FixedSim:  sims[len(res.Front):],
-	}, nil
-}
-
-// MapTuneCompute evaluates the (platform, workload) grid. Cells run
-// sequentially — each search and re-validation already fans out over
-// the lab's worker bound — and every cell is byte-identical at any
-// parallelism (the tuner's determinism contract).
+// MapTuneCompute evaluates the (platform, workload) grid: it captures
+// each platform's trace once (its cells differ only in segment weights),
+// searches every cell, then re-validates every front and fixed family in
+// one sweep over the distinct (platform, genome) pairs, which each cell
+// weighs. Every cell is byte-identical at any parallelism.
 func (l *Lab) MapTuneCompute(ctx context.Context, cfg MapTuneConfig) ([]MapTuneCell, error) {
-	total := len(cfg.Platforms) * len(cfg.Workloads)
-	cells := make([]MapTuneCell, 0, total)
+	cells := make([]MapTuneCell, 0, len(cfg.Platforms)*len(cfg.Workloads))
 	for _, p := range cfg.Platforms {
+		g := p.Spec.Geometry
+		model := PlatformModel(p)
+		matrix := mapping.MatrixConfig{Rows: model.Hidden, Cols: model.Hidden, DTypeBytes: model.DTypeBytes}
+		sel, err := mapping.SelectMapping(matrix, mapping.MemoryConfig{Geometry: g, HugePageBytes: 2 << 20}, mapping.AiMChunk(g))
+		if err != nil {
+			return nil, fmt.Errorf("maptune %s: %w", p.Name, err)
+		}
+		base, err := tune.CaptureTrace(g, tune.TraceConfig{Matrix: matrix, Streams: sel.RowsPerPass, SampleBytes: cfg.SampleBytes})
+		if err != nil {
+			return nil, fmt.Errorf("maptune %s: %w", p.Name, err)
+		}
 		for _, w := range cfg.Workloads {
-			cell, err := l.mapTuneCell(ctx, cfg, p, w)
+			tr := base.WithDecodeWeight(float64(w.Decode.MedianTokens))
+			res, err := tune.Search(ctx, tune.Config{
+				Spec:      p.Spec,
+				Trace:     tr,
+				Baseline:  sel.ID,
+				Budget:    cfg.Budget,
+				TopK:      cfg.TopK,
+				Seed:      cfg.Seed,
+				Workers:   l.par,
+				EstWindow: cfg.EstWindow,
+			})
 			if err != nil {
 				return nil, fmt.Errorf("maptune %s/%s: %w", p.Name, w.Name, err)
 			}
-			cells = append(cells, cell)
-			if fn := l.progress; fn != nil {
-				fn("maptune", len(cells), total)
+			cells = append(cells, MapTuneCell{Platform: p, Workload: w, Matrix: matrix, Selection: sel, Trace: tr, Result: res})
+		}
+	}
+
+	// One replay per distinct (platform, genome); slots[ci] indexes cell
+	// ci's front, then its fixed family, into replays.
+	type replay struct {
+		cell   int
+		genome tune.Genome
+	}
+	var replays []replay
+	slot := make(map[string]int)
+	slots := make([][]int, len(cells))
+	for ci, c := range cells {
+		add := func(cand tune.Candidate) {
+			k := fmt.Sprint(ci/len(cfg.Workloads), " ", cand.Key)
+			if _, ok := slot[k]; !ok {
+				slot[k] = len(replays)
+				replays = append(replays, replay{ci, cand.Genome})
 			}
+			slots[ci] = append(slots[ci], slot[k])
+		}
+		for _, cand := range c.Result.Front {
+			add(cand)
+		}
+		for _, f := range c.Result.Fixed {
+			add(f.Candidate)
+		}
+	}
+	segs, err := parallel.Sweep(ctx, replays, func(_ context.Context, r replay) ([]dram.StreamResult, error) {
+		c := cells[r.cell]
+		m, err := c.Result.Space.Build(r.genome)
+		if err != nil {
+			return nil, err
+		}
+		return tune.ReplaySegments(c.Platform.Spec, c.Trace, m)
+	}, parallel.Workers(l.par))
+	if err != nil {
+		return nil, fmt.Errorf("maptune: %w", err)
+	}
+	for ci := range cells {
+		c := &cells[ci]
+		sims := make([]tune.SimResult, len(slots[ci]))
+		for i, j := range slots[ci] {
+			sims[i] = c.Trace.Weigh(segs[j])
+		}
+		c.FrontSim, c.FixedSim = sims[:len(c.Result.Front)], sims[len(c.Result.Front):]
+		if fn := l.progress; fn != nil {
+			fn("maptune", ci+1, len(cells))
 		}
 	}
 	return cells, nil

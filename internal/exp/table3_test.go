@@ -10,9 +10,10 @@ import (
 // TestTable3MatchesPerPointMeasurement pins Table3Compute's one-replay-
 // per-shape shortcut: with a small sample window, every row must equal a
 // direct soc.MeasureMemSlowdown of its own (platform, layer, prefill)
-// point. The direct calls replay the weight stream at each prefill
-// length, so if the stream ever starts to depend on the prefill, the
-// P16/P64 rows diverge here instead of drifting silently.
+// point, scaled by that point's memory-bound fraction. The direct calls
+// are served from dram's replay memo, whose GEMM key holds no prefill
+// length (TestGemmReplayKeyExact pins that the key determines the
+// stream), so this checks the row assembly and scaling.
 func TestTable3MatchesPerPointMeasurement(t *testing.T) {
 	cfg := soc.LayoutSlowdownConfig{SampleBytes: 256 << 10}
 	rows, err := testLab().Table3Compute(context.Background(), cfg)

@@ -75,6 +75,7 @@ func BuildConventional(g dram.Geometry) (*addr.Mapping, error) {
 // PIM-optimized ones. It corresponds to the mux inputs of paper Fig. 12.
 type Table struct {
 	mc       MemoryConfig
+	chunk    ChunkConfig
 	conv     *addr.Mapping
 	pim      map[MapID]*addr.Mapping
 	min, max MapID
@@ -93,11 +94,12 @@ func NewTable(mc MemoryConfig, chunk ChunkConfig) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		mc:   mc,
-		conv: conv,
-		pim:  make(map[MapID]*addr.Mapping),
-		min:  MinMapID(mc, chunk),
-		max:  MaxMapID(mc),
+		mc:    mc,
+		chunk: chunk,
+		conv:  conv,
+		pim:   make(map[MapID]*addr.Mapping),
+		min:   MinMapID(mc, chunk),
+		max:   MaxMapID(mc),
 	}
 	for id := t.min; id <= t.max; id++ {
 		m, err := BuildPIM(mc, chunk, id)
@@ -119,6 +121,15 @@ func (t *Table) Lookup(id MapID) *addr.Mapping {
 	return t.conv
 }
 
+// Resolve returns the MapID whose mapping Lookup(id) returns: id inside
+// the PIM range, ConventionalMapID outside it.
+func (t *Table) Resolve(id MapID) MapID {
+	if _, ok := t.pim[id]; ok {
+		return id
+	}
+	return ConventionalMapID
+}
+
 // Conventional returns the default mapping.
 func (t *Table) Conventional() *addr.Mapping { return t.conv }
 
@@ -127,6 +138,9 @@ func (t *Table) Range() (min, max MapID) { return t.min, t.max }
 
 // Memory returns the memory configuration the table was built for.
 func (t *Table) Memory() MemoryConfig { return t.mc }
+
+// Chunk returns the PIM chunk configuration the table was built for.
+func (t *Table) Chunk() ChunkConfig { return t.chunk }
 
 // Size returns the number of mappings in the table including the
 // conventional one — the N of the paper's N-to-1 frontend multiplexers.

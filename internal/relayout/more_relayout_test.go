@@ -60,3 +60,43 @@ func TestPIMMappingSequentialReadSlower(t *testing.T) {
 		t.Errorf("sequential read under PIM mapping (%.1f) not below conventional (%.1f)", pim, conv)
 	}
 }
+
+// TestReplayKeyDeterminesMappings pins the relayout replay key: engines
+// whose tables differ only in chunk shape or huge-page size key their
+// replays apart, IDs outside the PIM range key as the conventional
+// mapping they resolve to, and equal tables on separate engines share a
+// key (so separate Systems replay once).
+func TestReplayKeyDeterminesMappings(t *testing.T) {
+	e, tab, spec := testEngine(t)
+	lo, hi := tab.Range()
+	engine := func(hugePage int, chunk mapping.ChunkConfig) *Engine {
+		t.Helper()
+		tb, err := mapping.NewTable(mapping.MemoryConfig{Geometry: spec.Geometry, HugePageBytes: hugePage}, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		en, err := NewEngine(spec, tb, 2<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return en
+	}
+	twin := engine(2<<20, mapping.AiMChunk(spec.Geometry))
+	hbm := engine(2<<20, mapping.HBMPIMChunk(spec.Geometry))
+	page := engine(4<<20, mapping.AiMChunk(spec.Geometry))
+	if twin.replayKey(lo, mapping.ConventionalMapID) != e.replayKey(lo, mapping.ConventionalMapID) {
+		t.Error("equal tables on separate engines key the same pair apart")
+	}
+	if hbm.replayKey(lo, mapping.ConventionalMapID) == e.replayKey(lo, mapping.ConventionalMapID) {
+		t.Error("tables differing only in chunk share a key")
+	}
+	if page.replayKey(lo, mapping.ConventionalMapID) == e.replayKey(lo, mapping.ConventionalMapID) {
+		t.Error("tables differing only in huge-page size share a key")
+	}
+	if e.replayKey(hi+1, lo) != e.replayKey(mapping.ConventionalMapID, lo) {
+		t.Error("an out-of-range MapID does not key as the conventional mapping it resolves to")
+	}
+	if e.replayKey(lo, hi) == e.replayKey(hi, lo) {
+		t.Error("src and dst are interchangeable in the key")
+	}
+}

@@ -12,7 +12,6 @@ import (
 
 	"facil/internal/dram"
 	"facil/internal/mapping"
-	"facil/internal/parallel"
 )
 
 // DefaultSampleBytes is the simulated window for large tensors. One window
@@ -34,20 +33,26 @@ type Result struct {
 	RowHitRate float64
 }
 
-// Engine measures re-layout costs for one platform. Measurements are
-// cached per (src, dst) mapping pair: the achieved bandwidth of the
-// streaming pattern is size-independent once past a few huge pages.
-//
-// An Engine is safe for concurrent use: each measurement replays its own
-// fresh controller, and the pair cache is internally synchronized with
-// in-flight deduplication, so concurrent misses on the same pair replay
-// the stream exactly once and share the result.
+// Engine measures re-layout costs for one platform. The achieved
+// bandwidth of the streaming pattern is size-independent once past a few
+// huge pages, so each (src, dst) pair replays one sample window through
+// dram's process memo: concurrent misses replay once, and Engines of
+// separate Systems on one platform share the replay. An Engine is safe
+// for concurrent use.
 type Engine struct {
 	spec   dram.Spec
 	table  *mapping.Table
 	sample int64
+}
 
-	cache parallel.Flight[[2]mapping.MapID, Result]
+// relayoutReplay keys one sample-window replay: the spec, huge page and
+// chunk fix the table, and the resolved MapIDs its two mappings.
+type relayoutReplay struct {
+	spec     dram.Spec
+	hugePage int
+	chunk    mapping.ChunkConfig
+	src, dst mapping.MapID
+	sample   int64
 }
 
 // NewEngine builds a re-layout engine. sampleBytes <= 0 selects
@@ -72,18 +77,15 @@ func NewEngine(spec dram.Spec, table *mapping.Table, sampleBytes int64) (*Engine
 	}, nil
 }
 
+func (e *Engine) replayKey(src, dst mapping.MapID) relayoutReplay {
+	return relayoutReplay{e.spec, e.table.Memory().HugePageBytes, e.table.Chunk(), e.table.Resolve(src), e.table.Resolve(dst), e.sample}
+}
+
 // measure replays a sample window: every burst of the window is read via
 // the src mapping and rewritten via the dst mapping. The destination
 // region is modeled at a distinct physical range (the transient
 // conventional copy of the on-demand re-layout scheme).
 func (e *Engine) measure(src, dst mapping.MapID) (Result, error) {
-	return e.cache.Do([2]mapping.MapID{src, dst}, func() (Result, error) {
-		return e.replay(src, dst)
-	})
-}
-
-// replay runs one sample-window measurement; measure memoizes it.
-func (e *Engine) replay(src, dst mapping.MapID) (Result, error) {
 	g := e.spec.Geometry
 	tb := int64(g.TransferBytes)
 	n := e.sample / tb
@@ -96,7 +98,7 @@ func (e *Engine) replay(src, dst mapping.MapID) (Result, error) {
 	dstBase := uint64(e.spec.Geometry.CapacityBytes() / 2)
 	var i int64
 	write := false
-	sr, err := dram.MeasureStream(e.spec, func(r *dram.Request) bool {
+	sr, err := dram.MeasureStreamKeyed(e.replayKey(src, dst), e.spec, func(r *dram.Request) bool {
 		if i >= n {
 			return false
 		}
@@ -115,12 +117,7 @@ func (e *Engine) replay(src, dst mapping.MapID) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{
-		SimulatedBytes: e.sample,
-		EffectiveGBs:   sr.BandwidthGBs,
-		RowHitRate:     sr.RowHitRate,
-	}
-	return res, nil
+	return Result{SimulatedBytes: e.sample, EffectiveGBs: sr.BandwidthGBs, RowHitRate: sr.RowHitRate}, nil
 }
 
 // Cost returns the modeled re-layout time for `bytes` of tensor data moved

@@ -643,6 +643,15 @@ func (s *Sim) Step() (bool, error) {
 // run. Finish is idempotent in the Live counters (only the first call
 // counts the run as finished).
 func (s *Sim) Finish() Metrics {
+	m, sm := s.Counters(), s.sm
+	m.TTFT, m.TTLT, m.TBT = stats.QuantilesOf(sm.ttfts), stats.QuantilesOf(sm.ttlts), stats.QuantilesOf(sm.tbts)
+	return m
+}
+
+// Counters is Finish without sorting the latency samples: TTFT, TTLT
+// and TBT stay zero, every other field is Finish's. The cluster router
+// reads its devices through it and pools their raw samples (Latencies).
+func (s *Sim) Counters() Metrics {
 	if !s.finished {
 		s.finished = true
 		Live.runsFinished.Add(1)
@@ -1393,12 +1402,9 @@ func (sm *sim) completeSerial(q *query, ri int) error {
 	return sm.dispatchPrefills()
 }
 
-// finish reduces the collected samples into the Metrics.
+// finish reduces the collected counters into the Metrics.
 func (sm *sim) finish() Metrics {
 	m := &sm.m
-	m.TTFT = stats.QuantilesOf(sm.ttfts)
-	m.TTLT = stats.QuantilesOf(sm.ttlts)
-	m.TBT = stats.QuantilesOf(sm.tbts)
 	m.Makespan = sm.now
 	if m.Makespan > 0 {
 		m.ThroughputQPS = float64(m.Completed) / m.Makespan

@@ -97,6 +97,32 @@ func gemmWeightStream(m interface {
 	}
 }
 
+// gemmReplay keys one GEMM weight-stream replay in dram's process memo
+// and yields the stream (source); the spec fixes the mapping table.
+type gemmReplay struct {
+	spec                  dram.Spec
+	id                    mapping.MapID
+	rows, streams         int
+	rowBytes, sampleBytes int64
+}
+
+// newGemmReplay keys gemmWeightStream's walk of a rows x rowBytes matrix.
+// The walk stops at the first tick past the sample window, so rows is
+// clamped to the row groups it starts: shapes sharing a window share it.
+func newGemmReplay(spec dram.Spec, tab *mapping.Table, id mapping.MapID, rows int, rowBytes int64, streams int, sampleBytes int64) gemmReplay {
+	streams = min(streams, rows)
+	transfer := int64(spec.Geometry.TransferBytes)
+	if group := int64(streams) * (rowBytes / transfer * transfer); group > 0 {
+		rows = int(min(int64(rows), (sampleBytes+group-1)/group*int64(streams)))
+	}
+	return gemmReplay{spec, tab.Resolve(id), rows, streams, rowBytes, sampleBytes}
+}
+
+func (k gemmReplay) source(tab *mapping.Table) dram.RequestSource {
+	g := k.spec.Geometry
+	return gemmWeightStream(tab.Lookup(k.id), k.rows, k.rowBytes, k.streams, g.Channels, k.sampleBytes, int64(g.TransferBytes))
+}
+
 // MeasureMemSlowdown returns the fractional slowdown of the GEMM's
 // memory phase when the weight matrix uses the PIM mapping chosen by
 // SelectMapping instead of the conventional mapping. The op's end-to-end
@@ -120,16 +146,12 @@ func MeasureMemSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (float6
 	if err != nil {
 		return 0, err
 	}
-	rowBytes := int64(matrix.PaddedRowBytes())
-	transfer := int64(p.Spec.Geometry.TransferBytes)
 	if cfg.Streams <= 0 {
 		cfg.Streams = sel.RowsPerPass
 	}
-
 	run := func(id mapping.MapID) (float64, error) {
-		m := tab.Lookup(id)
-		src := gemmWeightStream(m, op.Out, rowBytes, cfg.Streams, p.Spec.Geometry.Channels, cfg.SampleBytes, transfer)
-		res, err := dram.MeasureStream(p.Spec, src, 0)
+		key := newGemmReplay(p.Spec, tab, id, op.Out, int64(matrix.PaddedRowBytes()), cfg.Streams, cfg.SampleBytes)
+		res, err := dram.MeasureStreamKeyed(key, p.Spec, key.source(tab), 0)
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,13 @@
 package soc
 
-import "testing"
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"facil/internal/dram"
+	"facil/internal/mapping"
+)
 
 func TestLayoutSlowdownSmall(t *testing.T) {
 	// Table III: GEMM on the PIM-optimized layout loses at most a few
@@ -44,4 +51,55 @@ func TestLayoutSlowdownValidation(t *testing.T) {
 	if _, err := MeasureMemSlowdown(IPhone, Linear{}, LayoutSlowdownConfig{}); err == nil {
 		t.Error("invalid op accepted")
 	}
+}
+
+// streamDigest hashes every request a source yields.
+func streamDigest(src dram.RequestSource) uint64 {
+	h := fnv.New64a()
+	var r dram.Request
+	for src(&r) {
+		a := r.Addr
+		fmt.Fprintf(h, "%d %d %d %d %d %v %d;", a.Channel, a.Rank, a.Bank, a.Row, a.Column, r.Write, r.Arrival)
+	}
+	return h.Sum64()
+}
+
+// TestGemmReplayKeyExact is the replay memo's exactness property for the
+// GEMM weight stream: over a grid of (rows, row bytes, streams, sample
+// bytes), the stream a key yields equals the unclamped walk, and two
+// grid points with equal keys yield identical request streams. The grid
+// straddles the row clamp, so a key that forgot a parameter (rows,
+// say) would equate two points whose streams differ.
+func TestGemmReplayKeyExact(t *testing.T) {
+	spec := IPhone.Spec
+	g := spec.Geometry
+	tab, err := mapping.NewTable(mapping.MemoryConfig{Geometry: g, HugePageBytes: 2 << 20}, mapping.AiMChunk(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := tab.Range()
+	seen := make(map[gemmReplay]uint64)
+	distinct := 0
+	for _, id := range []mapping.MapID{mapping.ConventionalMapID, lo} {
+		for _, rows := range []int{1, 3, 4, 7, 8, 9, 64, 100} {
+			for _, rowBytes := range []int64{64, 96, 2048} {
+				for _, streams := range []int{1, 2, 4, 8, 64} {
+					for _, sample := range []int64{1 << 10, 4 << 10, 16 << 10} {
+						key := newGemmReplay(spec, tab, id, rows, rowBytes, streams, sample)
+						raw := streamDigest(gemmWeightStream(tab.Lookup(id), rows, rowBytes, streams, g.Channels, sample, int64(g.TransferBytes)))
+						if d := streamDigest(key.source(tab)); d != raw {
+							t.Fatalf("rows=%d rowBytes=%d streams=%d sample=%d: key %+v yields a different stream than the unclamped walk", rows, rowBytes, streams, sample, key)
+						}
+						if d, ok := seen[key]; !ok {
+							seen[key] = raw
+							distinct++
+						} else if d != raw {
+							t.Fatalf("rows=%d rowBytes=%d streams=%d sample=%d: key %+v already keys a different stream", rows, rowBytes, streams, sample, key)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d grid points, %d distinct keys", 2*8*3*5*3, distinct)
 }

@@ -18,21 +18,29 @@ type SimResult struct {
 }
 
 // SimScore is the tier-two validator: it replays the full trace through
-// the real FR-FCFS controller (dram.MeasureStream) under mapping m
-// and returns the weighted cycle score the estimator approximates. Each
-// segment is replayed on a fresh controller, paced at the memory
-// system's peak consumption rate (one burst per channel per cycle) so a
-// mapping that concentrates traffic on few channels exhibits queueing
-// rather than being reordered away.
+// the real FR-FCFS controller (ReplaySegments) under mapping m and
+// returns the weighted cycle score the estimator approximates.
 func SimScore(spec dram.Spec, tr *Trace, m Translator) (SimResult, error) {
-	if tr == nil || len(tr.Codes) == 0 {
-		return SimResult{}, fmt.Errorf("tune: cannot replay an empty trace")
+	segs, err := ReplaySegments(spec, tr, m)
+	if err != nil {
+		return SimResult{}, err
 	}
-	var out SimResult
-	var hits, misses int64
+	return tr.Weigh(segs), nil
+}
+
+// ReplaySegments replays each trace segment under mapping m on a fresh
+// controller, paced at one burst per channel per cycle (peak rate) so a
+// mapping that concentrates traffic on few channels queues rather than
+// being reordered away. Segment weights play no part: traces that differ
+// only in weights replay once and Weigh apart.
+func ReplaySegments(spec dram.Spec, tr *Trace, m Translator) ([]dram.StreamResult, error) {
+	if tr == nil || len(tr.Codes) == 0 {
+		return nil, fmt.Errorf("tune: cannot replay an empty trace")
+	}
 	offBits := uint(spec.Geometry.OffsetBits())
 	channels := int64(spec.Geometry.Channels)
-	for _, seg := range tr.Segments {
+	out := make([]dram.StreamResult, len(tr.Segments))
+	for si, seg := range tr.Segments {
 		i := seg.Start
 		var emitted int64
 		src := func(r *dram.Request) bool {
@@ -48,15 +56,26 @@ func SimScore(spec dram.Spec, tr *Trace, m Translator) (SimResult, error) {
 		}
 		res, err := dram.MeasureStream(spec, src, 0)
 		if err != nil {
-			return SimResult{}, err
+			return nil, err
 		}
-		out.SimCycles += seg.Weight * float64(res.Cycles)
-		out.Bytes += res.Bytes
-		hits += res.Stats.RowHits
-		misses += res.Stats.RowMisses
+		out[si] = res
+	}
+	return out, nil
+}
+
+// Weigh combines the trace's per-segment replays into the weighted
+// score, summing in segment order.
+func (t *Trace) Weigh(segs []dram.StreamResult) SimResult {
+	var out SimResult
+	var hits, misses int64
+	for si, seg := range t.Segments {
+		out.SimCycles += seg.Weight * float64(segs[si].Cycles)
+		out.Bytes += segs[si].Bytes
+		hits += segs[si].Stats.RowHits
+		misses += segs[si].Stats.RowMisses
 	}
 	if hm := hits + misses; hm > 0 {
 		out.RowHitRate = float64(hits) / float64(hm)
 	}
-	return out, nil
+	return out
 }

@@ -2,6 +2,7 @@ package tune
 
 import (
 	"fmt"
+	"slices"
 
 	"facil/internal/dram"
 	"facil/internal/mapping"
@@ -36,6 +37,15 @@ type TraceSegment struct {
 
 // Bursts returns the total number of bursts in the trace.
 func (t *Trace) Bursts() int { return len(t.Codes) }
+
+// WithDecodeWeight returns t with its gemv segment weighted w > 0,
+// sharing t's codes: what CaptureTrace returns for DecodeWeight w.
+func (t *Trace) WithDecodeWeight(w float64) *Trace {
+	c := *t
+	c.Segments = slices.Clone(t.Segments)
+	c.Segments[0].Weight = w
+	return &c
+}
 
 // TraceConfig controls trace capture for one platform/workload cell.
 type TraceConfig struct {
