@@ -113,13 +113,17 @@ func (s *System) ModelName() string { return s.inner.Model.Name }
 
 // TTFT returns the time-to-first-token in seconds for a design at the
 // given prefill (input) length. HybridDynamic and FACIL route short
-// prefills to PIM automatically.
+// prefills to PIM automatically. Results are memoized per System for
+// prefills up to 2048 tokens, so repeated queries cost a lookup; longer
+// prefills are computed on every call and never cached.
 func (s *System) TTFT(d Design, prefill int) (float64, error) {
 	return s.inner.TTFT(d.kind(), prefill)
 }
 
 // TTLT returns the time-to-last-token in seconds for a (prefill, decode)
-// query.
+// query. Results are memoized per System for prefills up to 2048 and
+// decodes up to 512 tokens; longer queries are computed on every call
+// and never cached, so the System's memory stays bounded.
 func (s *System) TTLT(d Design, prefill, decode int) (float64, error) {
 	return s.inner.TTLT(d.kind(), prefill, decode)
 }

@@ -58,16 +58,24 @@ func (s *System) pimAttentionSeconds(ctx int) (float64, error) {
 	return 2 * float64(s.Model.Layers) * r.Seconds, nil
 }
 
-// prefillSoCSeconds is the prefill GEMM time on the SoC at length l.
-// pimLayout applies the platform's conservative Table III slowdown.
-// The (1 + otherFraction) factor covers the non-linear prefill work.
+// prefillSoCSeconds is the prefill GEMM time on the SoC at length l:
+// the ops of Model.PrefillLinears(l), summed in that order. Each
+// distinct op's roofline time is evaluated once and added once per
+// instance, so no op list is built. pimLayout applies the platform's
+// conservative Table III slowdown. The (1 + otherFraction) factor
+// covers the non-linear prefill work.
 func (s *System) prefillSoCSeconds(l int, pimLayout bool) float64 {
 	var t float64
-	for _, op := range s.Model.PrefillLinears(l) {
+	for _, pw := range s.weights {
+		op := pw.w.PrefillLinear(l, s.Model.DTypeBytes)
+		var d float64
 		if pimLayout {
-			t += s.Platform.SecondsOnPIMLayout(op)
+			d = s.Platform.SecondsOnPIMLayout(op)
 		} else {
-			t += s.Platform.Seconds(op)
+			d = s.Platform.Seconds(op)
+		}
+		for i := 0; i < pw.count; i++ {
+			t += d
 		}
 	}
 	return t * (1 + otherFraction)

@@ -9,11 +9,11 @@ import "fmt"
 func (s *System) PrefillThreshold(k Kind) (int, error) {
 	const maxProbe = 512
 	for l := 1; l <= maxProbe; l++ {
-		socT, err := s.prefillPathSoC(k, l)
+		socT, err := s.prefill(k, l, routeStatic)
 		if err != nil {
 			return 0, err
 		}
-		pimT, err := s.prefillPIMSeconds(l)
+		pimT, err := s.pimPrefill(l)
 		if err != nil {
 			return 0, err
 		}
@@ -44,29 +44,13 @@ func (s *System) prefillPathSoC(k Kind, l int) (float64, error) {
 	}
 }
 
-// TTFT returns the time-to-first-token of a design at prefill length l.
+// TTFT returns the time-to-first-token of a design at prefill length l,
+// with the design's own prefill routing: HybridDynamic and FACIL run the
+// prefill on PIM when that is faster (the paper's offline-profiled
+// per-length choice, Sec. VI-C). Results are memoized; an invalid
+// length or design is an error and is never cached.
 func (s *System) TTFT(k Kind, l int) (float64, error) {
-	if l <= 0 {
-		return 0, fmt.Errorf("engine: prefill length %d must be positive", l)
-	}
-	socT, err := s.prefillPathSoC(k, l)
-	if err != nil {
-		return 0, err
-	}
-	switch k {
-	case HybridDynamic, FACIL:
-		// These designs route short prefills to PIM.
-		pimT, err := s.prefillPIMSeconds(l)
-		if err != nil {
-			return 0, err
-		}
-		if pimT < socT {
-			return pimT, nil
-		}
-		return socT, nil
-	default:
-		return socT, nil
-	}
+	return s.prefill(k, l, routeDynamic)
 }
 
 // TTFTStatic returns FACIL's TTFT without the dynamic prefill offload
@@ -74,20 +58,99 @@ func (s *System) TTFT(k Kind, l int) (float64, error) {
 // runs prefill on the SoC). Results are memoized; an invalid length
 // or design is an error and is never cached.
 func (s *System) TTFTStatic(k Kind, l int) (float64, error) {
+	return s.prefill(k, l, routeStatic)
+}
+
+// prefill serves both TTFT routes from the System's prefill memo.
+// Designs that never offload prefill share the static entry.
+func (s *System) prefill(k Kind, l int, route prefillRoute) (float64, error) {
 	if l <= 0 {
 		return 0, fmt.Errorf("engine: prefill length %d must be positive", l)
 	}
-	return s.prefillCache.Do(prefillKey{kind: k, l: l}, func() (float64, error) {
+	if k != HybridDynamic && k != FACIL {
+		route = routeStatic
+	}
+	if l > memoMaxPrefill {
+		return s.prefillSeconds(k, l, route)
+	}
+	return s.prefillCache.Do(prefillKey{kind: k, l: l, route: route}, func() (float64, error) {
+		return s.prefillSeconds(k, l, route)
+	})
+}
+
+// prefillSeconds computes one prefill memo entry.
+func (s *System) prefillSeconds(k Kind, l int, route prefillRoute) (float64, error) {
+	if route == routeStatic {
 		return s.prefillPathSoC(k, l)
+	}
+	socT, err := s.prefill(k, l, routeStatic)
+	if err != nil {
+		return 0, err
+	}
+	pimT, err := s.pimPrefill(l)
+	if err != nil {
+		return 0, err
+	}
+	if pimT < socT {
+		return pimT, nil
+	}
+	return socT, nil
+}
+
+// pimPrefill is prefillPIMSeconds memoized by length.
+func (s *System) pimPrefill(l int) (float64, error) {
+	if l > memoMaxPrefill {
+		return s.prefillPIMSeconds(l)
+	}
+	return s.pimPrefillCache.Do(l, func() (float64, error) {
+		return s.prefillPIMSeconds(l)
 	})
 }
 
 // DecodeSeconds sums decode steps for tokens 2..decode (the first token
 // comes out of prefill), with the KV context growing from prefill+1.
+// Results are served from the System's running-sum rows and equal the
+// step-by-step sum bit for bit.
 func (s *System) DecodeSeconds(k Kind, prefill, decode int) (float64, error) {
 	if decode <= 0 {
 		return 0, fmt.Errorf("engine: decode length %d must be positive", decode)
 	}
+	path, ok := decodePath(k)
+	if !ok || prefill < 0 || prefill > memoMaxPrefill || decode > memoMaxDecode {
+		return s.decodeLoop(k, prefill, decode)
+	}
+	row, _ := s.decodeRows.Do(decodeRowKey{path: path, l: prefill}, func() (*decodeRow, error) {
+		return &decodeRow{sums: []float64{0}}, nil
+	})
+	row.mu.Lock()
+	defer row.mu.Unlock()
+	for j := len(row.sums); j < decode; j++ {
+		st, err := s.DecodeStepSeconds(path, prefill+j)
+		if err != nil {
+			return 0, err
+		}
+		row.sums = append(row.sums, row.sums[j-1]+st)
+	}
+	return row.sums[decode-1], nil
+}
+
+// decodePath maps a design to the representative of the designs whose
+// decode steps are identical: the four PIM designs run the same
+// linear+attention+other step, and SoC-only runs its own.
+func decodePath(k Kind) (Kind, bool) {
+	switch k {
+	case SoCOnly:
+		return SoCOnly, true
+	case HybridStatic, HybridDynamic, FACIL, WeightDuplication:
+		return FACIL, true
+	default:
+		return 0, false
+	}
+}
+
+// decodeLoop is DecodeSeconds without the memo, for lengths past its
+// bounds and for unknown designs.
+func (s *System) decodeLoop(k Kind, prefill, decode int) (float64, error) {
 	var t float64
 	for step := 1; step < decode; step++ {
 		st, err := s.DecodeStepSeconds(k, prefill+step)

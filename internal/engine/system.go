@@ -97,9 +97,15 @@ type System struct {
 	// deduplicating concurrent misses so a worker storm computes each
 	// step exactly once.
 	decodeCache parallel.Flight[decodeKey, float64]
-	// prefillCache memoizes TTFTStatic by (kind, prefill length): one
-	// read-only table per System that every serving sim on it shares.
-	prefillCache parallel.Flight[prefillKey, float64]
+	// prefillCache memoizes TTFT and TTFTStatic by (kind, prefill
+	// length, route): one read-only table per System that every serving
+	// sim and dataset query on it shares. pimPrefillCache memoizes the
+	// all-PIM prefill by length, which is the same for every design.
+	prefillCache    parallel.Flight[prefillKey, float64]
+	pimPrefillCache parallel.Flight[int, float64]
+	// decodeRows memoizes DecodeSeconds as running sums by (decode path,
+	// prefill length); see decodeRow.
+	decodeRows parallel.Flight[decodeRowKey, *decodeRow]
 	// socLinearStep is one decode step's linear time on the SoC, and
 	// pimLinearStep its PIM counterpart computed on first use; both are
 	// per-step constants of the System.
@@ -120,9 +126,44 @@ type decodeKey struct {
 }
 
 type prefillKey struct {
-	kind Kind
-	l    int
+	kind  Kind
+	l     int
+	route prefillRoute
 }
+
+// prefillRoute selects which prefill a TTFT memo entry holds.
+type prefillRoute uint8
+
+const (
+	// routeStatic is the design's SoC prefill path (TTFTStatic).
+	routeStatic prefillRoute = iota
+	// routeDynamic is the faster of the SoC path and an all-PIM prefill
+	// for the designs that offload short prefills (TTFT).
+	routeDynamic
+)
+
+type decodeRowKey struct {
+	path Kind // the decode path's representative design; see decodePath
+	l    int  // prefill length
+}
+
+// decodeRow holds one (decode path, prefill) row of running decode
+// sums, grown on demand: sums[j] is steps 1..j added left to right, the
+// order DecodeSeconds' loop adds them, so sums[d-1] equals that loop's
+// result bit for bit.
+type decodeRow struct {
+	mu   sync.Mutex
+	sums []float64
+}
+
+// The memos cache lengths up to the workload generators' clamps
+// (prefill 2048, decode 512; internal/workload). Longer queries are
+// computed and not cached, so a long-lived caller with arbitrary
+// lengths cannot grow a System's memory without limit.
+const (
+	memoMaxPrefill = 2048
+	memoMaxDecode  = 512
+)
 
 // NewSystem builds the stack for a platform and model.
 func NewSystem(p soc.Platform, m llm.Model, cfg Config) (*System, error) {

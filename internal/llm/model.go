@@ -138,17 +138,25 @@ func (m Model) TotalWeightBytes() int64 {
 func (m Model) PrefillLinears(l int) []soc.Linear {
 	var ops []soc.Linear
 	for _, w := range m.WeightMatrices() {
-		if !w.PerLayer {
-			continue
+		n := 1
+		if w.PerLayer {
+			n = m.Layers
 		}
-		op := soc.Linear{L: l, In: w.In, Out: w.Out, DTypeBytes: m.DTypeBytes}
-		for k := 0; k < m.Layers; k++ {
-			ops = append(ops, op)
+		for k := 0; k < n; k++ {
+			ops = append(ops, w.PrefillLinear(l, m.DTypeBytes))
 		}
 	}
-	// LM head computes logits for the last position only.
-	ops = append(ops, soc.Linear{L: 1, In: m.Hidden, Out: m.Vocab, DTypeBytes: m.DTypeBytes})
 	return ops
+}
+
+// PrefillLinear is w's GEMM in a prefill of l tokens: a per-layer
+// matrix processes every token, and the LM head computes logits for the
+// last position only.
+func (w WeightMatrix) PrefillLinear(l, dtypeBytes int) soc.Linear {
+	if !w.PerLayer {
+		l = 1
+	}
+	return soc.Linear{L: l, In: w.In, Out: w.Out, DTypeBytes: dtypeBytes}
 }
 
 // DecodeLinears returns the GEMV operations of one decode step.

@@ -40,10 +40,9 @@ type faultState struct {
 	thermal float64
 	// crng draws the per-admission MapID-corruption Bernoulli.
 	crng *rand.Rand
-	// outages tracks completed (repaired) lane outages; residualDown
-	// adds lanes still dead at the end of the run.
-	outages      stats.Outages
-	residualDown float64
+	// outages tracks completed (repaired) lane outages; finish adds the
+	// lanes still dead at the end of the run.
+	outages stats.Outages
 }
 
 // initFaults arms the fault layer for a non-empty scenario: measures

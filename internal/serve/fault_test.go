@@ -263,6 +263,34 @@ func TestLaneMTTRMeasured(t *testing.T) {
 	}
 }
 
+// TestFinishTwiceUnderFaults: lanes still down when the run ends add
+// their outage to the Metrics once, however often Finish or Counters is
+// called — finishing reads the sim and does not change it.
+func TestFinishTwiceUnderFaults(t *testing.T) {
+	s := servingSystem(t)
+	cfg := simConfig(Cooperative, engine.FACIL, 3)
+	cfg.Replicas = 2
+	cfg.Policy = PolicySoCFallback
+	cfg.Faults = fault.Scenario{Seed: 7, LaneMTBF: 2, LaneMTTR: 1e6}
+	sim, err := NewSim(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := drainSim(t, sim)
+	if first.LaneDownSecs <= 0 || first.Availability >= 1 {
+		t.Fatalf("no lane was down at the end (LaneDownSecs %g, Availability %g): the test needs one",
+			first.LaneDownSecs, first.Availability)
+	}
+	if second := sim.Finish(); !reflect.DeepEqual(second, first) {
+		t.Errorf("second Finish differs:\n got %+v\nwant %+v", second, first)
+	}
+	c := sim.Counters()
+	if c.LaneDownSecs != first.LaneDownSecs || c.Availability != first.Availability {
+		t.Errorf("Counters after Finish: LaneDownSecs %g, Availability %g; want %g, %g",
+			c.LaneDownSecs, c.Availability, first.LaneDownSecs, first.Availability)
+	}
+}
+
 // TestThermalThrottleSlowsRun: a thermal window spanning the run slows
 // every quantum by the measured DRAM derate — completions survive but
 // latency and makespan inflate.

@@ -616,12 +616,13 @@ func (sm *refSim) finish() Metrics {
 	}
 	m.Availability = 1
 	if sm.flt != nil {
+		var residual float64
 		for ri := range sm.reps {
 			if sm.reps[ri].pimDown {
-				sm.flt.residualDown += sm.now - sm.reps[ri].downAt
+				residual += sm.now - sm.reps[ri].downAt
 			}
 		}
-		m.LaneDownSecs = sm.flt.outages.TotalDown + sm.flt.residualDown
+		m.LaneDownSecs = sm.flt.outages.TotalDown + residual
 		m.LaneMTTR = sm.flt.outages.MTTR()
 		if rs := float64(sm.cfg.Replicas) * m.Makespan; rs > 0 {
 			m.Availability = 1 - m.LaneDownSecs/rs

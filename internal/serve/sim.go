@@ -1416,13 +1416,15 @@ func (sm *sim) finish() Metrics {
 	m.Availability = 1
 	if sm.flt != nil {
 		// Lanes still down at the end contribute their elapsed outage but
-		// not an MTTR sample (the repair never happened in-run).
+		// not an MTTR sample (the repair never happened in-run). Summed
+		// into a local, so finishing twice reports the same Metrics.
+		var residual float64
 		for ri := range sm.reps {
 			if sm.reps[ri].pimDown {
-				sm.flt.residualDown += sm.now - sm.reps[ri].downAt
+				residual += sm.now - sm.reps[ri].downAt
 			}
 		}
-		m.LaneDownSecs = sm.flt.outages.TotalDown + sm.flt.residualDown
+		m.LaneDownSecs = sm.flt.outages.TotalDown + residual
 		m.LaneMTTR = sm.flt.outages.MTTR()
 		if rs := float64(sm.cfg.Replicas) * m.Makespan; rs > 0 {
 			m.Availability = 1 - m.LaneDownSecs/rs
