@@ -1,6 +1,6 @@
 // Package cluster is the fleet layer of the serving stack: a router
 // that owns many heterogeneous device replicas — each an independent
-// Stream-mode serve.Sim built from its own soc platform and PIM
+// host-fed serve.Sim built from its own soc platform and PIM
 // configuration — and dispatches an arrival stream across them through
 // a pluggable balancing strategy.
 //

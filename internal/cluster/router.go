@@ -16,7 +16,7 @@ import (
 )
 
 // device is the router's ledger entry for one fleet member: the
-// Stream-mode sim it drives, the router-side health breaker, and the
+// host-fed sim it drives, the router-side health breaker, and the
 // assignment-time signals the strategies read. inflight is assigned
 // minus observed-terminal — it leads the device's own counters by up to
 // one barrier, which is exactly the knowledge an assignment-time router
@@ -171,7 +171,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	}
 	n := fl.Devices()
 
-	// Build one Stream-mode sim per device (arrivals come from Inject).
+	// Build one host-fed sim per device (arrivals come from Inject).
 	// Per-device seeds are decorrelated with splitmix64.
 	devs := make([]*device, 0, n)
 	for ci, cl := range fl.classes {
@@ -181,7 +181,6 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 				Mode:             serve.Cooperative,
 				Kind:             engine.FACIL,
 				Replicas:         1,
-				Stream:           true,
 				NoTBT:            true,
 				Seed:             int64(splitmix64(uint64(cfg.Seed) + 0x5EED*uint64(di))),
 				QueueCap:         cfg.QueueCap,

@@ -19,7 +19,10 @@
 //   - trace replay helpers used by the re-layout and GEMM-layout models.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Geometry describes the physical organization of one memory system
 // (all channels included).
@@ -91,22 +94,22 @@ func (g Geometry) CapacityBytes() int64 {
 
 // ChannelBits, RankBits, BankBits, RowBits, ColumnBits and OffsetBits report
 // the number of physical-address bits consumed by each DRAM coordinate.
-func (g Geometry) ChannelBits() int { return log2(g.Channels) }
+func (g Geometry) ChannelBits() int { return Log2(g.Channels) }
 
 // RankBits returns log2(RanksPerChannel).
-func (g Geometry) RankBits() int { return log2(g.RanksPerChannel) }
+func (g Geometry) RankBits() int { return Log2(g.RanksPerChannel) }
 
 // BankBits returns log2(BanksPerRank).
-func (g Geometry) BankBits() int { return log2(g.BanksPerRank) }
+func (g Geometry) BankBits() int { return Log2(g.BanksPerRank) }
 
 // RowBits returns log2(Rows).
-func (g Geometry) RowBits() int { return log2(g.Rows) }
+func (g Geometry) RowBits() int { return Log2(g.Rows) }
 
 // ColumnBits returns log2(ColumnsPerRow), the number of burst-index bits.
-func (g Geometry) ColumnBits() int { return log2(g.ColumnsPerRow()) }
+func (g Geometry) ColumnBits() int { return Log2(g.ColumnsPerRow()) }
 
 // OffsetBits returns log2(TransferBytes), the byte-within-burst bits.
-func (g Geometry) OffsetBits() int { return log2(g.TransferBytes) }
+func (g Geometry) OffsetBits() int { return Log2(g.TransferBytes) }
 
 // AddressBits returns the total number of physical-address bits covered by
 // the geometry (log2 of capacity).
@@ -115,18 +118,11 @@ func (g Geometry) AddressBits() int {
 		g.ColumnBits() + g.OffsetBits()
 }
 
-// log2 returns the floor base-2 logarithm of v, and 0 for v < 1. It is
-// total: power-of-two-ness is a Geometry.Validate concern (every
-// constructor and the controller validate before use), not a reason to
-// crash address arithmetic.
-func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
+// Log2 returns the floor base-2 logarithm of v, and 0 for v < 1. It is
+// total: power-of-two-ness is a Validate concern (every constructor and
+// the controller validate before use), not a reason to crash address
+// arithmetic. The mapping layer's bit budgets use it too.
+func Log2(v int) int { return bits.Len(uint(max(v, 1))) - 1 }
 
 // Addr identifies one burst-sized location inside a memory system.
 // Column is a burst index within the row ([0, ColumnsPerRow)).

@@ -126,13 +126,13 @@ func TestGlobalBankBijectionProperty(t *testing.T) {
 }
 
 func TestLog2Total(t *testing.T) {
-	// log2 is total (floor semantics): non-power-of-two geometry is a
+	// Log2 is total (floor semantics): non-power-of-two geometry is a
 	// Validate error, never a crash.
 	for _, tc := range []struct{ v, want int }{
 		{-4, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3}, {1 << 20, 20},
 	} {
-		if got := log2(tc.v); got != tc.want {
-			t.Errorf("log2(%d) = %d, want %d", tc.v, got, tc.want)
+		if got := Log2(tc.v); got != tc.want {
+			t.Errorf("Log2(%d) = %d, want %d", tc.v, got, tc.want)
 		}
 	}
 }

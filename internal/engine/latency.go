@@ -100,11 +100,12 @@ func (s *System) prefillPIMSeconds(l int) (float64, error) {
 	return t, nil
 }
 
-// relayoutAllWeightsSeconds is the on-demand re-layout cost of one full
-// prefill pass in the hybrid baseline: every weight matrix is copied from
-// its PIM mapping into a conventional scratch buffer before its GEMM
-// (paper Fig. 5(b); the transient copy keeps peak memory near one matrix).
-func (s *System) relayoutAllWeightsSeconds() (float64, error) {
+// relayoutAllWeightsSum is the on-demand re-layout cost of one full
+// prefill pass in the hybrid baseline, memoized per System as
+// relayoutAllWeightsSeconds: every weight matrix is copied from its PIM
+// mapping into a conventional scratch buffer before its GEMM (paper
+// Fig. 5(b); the transient copy keeps peak memory near one matrix).
+func (s *System) relayoutAllWeightsSum() (float64, error) {
 	var t float64
 	for _, pw := range s.weights {
 		res, err := s.relayout.Cost(pw.sel.ID, mapping.ConventionalMapID, pw.matrix.PaddedBytes())

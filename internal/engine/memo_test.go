@@ -35,7 +35,7 @@ func ttftStaticOracle(s *System, k Kind, l int) (float64, error) {
 	case FACIL:
 		return prefillSoCLoop(s, l, true), nil
 	case HybridStatic, HybridDynamic:
-		re, err := s.relayoutAllWeightsSeconds()
+		re, err := s.relayoutAllWeightsSum()
 		if err != nil {
 			return 0, err
 		}

@@ -108,9 +108,11 @@ type System struct {
 	decodeRows parallel.Flight[decodeRowKey, *decodeRow]
 	// socLinearStep is one decode step's linear time on the SoC, and
 	// pimLinearStep its PIM counterpart computed on first use; both are
-	// per-step constants of the System.
-	socLinearStep float64
-	pimLinearStep func() (float64, error)
+	// per-step constants of the System, as is the full-model re-layout
+	// cost relayoutAllWeightsSeconds, also computed on first use.
+	socLinearStep             float64
+	pimLinearStep             func() (float64, error)
+	relayoutAllWeightsSeconds func() (float64, error)
 }
 
 type placedWeight struct {
@@ -208,6 +210,7 @@ func NewSystem(p soc.Platform, m llm.Model, cfg Config) (*System, error) {
 		s.socLinearStep += p.Seconds(op)
 	}
 	s.pimLinearStep = sync.OnceValues(s.pimLinearStepSum)
+	s.relayoutAllWeightsSeconds = sync.OnceValues(s.relayoutAllWeightsSum)
 	return s, nil
 }
 

@@ -65,7 +65,7 @@ func (mc MemoryConfig) Validate() error {
 }
 
 // HugePageBits returns log2 of the huge page size (21 for 2 MB pages).
-func (mc MemoryConfig) HugePageBits() int { return log2(mc.HugePageBytes) }
+func (mc MemoryConfig) HugePageBits() int { return dram.Log2(mc.HugePageBytes) }
 
 // BytesPerBank returns how much of one huge page each bank receives
 // ("memory_per_bank" in the paper's Fig. 9 pseudocode).
@@ -83,7 +83,7 @@ func (mc MemoryConfig) PUChangingBits() int {
 // MaxMapID evaluates the paper's formula:
 // log2(hugePageSize / (totalBankCount * transferBytes)).
 func MaxMapID(mc MemoryConfig) MapID {
-	return MapID(log2(mc.HugePageBytes / (mc.Geometry.TotalBanks() * mc.Geometry.TransferBytes)))
+	return MapID(dram.Log2(mc.HugePageBytes / (mc.Geometry.TotalBanks() * mc.Geometry.TransferBytes)))
 }
 
 // MinMapID returns the smallest PIM-usable MapID for a chunk: every bit of

@@ -82,13 +82,13 @@ func (c ChunkConfig) ColElems(dtypeBytes int) int {
 // chunkColBits returns the number of column bits holding the chunk column
 // dimension: log2(ColBytes / TransferBytes).
 func (c ChunkConfig) chunkColBits(g dram.Geometry) int {
-	return log2(c.ColBytes / g.TransferBytes)
+	return dram.Log2(c.ColBytes / g.TransferBytes)
 }
 
 // chunkRowBits returns log2(Rows), the column bits holding the chunk row
 // dimension (0 for AiM).
 func (c ChunkConfig) chunkRowBits() int {
-	return log2(c.Rows)
+	return dram.Log2(c.Rows)
 }
 
 // AiMChunk returns the AiM chunk for a geometry: (1, rowBytes).
@@ -99,14 +99,4 @@ func AiMChunk(g dram.Geometry) ChunkConfig {
 // HBMPIMChunk returns the HBM-PIM chunk for a geometry: (8, rowBytes/8).
 func HBMPIMChunk(g dram.Geometry) ChunkConfig {
 	return ChunkConfig{Style: StyleHBMPIM, Rows: 8, ColBytes: g.RowBytes / 8}
-}
-
-// log2 returns log2 of a positive power of two; callers validate inputs.
-func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }

@@ -1,6 +1,10 @@
 package mapping
 
-import "fmt"
+import (
+	"fmt"
+
+	"facil/internal/dram"
+)
 
 // MatrixConfig describes a weight matrix handed to pimalloc (paper Fig. 7
 // step 1): its dimensions and element size. Rows × Cols elements are laid
@@ -89,7 +93,7 @@ func SelectMapping(m MatrixConfig, mc MemoryConfig, chunk ChunkConfig) (Selectio
 		sel.Partitioned = true
 		sel.PartitionsPerRow = rowBytes / perBank
 	} else {
-		sel.ID = MapID(log2(rowBytes / mc.Geometry.TransferBytes))
+		sel.ID = MapID(dram.Log2(rowBytes / mc.Geometry.TransferBytes))
 	}
 	if min := MinMapID(mc, chunk); sel.ID < min {
 		// Matrix rows smaller than a chunk still occupy a whole

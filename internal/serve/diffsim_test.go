@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -29,6 +30,22 @@ func liveDelta(before, after LiveSnapshot) LiveSnapshot {
 		Failed:         after.Failed - before.Failed,
 		Degraded:       after.Degraded - before.Degraded,
 		FailedOver:     after.FailedOver - before.FailedOver,
+	}
+}
+
+// sameLiveDelta fails t unless two runs moved the Live counters alike.
+// The virtual-time odometer is reported in float64 seconds off a global
+// nanosecond counter, so differencing it loses ulps as the counter
+// grows across cells; it is compared approximately, everything else
+// exactly.
+func sameLiveDelta(t *testing.T, got, want LiveSnapshot) {
+	t.Helper()
+	if math.Abs(got.VirtualSeconds-want.VirtualSeconds) > 1e-6 {
+		t.Errorf("VirtualSeconds deltas diverge: got %v, want %v", got.VirtualSeconds, want.VirtualSeconds)
+	}
+	got.VirtualSeconds, want.VirtualSeconds = 0, 0
+	if got != want {
+		t.Errorf("Live deltas diverge:\n got  %+v\n want %+v", got, want)
 	}
 }
 
@@ -141,19 +158,7 @@ func TestDifferentialSim(t *testing.T) {
 			if !reflect.DeepEqual(mo, mr) {
 				t.Errorf("metrics diverge:\n optimized %+v\n reference %+v", mo, mr)
 			}
-			dRef, dOpt := liveDelta(b0, b1), liveDelta(b1, b2)
-			// The virtual-time odometer is reported in float64 seconds off
-			// a global nanosecond counter, so differencing it loses ulps as
-			// the counter grows across cells; compare it approximately and
-			// everything else exactly.
-			if math.Abs(dRef.VirtualSeconds-dOpt.VirtualSeconds) > 1e-6 {
-				t.Errorf("VirtualSeconds deltas diverge: optimized %v, reference %v",
-					dOpt.VirtualSeconds, dRef.VirtualSeconds)
-			}
-			dRef.VirtualSeconds, dOpt.VirtualSeconds = 0, 0
-			if dRef != dOpt {
-				t.Errorf("Live deltas diverge:\n optimized %+v\n reference %+v", dOpt, dRef)
-			}
+			sameLiveDelta(t, liveDelta(b1, b2), liveDelta(b0, b1))
 			// Pass 2: lockstep stepping — both engines must pop the same
 			// event sequence, landing on identical completion clocks with
 			// identical backlog at every step.
@@ -189,6 +194,53 @@ func TestDifferentialSim(t *testing.T) {
 			}
 			ref.Finish()
 			opt.Finish()
+		})
+	}
+}
+
+// TestGeneratedMatchesInjected holds the generated and host-fed ways
+// of filling a sim to one path: for every grid cell, Run must equal a
+// host-fed sim (Queries 0) given the same arrivals by Inject, then
+// sealed and drained — bit-identical Metrics and the same movement of
+// the Live counters.
+func TestGeneratedMatchesInjected(t *testing.T) {
+	s := servingSystem(t)
+	for i, cfg := range diffGrid() {
+		t.Run(diffName(i, cfg), func(t *testing.T) {
+			ds, err := workload.Generate(cfg.Workload, cfg.Queries, cfg.Seed+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b0 := Live.Snapshot()
+			mg, err := Run(s, cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			b1 := Live.Snapshot()
+			host := cfg
+			host.Queries = 0
+			sim, err := NewSim(s, host)
+			if err != nil {
+				t.Fatalf("NewSim: %v", err)
+			}
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			var clock float64
+			for _, q := range ds.Queries {
+				clock += rng.ExpFloat64() / cfg.ArrivalRate
+				if err := sim.Inject(clock, q.Prefill, q.Decode); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sim.Seal()
+			if err := sim.AdvanceTo(math.Inf(1)); err != nil {
+				t.Fatal(err)
+			}
+			mi := sim.Finish()
+			b2 := Live.Snapshot()
+			if !reflect.DeepEqual(mi, mg) {
+				t.Errorf("metrics diverge:\n injected  %+v\n generated %+v", mi, mg)
+			}
+			sameLiveDelta(t, liveDelta(b1, b2), liveDelta(b0, b1))
 		})
 	}
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"sort"
 	"testing"
+	"time"
 
 	"facil/internal/engine"
 	"facil/internal/obs"
@@ -108,58 +110,73 @@ func TestServeSteadyStateZeroAllocs(t *testing.T) {
 
 // TestOptimizedSimSpeedup gates the perf win of the value-typed event
 // loop: a full simulation run must beat the retained pointer-boxed
-// reference engine by at least 3x (the acceptance bar; it measures well
-// above that on an idle runner, leaving headroom for CI noise).
+// reference engine by at least 3x (the acceptance bar). One wall-clock
+// sample per engine is too noisy on a shared 2-core runner to hold a
+// bar about 10-30% below the typical ratio, so the gate takes the
+// median of paired ratios over interleaved rounds: each round times a
+// batch of runs on both engines back to back, alternating which goes
+// first.
 func TestOptimizedSimSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping timing comparison in -short mode")
 	}
+	const rounds, reps = 7, 10
 	s := servingSystem(t)
 	cfg := perfConfig(2000)
-	// Time only the event loop: construction (workload sampling, slab
-	// setup) is identical work for both engines and would dilute the
-	// ratio the gate is about.
-	time := func(construct func() (func() (bool, error), func() Metrics)) float64 {
-		step, finish := construct() // warm the shared latency caches
-		for more, _ := step(); more; more, _ = step() {
-		}
-		finish()
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				step, finish := construct()
-				b.StartTimer()
-				for {
-					more, err := step()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !more {
-						break
-					}
-				}
-				finish()
-			}
-		})
-		return float64(r.NsPerOp())
-	}
-	optNs := time(func() (func() (bool, error), func() Metrics) {
+	type engineRun func() (step func() (bool, error), finish func() Metrics)
+	opt := func() (func() (bool, error), func() Metrics) {
 		sim, err := NewSim(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sim.Step, sim.Finish
-	})
-	refNs := time(func() (func() (bool, error), func() Metrics) {
+	}
+	ref := func() (func() (bool, error), func() Metrics) {
 		sim, err := NewReferenceSim(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sim.Step, sim.Finish
-	})
-	if ratio := refNs / optNs; ratio < 3 {
-		t.Errorf("optimized sim only %.2fx faster than reference (opt %.0f ns, ref %.0f ns), want >= 3x",
-			ratio, optNs, refNs)
+	}
+	// batch times reps runs of one engine. Only the event loop and
+	// Finish are timed: construction (workload sampling, slab setup) is
+	// identical work for both engines and would dilute the ratio the
+	// gate is about.
+	batch := func(construct engineRun) time.Duration {
+		var total time.Duration
+		for i := 0; i < reps; i++ {
+			step, finish := construct()
+			start := time.Now()
+			for {
+				more, err := step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !more {
+					break
+				}
+			}
+			finish()
+			total += time.Since(start)
+		}
+		return total
+	}
+	batch(opt) // warm the shared latency caches
+	batch(ref)
+	ratios := make([]float64, rounds)
+	for r := range ratios {
+		var optD, refD time.Duration
+		if r%2 == 0 {
+			optD, refD = batch(opt), batch(ref)
+		} else {
+			refD, optD = batch(ref), batch(opt)
+		}
+		ratios[r] = float64(refD) / float64(optD)
+	}
+	sort.Float64s(ratios)
+	t.Logf("paired ref/opt ratios %.2f", ratios)
+	if med := ratios[rounds/2]; med < 3 {
+		t.Errorf("optimized sim only %.2fx faster than reference (median of %d paired rounds), want >= 3x", med, rounds)
 	}
 }
 

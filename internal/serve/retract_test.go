@@ -9,21 +9,20 @@ import (
 	"facil/internal/engine"
 )
 
-// streamConfig is the externally-driven sim shape the cluster router
-// runs: a Stream-mode two-lane scheduler fed by Inject/InjectResume
-// between AdvanceTo horizons. Workload, Queries and ArrivalRate stay
-// zero — arrivals carry their own times and token lengths.
+// streamConfig is the host-fed sim shape the cluster router runs: a
+// two-lane scheduler fed by Inject/InjectResume between AdvanceTo
+// horizons. Workload, Queries and ArrivalRate stay zero — arrivals
+// carry their own times and token lengths.
 func streamConfig(replicas, queueCap int) SimConfig {
 	return SimConfig{
 		Mode:     Cooperative,
 		Kind:     engine.FACIL,
 		Replicas: replicas,
 		QueueCap: queueCap,
-		Stream:   true,
 	}
 }
 
-// drainStream seals a Stream sim and steps it to exhaustion.
+// drainStream seals a host-fed sim and steps it to exhaustion.
 func drainStream(tb testing.TB, sim *Sim) Metrics {
 	tb.Helper()
 	sim.Seal()
@@ -168,26 +167,32 @@ func TestRetractPrefilledKeepsProgress(t *testing.T) {
 	}
 }
 
-// TestRetractionAPIValidation pins the guard rails: retraction refuses
-// non-Stream sims, and InjectResume rejects malformed resume records
-// rather than corrupting the destination's books.
+// TestRetractionAPIValidation pins the guard rails: a generated sim is
+// sealed against Inject but retracts like a host-fed one, and
+// InjectResume rejects malformed resume records rather than corrupting
+// the destination's books.
 func TestRetractionAPIValidation(t *testing.T) {
 	s := servingSystem(t)
-	fixed, err := NewSim(s, simConfig(Cooperative, engine.FACIL, 1))
+	fixed, err := NewSim(s, simConfig(Cooperative, engine.FACIL, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fixed.Retract(); ok {
-		t.Error("Retract succeeded on a non-Stream sim")
+	if err := fixed.Inject(1, 64, 16); err == nil || !strings.Contains(err.Error(), "after Seal") {
+		t.Errorf("Inject on a generated sim: %v, want the after-Seal error", err)
 	}
-	if _, ok := fixed.RetractPrefilled(); ok {
-		t.Error("RetractPrefilled succeeded on a non-Stream sim")
+	for {
+		if _, ok := fixed.Retract(); ok {
+			break
+		}
+		if more, err := fixed.Step(); err != nil || !more {
+			t.Fatalf("generated sim never queued a retractable query (more=%v, err=%v)", more, err)
+		}
 	}
-	good := Retracted{Arrival: 0, Prefill: 64, Decode: 16}
-	if err := fixed.InjectResume(1, good, 0); err == nil {
-		t.Error("InjectResume accepted a non-Stream sim")
+	if m := drainSim(t, fixed); m.Retracted != 1 || m.Admitted != m.Completed+m.TimedOut+m.Failed+m.Retracted {
+		t.Errorf("generated sim after one Retract: %+v", m)
 	}
 
+	good := Retracted{Arrival: 0, Prefill: 64, Decode: 16}
 	sim, err := NewSim(s, streamConfig(1, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +239,7 @@ func TestInjectValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := fixed.Inject(1, 64, 16); err == nil {
-		t.Error("Inject accepted a non-Stream sim")
+		t.Error("Inject accepted an arrival on a generated (sealed) sim")
 	}
 
 	sealed, err := NewSim(s, streamConfig(1, 0))
@@ -310,7 +315,7 @@ func TestInjectValidation(t *testing.T) {
 }
 
 // TestRetractSteadyStateZeroAllocs gates allocations on the barrier-time
-// steal path: once a Stream sim is warm, the router's per-barrier reads
+// steal path: once a host-fed sim is warm, the router's per-barrier reads
 // (Probe) and retractions must not allocate — the re-route phase runs
 // inside the serial barrier window on every sync interval.
 func TestRetractSteadyStateZeroAllocs(t *testing.T) {

@@ -78,9 +78,11 @@ type SimConfig struct {
 	// admission queue (1 = single on-device accelerator).
 	Replicas int
 	// ArrivalRate is the mean arrival rate in queries/second
-	// (exponential inter-arrival gaps).
+	// (exponential inter-arrival gaps) of a generated run.
 	ArrivalRate float64
-	// Queries is the number of simulated queries.
+	// Queries is the number of arrivals NewSim generates. 0 makes a
+	// host-fed sim, which takes its arrivals from (*Sim).Inject until
+	// (*Sim).Seal; Run rejects it.
 	Queries int
 	// Workload samples the (prefill, decode) lengths.
 	Workload workload.Spec
@@ -131,14 +133,6 @@ type SimConfig struct {
 	// Rejected. 0 disables retries.
 	MaxRetries int
 
-	// Stream marks an externally-driven run: instead of generating
-	// Queries arrivals from Workload at construction, the host feeds
-	// arrivals one at a time with (*Sim).Inject while moving virtual
-	// time forward with (*Sim).AdvanceTo, then calls (*Sim).Seal when
-	// the stream ends. Queries must be 0, and ArrivalRate and Workload
-	// are unused. The cluster router drives one Stream-mode Sim per
-	// fleet device.
-	Stream bool
 	// NoTBT drops the per-token inter-token-gap samples (Metrics.TBT
 	// reports zero quantiles). A fleet host running hundreds of devices
 	// over 1e5+ queries sets it to bound sample memory; TTFT and TTLT
@@ -159,20 +153,15 @@ const DefaultPreemptSteps = 8
 // Validate rejects degenerate scenarios: non-positive sizes, negative
 // limits, NaN/Inf rates or durations anywhere (including the fault
 // knobs), unknown policies, and fault injection in Serial mode (the
-// fault model targets the two-lane schedulers). A Stream-mode run takes
-// its arrivals from Inject, so only a generated run needs a rate.
+// fault model targets the two-lane schedulers). A host-fed run
+// (Queries 0) takes its arrivals from Inject, so only a generated run
+// needs a rate.
 func (c SimConfig) Validate() error {
-	if c.Stream {
-		if c.Queries != 0 {
-			return fmt.Errorf("serve: Stream mode takes arrivals from Inject; Queries must be 0, got %d", c.Queries)
-		}
-		if c.MaxRetries > 0 {
-			return fmt.Errorf("serve: Stream mode leaves retry decisions to the host; MaxRetries must be 0")
-		}
-	} else if badRate(c.ArrivalRate) {
+	if c.Queries < 0 {
+		return fmt.Errorf("serve: query count must not be negative, got %d", c.Queries)
+	}
+	if c.Queries > 0 && badRate(c.ArrivalRate) {
 		return fmt.Errorf("serve: arrival rate must be positive and finite, got %g", c.ArrivalRate)
-	} else if c.Queries <= 0 {
-		return fmt.Errorf("serve: query count must be positive")
 	}
 	if c.Replicas <= 0 {
 		return fmt.Errorf("serve: replica count must be positive")
@@ -217,7 +206,7 @@ type Metrics struct {
 	// Query accounting: Arrived = Admitted + Rejected and
 	// Admitted = Completed + TimedOut + Failed + Retracted (Failed is
 	// zero without a fault scenario and Retracted is zero outside
-	// Stream-mode migration, reducing to the pre-fault identities).
+	// host-driven migration, reducing to the pre-fault identities).
 	// Each query counts once regardless of retries: Rejected counts
 	// only queries whose retry budget ran out.
 	Arrived, Admitted, Rejected int
@@ -226,7 +215,7 @@ type Metrics struct {
 	// decode on a dead PIM lane, or silent MapID mis-translation.
 	Failed int
 	// Retracted counts queries pulled back out of this sim by the
-	// Stream-mode retraction API (cross-device migration): admitted
+	// retraction API (cross-device migration): admitted
 	// here, finished elsewhere. A migrated query re-counts as Arrived
 	// and Admitted at its destination, so fleet-level identities sum
 	// the per-device ones plus the migration flow.
@@ -378,10 +367,9 @@ type sim struct {
 	cfg SimConfig
 	sys *engine.System
 	evs eventQueue
-	// seq numbers dynamic events after the arrival stream: arrivals own
-	// sequence numbers 0..Queries-1 (their slab index), so an arrival
-	// beats any queued event scheduled at the same instant — exactly the
-	// reference heap's push order.
+	// seq numbers dynamic events FIFO among equal times. Arrivals are
+	// not events: stepUntil takes the arrival cursor on an exact tie,
+	// so an arrival beats any queued event at the same instant.
 	seq     int64
 	qs      []query
 	nextArr int32 // arrival cursor into qs
@@ -401,10 +389,10 @@ type sim struct {
 	// clock, so an infinite stochastic fault stream cannot stretch the
 	// makespan.
 	open int
-	// sealed is true once no further arrivals can appear: at birth for
-	// a generated (non-Stream) run, after Seal for a streamed one. An
-	// unsealed idle sim keeps its fault events pending, because the
-	// host may still inject work they must affect.
+	// sealed is true once no further Inject can come: from NewSim for
+	// a generated run, after Seal for a host-fed one. An unsealed idle
+	// sim keeps its fault events pending, because the host may still
+	// inject work they must affect.
 	sealed bool
 
 	// stepMain/stepSoC memoize DecodeStepSeconds by context length for
@@ -497,6 +485,9 @@ func (sm *sim) traceDepth() {
 // summarizes latencies, throughput and lane utilization. The run is
 // single-threaded and fully deterministic in cfg.Seed.
 func Run(s *engine.System, cfg SimConfig) (Metrics, error) {
+	if cfg.Queries == 0 {
+		return Metrics{}, fmt.Errorf("serve: Run generates its arrivals; query count must be positive")
+	}
 	sim, err := NewSim(s, cfg)
 	if err != nil {
 		return Metrics{}, err
@@ -516,7 +507,7 @@ func Run(s *engine.System, cfg SimConfig) (Metrics, error) {
 // Sim is a pausable, steppable serving simulation: Run's event loop
 // exposed one event at a time, so a host can advance virtual time in
 // increments. The cluster router is that host: it drives one
-// Stream-mode Sim per fleet device between telemetry barriers.
+// host-fed Sim per fleet device between telemetry barriers.
 // Observers (facild's /metrics, which runs experiments through
 // run.Engine) read lock-free Live counter snapshots meanwhile.
 // Create with NewSim, call Step until it reports no more events, then
@@ -538,22 +529,14 @@ type Sim struct {
 }
 
 // NewSim validates cfg and builds a ready-to-step simulation with the
-// arrival stream (and the fault scenario, when armed) already
-// scheduled, exactly as Run does before entering its loop.
+// fault scenario (when armed) and a generated run's sealed arrival
+// stream already scheduled, exactly as Run does before its loop.
 func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.preemptSteps == 0 {
 		cfg.preemptSteps = DefaultPreemptSteps
-	}
-	var ds workload.Dataset
-	if !cfg.Stream {
-		var err error
-		ds, err = workload.Generate(cfg.Workload, cfg.Queries, cfg.Seed+1)
-		if err != nil {
-			return nil, err
-		}
 	}
 	sm := &sim{
 		cfg:  cfg,
@@ -579,45 +562,31 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 		}
 		sm.relay = relay
 	}
-	// The arrival process is owned by this run: a fresh RNG consumes
-	// exactly one exponential gap per query, in arrival order. Arrivals
-	// are not events — the slab,
-	// ordered by arrival time with nextArr as cursor, is the stream; a
-	// query's slab index doubles as its event sequence number. A
-	// Stream-mode run starts with an empty, unsealed slab that Inject
-	// appends to (growing the latency caches as longer contexts show
-	// up); everything below degrades to the zero-query shape.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var clock float64
-	sm.qs = make([]query, len(ds.Queries))
-	maxCtx, maxPre, tbtCap := 0, 0, 0
-	for i, q := range ds.Queries {
-		clock += rng.ExpFloat64() / cfg.ArrivalRate
-		sm.qs[i] = query{
-			id: i, arrival: clock, start: clock, prefill: q.Prefill, decode: q.Decode, next: -1,
+	// A generated run owns two RNG streams — Seed draws one exponential
+	// gap per query in arrival order, Seed+1 the token lengths — and
+	// feeds its arrivals through the path Inject uses, then seals.
+	if cfg.Queries > 0 {
+		ds, err := workload.Generate(cfg.Workload, cfg.Queries, cfg.Seed+1)
+		if err != nil {
+			return nil, err
 		}
-		if c := q.Prefill + q.Decode; c > maxCtx {
-			maxCtx = c
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		var clock float64
+		sm.qs = make([]query, 0, cfg.Queries)
+		tbtCap := 0
+		for _, q := range ds.Queries {
+			clock += rng.ExpFloat64() / cfg.ArrivalRate
+			if err := sm.appendArrival("NewSim", query{arrival: clock, start: clock, prefill: q.Prefill, decode: q.Decode}); err != nil {
+				return nil, err
+			}
+			tbtCap += max(q.Decode-1, 0)
 		}
-		if q.Prefill > maxPre {
-			maxPre = q.Prefill
-		}
-		if q.Decode > 1 {
-			tbtCap += q.Decode - 1
-		}
+		sm.ttfts, sm.ttlts = make([]float64, 0, cfg.Queries), make([]float64, 0, cfg.Queries)
+		sm.tbts = make([]float64, 0, tbtCap)
+		sm.sealed = true
 	}
-	sm.seq = int64(len(sm.qs))
-	sm.open = cfg.Queries
-	sm.sealed = !cfg.Stream
-	sm.stepMain = make([]float64, maxCtx+1)
-	sm.stepSoC = make([]float64, maxCtx+1)
-	sm.preStatic = make([]float64, maxPre+1)
-	sm.ttfts = make([]float64, 0, cfg.Queries)
-	sm.ttlts = make([]float64, 0, cfg.Queries)
-	sm.tbts = make([]float64, 0, tbtCap)
-	// The fault and retry layers arm only when configured, after the
-	// arrival stream claimed its sequence numbers, so a faultless run's
-	// event sequence (and RNG stream) is untouched.
+	// The fault and retry layers arm only when configured, so a
+	// faultless run's event sequence (and RNG stream) is untouched.
 	if cfg.MaxRetries > 0 {
 		sm.retryRNG = rand.New(rand.NewSource(cfg.Seed + 2))
 	}
@@ -659,7 +628,7 @@ func (s *Sim) Counters() Metrics {
 	return s.sm.finish()
 }
 
-// Inject appends one externally-routed arrival to a Stream-mode run.
+// Inject appends one externally-routed arrival to a host-fed run.
 // Arrivals must be time-ordered and never behind the sim's clock: the
 // host advances the sim only up to a horizon at or before the next
 // injection time (the cluster router's telemetry barrier), so both
@@ -668,9 +637,6 @@ func (s *Sim) Counters() Metrics {
 // it, subject to QueueCap like any generated arrival.
 func (s *Sim) Inject(at float64, prefill, decode int) error {
 	sm := s.sm
-	if !sm.cfg.Stream {
-		return fmt.Errorf("serve: Inject requires a Stream-mode sim")
-	}
 	if sm.sealed {
 		return fmt.Errorf("serve: Inject after Seal")
 	}
@@ -680,7 +646,7 @@ func (s *Sim) Inject(at float64, prefill, decode int) error {
 	return sm.appendArrival("Inject", query{arrival: at, start: at, prefill: prefill, decode: decode})
 }
 
-// appendArrival is the one path onto a Stream-mode arrival stream: it
+// appendArrival is the one path onto the arrival stream: it
 // rejects a start time that is not finite, behind the clock or before
 // the last arrival, then appends q to the slab as the newest open query
 // and grows the latency memos to cover its lengths. op names the caller
@@ -713,12 +679,10 @@ func growCache(c []float64, n int) []float64 {
 	return out
 }
 
-// Seal marks a Stream-mode arrival stream complete: no further Inject
+// Seal marks a host-fed arrival stream complete: no further Inject
 // calls are accepted, and once every injected query is terminal the
 // remaining stochastic fault events are discarded without advancing the
-// clock — the same end-of-run rule a generated arrival stream gets at
-// construction. Seal is idempotent and a no-op on non-Stream sims
-// (they are born sealed).
+// clock. Seal is idempotent; NewSim seals a generated run itself.
 func (s *Sim) Seal() { s.sm.sealed = true }
 
 // AdvanceTo processes every pending event strictly before t, in event
@@ -793,7 +757,7 @@ func (s *Sim) Latencies() (ttft, ttlt []float64) {
 	return s.sm.ttfts, s.sm.ttlts
 }
 
-// Retracted is one query pulled back out of a Stream-mode sim by
+// Retracted is one query pulled back out of a sim by
 // Retract or RetractPrefilled — the unit of cross-device migration. It
 // carries exactly what a destination sim needs to resume the query
 // honestly via InjectResume: the original arrival time (latency and
@@ -816,23 +780,23 @@ type Retracted struct {
 }
 
 // Retract pulls the longest-waiting admission-queued query back out of
-// a Stream-mode sim without perturbing started ones: the query leaves
-// the system counted as Retracted (not as any terminal outcome), and
-// the host re-injects it elsewhere with InjectResume. It returns false
-// when the admission queue is empty or the sim is not Stream-mode.
+// a sim without perturbing started ones: the query leaves the system
+// counted as Retracted (not as any terminal outcome), and the host
+// re-injects it elsewhere with InjectResume. It returns false when the
+// admission queue is empty.
 // Like Inject, it must be called between advances, never concurrently
 // with them — the cluster router retracts in the serial re-route phase
 // at each telemetry barrier.
 func (s *Sim) Retract() (Retracted, bool) {
 	sm := s.sm
-	if !sm.cfg.Stream || sm.wait.empty() {
+	if sm.wait.empty() {
 		return Retracted{}, false
 	}
 	return sm.retract(sm.wait.pop(sm.qs), false), true
 }
 
 // RetractPrefilled pulls one prefilled-but-preempted query out of a
-// Stream-mode sim: the head of the first non-empty decode queue. Its
+// sim: the head of the first non-empty decode queue. Its
 // prefill work is kept (StepsDone and Prefilled travel with it), and
 // the caller is expected to charge the KV-transfer penalty on
 // re-injection. Queries mid-quantum and queries on the SoC fallback
@@ -841,9 +805,6 @@ func (s *Sim) Retract() (Retracted, bool) {
 // nothing is retractable.
 func (s *Sim) RetractPrefilled() (Retracted, bool) {
 	sm := s.sm
-	if !sm.cfg.Stream {
-		return Retracted{}, false
-	}
 	for ri := range sm.reps {
 		if !sm.reps[ri].decodeQ.empty() {
 			return sm.retract(sm.reps[ri].decodeQ.pop(sm.qs), true), true
@@ -867,7 +828,7 @@ func (sm *sim) retract(qi int32, prefilled bool) Retracted {
 	}
 }
 
-// InjectResume appends a retracted query to a Stream-mode sim's arrival
+// InjectResume appends a retracted query to a sim's arrival
 // stream at time `at`, subject to the same ordering rules as Inject.
 // The query keeps its original arrival for latency and deadline
 // accounting but enters this sim's admission path at `at`; penalty is
@@ -881,9 +842,6 @@ func (sm *sim) retract(qi int32, prefilled bool) Retracted {
 // from failing devices needs.
 func (s *Sim) InjectResume(at float64, r Retracted, penalty float64) error {
 	sm := s.sm
-	if !sm.cfg.Stream {
-		return fmt.Errorf("serve: InjectResume requires a Stream-mode sim")
-	}
 	if r.Prefill <= 0 || r.Decode <= 0 {
 		return fmt.Errorf("serve: InjectResume token counts must be positive, got prefill=%d decode=%d", r.Prefill, r.Decode)
 	}
@@ -979,9 +937,9 @@ func (sm *sim) step() (bool, error) {
 
 // stepUntil merges the arrival cursor against the event heap, pops the
 // earlier of the two if it lies strictly before horizon, handles it, and
-// reports whether an event was processed. Arrivals always carry lower
-// sequence numbers than queued events, so on an exact (at) tie the
-// arrival goes first — the reference heap's order. An infinite horizon
+// reports whether an event was processed. On an exact (at) tie the
+// arrival goes first — the reference heap's order, where arrivals are
+// pushed before any other event. An infinite horizon
 // bounds nothing. Events at or past a finite horizon stay pending and
 // the clock does not reach the horizon: the clock only ever sits on a
 // processed event, which is what makes fixed-horizon advancement

@@ -336,13 +336,15 @@ func TestMetricsSanity(t *testing.T) {
 	}
 }
 
-// TestSimConfigValidation rejects degenerate scenarios and accepts a
-// Stream-mode config without an arrival rate (Inject supplies arrivals).
+// TestSimConfigValidation rejects degenerate scenarios (Run needs a
+// generated run, so zero queries too) and accepts a host-fed config
+// without an arrival rate (Inject supplies arrivals).
 func TestSimConfigValidation(t *testing.T) {
 	s := servingSystem(t)
 	bad := []SimConfig{
 		{ArrivalRate: 0, Queries: 10, Replicas: 1},
 		{ArrivalRate: 1, Queries: 0, Replicas: 1},
+		{ArrivalRate: 1, Queries: -1, Replicas: 1},
 		{ArrivalRate: 1, Queries: 10, Replicas: 0},
 		{ArrivalRate: 1, Queries: 10, Replicas: 1, QueueCap: -1},
 		{ArrivalRate: 1, Queries: 10, Replicas: 1, Timeout: -2},
@@ -352,9 +354,9 @@ func TestSimConfigValidation(t *testing.T) {
 			t.Errorf("config accepted: %+v", cfg)
 		}
 	}
-	stream := SimConfig{Mode: Cooperative, Kind: engine.FACIL, Replicas: 1, Stream: true}
-	if err := stream.Validate(); err != nil {
-		t.Errorf("Stream-mode config with rate 0 rejected: %v", err)
+	hostFed := SimConfig{Mode: Cooperative, Kind: engine.FACIL, Replicas: 1}
+	if err := hostFed.Validate(); err != nil {
+		t.Errorf("host-fed config with rate 0 rejected: %v", err)
 	}
 	if _, err := ParseMode("nope"); err == nil {
 		t.Error("bad mode parsed")

@@ -28,6 +28,7 @@ package tune
 
 import (
 	"fmt"
+	"math/bits"
 
 	"facil/internal/mapping"
 )
@@ -72,7 +73,7 @@ func NewSpace(mc mapping.MemoryConfig, chunk mapping.ChunkConfig) (*Space, error
 	s.puBits = s.bankBits + s.rankBits + s.chBits
 	s.pageBits = mc.HugePageBits() - g.OffsetBits()
 	s.pageRowBits = s.pageBits - s.colBits - s.puBits
-	s.chunkPrefix = log2(chunk.ColBytes / g.TransferBytes)
+	s.chunkPrefix = bits.Len(uint(chunk.ColBytes/g.TransferBytes)) - 1
 	if s.pageRowBits < 0 {
 		return nil, fmt.Errorf("tune: huge page (%d bits above burst) cannot hold column (%d) + PU (%d) bits",
 			s.pageBits, s.colBits, s.puBits)
@@ -89,15 +90,4 @@ func NewSpace(mc mapping.MemoryConfig, chunk mapping.ChunkConfig) (*Space, error
 		return nil, fmt.Errorf("tune: packed DA of %d bits exceeds 32", s.colBits+s.puBits+s.pageRowBits)
 	}
 	return s, nil
-}
-
-// log2 returns the floor base-2 logarithm of v (0 for v < 1); inputs are
-// validated powers of two.
-func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }
