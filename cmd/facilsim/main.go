@@ -296,8 +296,8 @@ func mainErr() int {
 			*traceFile, tracer.Len(), tracer.Dropped())
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "facilsim: DRAM totals: %d stream replays, %d requests, %d cycles\n",
-			dram.Global.Streams(), dram.Global.Requests(), dram.Global.Cycles())
+		fmt.Fprintf(os.Stderr, "facilsim: DRAM totals: %d stream replays, %d requests, %d cycles, %d commands, %d queue entries visited\n",
+			dram.Global.Streams(), dram.Global.Requests(), dram.Global.Cycles(), dram.Global.Commands(), dram.Global.Visited())
 	}
 	if failed := report.Manifest.Failed; len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "facilsim: %d of %d experiments failed: %s\n",

@@ -77,6 +77,10 @@ type DRAMTotals struct {
 	Requests int64 `json:"requests"`
 	// Cycles counts simulated burst-clock cycles.
 	Cycles int64 `json:"cycles"`
+	// Commands counts commands the schedulers issued.
+	Commands int64 `json:"commands"`
+	// Visited counts queue entries the schedulers' picks looked at.
+	Visited int64 `json:"visited"`
 }
 
 // TraceStats reports the trace ring's occupancy.
@@ -106,6 +110,8 @@ func (s *Server) Metrics() Metrics {
 		Streams:  dram.Global.Streams(),
 		Requests: dram.Global.Requests(),
 		Cycles:   dram.Global.Cycles(),
+		Commands: dram.Global.Commands(),
+		Visited:  dram.Global.Visited(),
 	}
 	m.Trace = TraceStats{Events: s.tracer.Len(), Dropped: s.tracer.Dropped()}
 	return m

@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ChannelStats aggregates per-channel scheduler statistics.
 //
@@ -59,9 +62,14 @@ type slot struct {
 	// activated is set once the scheduler issued an ACT on behalf of
 	// this request; used to classify row hits vs misses.
 	activated bool
+	// hit is set while the entry is visible and targets its bank's open
+	// row (a column candidate).
+	hit bool
 	// pos is the global enqueue sequence number — the FCFS tie-breaker
 	// (monotone with the reference scheduler's queue index).
 	pos uint64
+	// bank is the request's dense bank index (see bankIndex).
+	bank int32
 
 	next, prev   int32 // queue-order list links
 	bnext, bprev int32 // per-bank visible list links
@@ -73,8 +81,10 @@ type slot struct {
 // read/write turnaround and periodic all-bank refresh.
 //
 // The scheduler's hot path is allocation-free in steady state: queued
-// requests live in a reusable slot pool, FR-FCFS candidate selection
-// walks per-bank intrusive lists (only banks with visible work), request
+// requests live in a reusable slot pool, per-bank row-hit counts are kept
+// up to date as requests enter and leave the visible window, so a pick
+// scans the visible queue only until no later hit can win and walks only
+// banks without a visible hit for ACT/PRE candidates, and request
 // completion unlinks in O(1) instead of compacting a slice. The command
 // schedule is bit-identical to the retained test-only ReferenceChannel
 // (see refsched_test.go and the differential tests pinning the
@@ -100,23 +110,32 @@ type Channel struct {
 	visTail  int32
 	visCount int
 
-	// Per-bank visible lists indexed rank*BanksPerRank+bank, plus the
-	// dense set of banks that currently have visible work.
-	bankHead    []int32
-	bankTail    []int32
-	bankLen     []int32
-	bankWrites  []int32 // visible writes per bank
-	activeBanks []int32
-	bankPos     []int32 // bank -> index into activeBanks, -1 if absent
+	// Per-bank visible lists indexed rank*BanksPerRank+bank.
+	bankHead []int32
+	bankTail []int32
+	// hits counts each bank's visible row hits (requests on its open
+	// row) and hitTotal the channel's per class (read, write). They are
+	// updated as entries enter and leave the window and recounted when
+	// a bank's row state changes.
+	hits     []int32
+	hitTotal [2]int32
+	// prepBanks is the dense set of banks with visible work and no
+	// visible hit: only they yield ACT/PRE candidates. prepPos maps a
+	// bank to its index in prepBanks, -1 if absent.
+	prepBanks []int32
+	prepPos   []int32
+	// seen stamps each (bank, class) with the last pick that met a hit
+	// of it (see pickCommand).
+	seen []int64
 	// bankLoc resolves a dense bank index to its rank and bank state,
 	// precomputed so the pick loop never divides by BanksPerRank.
 	bankLoc []bankLoc
 
 	// inOrder holds while queued arrivals are non-decreasing in enqueue
 	// order; lastArrival is the arrival of the most recent push. Under
-	// inOrder the first entry of each command class in a bank list wins
-	// that class, so pickCommand can stop walking early, and the queue
-	// head holds the earliest arrival (HasReady).
+	// inOrder the first entry of each command class in a bank wins that
+	// class, so pickCommand skips the rest, and the queue head holds the
+	// earliest arrival (HasReady).
 	inOrder     bool
 	lastArrival int64
 
@@ -152,6 +171,10 @@ type Channel struct {
 	lockstep lockstep
 
 	stats ChannelStats
+	// commands counts issued commands (one per pick) and visited the
+	// queue entries the picks looked at. They measure the scheduler's
+	// work, not the simulated DRAM, so they stay out of ChannelStats.
+	commands, visited int64
 }
 
 // bankLoc is one bank's rank and bank state.
@@ -206,18 +229,18 @@ func (c *Channel) initBankLists() {
 	g := c.spec.Geometry
 	nb := g.RanksPerChannel * g.BanksPerRank
 	// The per-bank index arrays share one allocation.
-	idx := make([]int32, 6*nb)
+	idx := make([]int32, 5*nb)
 	c.bankHead = idx[0*nb : 1*nb : 1*nb]
 	c.bankTail = idx[1*nb : 2*nb : 2*nb]
-	c.bankLen = idx[2*nb : 3*nb : 3*nb]
-	c.bankWrites = idx[3*nb : 4*nb : 4*nb]
-	c.bankPos = idx[4*nb : 5*nb : 5*nb]
-	c.activeBanks = idx[5*nb : 5*nb : 6*nb]
+	c.hits = idx[2*nb : 3*nb : 3*nb]
+	c.prepPos = idx[3*nb : 4*nb : 4*nb]
+	c.prepBanks = idx[4*nb : 4*nb : 5*nb]
+	c.seen = make([]int64, 2*nb)
 	c.bankLoc = make([]bankLoc, nb)
 	for i := 0; i < nb; i++ {
 		c.bankHead[i] = noSlot
 		c.bankTail[i] = noSlot
-		c.bankPos[i] = -1
+		c.prepPos[i] = -1
 		rk := &c.ranks[i/g.BanksPerRank]
 		c.bankLoc[i] = bankLoc{rk: rk, b: &rk.banks[i%g.BanksPerRank]}
 	}
@@ -331,6 +354,7 @@ func (c *Channel) push(r Request, user *Request) {
 	sl.user = user
 	sl.activated = false
 	sl.pos = c.seq
+	sl.bank = c.bankIndex(r.Addr)
 	c.seq++
 	sl.next, sl.prev = noSlot, noSlot
 	sl.bnext, sl.bprev = noSlot, noSlot
@@ -364,32 +388,107 @@ func (c *Channel) firstInvisible() int32 {
 // makeVisible extends the visible window by one entry: s must be the
 // first invisible queue entry. It is appended to its bank's visible list
 // (entries become visible in FCFS order, so appending keeps the list
-// sorted by pos).
+// sorted by pos) and counted as a hit if it targets the open row.
 func (c *Channel) makeVisible(s int32) {
 	sl := &c.slots[s]
-	b := c.bankIndex(sl.req.Addr)
+	b := sl.bank
 	if t := c.bankTail[b]; t == noSlot {
 		c.bankHead[b], c.bankTail[b] = s, s
-		c.bankPos[b] = int32(len(c.activeBanks))
-		c.activeBanks = append(c.activeBanks, b)
 	} else {
 		c.slots[t].bnext = s
 		sl.bprev = t
 		c.bankTail[b] = s
 	}
-	c.bankLen[b]++
-	if sl.req.Write {
-		c.bankWrites[b]++
-	}
+	c.countHit(sl)
+	c.syncPrep(b)
 	c.visTail = s
 	c.visCount++
 }
 
-// bankUnlink removes a visible entry from its bank list, retiring the
-// bank from the active set when its last visible entry leaves.
+// class returns a request's command class index: 0 read, 1 write.
+func class(r *Request) int {
+	if r.Write {
+		return 1
+	}
+	return 0
+}
+
+// countHit marks the visible entry sl a hit, and counts it, if it
+// targets its bank's open row.
+func (c *Channel) countHit(sl *slot) {
+	b := c.bankLoc[sl.bank].b
+	sl.hit = b.state == bankActive && sl.req.Addr.Row == b.openRow
+	if sl.hit {
+		c.hits[sl.bank]++
+		c.hitTotal[class(&sl.req)]++
+	}
+}
+
+// uncountHit takes sl out of the hit counts.
+func (c *Channel) uncountHit(sl *slot) {
+	if sl.hit {
+		c.hits[sl.bank]--
+		c.hitTotal[class(&sl.req)]--
+		sl.hit = false
+	}
+}
+
+// syncPrep puts bank b in the prep set exactly when it has visible work
+// and no visible hit.
+func (c *Channel) syncPrep(b int32) {
+	want := c.bankHead[b] != noSlot && !c.rowStillWanted(b)
+	if i := c.prepPos[b]; want && i < 0 {
+		c.prepPos[b] = int32(len(c.prepBanks))
+		c.prepBanks = append(c.prepBanks, b)
+	} else if !want && i >= 0 {
+		last := c.prepBanks[len(c.prepBanks)-1]
+		c.prepBanks[i] = last
+		c.prepPos[last] = i
+		c.prepBanks = c.prepBanks[:len(c.prepBanks)-1]
+		c.prepPos[b] = -1
+	}
+}
+
+// lowestFloor returns the lowest channel floor among the command classes
+// with hits left (MaxInt64 if none).
+func lowestFloor(floor [2]int64, left [2]int32) int64 {
+	l := int64(math.MaxInt64)
+	for w, n := range left {
+		if n > 0 {
+			l = min(l, floor[w])
+		}
+	}
+	return l
+}
+
+// rowStillWanted reports whether a visible request targets bank b's open
+// row: a lookup of its hit counts.
+func (c *Channel) rowStillWanted(b int32) bool {
+	return c.hits[b] > 0
+}
+
+// recount recomputes bank b's hit counts after its row state changed.
+func (c *Channel) recount(b int32) {
+	for s := c.bankHead[b]; s != noSlot; s = c.slots[s].bnext {
+		c.uncountHit(&c.slots[s])
+		c.countHit(&c.slots[s])
+	}
+	c.syncPrep(b)
+}
+
+// recountAll recounts every bank, after a refresh or an all-bank command
+// changed row states across a rank.
+func (c *Channel) recountAll() {
+	for b := range c.bankHead {
+		c.recount(int32(b))
+	}
+}
+
+// bankUnlink removes a visible entry from its bank list and its hit
+// counts.
 func (c *Channel) bankUnlink(s int32) {
 	sl := &c.slots[s]
-	b := c.bankIndex(sl.req.Addr)
+	b := sl.bank
 	if sl.bprev != noSlot {
 		c.slots[sl.bprev].bnext = sl.bnext
 	} else {
@@ -401,18 +500,8 @@ func (c *Channel) bankUnlink(s int32) {
 		c.bankTail[b] = sl.bprev
 	}
 	sl.bnext, sl.bprev = noSlot, noSlot
-	c.bankLen[b]--
-	if sl.req.Write {
-		c.bankWrites[b]--
-	}
-	if c.bankLen[b] == 0 {
-		i := c.bankPos[b]
-		last := c.activeBanks[len(c.activeBanks)-1]
-		c.activeBanks[i] = last
-		c.bankPos[last] = i
-		c.activeBanks = c.activeBanks[:len(c.activeBanks)-1]
-		c.bankPos[b] = -1
-	}
+	c.uncountHit(sl)
+	c.syncPrep(b)
 }
 
 // remove completes and frees a visible queue entry in O(1), sliding the
@@ -493,11 +582,16 @@ func (c *Channel) step() {
 		return
 	}
 	if c.refreshEnabled {
+		refreshed := false
 		for ri := range c.ranks {
 			if c.ranks[ri].refreshDue(c.now) {
 				c.ranks[ri].applyRefresh(c.now, c.t)
 				c.stats.Refreshes++
+				refreshed = true
 			}
+		}
+		if refreshed {
+			c.recountAll()
 		}
 	}
 
@@ -514,121 +608,86 @@ func (c *Channel) step() {
 // preparatory command (ACT/PRE) separately. A preparatory command is
 // issued ahead of a ready column command only when doing so does not
 // delay it — modeling the command bus issuing row and column commands
-// for different banks in parallel.
+// for different banks in parallel. Each winner is the lexicographic
+// minimum over (earliest, FCFS position), as in the reference
+// scheduler's window-order scan.
 //
-// Candidate selection walks only banks with visible work (the per-bank
-// lists), hoisting the bank- and channel-level earliest-issue floors out
-// of the per-request loop. The winner is the lexicographic minimum over
-// (earliest, FCFS position), which is iteration-order independent, so
-// walking bank-by-bank selects exactly the command the reference
-// scheduler's window-order scan selects.
+// The column winner comes from a scan of the visible queue in FCFS
+// order, over row hits only. Every read hit's earliest cycle is at least
+// the channel's read floor, every write hit's at least its write floor,
+// and later entries lose ties, so the scan stops once the best hit is no
+// later than the lowest floor among the classes with hits still ahead
+// (under inOrder, no earlier than the next entry's arrival either, which
+// bounds every later arrival). Under inOrder a bank's first hit of a
+// class also beats its later ones, so those are skipped.
 //
-// While inOrder holds, pos rises strictly and arrival never falls along
-// each bank list, so within one class (read hit, write hit, ACT) the
-// candidate earliest cycle max(floor, arrival) never decreases and the
-// first entry wins. The walk then stops once every class the bank has
-// visible entries of has produced its first hit, and an idle bank takes
-// its head as the ACT candidate. A bank without hits is still walked in
-// full, since a hit further down must suppress its precharge.
+// ACT/PRE candidates come only from prep banks, which have no visible
+// hit, so every visible entry of one is a candidate: an ACT on an idle
+// bank, a PRE (closing a row no visible request wants) on an active one.
+// Under inOrder the bank's list head wins.
 func (c *Channel) pickCommand() candidate {
 	var bestCol, bestPrep candidate
 	haveCol, havePrep := false, false
+	visited := int64(0)
+	pick := c.commands + 1
 
-	rowCmdBase := maxi64(c.rowCmdEarliest(), c.now)
-	rdBase := c.columnEarliest(CmdRD)
-	wrBase := c.columnEarliest(CmdWR)
-
-	for _, bi := range c.activeBanks {
-		loc := c.bankLoc[bi]
-		b := loc.b
-		head := c.bankHead[bi]
-
-		if b.state == bankActive {
-			open := b.openRow
-			// One scan: requests on the open row are column (row hit)
-			// candidates; the rest want a precharge, which is legal
-			// only if no visible request still targets the open row
-			// (the FR part — an open row with pending hits must not
-			// be closed).
-			rdEarliest := maxi64(b.nextRD, rdBase)
-			wrEarliest := maxi64(b.nextWR, wrBase)
-			preEarliest := maxi64(b.nextPRE, rowCmdBase)
-			var hit, pre candidate
-			haveHit, havePre := false, false
-			// Classes still without a first hit; a class the bank has
-			// no visible entries of has nothing to find.
-			wantRD := c.bankLen[bi] > c.bankWrites[bi]
-			wantWR := c.bankWrites[bi] > 0
-			for s := head; s != noSlot; s = c.slots[s].bnext {
-				sl := &c.slots[s]
-				if sl.req.Addr.Row == open {
-					kind, e := CmdRD, rdEarliest
-					if sl.req.Write {
-						kind, e = CmdWR, wrEarliest
-						wantWR = false
-					} else {
-						wantRD = false
-					}
-					if sl.req.Arrival > e {
-						e = sl.req.Arrival
-					}
-					if !haveHit || hit.better(e, sl.pos) {
-						hit = candidate{kind: kind, slot: s, pos: sl.pos, earliest: e}
-						haveHit = true
-					}
-					if c.inOrder && !wantRD && !wantWR {
-						break
-					}
-				} else if !haveHit {
-					// Collecting a PRE candidate is pointless once a
-					// hit is seen, but hits later in the list must
-					// still suppress it — resolved after the scan.
-					e := preEarliest
-					if sl.req.Arrival > e {
-						e = sl.req.Arrival
-					}
-					if !havePre || pre.better(e, sl.pos) {
-						pre = candidate{kind: CmdPRE, slot: s, pos: sl.pos, earliest: e}
-						havePre = true
-					}
-				}
-			}
-			if haveHit {
-				if !haveCol || bestCol.better(hit.earliest, hit.pos) {
-					bestCol = hit
-					haveCol = true
-				}
-			} else if havePre {
-				if !havePrep || bestPrep.better(pre.earliest, pre.pos) {
-					bestPrep = pre
-					havePrep = true
-				}
-			}
+	floor := [2]int64{c.columnEarliest(CmdRD), c.columnEarliest(CmdWR)}
+	left := c.hitTotal
+	limit := lowestFloor(floor, left)
+	for s := c.head; left[0]+left[1] > 0; s = c.slots[s].next {
+		sl := &c.slots[s]
+		if haveCol && (bestCol.earliest <= limit || c.inOrder && bestCol.earliest <= sl.req.Arrival) {
+			break
+		}
+		visited++
+		if !sl.hit {
 			continue
 		}
-
-		// Idle bank: every visible request is an ACT candidate; only
-		// the arrival varies, so the floors hoist out of the loop.
-		actBase := maxi64(maxi64(b.nextACT, loc.rk.earliestACT()), rowCmdBase)
-		var act candidate
-		for s := head; s != noSlot; s = c.slots[s].bnext {
-			sl := &c.slots[s]
-			e := actBase
-			if sl.req.Arrival > e {
-				e = sl.req.Arrival
+		w := class(&sl.req)
+		if left[w]--; left[w] == 0 {
+			limit = lowestFloor(floor, left)
+		}
+		if c.inOrder {
+			k := 2*int(sl.bank) + w
+			if c.seen[k] == pick {
+				continue
 			}
-			if s == head || act.better(e, sl.pos) {
-				act = candidate{kind: CmdACT, slot: s, pos: sl.pos, earliest: e}
+			c.seen[k] = pick
+		}
+		b := c.bankLoc[sl.bank].b
+		kind, e := CmdRD, b.nextRD
+		if w == 1 {
+			kind, e = CmdWR, b.nextWR
+		}
+		e = max(e, floor[w], sl.req.Arrival)
+		if !haveCol || bestCol.better(e, sl.pos) {
+			bestCol = candidate{kind: kind, slot: s, pos: sl.pos, earliest: e}
+			haveCol = true
+		}
+	}
+
+	rowCmdBase := max(c.rowCmdEarliest(), c.now)
+	for _, bi := range c.prepBanks {
+		loc := c.bankLoc[bi]
+		b := loc.b
+		kind, base := CmdPRE, max(b.nextPRE, rowCmdBase)
+		if b.state != bankActive {
+			kind, base = CmdACT, max(b.nextACT, loc.rk.earliestACT(), rowCmdBase)
+		}
+		for s := c.bankHead[bi]; s != noSlot; s = c.slots[s].bnext {
+			visited++
+			sl := &c.slots[s]
+			e := max(base, sl.req.Arrival)
+			if !havePrep || bestPrep.better(e, sl.pos) {
+				bestPrep = candidate{kind: kind, slot: s, pos: sl.pos, earliest: e}
+				havePrep = true
 			}
 			if c.inOrder {
 				break
 			}
 		}
-		if !havePrep || bestPrep.better(act.earliest, act.pos) {
-			bestPrep = act
-			havePrep = true
-		}
 	}
+	c.visited += visited
 
 	// Row and column commands ride different command slots; issue the
 	// preparatory command as long as it is not later than the best
@@ -637,18 +696,6 @@ func (c *Channel) pickCommand() candidate {
 		return bestPrep
 	}
 	return bestCol
-}
-
-// rowStillWanted reports whether any visible request targets row a.Row in
-// a's bank — an O(length of that bank's visible list) walk instead of an
-// O(window) queue rescan.
-func (c *Channel) rowStillWanted(a Addr) bool {
-	for s := c.bankHead[c.bankIndex(a)]; s != noSlot; s = c.slots[s].bnext {
-		if c.slots[s].req.Addr.Row == a.Row {
-			return true
-		}
-	}
-	return false
 }
 
 // rowCmdEarliest returns the first cycle with a free row-command slot.
@@ -682,18 +729,22 @@ func (c *Channel) issue(cand candidate) {
 	r := &sl.req
 	rk := &c.ranks[r.Addr.Rank]
 	b := &rk.banks[r.Addr.Bank]
+	bi := sl.bank
 	at := cand.earliest
+	c.commands++
 
 	switch cand.kind {
 	case CmdPRE:
 		b.apply(CmdPRE, 0, at, c.t)
 		c.consumeRowCmdSlot(at)
+		c.recount(bi)
 	case CmdACT:
 		b.apply(CmdACT, r.Addr.Row, at, c.t)
 		rk.recordACT(at, c.t)
 		sl.activated = true
 		c.stats.Activations++
 		c.consumeRowCmdSlot(at)
+		c.recount(bi)
 	case CmdRD, CmdWR:
 		b.apply(cand.kind, r.Addr.Row, at, c.t)
 		c.dataBusFree = at + int64(c.t.TCCD)
@@ -719,13 +770,13 @@ func (c *Channel) issue(cand candidate) {
 		if done > c.stats.LastDone {
 			c.stats.LastDone = done
 		}
-		a := r.Addr
 		c.remove(cand.slot)
 		c.cmdBusFree = at + 1
-		if c.rowPolicy == CloseRow && !c.rowStillWanted(a) {
+		if c.rowPolicy == CloseRow && !c.rowStillWanted(bi) {
 			// Auto-precharge (RDA/WRA): close as soon as the bank's
 			// timing constraints allow, without a command-bus slot.
 			b.apply(CmdPRE, 0, b.nextPRE, c.t)
+			c.recount(bi)
 		}
 	}
 	c.advanceNow(at)

@@ -65,6 +65,7 @@ func (c *Channel) AllBankACT(rk, row int) (int64, error) {
 	c.stats.Activations += int64(len(r.banks))
 	c.cmdBusFree = at + 1
 	c.advanceNow(at)
+	c.recountAll()
 	return at, nil
 }
 
@@ -92,6 +93,7 @@ func (c *Channel) AllBankPRE(rk int) (int64, error) {
 	}
 	c.cmdBusFree = at + 1
 	c.advanceNow(at)
+	c.recountAll()
 	return at, nil
 }
 
@@ -196,6 +198,7 @@ func (c *Channel) AllBankPasses(row, passes, bursts, interval int) error {
 	}
 	if l := c.newLockstep(bursts > 0); l != nil {
 		l.run(row, passes, bursts, int64(interval))
+		c.recountAll()
 		return nil
 	}
 	for p := 0; p < passes; p++ {

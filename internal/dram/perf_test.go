@@ -1,6 +1,10 @@
 package dram
 
-import "testing"
+import (
+	"sort"
+	"testing"
+	"time"
+)
 
 // benchStream builds a locality-mixed request stream (the relayout-style
 // read/write interleave plus bank rotation) sized for steady-state
@@ -116,41 +120,56 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestOptimizedSchedulerSpeedup gates the perf win: the optimized
-// scheduler must beat the reference by at least 3x ns/request on the
-// default LPDDR5 spec (the acceptance bar; it measures ~10x on an idle
-// single-core runner, so 3x leaves headroom for CI noise).
+// scheduler must beat the reference by at least 3x on the default
+// LPDDR5 spec (the acceptance bar). One wall-clock sample per scheduler
+// is noisy on a shared runner, so the gate takes the median of paired
+// ratios over interleaved rounds: each round times a batch of
+// enqueue+drain runs on both schedulers back to back, alternating which
+// goes first.
 func TestOptimizedSchedulerSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping timing comparison in -short mode")
 	}
+	const rounds, reps = 7, 10
 	spec := smallSpec()
 	reqs := benchStream(&spec, 4096)
 
 	opt := NewChannel(&spec)
 	ref := NewReferenceChannel(&spec)
-	time := func(run func()) float64 {
-		run() // warm
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
-		return float64(r.NsPerOp())
+	batch := func(run func()) time.Duration {
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			run()
+		}
+		return time.Since(start)
 	}
-	optNs := time(func() {
+	runOpt := func() {
 		for j := range reqs {
 			opt.EnqueueValue(reqs[j])
 		}
 		opt.Drain()
-	})
-	refNs := time(func() {
+	}
+	runRef := func() {
 		for j := range reqs {
 			ref.Enqueue(&reqs[j])
 		}
 		ref.Drain()
-	})
-	if ratio := refNs / optNs; ratio < 3 {
-		t.Errorf("optimized scheduler only %.2fx faster than reference (opt %.0f ns, ref %.0f ns), want >= 3x",
-			ratio, optNs, refNs)
+	}
+	runOpt() // warm the slot pool and the reference queue
+	runRef()
+	ratios := make([]float64, rounds)
+	for r := range ratios {
+		var optD, refD time.Duration
+		if r%2 == 0 {
+			optD, refD = batch(runOpt), batch(runRef)
+		} else {
+			refD, optD = batch(runRef), batch(runOpt)
+		}
+		ratios[r] = float64(refD) / float64(optD)
+	}
+	sort.Float64s(ratios)
+	t.Logf("paired ref/opt ratios %.2f", ratios)
+	if med := ratios[rounds/2]; med < 3 {
+		t.Errorf("optimized scheduler only %.2fx faster than reference (median of %d paired rounds), want >= 3x", med, rounds)
 	}
 }

@@ -77,7 +77,7 @@ func MeasureStream(spec Spec, src RequestSource, window int) (StreamResult, erro
 	}
 	done := ctl.Drain()
 	stats := ctl.Stats()
-	Global.record(stats, done)
+	Global.record(ctl, stats, done)
 	res := StreamResult{
 		Cycles: done,
 		Stats:  stats,

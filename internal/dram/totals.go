@@ -12,6 +12,8 @@ type Totals struct {
 	streams  atomic.Int64
 	requests atomic.Int64
 	cycles   atomic.Int64
+	commands atomic.Int64
+	visited  atomic.Int64
 }
 
 // Streams returns the number of stream replays completed.
@@ -23,11 +25,25 @@ func (t *Totals) Requests() int64 { return t.requests.Load() }
 // Cycles returns the total burst-clock cycles simulated.
 func (t *Totals) Cycles() int64 { return t.cycles.Load() }
 
-// record accumulates one finished replay.
-func (t *Totals) record(s ChannelStats, cycles int64) {
+// Commands returns the total commands the schedulers issued.
+func (t *Totals) Commands() int64 { return t.commands.Load() }
+
+// Visited returns the total queue entries the schedulers' command picks
+// looked at; Visited/Commands is the scheduler's work per command.
+func (t *Totals) Visited() int64 { return t.visited.Load() }
+
+// record accumulates one finished replay on ctl.
+func (t *Totals) record(ctl *Controller, s ChannelStats, cycles int64) {
 	t.streams.Add(1)
 	t.requests.Add(s.Reads + s.Writes)
 	t.cycles.Add(cycles)
+	var commands, visited int64
+	for _, c := range ctl.channels {
+		commands += c.commands
+		visited += c.visited
+	}
+	t.commands.Add(commands)
+	t.visited.Add(visited)
 }
 
 // Global aggregates every stream replay in the process, however many

@@ -7,33 +7,46 @@ import (
 	"facil/internal/dram"
 )
 
-// replayDelta runs fn and returns the stream replays and requests it
-// added to dram.Global. The exp tests run one at a time, so nothing
-// else replays meanwhile.
-func replayDelta(t *testing.T, fn func() error) (streams, requests int64) {
+// replayWork is what fn added to dram.Global: stream replays, requests,
+// scheduler commands and queue entries the command picks visited.
+type replayWork struct {
+	streams, requests, commands, visited int64
+}
+
+// replayDelta runs fn and returns the work it added to dram.Global. The
+// exp tests run one at a time, so nothing else replays meanwhile.
+func replayDelta(t *testing.T, fn func() error) replayWork {
 	t.Helper()
-	s0, r0 := dram.Global.Streams(), dram.Global.Requests()
+	read := func() replayWork {
+		g := &dram.Global
+		return replayWork{g.Streams(), g.Requests(), g.Commands(), g.Visited()}
+	}
+	w0 := read()
 	if err := fn(); err != nil {
 		t.Fatal(err)
 	}
-	return dram.Global.Streams() - s0, dram.Global.Requests() - r0
+	w := read()
+	return replayWork{w.streams - w0.streams, w.requests - w0.requests, w.commands - w0.commands, w.visited - w0.visited}
 }
 
 // TestMapTuneReplayCount pins the tuner's re-validation at one replay
 // per segment of each distinct (platform, genome) pair on the default
 // grid: the Alpaca and autocomplete cells of a platform share their
 // trace codes, so a genome both cells re-validate replays once. Tuner
-// replays bypass the process memo, so the count holds in any order.
+// replays bypass the process memo, so the count holds in any order. The
+// scheduler's work is pinned exactly too: the commands it issued and
+// the queue entries its picks visited (a pick that walked every bank
+// with visible work would visit more).
 func TestMapTuneReplayCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full tuner grid in -short mode")
 	}
-	streams, requests := replayDelta(t, func() error {
+	got := replayDelta(t, func() error {
 		_, err := freshLab().MapTuneCompute(context.Background(), DefaultMapTuneConfig())
 		return err
 	})
-	if streams != 42 || requests != 2752512 {
-		t.Errorf("MapTuneCompute made %d replays of %d requests, want 42 of 2752512", streams, requests)
+	if want := (replayWork{42, 2752512, 3200285, 17669721}); got != want {
+		t.Errorf("MapTuneCompute did %+v, want %+v", got, want)
 	}
 }
 
@@ -47,7 +60,7 @@ func TestPaperRunReplayBound(t *testing.T) {
 		t.Skip("skipping whole-registry run in -short mode")
 	}
 	l, cfg := freshLab(), DefaultConfigs()
-	streams, requests := replayDelta(t, func() error {
+	w := replayDelta(t, func() error {
 		for _, id := range AllIDs {
 			if _, err := l.Run(context.Background(), id, cfg); err != nil {
 				return err
@@ -55,8 +68,8 @@ func TestPaperRunReplayBound(t *testing.T) {
 		}
 		return nil
 	})
-	t.Logf("-id all: %d replays of %d requests", streams, requests)
-	if streams > 86 || requests > 11706368 {
-		t.Errorf("-id all made %d replays of %d requests, want at most 86 of 11706368", streams, requests)
+	t.Logf("-id all: %d replays of %d requests, %d commands, %d queue entries visited", w.streams, w.requests, w.commands, w.visited)
+	if w.streams > 86 || w.requests > 11706368 {
+		t.Errorf("-id all made %d replays of %d requests, want at most 86 of 11706368", w.streams, w.requests)
 	}
 }

@@ -108,6 +108,29 @@ func TestServeSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestNoTBTSkipsSampleBuffer pins that a generated NoTBT sim reserves no
+// TBT sample buffer, while the same run with TBT samples reserves one
+// per decode gap.
+func TestNoTBTSkipsSampleBuffer(t *testing.T) {
+	s := servingSystem(t)
+	for _, noTBT := range []bool{true, false} {
+		cfg := perfConfig(100)
+		cfg.NoTBT = noTBT
+		sim, err := NewSim(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := cap(sim.sm.tbts), 100*63
+		if noTBT {
+			want = 0
+		}
+		if got != want {
+			t.Errorf("NoTBT=%v: tbts capacity %d, want %d", noTBT, got, want)
+		}
+		drainSim(t, sim)
+	}
+}
+
 // TestOptimizedSimSpeedup gates the perf win of the value-typed event
 // loop: a full simulation run must beat the retained pointer-boxed
 // reference engine by at least 3x (the acceptance bar). One wall-clock

@@ -582,7 +582,9 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 			tbtCap += max(q.Decode-1, 0)
 		}
 		sm.ttfts, sm.ttlts = make([]float64, 0, cfg.Queries), make([]float64, 0, cfg.Queries)
-		sm.tbts = make([]float64, 0, tbtCap)
+		if !cfg.NoTBT {
+			sm.tbts = make([]float64, 0, tbtCap)
+		}
 		sm.sealed = true
 	}
 	// The fault and retry layers arm only when configured, so a
