@@ -1,0 +1,6 @@
+//go:build race
+
+package dram_test
+
+// raceEnabled reports that the race detector instruments this binary.
+const raceEnabled = true
