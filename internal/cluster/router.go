@@ -466,7 +466,6 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	// the per-device utilization/availability within each class.
 	var allTTFT, allTTLT []float64
 	classTTFT := make([][]float64, len(fl.classes))
-	classSorted := make([][]float64, len(fl.classes))
 	m.PerClass = make([]ClassMetrics, len(fl.classes))
 	for ci, cl := range fl.classes {
 		m.PerClass[ci] = ClassMetrics{Class: cl.Label(), Devices: cl.Count}
@@ -508,13 +507,12 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			pc.PIMUtilization /= float64(pc.Devices)
 			pc.Availability /= float64(pc.Devices)
 		}
-		classSorted[ci] = stats.SortedCopy(classTTFT[ci])
-		pc.TTFT = stats.QuantilesOfSorted(classTTFT[ci], classSorted[ci])
+		pc.TTFT = stats.QuantilesInPlace(classTTFT[ci], stats.Sum(classTTFT[ci]))
 	}
-	// The fleet's TTFT sample is the union of the class samples, so
-	// merge their sorted copies instead of sorting it again.
-	m.TTFT = stats.QuantilesOfSorted(allTTFT, stats.MergeSorted(classSorted...))
-	m.TTLT = stats.QuantilesOf(allTTLT)
+	// The pooled buffers are the router's own copies, so each is summed
+	// in device order and then selected in place.
+	m.TTFT = stats.QuantilesInPlace(allTTFT, stats.Sum(allTTFT))
+	m.TTLT = stats.QuantilesInPlace(allTTLT, stats.Sum(allTTLT))
 	if m.Makespan > 0 {
 		m.ThroughputQPS = float64(m.Completed) / m.Makespan
 		m.GoodputQPS = float64(m.SLOMet) / m.Makespan

@@ -562,11 +562,21 @@ func (c *Channel) Drain() int64 {
 }
 
 // DrainUpTo runs until at most n requests remain (used by streaming
-// producers to bound queue growth).
-func (c *Channel) DrainUpTo(n int) {
+// producers to bound queue growth). A request needs a PRE, an ACT and
+// its column command, and a refresh can close its row once more, so a
+// scheduler that takes more than 4 steps per queued request plus 2 per
+// bank is stuck issuing commands that complete nothing: DrainUpTo then
+// returns an error instead of spinning.
+func (c *Channel) DrainUpTo(n int) error {
+	g := c.spec.Geometry
+	budget := 4*c.count + 2*g.RanksPerChannel*g.BanksPerRank
 	for c.count > n {
+		if budget--; budget < 0 {
+			return fmt.Errorf("dram: scheduler livelocked: %d requests still queued after the step budget", c.count)
+		}
 		c.step()
 	}
+	return nil
 }
 
 // StepOne issues exactly one command (or performs one refresh/idle jump)

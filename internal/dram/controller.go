@@ -54,9 +54,10 @@ func (ctl *Controller) EnqueueValue(r Request) error {
 
 // Drain runs every channel until its queue is empty and returns the cycle
 // at which the last request in the whole system completed. Channels drain
-// one after another: MeasureStream already drains each channel in-line as
-// it enqueues, so the final drains of a paper run hold only 0.77% of its
-// replayed requests, too little work to gain from concurrent drains.
+// one after another, as MeasureStream's final drains do: it drains each
+// channel in-line as it enqueues, so the final drains of a paper run hold
+// only 0.77% of its replayed requests, too little work to gain from
+// concurrent drains.
 func (ctl *Controller) Drain() int64 {
 	var last int64
 	for _, c := range ctl.channels {

@@ -157,21 +157,13 @@ func runDifferential(t *testing.T, spec *Spec, reqs []Request, policy RowPolicy,
 	}
 }
 
-// drainBounded steps c until at most n requests remain and returns its
-// last completion cycle. A request needs a PRE, an ACT and its column
-// command, and a refresh can close its row once more, so a scheduler
-// that takes more than 4 steps per request plus 2 per bank is stuck
-// issuing commands that complete nothing, and the test fails instead of
-// spinning.
+// drainBounded drains c to at most n requests under DrainUpTo's step
+// budget and returns its last completion cycle, so a livelocked
+// scheduler fails the test instead of spinning.
 func drainBounded(t testing.TB, c *Channel, n int) int64 {
 	t.Helper()
-	g := c.spec.Geometry
-	budget := 4*c.Pending() + 2*g.RanksPerChannel*g.BanksPerRank
-	for c.Pending() > n {
-		if budget--; budget < 0 {
-			t.Fatalf("scheduler livelocked: %d requests still queued after the step budget", c.Pending())
-		}
-		c.StepOne()
+	if err := c.DrainUpTo(n); err != nil {
+		t.Fatal(err)
 	}
 	return c.Stats().LastDone
 }

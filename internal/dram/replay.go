@@ -51,7 +51,9 @@ type StreamResult struct {
 // stream enqueued up front: the schedule is exact while the replay keeps
 // only about 2*window slots per channel, so arbitrarily long traces use
 // bounded memory. Windows above 2048 keep the 4096 bound, whose drains
-// see fewer entries than the window.
+// see fewer entries than the window. Every drain runs under
+// Channel.DrainUpTo's step budget, so a scheduler that stops completing
+// requests fails the replay with an error instead of hanging it.
 func MeasureStream(spec Spec, src RequestSource, window int) (StreamResult, error) {
 	ctl, err := NewController(spec)
 	if err != nil {
@@ -72,10 +74,18 @@ func MeasureStream(spec Spec, src RequestSource, window int) (StreamResult, erro
 		}
 		ch := ctl.channels[r.Addr.Channel]
 		if ch.Pending() > 2*drainTo {
-			ch.DrainUpTo(drainTo)
+			if err := ch.DrainUpTo(drainTo); err != nil {
+				return StreamResult{}, err
+			}
 		}
 	}
-	done := ctl.Drain()
+	var done int64
+	for _, ch := range ctl.channels {
+		if err := ch.DrainUpTo(0); err != nil {
+			return StreamResult{}, err
+		}
+		done = max(done, ch.stats.LastDone)
+	}
 	stats := ctl.Stats()
 	Global.record(ctl, stats, done)
 	res := StreamResult{

@@ -161,7 +161,10 @@ func TestDifferentialSim(t *testing.T) {
 			sameLiveDelta(t, liveDelta(b1, b2), liveDelta(b0, b1))
 			// Pass 2: lockstep stepping — both engines must pop the same
 			// event sequence, landing on identical completion clocks with
-			// identical backlog at every step.
+			// identical backlog at every step. Both are also finished
+			// midway: the optimized sim's in-place selection reorders its
+			// sample buffers, and the later Finishes must still equal
+			// the reference's sorted copies bit for bit.
 			ref, err := NewReferenceSim(s, cfg)
 			if err != nil {
 				t.Fatalf("NewReferenceSim: %v", err)
@@ -188,12 +191,20 @@ func TestDifferentialSim(t *testing.T) {
 				if rn, on := ref.Now(), opt.Now(); rn != on {
 					t.Fatalf("step %d: completion clocks diverge: reference %v, optimized %v", step, rn, on)
 				}
+				if step == cfg.Queries {
+					if mo, mr := opt.Finish(), ref.Finish(); !reflect.DeepEqual(mo, mr) {
+						t.Fatalf("step %d: mid-run Finish diverges:\n optimized %+v\n reference %+v", step, mo, mr)
+					}
+				}
 				if !moreRef {
 					break
 				}
 			}
-			ref.Finish()
-			opt.Finish()
+			for pass := 0; pass < 2; pass++ {
+				if mo, mr := opt.Finish(), ref.Finish(); !reflect.DeepEqual(mo, mr) {
+					t.Fatalf("Finish %d diverges:\n optimized %+v\n reference %+v", pass+1, mo, mr)
+				}
+			}
 		})
 	}
 }

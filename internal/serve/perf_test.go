@@ -2,13 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"testing"
 	"time"
 
 	"facil/internal/engine"
 	"facil/internal/obs"
+	"facil/internal/stats"
+	"facil/internal/workload"
 )
+
+// selectionSpeedupBar is TestQuantileSelectionSpeedup's bar.
+const selectionSpeedupBar = 3.0
 
 // perfConfig is the steady-state measurement scenario: heavy sustained
 // load on a bounded queue (so the backlog pins at the cap during
@@ -128,6 +134,95 @@ func TestNoTBTSkipsSampleBuffer(t *testing.T) {
 			t.Errorf("NoTBT=%v: tbts capacity %d, want %d", noTBT, got, want)
 		}
 		drainSim(t, sim)
+	}
+}
+
+// TestFinishQuantilesZeroAllocs gates Finish's quantiles at zero
+// allocations: on a drained sim, and again after the first Finish has
+// reordered the sample buffers, Finish allocates no more than Counters,
+// which reads every other field.
+func TestFinishQuantilesZeroAllocs(t *testing.T) {
+	sim, err := NewSim(servingSystem(t), perfConfig(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainSim(t, sim)
+	if m := sim.Counters(); m.Completed == 0 || len(sim.sm.tbts) == 0 {
+		t.Fatalf("no samples to summarize: %+v", m)
+	}
+	counters := testing.AllocsPerRun(20, func() { sim.Counters() })
+	if finish := testing.AllocsPerRun(20, func() { sim.Finish() }); finish > counters {
+		t.Errorf("Finish allocates %v times per call, Counters %v: the quantiles allocate", finish, counters)
+	}
+}
+
+// serving2TBTSample returns the TBT sample of one serving2-sized sim,
+// the facild smoke scenario's cell: 2000 Alpaca queries at 1 q/s on two
+// cooperative replicas behind a 64-query queue. It holds about 1.6e5
+// per-token gaps with few distinct values.
+func serving2TBTSample(t *testing.T) []float64 {
+	sim, err := NewSim(servingSystem(t), SimConfig{
+		Mode: Cooperative, Kind: engine.FACIL, Replicas: 2, ArrivalRate: 1,
+		Queries: 2000, Workload: workload.AlpacaSpec(), Seed: 11, QueueCap: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.AdvanceTo(math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64(nil), sim.sm.tbts...)
+}
+
+// TestQuantileSelectionSpeedup gates Finish's in-place selection
+// against the frozen sort oracle (sortQuantiles, a sorted copy as
+// Finish took before) on a serving2-sized TBT sample: the median of
+// paired ratios over interleaved rounds, as in TestOptimizedSimSpeedup.
+// Resetting the selection's buffer to the sample's append order is not
+// timed; the oracle's copy is, since Finish paid for it.
+func TestQuantileSelectionSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping timing comparison in -short mode")
+	}
+	const rounds, reps = 7, 20
+	sample := serving2TBTSample(t)
+	sum := stats.Sum(sample)
+	buf := make([]float64, len(sample))
+	sel := func() time.Duration {
+		var total time.Duration
+		for i := 0; i < reps; i++ {
+			copy(buf, sample)
+			start := time.Now()
+			stats.QuantilesInPlace(buf, sum)
+			total += time.Since(start)
+		}
+		return total
+	}
+	ref := func() time.Duration {
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			sortQuantiles(sample)
+		}
+		return time.Since(start)
+	}
+	copy(buf, sample)
+	if got, want := stats.QuantilesInPlace(buf, sum), sortQuantiles(sample); got != want {
+		t.Fatalf("selection %+v, sort oracle %+v", got, want)
+	}
+	ratios := make([]float64, rounds)
+	for r := range ratios {
+		var selD, refD time.Duration
+		if r%2 == 0 {
+			selD, refD = sel(), ref()
+		} else {
+			refD, selD = ref(), sel()
+		}
+		ratios[r] = float64(refD) / float64(selD)
+	}
+	sort.Float64s(ratios)
+	t.Logf("%d TBT samples: paired sort/selection ratios %.1f", len(sample), ratios)
+	if med := ratios[rounds/2]; med < selectionSpeedupBar {
+		t.Errorf("selection only %.1fx faster than the sorted copy (median of %d paired rounds), want >= %gx", med, rounds, selectionSpeedupBar)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"facil/internal/dram"
 	"facil/internal/engine"
@@ -601,11 +602,38 @@ func (sm *refSim) completeSerial(q *query, ri int) error {
 	return sm.dispatchPrefills()
 }
 
+// sortQuantiles is the reference's frozen quantile oracle: it sorts a
+// copy of xs, reads each percentile's interpolation ranks lo and lo+1
+// from it, and sums xs in its own order for the mean. It never reorders
+// xs. The differential tests hold Finish's in-place selection to it bit
+// for bit.
+func sortQuantiles(xs []float64) stats.Quantiles {
+	if len(xs) == 0 {
+		return stats.Quantiles{}
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pct := func(p float64) float64 {
+		rank := p / 100 * float64(len(s)-1)
+		lo := int(rank)
+		frac := rank - float64(lo)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[lo]*(1-frac) + s[lo+1]*frac
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return stats.Quantiles{Mean: sum / float64(len(xs)), P50: pct(50), P95: pct(95), P99: pct(99)}
+}
+
 func (sm *refSim) finish() Metrics {
 	m := &sm.m
-	m.TTFT = stats.QuantilesOf(sm.ttfts)
-	m.TTLT = stats.QuantilesOf(sm.ttlts)
-	m.TBT = stats.QuantilesOf(sm.tbts)
+	m.TTFT = sortQuantiles(sm.ttfts)
+	m.TTLT = sortQuantiles(sm.ttlts)
+	m.TBT = sortQuantiles(sm.tbts)
 	m.Makespan = sm.now
 	if m.Makespan > 0 {
 		m.ThroughputQPS = float64(m.Completed) / m.Makespan

@@ -419,10 +419,12 @@ type sim struct {
 
 	socBusySecs, pimBusySecs float64
 
-	m     Metrics
-	ttfts []float64
-	ttlts []float64
-	tbts  []float64
+	m Metrics
+	// ttfts, ttlts and tbts are the latency samples, appended in
+	// completion order until Finish reorders them in place. The sums
+	// run beside them in append order, so each mean stays exact.
+	ttfts, ttlts, tbts       []float64
+	ttftSum, ttltSum, tbtSum float64
 
 	// tr is nil when tracing is off; pid0 is the first replica's trace
 	// pid and qpid the admission-queue counter track.
@@ -609,19 +611,26 @@ func (s *Sim) Step() (bool, error) {
 	return s.sm.step()
 }
 
-// Finish reduces the run into its Metrics. Call it once, after Step
-// reports that no events remain; calling earlier summarizes a truncated
-// run. Finish is idempotent in the Live counters (only the first call
-// counts the run as finished).
+// Finish reduces the run into its Metrics. Call it after Step reports
+// that no events remain; calling earlier summarizes a truncated run.
+// The TTFT, TTLT and TBT quantiles are selected in place on the sim's
+// sample buffers, with each mean taken from a sum kept in append order,
+// so nothing is sorted, copied or allocated for them. Selection only
+// reorders the buffers, so a second Finish, or one after further steps,
+// summarizes the same samples exactly. Finish is idempotent in the
+// Live counters (only the first call counts the run as finished).
 func (s *Sim) Finish() Metrics {
 	m, sm := s.Counters(), s.sm
-	m.TTFT, m.TTLT, m.TBT = stats.QuantilesOf(sm.ttfts), stats.QuantilesOf(sm.ttlts), stats.QuantilesOf(sm.tbts)
+	m.TTFT = stats.QuantilesInPlace(sm.ttfts, sm.ttftSum)
+	m.TTLT = stats.QuantilesInPlace(sm.ttlts, sm.ttltSum)
+	m.TBT = stats.QuantilesInPlace(sm.tbts, sm.tbtSum)
 	return m
 }
 
-// Counters is Finish without sorting the latency samples: TTFT, TTLT
-// and TBT stay zero, every other field is Finish's. The cluster router
-// reads its devices through it and pools their raw samples (Latencies).
+// Counters is Finish without the latency quantiles: TTFT, TTLT and TBT
+// stay zero, every other field is Finish's, and the sample buffers keep
+// their completion order. The cluster router reads its devices through
+// it and pools their raw samples (Latencies).
 func (s *Sim) Counters() Metrics {
 	if !s.finished {
 		s.finished = true
@@ -750,10 +759,12 @@ func (s *Sim) Probe() Probe {
 }
 
 // Latencies exposes the raw per-query samples collected so far: TTFT
-// (one per prefill completion) and TTLT (one per completion), both in
-// completion order. The slices alias the sim's sample buffers — callers
-// must treat them as read-only and re-fetch after advancing further
-// (appends may reallocate). The cluster router tails TTFT for its
+// (one per prefill completion) and TTLT (one per completion). They are
+// in completion order until Finish, which reorders them in place. The
+// slices alias the sim's sample buffers — callers must treat them as
+// read-only and re-fetch after advancing further (appends may
+// reallocate). The cluster router, which reads its devices through
+// Counters and never calls Finish on them, tails TTFT for its
 // latency-weighted EWMA.
 func (s *Sim) Latencies() (ttft, ttlt []float64) {
 	return s.sm.ttfts, s.sm.ttlts
@@ -1162,7 +1173,9 @@ func (sm *sim) onPrefillDone(qi int32, ri int) error {
 	r := &sm.reps[ri]
 	q.firstToken = sm.now
 	q.prevToken = sm.now
-	sm.ttfts = append(sm.ttfts, sm.now-q.arrival)
+	ttft := sm.now - q.arrival
+	sm.ttfts = append(sm.ttfts, ttft)
+	sm.ttftSum += ttft
 	if sm.cfg.Mode == Serial {
 		// The device stays occupied; completion arrives as one quantum
 		// covering every decode step.
@@ -1227,7 +1240,9 @@ func (sm *sim) emitTokens(q *query, start float64, steps int, kind engine.Kind, 
 		}
 		t += st * factor
 		if !sm.cfg.NoTBT {
-			sm.tbts = append(sm.tbts, t-q.prevToken)
+			tbt := t - q.prevToken
+			sm.tbts = append(sm.tbts, tbt)
+			sm.tbtSum += tbt
 		}
 		q.prevToken = t
 	}
@@ -1345,6 +1360,7 @@ func (sm *sim) complete(q *query) {
 	sm.open--
 	ttlt := q.prevToken - q.arrival
 	sm.ttlts = append(sm.ttlts, ttlt)
+	sm.ttltSum += ttlt
 	if sm.cfg.DeadlineTTLT == 0 || ttlt <= sm.cfg.DeadlineTTLT {
 		sm.m.SLOMet++
 	}

@@ -3,21 +3,24 @@
 // signal means and outage tallies.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
+// Sum adds xs from 0 in slice order.
+func Sum(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		s += x
 	}
-	return s / float64(len(xs))
+	return s
+}
+
+// Mean returns the arithmetic mean (0 for empty input): Sum over the
+// length.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return Sum(xs) / float64(len(xs))
 }
 
 // Geomean returns the geometric mean of positive values. Non-positive
@@ -34,32 +37,4 @@ func Geomean(xs []float64) float64 {
 		logs += math.Log(x)
 	}
 	return math.Exp(logs / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return sortedPercentile(s, p)
-}
-
-// sortedPercentile is Percentile over an already sorted, non-empty s.
-func sortedPercentile(s []float64, p float64) float64 {
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -66,77 +65,5 @@ func TestMinMax(t *testing.T) {
 	}
 	if Percentile(nil, 0) != 0 || Percentile(nil, 100) != 0 {
 		t.Error("empty extrema must be 0")
-	}
-}
-
-// TestQuantilesOfMatchesPercentile pins QuantilesOf's one-sort path,
-// and QuantilesOfSorted over merged sorted parts, to the per-call
-// Percentile and Mean bit for bit, on random, duplicate-heavy and
-// infinite inputs and at the edge lengths.
-func TestQuantilesOfMatchesPercentile(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var inputs [][]float64
-	for _, n := range []int{0, 1, 2, 3, 17, 100, 1e5} {
-		random := make([]float64, n)
-		dups := make([]float64, n)
-		for i := range random {
-			random[i] = rng.NormFloat64() * 1e3
-			dups[i] = float64(rng.Intn(4)) / 3
-		}
-		inputs = append(inputs, random, dups)
-	}
-	inputs = append(inputs,
-		[]float64{math.Inf(1), 1, math.Inf(-1), 2, 2, math.Inf(1)},
-		[]float64{math.Inf(-1)},
-		[]float64{math.Inf(1), math.Inf(1)},
-	)
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	sameQ := func(a, b Quantiles) bool {
-		return same(a.Mean, b.Mean) && same(a.P50, b.P50) && same(a.P95, b.P95) && same(a.P99, b.P99)
-	}
-	for _, xs := range inputs {
-		orig := append([]float64(nil), xs...)
-		got := QuantilesOf(xs)
-		want := Quantiles{Mean: Mean(xs), P50: Percentile(xs, 50), P95: Percentile(xs, 95), P99: Percentile(xs, 99)}
-		if !sameQ(got, want) {
-			t.Errorf("len %d: QuantilesOf = %+v, want %+v", len(xs), got, want)
-		}
-		for i := range xs {
-			if !same(xs[i], orig[i]) {
-				t.Fatalf("len %d: QuantilesOf modified its input at %d", len(xs), i)
-			}
-		}
-		// Merging sorted copies of a three-way split gives the same
-		// sorted sample, hence the same quantiles.
-		var parts [3][]float64
-		for _, x := range xs {
-			k := rng.Intn(3)
-			parts[k] = append(parts[k], x)
-		}
-		merged := MergeSorted(SortedCopy(parts[0]), SortedCopy(parts[1]), SortedCopy(parts[2]))
-		sorted := SortedCopy(xs)
-		if len(merged) != len(sorted) {
-			t.Fatalf("len %d: MergeSorted returned %d values", len(xs), len(merged))
-		}
-		for i := range sorted {
-			if !same(merged[i], sorted[i]) {
-				t.Fatalf("len %d: MergeSorted[%d] = %v, SortedCopy has %v", len(xs), i, merged[i], sorted[i])
-			}
-		}
-		if got := QuantilesOfSorted(xs, merged); !sameQ(got, want) {
-			t.Errorf("len %d: QuantilesOfSorted(merged) = %+v, want %+v", len(xs), got, want)
-		}
-	}
-}
-
-// TestQuantilesOfAllocs gates QuantilesOf at exactly one allocation:
-// the sorted copy.
-func TestQuantilesOfAllocs(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64((i * 7919) % 1000)
-	}
-	if avg := testing.AllocsPerRun(100, func() { QuantilesOf(xs) }); avg != 1 {
-		t.Errorf("QuantilesOf allocates %v times per call, want 1", avg)
 	}
 }

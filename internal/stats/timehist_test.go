@@ -24,21 +24,3 @@ func TestTimeHistMeanMaxTotal(t *testing.T) {
 		t.Errorf("max = %g", h.Max())
 	}
 }
-
-func TestQuantilesOf(t *testing.T) {
-	q := QuantilesOf(nil)
-	if q != (Quantiles{}) {
-		t.Errorf("empty quantiles = %+v", q)
-	}
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	q = QuantilesOf(xs)
-	if q.Mean != 50.5 {
-		t.Errorf("mean = %g", q.Mean)
-	}
-	if q.P50 >= q.P95 || q.P95 >= q.P99 {
-		t.Errorf("quantiles unordered: %+v", q)
-	}
-}
