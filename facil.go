@@ -115,20 +115,24 @@ func (s *System) ModelName() string { return s.inner.Model.Name }
 // given prefill (input) length. HybridDynamic and FACIL route short
 // prefills to PIM automatically. Results are memoized per System for
 // prefills up to 2048 tokens, so repeated queries cost a lookup; longer
-// prefills are computed on every call and never cached.
+// prefills are computed on every call and not cached, so the System's
+// memory stays bounded.
 func (s *System) TTFT(d Design, prefill int) (float64, error) {
 	return s.inner.TTFT(d.kind(), prefill)
 }
 
 // TTLT returns the time-to-last-token in seconds for a (prefill, decode)
 // query. Results are memoized per System for prefills up to 2048 and
-// decodes up to 512 tokens; longer queries are computed on every call
-// and never cached, so the System's memory stays bounded.
+// decodes up to 512 tokens, and their decode steps for contexts below
+// 2560; longer queries are computed on every call, caching only steps
+// below that context, so the System's memory stays bounded.
 func (s *System) TTLT(d Design, prefill, decode int) (float64, error) {
 	return s.inner.TTLT(d.kind(), prefill, decode)
 }
 
 // DecodeStep returns one decode-step latency at a context length.
+// Results are memoized per System for contexts below 2560; longer
+// contexts are computed on every call and leave nothing cached.
 func (s *System) DecodeStep(d Design, ctx int) (float64, error) {
 	return s.inner.DecodeStepSeconds(d.kind(), ctx)
 }

@@ -1,6 +1,6 @@
 package dram
 
-import "sync"
+import "facil/internal/parallel"
 
 // RequestSource is a pull-style request generator: each call fills *r
 // with the next request of the stream and returns true, or returns false
@@ -103,16 +103,9 @@ func MeasureStream(spec Spec, src RequestSource, window int) (StreamResult, erro
 	return res, nil
 }
 
-// replays maps MeasureStreamKeyed's keys to their *replayCall. Keys
-// compare as interfaces, so packages' private key types never collide.
-var replays sync.Map
-
-// replayCall is one keyed replay; done closes once res and err are set.
-type replayCall struct {
-	done chan struct{}
-	res  StreamResult
-	err  error
-}
+// replays memoizes MeasureStreamKeyed by key. Keys compare as
+// interfaces, so packages' private key types never collide.
+var replays parallel.Flight[any, StreamResult]
 
 // MeasureStreamKeyed is MeasureStream memoized process-wide by key.
 // Concurrent misses on one key replay once; an error reaches every
@@ -120,16 +113,7 @@ type replayCall struct {
 // spec, window and every request src yields; callers use a private key
 // type per package. Memo hits do not count in Global.
 func MeasureStreamKeyed(key any, spec Spec, src RequestSource, window int) (StreamResult, error) {
-	c := &replayCall{done: make(chan struct{})}
-	if prev, hit := replays.LoadOrStore(key, c); hit {
-		c = prev.(*replayCall)
-		<-c.done
-		return c.res, c.err
-	}
-	c.res, c.err = MeasureStream(spec, src, window)
-	if c.err != nil {
-		replays.CompareAndDelete(key, c)
-	}
-	close(c.done)
-	return c.res, c.err
+	return replays.Do(key, func() (StreamResult, error) {
+		return MeasureStream(spec, src, window)
+	})
 }

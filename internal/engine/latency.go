@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"facil/internal/mapping"
 )
@@ -45,13 +46,17 @@ func (s *System) pimLinearStepSum() (float64, error) {
 }
 
 // pimAttentionSeconds is the decode-attention time on PIM at context ctx:
-// two KV-cache GEMVs (scores and weighted sum) per layer.
+// two KV-cache GEMVs (scores and weighted sum) per layer. Contexts past
+// the tables' bound skip the device's shape cache too.
 func (s *System) pimAttentionSeconds(ctx int) (float64, error) {
 	if ctx <= 0 {
 		return 0, nil
 	}
-	kv := s.Model.AttentionKVMatrix(ctx)
-	r, err := s.pimDev.GEMV(kv)
+	gemv := s.pimDev.GEMV
+	if ctx >= memoMaxCtx {
+		gemv = s.pimDev.GEMVUncached
+	}
+	r, err := gemv(s.Model.AttentionKVMatrix(ctx))
 	if err != nil {
 		return 0, err
 	}
@@ -124,26 +129,32 @@ func (s *System) RelayoutAllWeightsSeconds() (float64, error) {
 }
 
 // DecodeStepSeconds returns one decode step's latency at context length
-// ctx under a design. Results are memoized.
+// ctx under a design, served from the System's step slices. The serving
+// sims call it twice per token; a hit is two loads.
 func (s *System) DecodeStepSeconds(k Kind, ctx int) (float64, error) {
-	return s.decodeCache.Do(decodeKey{kind: k, ctx: ctx}, func() (float64, error) {
-		switch k {
-		case SoCOnly:
-			return s.socLinearStep + s.socAttentionSeconds(ctx) + s.otherStepSeconds(), nil
-		case HybridStatic, HybridDynamic, FACIL, WeightDuplication:
-			lin, err := s.pimLinearStep()
-			if err != nil {
-				return 0, err
-			}
-			at, err := s.pimAttentionSeconds(ctx)
-			if err != nil {
-				return 0, err
-			}
-			return lin + at + s.otherStepSeconds(), nil
-		default:
-			return 0, fmt.Errorf("engine: unknown design %v", k)
+	if uint(k) < uint(numKinds) && uint(ctx) < memoMaxCtx {
+		if v := s.steps[k][ctx].Load(); v != 0 {
+			return math.Float64frombits(v), nil
 		}
-	})
+	}
+	return s.decodeStep(k, ctx)
+}
+
+// decodeStep is DecodeStepSeconds' miss path: it sums the step's
+// breakdown and stores it if ctx is inside the step slices.
+func (s *System) decodeStep(k Kind, ctx int) (float64, error) {
+	if uint(k) >= uint(numKinds) {
+		return 0, fmt.Errorf("engine: unknown design %v", k)
+	}
+	b, err := s.DecodeStepBreakdown(k, ctx)
+	if err != nil {
+		return 0, err
+	}
+	t := b.LinearSeconds + b.AttentionSeconds + b.OtherSeconds
+	if uint(ctx) < memoMaxCtx {
+		s.steps[k][ctx].Store(math.Float64bits(t))
+	}
+	return t, nil
 }
 
 // IdealNPUDecodeStepSeconds is the paper's Fig. 3 comparator: a

@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"facil/internal/llm"
-	"facil/internal/parallel"
 	"facil/internal/soc"
 )
 
@@ -77,19 +77,48 @@ func decodeOracle(s *System, k Kind, prefill, decode int) (float64, error) {
 	return t, nil
 }
 
-// errProbe fails a probe's compute so the Flight never stores it.
+// errProbe fails a compute so the table never stores it.
 var errProbe = errors.New("probe")
 
-// cached reports whether f holds key without adding it: on a miss the
-// probe's compute runs and fails, and a Flight never caches a failure.
-func cached[K comparable, V any](f *parallel.Flight[K, V], key K) bool {
-	hit := true
-	_, _ = f.Do(key, func() (V, error) {
-		hit = false
-		var v V
-		return v, errProbe
-	})
-	return hit
+// cached reports whether t holds entry i; a table holds nothing past
+// its length.
+func cached(t *table, i int) bool {
+	w := t.words.Load()
+	return w != nil && i >= 0 && i < len(*w) && (*w)[i].Load() != 0
+}
+
+// stepCached reports whether s holds the decode step of k at ctx.
+func stepCached(s *System, k Kind, ctx int) bool {
+	return ctx >= 0 && ctx < len(s.steps[k]) && s.steps[k][ctx].Load() != 0
+}
+
+// rowSteps is how many leading entries of the decode row of (k,
+// prefill) are computed, so DecodeSeconds serves decodes up to
+// rowSteps+1 from it; a prefill past the bound has no row.
+func rowSteps(s *System, k Kind, prefill int) int {
+	if prefill >= len(s.decodeRows[k]) {
+		return 0
+	}
+	n := 0
+	for cached(&s.decodeRows[k][prefill], n+1) {
+		n++
+	}
+	return n
+}
+
+// pimCached reports whether s's PIM device holds the GEMV shape of the
+// KV cache at ctx (adding it if not): a shape-cache hit allocates
+// nothing, and a miss builds a DRAM channel.
+func pimCached(t *testing.T, s *System, ctx int) bool {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.pimDev.GEMV(s.Model.AttentionKVMatrix(ctx))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs == before.Mallocs
 }
 
 // coldSystem builds a System whose memos no other test has warmed.
@@ -266,10 +295,34 @@ func TestLatencyMemoErrorsNotCached(t *testing.T) {
 			}
 		}
 	}
-	for _, route := range []prefillRoute{routeStatic, routeDynamic} {
-		if cached(&s.prefillCache, prefillKey{kind: bad, l: 16, route: route}) {
-			t.Errorf("failed prefill of design 99 (route %d) was cached", route)
+	// The design-99 calls reach no table, and the failed decodes leave
+	// no step or row entry; TTLT(FACIL, 16, 0) fails after its TTFT, so
+	// only FACIL's prefill and the PIM prefill may hold length 16.
+	for _, k := range Kinds() {
+		for _, route := range []prefillRoute{routeStatic, routeDynamic} {
+			if k != FACIL && cached(&s.prefills[k][route], 16) {
+				t.Errorf("prefill of %v at 16 (route %d) was cached by a failed call", k, route)
+			}
 		}
+		for ctx := range s.steps[k] {
+			if stepCached(s, k, ctx) {
+				t.Errorf("a failed decode of %v left a step entry at context %d", k, ctx)
+			}
+		}
+		for p := range s.decodeRows[k] {
+			if rowSteps(s, k, p) != 0 {
+				t.Errorf("a failed decode of %v left a row entry at prefill %d", k, p)
+			}
+		}
+	}
+	var tb table
+	for i := 0; i < 2; i++ {
+		if _, err := tb.memo(3, 8, func() (float64, error) { return 0, errProbe }); !errors.Is(err, errProbe) {
+			t.Errorf("memo call %d: err %v, want the compute's", i, err)
+		}
+	}
+	if cached(&tb, 3) {
+		t.Error("a failed compute was stored")
 	}
 }
 
@@ -298,41 +351,63 @@ func TestLatencyMemoBounded(t *testing.T) {
 		got, err = s.DecodeSeconds(k, longP, 8)
 		want, oerr = decodeOracle(s, k, longP, 8)
 		check("DecodeSeconds(2049, 8)", got, want, err, oerr)
-		path, _ := decodePath(k)
 		if _, err := s.DecodeSeconds(k, 64, 100); err != nil {
 			t.Fatal(err)
 		}
 		got, err = s.DecodeSeconds(k, 64, longD)
 		want, oerr = decodeOracle(s, k, 64, longD)
 		check("DecodeSeconds(64, 513)", got, want, err, oerr)
-		if row, err := s.decodeRows.Do(decodeRowKey{path: path, l: 64}, func() (*decodeRow, error) { return nil, errProbe }); err != nil || len(row.sums) != 100 {
-			t.Errorf("decode row of %v at prefill 64 changed by a %d-token decode", k, longD)
+		if n := rowSteps(s, k, 64); n != 99 {
+			t.Errorf("decode row of %v at prefill 64 changed by a %d-token decode: %d steps", k, longD, n)
 		}
 		if _, err := s.TTLT(k, memoMaxPrefill, memoMaxDecode); err != nil {
 			t.Fatal(err)
 		}
+		// Contexts past the step table: a long prefill's decode and a
+		// direct step.
+		if _, err := s.TTLT(k, memoMaxCtx, 8); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.DecodeStepSeconds(k, 2*memoMaxCtx); err != nil {
+			t.Fatal(err)
+		}
 
 		for _, route := range []prefillRoute{routeStatic, routeDynamic} {
-			if cached(&s.prefillCache, prefillKey{kind: k, l: longP, route: route}) {
+			if cached(&s.prefills[k][route], longP) {
 				t.Errorf("prefill of %v at %d (route %d) was cached", k, longP, route)
 			}
 		}
-		if cached(&s.decodeRows, decodeRowKey{path: path, l: longP}) {
+		if n := rowSteps(s, k, longP); n != 0 {
 			t.Errorf("decode row of %v at prefill %d was cached", k, longP)
 		}
-		if !cached(&s.prefillCache, prefillKey{kind: k, l: memoMaxPrefill}) {
+		if !cached(&s.prefills[k][routeStatic], memoMaxPrefill) {
 			t.Errorf("prefill of %v at %d was not cached", k, memoMaxPrefill)
 		}
-		row, err := s.decodeRows.Do(decodeRowKey{path: path, l: memoMaxPrefill}, func() (*decodeRow, error) { return nil, errProbe })
-		if err != nil || len(row.sums) != memoMaxDecode {
+		if n := rowSteps(s, k, memoMaxPrefill); n != memoMaxDecode-1 {
 			t.Errorf("decode row of %v at prefill %d not cached to %d steps", k, memoMaxPrefill, memoMaxDecode)
 		}
+		for _, ctx := range []int{memoMaxCtx, memoMaxCtx + 1, 2 * memoMaxCtx} {
+			if stepCached(s, k, ctx) {
+				t.Errorf("decode step of %v at context %d was cached", k, ctx)
+			}
+		}
+		if !stepCached(s, k, memoMaxCtx-1) {
+			t.Errorf("decode step of %v at context %d was not cached", k, memoMaxCtx-1)
+		}
 	}
-	if cached(&s.pimPrefillCache, longP) {
+	if cached(&s.pimPrefills, longP) {
 		t.Errorf("PIM prefill at %d was cached", longP)
 	}
-	if !cached(&s.pimPrefillCache, memoMaxPrefill) {
+	if !cached(&s.pimPrefills, memoMaxPrefill) {
 		t.Errorf("PIM prefill at %d was not cached", memoMaxPrefill)
+	}
+	for _, ctx := range []int{memoMaxCtx + 1, 2 * memoMaxCtx} {
+		if pimCached(t, s, ctx) {
+			t.Errorf("PIM KV shape at context %d was cached", ctx)
+		}
+	}
+	if !pimCached(t, s, memoMaxCtx-1) {
+		t.Errorf("PIM KV shape at context %d was not cached", memoMaxCtx-1)
 	}
 }
 

@@ -61,95 +61,79 @@ func (s *System) TTFTStatic(k Kind, l int) (float64, error) {
 	return s.prefill(k, l, routeStatic)
 }
 
-// prefill serves both TTFT routes from the System's prefill memo.
-// Designs that never offload prefill share the static entry.
+// prefill serves both TTFT routes from the System's prefill tables.
+// Designs that never offload prefill share the static table.
 func (s *System) prefill(k Kind, l int, route prefillRoute) (float64, error) {
 	if l <= 0 {
 		return 0, fmt.Errorf("engine: prefill length %d must be positive", l)
 	}
+	if uint(k) >= uint(numKinds) {
+		return 0, fmt.Errorf("engine: unknown design %v", k)
+	}
 	if k != HybridDynamic && k != FACIL {
 		route = routeStatic
 	}
-	if l > memoMaxPrefill {
-		return s.prefillSeconds(k, l, route)
-	}
-	return s.prefillCache.Do(prefillKey{kind: k, l: l, route: route}, func() (float64, error) {
-		return s.prefillSeconds(k, l, route)
+	return s.prefills[k][route].memo(l, memoMaxPrefill+1, func() (float64, error) {
+		if route == routeStatic {
+			return s.prefillPathSoC(k, l)
+		}
+		socT, err := s.prefill(k, l, routeStatic)
+		if err != nil {
+			return 0, err
+		}
+		pimT, err := s.pimPrefill(l)
+		if err != nil {
+			return 0, err
+		}
+		return min(pimT, socT), nil
 	})
 }
 
-// prefillSeconds computes one prefill memo entry.
-func (s *System) prefillSeconds(k Kind, l int, route prefillRoute) (float64, error) {
-	if route == routeStatic {
-		return s.prefillPathSoC(k, l)
-	}
-	socT, err := s.prefill(k, l, routeStatic)
-	if err != nil {
-		return 0, err
-	}
-	pimT, err := s.pimPrefill(l)
-	if err != nil {
-		return 0, err
-	}
-	if pimT < socT {
-		return pimT, nil
-	}
-	return socT, nil
-}
-
-// pimPrefill is prefillPIMSeconds memoized by length.
+// pimPrefill is prefillPIMSeconds served from its table.
 func (s *System) pimPrefill(l int) (float64, error) {
-	if l > memoMaxPrefill {
-		return s.prefillPIMSeconds(l)
-	}
-	return s.pimPrefillCache.Do(l, func() (float64, error) {
+	return s.pimPrefills.memo(l, memoMaxPrefill+1, func() (float64, error) {
 		return s.prefillPIMSeconds(l)
 	})
 }
 
 // DecodeSeconds sums decode steps for tokens 2..decode (the first token
 // comes out of prefill), with the KV context growing from prefill+1.
-// Results are served from the System's running-sum rows and equal the
-// step-by-step sum bit for bit.
+// Results are served from the System's running-sum rows: entry j of the
+// (design, prefill) row holds steps 1..j added left to right, the order
+// decodeLoop adds them, so it equals the loop bit for bit.
 func (s *System) DecodeSeconds(k Kind, prefill, decode int) (float64, error) {
 	if decode <= 0 {
 		return 0, fmt.Errorf("engine: decode length %d must be positive", decode)
 	}
-	path, ok := decodePath(k)
-	if !ok || prefill < 0 || prefill > memoMaxPrefill || decode > memoMaxDecode {
+	if uint(k) >= uint(numKinds) {
+		return 0, fmt.Errorf("engine: unknown design %v", k)
+	}
+	if uint(prefill) > memoMaxPrefill || decode > memoMaxDecode {
 		return s.decodeLoop(k, prefill, decode)
 	}
-	row, _ := s.decodeRows.Do(decodeRowKey{path: path, l: prefill}, func() (*decodeRow, error) {
-		return &decodeRow{sums: []float64{0}}, nil
-	})
-	row.mu.Lock()
-	defer row.mu.Unlock()
-	for j := len(row.sums); j < decode; j++ {
-		st, err := s.DecodeStepSeconds(path, prefill+j)
+	row := &s.decodeRows[k][prefill]
+	if v := row.get(decode - 1); v != 0 || decode == 1 {
+		return v, nil
+	}
+	// Extend the longest computed prefix of the row.
+	j := decode - 2
+	for j > 0 && row.get(j) == 0 {
+		j--
+	}
+	sum := row.get(j)
+	for j++; j < decode; j++ {
+		st, err := s.DecodeStepSeconds(k, prefill+j)
 		if err != nil {
 			return 0, err
 		}
-		row.sums = append(row.sums, row.sums[j-1]+st)
+		sum += st
+		row.put(j, memoMaxDecode, sum)
 	}
-	return row.sums[decode-1], nil
+	return sum, nil
 }
 
-// decodePath maps a design to the representative of the designs whose
-// decode steps are identical: the four PIM designs run the same
-// linear+attention+other step, and SoC-only runs its own.
-func decodePath(k Kind) (Kind, bool) {
-	switch k {
-	case SoCOnly:
-		return SoCOnly, true
-	case HybridStatic, HybridDynamic, FACIL, WeightDuplication:
-		return FACIL, true
-	default:
-		return 0, false
-	}
-}
-
-// decodeLoop is DecodeSeconds without the memo, for lengths past its
-// bounds and for unknown designs.
+// decodeLoop is DecodeSeconds without the rows, for lengths past its
+// bounds.
 func (s *System) decodeLoop(k Kind, prefill, decode int) (float64, error) {
 	var t float64
 	for step := 1; step < decode; step++ {

@@ -18,11 +18,13 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"facil/internal/llm"
 	"facil/internal/mapping"
-	"facil/internal/parallel"
 	"facil/internal/pim"
 	"facil/internal/relayout"
 	"facil/internal/soc"
@@ -38,6 +40,7 @@ const (
 	HybridDynamic
 	FACIL
 	WeightDuplication
+	numKinds // sizes the per-design latency tables
 )
 
 // String names the design as in the paper's figures.
@@ -79,11 +82,10 @@ func DefaultConfig() Config {
 // System is one platform+model evaluation stack.
 //
 // A System is safe for concurrent use by multiple goroutines: every
-// query-path field is immutable after NewSystem returns, and the
-// memoization caches (here and in the pim.Device and relayout.Engine it
-// owns) are internally synchronized with in-flight deduplication, so
-// concurrent misses on the same key compute the value exactly once and
-// all callers observe identical results.
+// query-path field is immutable after NewSystem returns, the latency
+// tables are lock-free (see table), and the pim.Device and
+// relayout.Engine it owns memoize with in-flight deduplication, so all
+// callers observe identical results.
 type System struct {
 	Platform soc.Platform
 	Model    llm.Model
@@ -93,19 +95,19 @@ type System struct {
 
 	// weights caches the model's weight matrices with their placement.
 	weights []placedWeight
-	// decodeCache memoizes per-step decode latencies by (kind, ctx),
-	// deduplicating concurrent misses so a worker storm computes each
-	// step exactly once.
-	decodeCache parallel.Flight[decodeKey, float64]
-	// prefillCache memoizes TTFT and TTFTStatic by (kind, prefill
-	// length, route): one read-only table per System that every serving
-	// sim and dataset query on it shares. pimPrefillCache memoizes the
-	// all-PIM prefill by length, which is the same for every design.
-	prefillCache    parallel.Flight[prefillKey, float64]
-	pimPrefillCache parallel.Flight[int, float64]
-	// decodeRows memoizes DecodeSeconds as running sums by (decode path,
-	// prefill length); see decodeRow.
-	decodeRows parallel.Flight[decodeRowKey, *decodeRow]
+	// The latency memos every serving sim and dataset query on the
+	// System shares. The four PIM designs decode alike, so they alias
+	// one steps slice and one decodeRows slice, and SoC-only has its
+	// own. steps holds DecodeStepSeconds by context, 0 meaning "not
+	// computed" (20 KB per decode path, allocated up front: the serving
+	// loop reads it twice per token); decodeRows holds DecodeSeconds as
+	// running sums by prefill. prefills holds both TTFT routes by
+	// (design, route, prefill), and pimPrefills the all-PIM prefill by
+	// length, the same for every design.
+	steps       [numKinds][]atomic.Uint64
+	decodeRows  [numKinds][]table
+	prefills    [numKinds][2]table
+	pimPrefills table
 	// socLinearStep is one decode step's linear time on the SoC, and
 	// pimLinearStep its PIM counterpart computed on first use; both are
 	// per-step constants of the System, as is the full-model re-layout
@@ -122,18 +124,7 @@ type placedWeight struct {
 	count  int // instances (layers or 1)
 }
 
-type decodeKey struct {
-	kind Kind
-	ctx  int
-}
-
-type prefillKey struct {
-	kind  Kind
-	l     int
-	route prefillRoute
-}
-
-// prefillRoute selects which prefill a TTFT memo entry holds.
+// prefillRoute selects which prefill a TTFT table holds.
 type prefillRoute uint8
 
 const (
@@ -144,28 +135,72 @@ const (
 	routeDynamic
 )
 
-type decodeRowKey struct {
-	path Kind // the decode path's representative design; see decodePath
-	l    int  // prefill length
-}
-
-// decodeRow holds one (decode path, prefill) row of running decode
-// sums, grown on demand: sums[j] is steps 1..j added left to right, the
-// order DecodeSeconds' loop adds them, so sums[d-1] equals that loop's
-// result bit for bit.
-type decodeRow struct {
-	mu   sync.Mutex
-	sums []float64
-}
-
-// The memos cache lengths up to the workload generators' clamps
-// (prefill 2048, decode 512; internal/workload). Longer queries are
-// computed and not cached, so a long-lived caller with arbitrary
-// lengths cannot grow a System's memory without limit.
+// The tables hold lengths up to the workload generators' clamps
+// (prefill 2048, decode 512; internal/workload), and decode-step
+// contexts up to the longest such query. Longer lengths are computed
+// and not cached, here or in the PIM device's shape cache, so a
+// long-lived caller with arbitrary lengths cannot grow a System's
+// memory without limit.
 const (
 	memoMaxPrefill = 2048
 	memoMaxDecode  = 512
+	memoMaxCtx     = memoMaxPrefill + memoMaxDecode
 )
+
+// table is a lock-free memo of positive latencies by length: float64
+// bits in atomic words, 0 meaning "not computed". Racing misses compute
+// the same deterministic float and store the same bits, so, unlike
+// parallel.Flight, a hit takes no lock and a miss waits on no one. The
+// words grow by copy to cover the longest length stored, so a table
+// costs what its callers use; a store racing a grow may be lost, and
+// is then recomputed on its next miss.
+type table struct {
+	words atomic.Pointer[[]atomic.Uint64]
+}
+
+// get returns entry i, or 0 if it is not computed or outside the table.
+func (t *table) get(i int) float64 {
+	if w := t.words.Load(); w != nil && uint(i) < uint(len(*w)) {
+		return math.Float64frombits((*w)[i].Load())
+	}
+	return 0
+}
+
+// put stores v as entry i of a table bounded at n entries, growing it
+// to the next power of two past i, at most n.
+func (t *table) put(i, n int, v float64) {
+	for {
+		old := t.words.Load()
+		if old != nil && i < len(*old) {
+			(*old)[i].Store(math.Float64bits(v))
+			return
+		}
+		w := make([]atomic.Uint64, min(n, max(64, 1<<bits.Len(uint(i)))))
+		if old != nil {
+			for j := range *old {
+				w[j].Store((*old)[j].Load())
+			}
+		}
+		w[i].Store(math.Float64bits(v))
+		if t.words.CompareAndSwap(old, &w) {
+			return
+		}
+	}
+}
+
+// memo returns entry i of a table bounded at n entries, computing it
+// with fn on a miss. Lengths outside [0, n) are computed and not
+// cached, and errors are never stored.
+func (t *table) memo(i, n int, fn func() (float64, error)) (float64, error) {
+	if v := t.get(i); v != 0 {
+		return v, nil
+	}
+	v, err := fn()
+	if err == nil && uint(i) < uint(n) {
+		t.put(i, n, v)
+	}
+	return v, err
+}
 
 // NewSystem builds the stack for a platform and model.
 func NewSystem(p soc.Platform, m llm.Model, cfg Config) (*System, error) {
@@ -180,6 +215,11 @@ func NewSystem(p soc.Platform, m llm.Model, cfg Config) (*System, error) {
 		Model:    m,
 		mem:      mapping.MemoryConfig{Geometry: p.Spec.Geometry, HugePageBytes: 2 << 20},
 	}
+	pimSteps, pimRows := make([]atomic.Uint64, memoMaxCtx), make([]table, memoMaxPrefill+1)
+	for k := range s.steps {
+		s.steps[k], s.decodeRows[k] = pimSteps, pimRows
+	}
+	s.steps[SoCOnly], s.decodeRows[SoCOnly] = make([]atomic.Uint64, memoMaxCtx), make([]table, memoMaxPrefill+1)
 	pimCfg := pim.DefaultAiM(p.Spec.Geometry)
 	if cfg.PIM != nil {
 		pimCfg = *cfg.PIM

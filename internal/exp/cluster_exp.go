@@ -103,21 +103,13 @@ func (l *Lab) clusterSystem(c cluster.DeviceClass) (*engine.System, error) {
 		return l.System(c.Platform)
 	}
 	key := fmt.Sprintf("%s/mac%d", c.Platform.Name, c.MACIntervalCycles)
-	l.mu.Lock()
-	e, ok := l.systems[key]
-	if !ok {
-		e = &systemEntry{}
-		l.systems[key] = e
-	}
-	l.mu.Unlock()
-	e.once.Do(func() {
+	return l.systems.Do(key, func() (*engine.System, error) {
 		cfg := l.cfg
 		p := pim.DefaultAiM(c.Platform.Spec.Geometry)
 		p.MACIntervalCycles = c.MACIntervalCycles
 		cfg.PIM = &p
-		e.s, e.err = engine.NewSystem(c.Platform, PlatformModel(c.Platform), cfg)
+		return engine.NewSystem(c.Platform, PlatformModel(c.Platform), cfg)
 	})
-	return e.s, e.err
 }
 
 // clusterConfigs expands the strategy sweep into one cluster.Config per

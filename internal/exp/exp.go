@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"facil/internal/engine"
 	"facil/internal/llm"
@@ -109,21 +108,14 @@ type Lab struct {
 	progress ProgressFunc
 	tracer   *obs.Tracer
 
-	mu      sync.Mutex
-	systems map[string]*systemEntry
-}
-
-// systemEntry builds one platform's stack exactly once, allowing
-// concurrent callers of other platforms to build in parallel.
-type systemEntry struct {
-	once sync.Once
-	s    *engine.System
-	err  error
+	// systems holds the stacks by platform name, and by class key for
+	// clusterSystem's MAC-interval overrides.
+	systems parallel.Flight[string, *engine.System]
 }
 
 // NewLab builds an empty lab.
 func NewLab(cfg engine.Config) *Lab {
-	return &Lab{cfg: cfg, systems: make(map[string]*systemEntry)}
+	return &Lab{cfg: cfg}
 }
 
 // SetParallelism bounds the worker pool of every sweep the lab runs:
@@ -144,17 +136,9 @@ func (l *Lab) SetTracer(tr *obs.Tracer) { l.tracer = tr }
 // platform. The returned System is goroutine-safe; sweep points of the
 // same platform share it and its memoization caches.
 func (l *Lab) System(p soc.Platform) (*engine.System, error) {
-	l.mu.Lock()
-	e, ok := l.systems[p.Name]
-	if !ok {
-		e = &systemEntry{}
-		l.systems[p.Name] = e
-	}
-	l.mu.Unlock()
-	e.once.Do(func() {
-		e.s, e.err = engine.NewSystem(p, PlatformModel(p), l.cfg)
+	return l.systems.Do(p.Name, func() (*engine.System, error) {
+		return engine.NewSystem(p, PlatformModel(p), l.cfg)
 	})
-	return e.s, e.err
 }
 
 // sweepOpts assembles the parallel options for one experiment's sweep.

@@ -3,9 +3,12 @@ package exp
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"facil/internal/cluster"
+	"facil/internal/engine"
 	"facil/internal/soc"
 )
 
@@ -103,5 +106,61 @@ func TestProgressReporting(t *testing.T) {
 	}
 	if last := ticks[len(ticks)-1]; last.done != want {
 		t.Errorf("final tick done = %d, want %d", last.done, want)
+	}
+}
+
+// TestLabSystemStorm races eight goroutines on a fresh Lab's System and
+// clusterSystem, each calling in a different order: every key must
+// build one engine.System. A default class shares its platform's
+// System; a MAC-interval override gets its own.
+func TestLabSystemStorm(t *testing.T) {
+	l := NewLab(engine.DefaultConfig())
+	calls := []func() (*engine.System, error){
+		func() (*engine.System, error) { return l.System(soc.Jetson) },
+		func() (*engine.System, error) { return l.clusterSystem(cluster.DeviceClass{Platform: soc.Jetson}) },
+		func() (*engine.System, error) {
+			return l.clusterSystem(cluster.DeviceClass{Platform: soc.Jetson, MACIntervalCycles: 8})
+		},
+		func() (*engine.System, error) { return l.System(soc.IPhone) },
+	}
+	const workers = 8
+	got := make([][]*engine.System, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]*engine.System, len(calls))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := range calls {
+				c := (i + g) % len(calls)
+				s, err := calls[c]()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][c] = s
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g := range got {
+		for c, s := range got[g] {
+			if s != got[0][c] {
+				t.Errorf("goroutine %d call %d got System %p, goroutine 0 got %p", g, c, s, got[0][c])
+			}
+		}
+	}
+	jetson, def, mac8, iphone := got[0][0], got[0][1], got[0][2], got[0][3]
+	if def != jetson {
+		t.Error("the default Jetson class did not share the Jetson System")
+	}
+	if mac8 == jetson || iphone == jetson || mac8 == iphone {
+		t.Error("distinct keys share a System")
 	}
 }

@@ -74,8 +74,14 @@ func NewDevice(spec dram.Spec, cfg Config) (*Device, error) {
 // simulated and its completion time is the device's.
 func (d *Device) GEMV(matrix mapping.MatrixConfig) (GEMVResult, error) {
 	return d.cach.Do(matrix, func() (GEMVResult, error) {
-		return d.schedule(dram.NewChannel(&d.spec), matrix)
+		return d.GEMVUncached(matrix)
 	})
+}
+
+// GEMVUncached is GEMV without the shape cache, for callers whose
+// shapes are unbounded (the engine's KV cache past its latency tables).
+func (d *Device) GEMVUncached(matrix mapping.MatrixConfig) (GEMVResult, error) {
+	return d.schedule(dram.NewChannel(&d.spec), matrix)
 }
 
 // schedule runs matrix's GEMV schedule on ch: per input segment, one

@@ -117,7 +117,6 @@ func (sm *sim) onCorruptHandoff(q *query) bool {
 // or rejection).
 func (sm *sim) failQuery(q *query, why string) {
 	sm.m.Failed++
-	Live.failed.Add(1)
 	sm.inSystem--
 	sm.open--
 	sm.traceInstant(why, q)
@@ -220,7 +219,6 @@ func (sm *sim) degrade(qi int32, ri int) error {
 	case PolicyFailover:
 		if rj := sm.liveReplica(ri); rj >= 0 {
 			sm.m.FailedOver++
-			Live.failedOver.Add(1)
 			q.penalty += DefaultFailoverPenalty
 			sm.traceInstant("failover", q)
 			sm.reps[rj].decodeQ.push(sm.qs, qi)
@@ -231,7 +229,6 @@ func (sm *sim) degrade(qi int32, ri int) error {
 		if !q.degraded {
 			q.degraded = true
 			sm.m.Degraded++
-			Live.degraded.Add(1)
 			sm.traceInstant("degrade", q)
 		}
 		sm.reps[ri].socQ.push(sm.qs, qi)

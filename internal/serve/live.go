@@ -3,10 +3,11 @@ package serve
 import "sync/atomic"
 
 // LiveStats is a set of process-wide, lock-free serving counters in the
-// style of dram.Totals: every running simulation increments them with
-// one atomic add per transition, and observers (the facild /metrics
-// endpoint, the facilsim -v footer) read a consistent-enough snapshot at
-// any time without pausing the event loop. The counters are cumulative
+// style of dram.Totals: every running simulation publishes its own
+// counts into them every 1024 events and when it finishes, and
+// observers (the facild /metrics endpoint, the facilsim -v footer) read
+// a consistent-enough snapshot at any time without pausing the event
+// loop. The counters are cumulative
 // over the process lifetime — like a network stack's interface counters
 // — and never feed back into simulated timing, so enabling an observer
 // cannot perturb a run's results.
@@ -95,7 +96,8 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 	}
 }
 
-// addVirtual accumulates one clock advance (seconds) into the odometer.
+// addVirtual accumulates one clock advance (seconds) into the odometer,
+// as the reference sim does on every advance.
 func (l *LiveStats) addVirtual(dt float64) {
 	l.virtualNanos.Add(int64(dt * 1e9))
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"facil/internal/engine"
 	"facil/internal/fault"
@@ -361,8 +362,8 @@ type replica struct {
 // arrival order (the arrival stream needs no scheduling structure at
 // all — nextArr is a cursor), dynamic events live in a value-typed
 // min-heap that keeps its capacity, pending queries thread through
-// intrusive qlists, and the per-token engine latencies are memoized in
-// flat per-context arrays that bypass the engine's mutex-guarded cache.
+// intrusive qlists, and the per-token engine latencies are reads of the
+// System's lock-free tables.
 type sim struct {
 	cfg SimConfig
 	sys *engine.System
@@ -395,16 +396,10 @@ type sim struct {
 	// inject work they must affect.
 	sealed bool
 
-	// stepMain/stepSoC memoize DecodeStepSeconds by context length for
-	// the configured design and the SoC fallback path (0 = not yet
-	// cached; real latencies are positive). preStatic memoizes
-	// TTFTStatic by prefill length. Both engine calls are memoized per
-	// System (shared by every sim on it), so these lock-free arrays
-	// return the very floats the engine would and change nothing but
-	// the lookup cost.
-	stepMain  []float64
-	stepSoC   []float64
-	preStatic []float64
+	// events and virtualNanos count the processed events and virtual
+	// time, and published holds the counts publish last added to Live.
+	events, virtualNanos int64
+	published            [12]int64
 
 	// flt is nil with an empty fault scenario (layer off).
 	flt *faultState
@@ -636,6 +631,7 @@ func (s *Sim) Counters() Metrics {
 		s.finished = true
 		Live.runsFinished.Add(1)
 	}
+	s.sm.publish()
 	return s.sm.finish()
 }
 
@@ -659,9 +655,8 @@ func (s *Sim) Inject(at float64, prefill, decode int) error {
 
 // appendArrival is the one path onto the arrival stream: it
 // rejects a start time that is not finite, behind the clock or before
-// the last arrival, then appends q to the slab as the newest open query
-// and grows the latency memos to cover its lengths. op names the caller
-// in errors.
+// the last arrival, then appends q to the slab as the newest open
+// query. op names the caller in errors.
 func (sm *sim) appendArrival(op string, q query) error {
 	at := q.start
 	if math.IsNaN(at) || math.IsInf(at, 0) || at < sm.now {
@@ -673,21 +668,7 @@ func (sm *sim) appendArrival(op string, q query) error {
 	q.id, q.next = len(sm.qs), -1
 	sm.qs = append(sm.qs, q)
 	sm.open++
-	if c := q.prefill + q.decode + 1; c > len(sm.stepMain) {
-		sm.stepMain = growCache(sm.stepMain, c)
-		sm.stepSoC = growCache(sm.stepSoC, c)
-	}
-	if q.prefill+1 > len(sm.preStatic) {
-		sm.preStatic = growCache(sm.preStatic, q.prefill+1)
-	}
 	return nil
-}
-
-// growCache resizes a flat latency-memo array, keeping cached entries.
-func growCache(c []float64, n int) []float64 {
-	out := make([]float64, n)
-	copy(out, c)
-	return out
 }
 
 // Seal marks a host-fed arrival stream complete: no further Inject
@@ -830,7 +811,6 @@ func (s *Sim) RetractPrefilled() (Retracted, bool) {
 func (sm *sim) retract(qi int32, prefilled bool) Retracted {
 	q := &sm.qs[qi]
 	sm.m.Retracted++
-	Live.retracted.Add(1)
 	sm.inSystem--
 	sm.open--
 	sm.traceInstant("retract", q)
@@ -881,63 +861,40 @@ func (sm *sim) push(ev event) {
 	sm.evs.push(ev)
 }
 
-// stepSeconds is the flat-cache front of engine.DecodeStepSeconds: the
-// serving loop calls it twice per token (quantum sizing and token
-// replay), so the mutex-and-map engine cache is paid once per (kind,
-// context) and array reads after that.
-func (sm *sim) stepSeconds(kind engine.Kind, ctx int) (float64, error) {
-	var cache []float64
-	switch kind {
-	case sm.cfg.Kind:
-		cache = sm.stepMain
-	case engine.SoCOnly:
-		cache = sm.stepSoC
+// publish adds the sim's counts since its previous publish to Live, so
+// the process-wide counters follow a run without an atomic add per
+// transition: advance publishes every 1024 events, Counters at the end.
+func (sm *sim) publish() {
+	m := &sm.m
+	now := [...]int64{sm.events, sm.virtualNanos, int64(m.Arrived), int64(m.Admitted),
+		int64(m.Rejected), int64(m.Retries), int64(m.Completed), int64(m.TimedOut),
+		int64(m.Failed), int64(m.Retracted), int64(m.Degraded), int64(m.FailedOver)}
+	for i, c := range [...]*atomic.Int64{&Live.events, &Live.virtualNanos, &Live.arrived, &Live.admitted,
+		&Live.rejected, &Live.retries, &Live.completed, &Live.timedOut,
+		&Live.failed, &Live.retracted, &Live.degraded, &Live.failedOver} {
+		c.Add(now[i] - sm.published[i])
 	}
-	if cache != nil && ctx >= 0 && ctx < len(cache) {
-		if v := cache[ctx]; v != 0 {
-			return v, nil
-		}
-		v, err := sm.sys.DecodeStepSeconds(kind, ctx)
-		if err != nil {
-			return 0, err
-		}
-		cache[ctx] = v
-		return v, nil
-	}
-	return sm.sys.DecodeStepSeconds(kind, ctx)
+	sm.published = now
 }
 
-// ttftStatic is the flat-cache front of engine.TTFTStatic by prefill
-// length (non-Serial prefill dispatch).
-func (sm *sim) ttftStatic(prefill int) (float64, error) {
-	if prefill >= 0 && prefill < len(sm.preStatic) {
-		if v := sm.preStatic[prefill]; v != 0 {
-			return v, nil
-		}
-		v, err := sm.sys.TTFTStatic(sm.cfg.Kind, prefill)
-		if err != nil {
-			return 0, err
-		}
-		sm.preStatic[prefill] = v
-		return v, nil
-	}
-	return sm.sys.TTFTStatic(sm.cfg.Kind, prefill)
-}
-
-// advance moves the clock to t, charging the elapsed interval to the
-// time-weighted histograms at the state held since the last change.
-// Every clock movement funnels through here — arrivals, queued events,
-// idle-gap jumps — so the histograms and the Live odometer cannot
-// disagree about elapsed virtual time.
+// advance moves the clock to t for one processed event, charging the
+// elapsed interval to the time-weighted histograms at the state held
+// since the last change, and counts the event, publishing every 1024th.
+// Every clock movement funnels through here — arrivals and queued
+// events — so the histograms and the Live odometer cannot disagree
+// about elapsed virtual time.
 func (sm *sim) advance(t float64) {
 	if dt := t - sm.lastT; dt > 0 {
 		sm.m.QueueDepth.Add(float64(sm.inSystem), dt)
 		sm.m.SoCBusy.Add(float64(sm.busySoC), dt)
 		sm.m.PIMBusy.Add(float64(sm.busyPIM), dt)
 		sm.lastT = t
-		Live.addVirtual(dt)
+		sm.virtualNanos += int64(dt * 1e9)
 	}
 	sm.now = t
+	if sm.events++; sm.events%1024 == 0 {
+		sm.publish()
+	}
 }
 
 // step processes the next pending event with no horizon — the whole-run
@@ -978,7 +935,6 @@ func (sm *sim) stepUntil(horizon float64) (bool, error) {
 					continue
 				}
 				sm.advance(ev.at)
-				Live.events.Add(1)
 				var err error
 				switch ev.kind {
 				case evArrival:
@@ -999,7 +955,6 @@ func (sm *sim) stepUntil(horizon float64) (bool, error) {
 			qi := sm.nextArr
 			sm.nextArr++
 			sm.advance(sm.qs[qi].start)
-			Live.events.Add(1)
 			return true, sm.onArrival(qi)
 		}
 		return false, nil
@@ -1013,25 +968,21 @@ func (sm *sim) onArrival(qi int32) error {
 	q := &sm.qs[qi]
 	if q.attempts == 0 {
 		sm.m.Arrived++
-		Live.arrived.Add(1)
 	}
 	if sm.cfg.QueueCap > 0 && sm.inSystem >= sm.cfg.QueueCap {
 		if sm.cfg.MaxRetries > 0 && q.attempts < sm.cfg.MaxRetries {
 			q.attempts++
 			sm.m.Retries++
-			Live.retries.Add(1)
 			sm.traceInstant("retry", q)
 			sm.push(event{at: sm.now + sm.backoff(q.attempts), kind: evArrival, q: qi})
 			return nil
 		}
 		sm.m.Rejected++
-		Live.rejected.Add(1)
 		sm.open--
 		sm.traceInstant("reject", q)
 		return nil
 	}
 	sm.m.Admitted++
-	Live.admitted.Add(1)
 	if !q.resumed {
 		sm.maybeCorrupt(q)
 	}
@@ -1065,7 +1016,6 @@ func (sm *sim) expired(q *query) bool {
 // abort drops a query at a scheduling boundary.
 func (sm *sim) abort(q *query) {
 	sm.m.TimedOut++
-	Live.timedOut.Add(1)
 	sm.inSystem--
 	sm.open--
 	sm.traceInstant("timeout", q)
@@ -1138,7 +1088,7 @@ func (sm *sim) startPrefill(qi int32, ri int) error {
 		// additionally stalls the PIM lane for that window, because the
 		// weights are being rewritten. Designs that pay no re-layout of
 		// their own get it charged explicitly.
-		pre, err := sm.ttftStatic(q.prefill)
+		pre, err := sm.sys.TTFTStatic(sm.cfg.Kind, q.prefill)
 		if err != nil {
 			return err
 		}
@@ -1182,7 +1132,7 @@ func (sm *sim) onPrefillDone(qi int32, ri int) error {
 		if q.decode <= 1 {
 			return sm.completeSerial(q, ri)
 		}
-		dur, err := sm.quantumSeconds(q, q.decode-1)
+		dur, err := sm.quantumSecondsKind(q, q.decode-1, sm.cfg.Kind, 1)
 		if err != nil {
 			return err
 		}
@@ -1204,12 +1154,6 @@ func (sm *sim) onPrefillDone(qi int32, ri int) error {
 	return sm.dispatchDecode(ri)
 }
 
-// quantumSeconds sums the next `steps` decode-step latencies of q under
-// the configured design at nominal speed (the happy path).
-func (sm *sim) quantumSeconds(q *query, steps int) (float64, error) {
-	return sm.quantumSecondsKind(q, steps, sm.cfg.Kind, 1)
-}
-
 // quantumSecondsKind sums the next `steps` decode-step latencies of q
 // under an explicit design (degraded quanta run at engine.SoCOnly
 // latency) and thermal slowdown factor. Each step is scaled before
@@ -1218,7 +1162,7 @@ func (sm *sim) quantumSeconds(q *query, steps int) (float64, error) {
 func (sm *sim) quantumSecondsKind(q *query, steps int, kind engine.Kind, factor float64) (float64, error) {
 	var t float64
 	for i := 0; i < steps; i++ {
-		st, err := sm.stepSeconds(kind, q.prefill+q.stepsDone+i+1)
+		st, err := sm.sys.DecodeStepSeconds(kind, q.prefill+q.stepsDone+i+1)
 		if err != nil {
 			return 0, err
 		}
@@ -1234,7 +1178,7 @@ func (sm *sim) quantumSecondsKind(q *query, steps int, kind engine.Kind, factor 
 func (sm *sim) emitTokens(q *query, start float64, steps int, kind engine.Kind, factor float64) error {
 	t := start
 	for i := 0; i < steps; i++ {
-		st, err := sm.stepSeconds(kind, q.prefill+q.stepsDone+i+1)
+		st, err := sm.sys.DecodeStepSeconds(kind, q.prefill+q.stepsDone+i+1)
 		if err != nil {
 			return err
 		}
@@ -1355,7 +1299,6 @@ func (sm *sim) onQuantumDone(e *event) error {
 // complete retires a cooperative-mode query.
 func (sm *sim) complete(q *query) {
 	sm.m.Completed++
-	Live.completed.Add(1)
 	sm.inSystem--
 	sm.open--
 	ttlt := q.prevToken - q.arrival
