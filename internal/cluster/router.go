@@ -81,6 +81,12 @@ func eligible(cfg *Config, d *device, at float64) bool {
 // rebuild at the first arrival past a barrier, each later arrival
 // rebuilds the last assigned view plus the views that were still
 // blocked; the result equals a full rebuild at that arrival.
+//
+// For a ranker strategy it also keeps a min-tournament tree over the
+// device indices, ordered by (ineligible last, score, index), whose
+// root is the device the strategy's linear Pick would choose: an
+// arrival reads the root and re-fixes only the O(log n) paths of the
+// views it rebuilt.
 type routeViews struct {
 	cfg   *Config
 	devs  []*device
@@ -93,10 +99,39 @@ type routeViews struct {
 	// stale forces the next refresh to rebuild every view; set it
 	// whenever devices change outside assign (every barrier).
 	stale bool
+
+	strat Strategy
+	// rank is strat as a ranker, nil for a strategy the tree cannot
+	// serve (round-robin keeps its cursor).
+	rank ranker
+	// score holds rank.score of each view.
+	score []float64
+	// tree is the tournament: leaves at len(tree)/2+i (a power of two
+	// past n, padded with -1), node k holding the better of nodes 2k and
+	// 2k+1. Leaves run in index order, so on equal rank the left
+	// subtree's winner has the lower index and wins.
+	tree []int32
 }
 
 func newRouteViews(cfg *Config, devs []*device) *routeViews {
-	return &routeViews{cfg: cfg, devs: devs, views: make([]DeviceView, len(devs)), picked: -1, stale: true}
+	rv := &routeViews{cfg: cfg, devs: devs, views: make([]DeviceView, len(devs)), picked: -1, stale: true,
+		strat: NewStrategy(cfg.Strategy)}
+	if r, ok := rv.strat.(ranker); ok {
+		leaves := 1
+		for leaves < len(devs) {
+			leaves *= 2
+		}
+		rv.rank = r
+		rv.score = make([]float64, len(devs))
+		rv.tree = make([]int32, 2*leaves)
+		for i := range leaves {
+			rv.tree[leaves+i] = -1
+			if i < len(devs) {
+				rv.tree[leaves+i] = int32(i)
+			}
+		}
+	}
+	return rv
 }
 
 // refresh brings every view up to date for an arrival at at (at never
@@ -109,23 +144,46 @@ func (rv *routeViews) refresh(at float64) []DeviceView {
 				rv.blocked = append(rv.blocked, i)
 			}
 		}
+		for k := len(rv.tree)/2 - 1; k >= 1; k-- {
+			rv.tree[k] = rv.better(rv.tree[2*k], rv.tree[2*k+1])
+		}
 		rv.stale = false
 	} else {
 		if rv.picked >= 0 {
 			// An assigned device was eligible, hence not blocked and
 			// not in the blocked list, and assign cannot open a breaker.
 			rv.set(rv.picked, at)
+			rv.fix(rv.picked)
 		}
+		// A device still blocked keeps its view: it was assigned
+		// nothing, and its ledger moves only at barriers.
 		still := rv.blocked[:0]
 		for _, i := range rv.blocked {
 			if rv.set(i, at) {
 				still = append(still, i)
+			} else {
+				rv.fix(i)
 			}
 		}
 		rv.blocked = still
 	}
 	rv.picked = -1
 	return rv.views
+}
+
+// pick refreshes the views for q and returns the strategy's choice:
+// the tree's root behind the ranker's admission gate, or the
+// strategy's own Pick when it is not a ranker. -1 sheds q.
+func (rv *routeViews) pick(q QueryInfo) int {
+	views := rv.refresh(q.Arrival)
+	if rv.rank == nil {
+		return rv.strat.Pick(views, q)
+	}
+	best := rv.tree[1]
+	if !views[best].Eligible || !rv.rank.admit(views[best], q) {
+		return -1
+	}
+	return int(best)
 }
 
 // set rebuilds view i at time at and reports whether device i's breaker
@@ -137,7 +195,38 @@ func (rv *routeViews) set(i int, at float64) bool {
 		InFlight: d.inflight,
 		TTFTEWMA: d.ewma,
 	}
+	if rv.rank != nil {
+		rv.score[i] = rv.rank.score(rv.views[i])
+	}
 	return rv.cfg.BreakerThreshold > 0 && d.brk.Blocked(at, rv.cfg.BreakerCooldown)
+}
+
+// fix replays the tournament on the path from leaf i to the root.
+func (rv *routeViews) fix(i int) {
+	if rv.rank == nil {
+		return
+	}
+	for k := (len(rv.tree)/2 + i) / 2; k >= 1; k /= 2 {
+		rv.tree[k] = rv.better(rv.tree[2*k], rv.tree[2*k+1])
+	}
+}
+
+// better returns the winner of a left-subtree device a and a
+// right-subtree device b (-1: padding, only ever on the right).
+func (rv *routeViews) better(a, b int32) int32 {
+	if b < 0 {
+		return a
+	}
+	if ea, eb := rv.views[a].Eligible, rv.views[b].Eligible; ea != eb {
+		if eb {
+			return b
+		}
+		return a
+	}
+	if rv.score[b] < rv.score[a] {
+		return b
+	}
+	return a
 }
 
 // assign books an arrival at at onto device i in the router's ledger.
@@ -214,7 +303,6 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	}
 	arrRNG := rand.New(rand.NewSource(cfg.Seed))
 	clsRNG := rand.New(rand.NewSource(cfg.Seed + 3))
-	strat := NewStrategy(cfg.Strategy)
 
 	m := Metrics{Strategy: cfg.Strategy, Devices: n, Queries: cfg.Queries, Steal: cfg.Steal}
 	Live.runsStarted.Add(1)
@@ -412,15 +500,14 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			Prefill: ds.Queries[qi].Prefill, Decode: ds.Queries[qi].Decode,
 			Class: class,
 		}
-		views := rv.refresh(clock)
-		pick := strat.Pick(views, q)
+		pick := rv.pick(q)
 		if pick < 0 {
 			m.Shed++
 			m.ShedByClass[class]++
 			Live.shed.Add(1)
 			continue
 		}
-		if pick >= n || !views[pick].Eligible {
+		if pick >= n || !rv.views[pick].Eligible {
 			return Metrics{}, fmt.Errorf("cluster: strategy %s picked invalid device %d", cfg.Strategy, pick)
 		}
 		rv.assign(pick, clock)

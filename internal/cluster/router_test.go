@@ -118,3 +118,105 @@ func TestRouteViewsMatchFullRefresh(t *testing.T) {
 		t.Fatal("no breaker cooled down between barriers; the test exercises nothing")
 	}
 }
+
+// TestRouteTreeMatchesPick holds the router's tournament tree to the
+// linear Pick scans it replaces: at every arrival, for every ranked
+// strategy, the tree's pick must equal the strategy's Pick over a full
+// rebuild of the views. The barrier settles pick ties (every EWMA zero
+// and every depth equal), breakers that open and cool down between
+// barriers, and stretches where every breaker is open and the fleet
+// must shed.
+func TestRouteTreeMatchesPick(t *testing.T) {
+	const n, sync = 13, 5.0
+	for _, kind := range []StrategyKind{LeastLoaded, LatencyWeighted, SLOTiered} {
+		for _, settle := range []string{"ties", "blocked", "all-blocked"} {
+			t.Run(kind.String()+"/"+settle, func(t *testing.T) {
+				cfg := Config{Strategy: kind, BreakerThreshold: 2, BreakerCooldown: 2.3}
+				rng := rand.New(rand.NewSource(5))
+				devs := make([]*device, n)
+				for i := range devs {
+					devs[i] = &device{}
+				}
+				rv := newRouteViews(&cfg, devs)
+				oracle := NewStrategy(kind)
+				var clock float64
+				var routed, shed, tied int
+				for b := 1; b <= 40; b++ {
+					barrier := float64(b) * sync
+					for ; clock < barrier; clock += rng.Float64() * 0.4 {
+						q := QueryInfo{Arrival: clock, Class: Class(rng.Intn(NumClasses))}
+						got := rv.pick(q)
+						want := oracle.Pick(newRouteViews(&cfg, devs).refresh(clock), q)
+						if got != want {
+							t.Fatalf("barrier %d, t=%g, class %v: tree picked %d, linear Pick %d\nviews %+v",
+								b, clock, q.Class, got, want, rv.views)
+						}
+						if got < 0 {
+							shed++
+							continue
+						}
+						for j := range rv.views {
+							if j != got && rv.views[j].Eligible && rv.score[j] == rv.score[got] {
+								tied++
+								break
+							}
+						}
+						rv.assign(got, clock)
+						routed++
+					}
+					for _, d := range devs {
+						d.probes = 0
+						switch settle {
+						case "ties":
+							d.inflight, d.ewma = 0, 0
+						case "blocked":
+							d.inflight, d.ewma = rng.Intn(8), rng.Float64()
+							if rng.Intn(3) == 0 {
+								d.brk.Failure(barrier, cfg.BreakerThreshold)
+							} else {
+								d.brk.Success()
+							}
+						case "all-blocked":
+							d.inflight, d.ewma = rng.Intn(8), rng.Float64()
+							d.brk.Failure(barrier, cfg.BreakerThreshold)
+						}
+					}
+					rv.stale = true
+				}
+				if routed == 0 || tied == 0 && settle == "ties" || shed == 0 && settle == "all-blocked" {
+					t.Fatalf("fleet exercises too little: %d routed, %d shed, %d tied picks", routed, shed, tied)
+				}
+			})
+		}
+	}
+}
+
+// TestRouteTreeZeroAllocs requires the per-arrival routing path — view
+// refresh, tree pick, ledger assign — and the barrier's full rebuild
+// to allocate nothing once the blocked list has its capacity.
+func TestRouteTreeZeroAllocs(t *testing.T) {
+	cfg := Config{Strategy: LatencyWeighted, BreakerThreshold: 2, BreakerCooldown: 2.3}
+	devs := make([]*device, 104)
+	for i := range devs {
+		devs[i] = &device{ewma: float64(i%7) / 7}
+		if i%5 == 0 {
+			devs[i].brk.Failure(0, cfg.BreakerThreshold)
+			devs[i].brk.Failure(0, cfg.BreakerThreshold)
+		}
+	}
+	rv := newRouteViews(&cfg, devs)
+	var clock float64
+	arrivals := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		clock += 0.01
+		if arrivals++; arrivals%50 == 0 {
+			rv.stale = true
+		}
+		if p := rv.pick(QueryInfo{Arrival: clock}); p >= 0 {
+			rv.assign(p, clock)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refresh→pick→assign allocates %v per arrival, want 0", allocs)
+	}
+}

@@ -119,7 +119,9 @@ type QueryInfo struct {
 // Strategy picks the device for each arrival. Implementations must be
 // deterministic functions of (their own state, views, q): the router
 // calls Pick serially in arrival order, so any internal state (e.g. the
-// round-robin cursor) evolves deterministically too.
+// round-robin cursor) evolves deterministically too. For the built-in
+// strategies other than round-robin the router reads the same choice
+// from a tournament tree instead of calling Pick (DESIGN.md §13).
 type Strategy interface {
 	// Pick returns the index of the chosen device, or -1 to shed the
 	// arrival. Picking an ineligible device is a contract violation.
@@ -205,21 +207,43 @@ type sloTiered struct{}
 // on the least-loaded eligible device, so a single hot device cannot
 // shed traffic the rest of the fleet could take — then routes
 // least-loaded.
-func (sloTiered) Pick(views []DeviceView, q QueryInfo) int {
+func (s sloTiered) Pick(views []DeviceView, q QueryInfo) int {
 	best := leastLoaded{}.Pick(views, q)
-	if best < 0 {
+	if best < 0 || !s.admit(views[best], q) {
 		return -1
 	}
-	depth := views[best].InFlight
+	return best
+}
+
+// ranker is a strategy whose Pick is the eligible device of least
+// score, lowest index on ties, followed by an admission gate on that
+// device. The router keeps such devices in a tournament tree (see
+// routeViews) and reads its root instead of calling Pick.
+type ranker interface {
+	score(v DeviceView) float64
+	admit(best DeviceView, q QueryInfo) bool
+}
+
+func (leastLoaded) score(v DeviceView) float64 { return float64(v.InFlight) }
+
+func (leastLoaded) admit(DeviceView, QueryInfo) bool { return true }
+
+func (latencyWeighted) score(v DeviceView) float64 {
+	return v.TTFTEWMA * float64(v.InFlight+1)
+}
+
+func (latencyWeighted) admit(DeviceView, QueryInfo) bool { return true }
+
+func (sloTiered) score(v DeviceView) float64 { return float64(v.InFlight) }
+
+// admit applies the class's shed threshold to the least-loaded
+// eligible device's depth.
+func (sloTiered) admit(best DeviceView, q QueryInfo) bool {
 	switch q.Class {
 	case Standard:
-		if depth >= DefaultShedStandard {
-			return -1
-		}
+		return best.InFlight < DefaultShedStandard
 	case Batch:
-		if depth >= DefaultShedBatch {
-			return -1
-		}
+		return best.InFlight < DefaultShedBatch
 	}
-	return best
+	return true
 }

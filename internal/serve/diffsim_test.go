@@ -117,14 +117,37 @@ func diffGrid() []SimConfig {
 	withRetries.Policy = PolicyFailover
 	grid = append(grid, withRetries)
 
+	// NoTBT, as the fleet router runs its devices: the sim skips the
+	// token replay of every non-final quantum, so short and long
+	// quanta, and degraded quanta on the SoC lane, must still land
+	// TTLT on the reference's full replay.
+	for _, preempt := range []int{1, 8, 32} {
+		c := base(Cooperative, 2)
+		c.Replicas = 3
+		c.preemptSteps = preempt
+		c.NoTBT = true
+		grid = append(grid, c)
+	}
+	noTBTFaulted := base(Cooperative, 2)
+	noTBTFaulted.Replicas = 3
+	noTBTFaulted.Faults = faulted
+	noTBTFaulted.Policy = PolicySoCFallback
+	noTBTFaulted.BreakerThreshold = 2
+	noTBTFaulted.NoTBT = true
+	grid = append(grid, noTBTFaulted)
+
 	return grid
 }
 
 // diffName labels one grid cell for subtest output.
 func diffName(i int, cfg SimConfig) string {
-	return fmt.Sprintf("%02d-%s-r%g-x%d-p%d-q%d-f%v-pol%d",
+	name := fmt.Sprintf("%02d-%s-r%g-x%d-p%d-q%d-f%v-pol%d",
 		i, cfg.Mode, cfg.ArrivalRate, cfg.Replicas, cfg.preemptSteps,
 		cfg.QueueCap, !cfg.Faults.Empty(), cfg.Policy)
+	if cfg.NoTBT {
+		name += "-notbt"
+	}
+	return name
 }
 
 // TestDifferentialSim locksteps the optimized Sim against the retained
@@ -157,6 +180,9 @@ func TestDifferentialSim(t *testing.T) {
 			b2 := Live.Snapshot()
 			if !reflect.DeepEqual(mo, mr) {
 				t.Errorf("metrics diverge:\n optimized %+v\n reference %+v", mo, mr)
+			}
+			if cfg.NoTBT && cfg.Policy == PolicySoCFallback && mo.Degraded == 0 {
+				t.Errorf("NoTBT faulted cell ran no degraded quanta")
 			}
 			sameLiveDelta(t, liveDelta(b1, b2), liveDelta(b0, b1))
 			// Pass 2: lockstep stepping — both engines must pop the same
@@ -308,14 +334,17 @@ func TestDifferentialTrace(t *testing.T) {
 // over randomized arrival/timeout/fault interleavings: any reachable
 // configuration must produce bit-identical Metrics.
 func FuzzSimDifferential(f *testing.F) {
-	f.Add(int64(1), 2.0, 40, 2, 1, 8, 6, 10.0, 2, 0.0, 0.0, 0.0, 1)
-	f.Add(int64(7), 0.3, 25, 1, 0, 1, 0, 0.0, 0, 0.0, 0.0, 0.0, 0)
-	f.Add(int64(9), 5.0, 60, 3, 2, 16, 4, 8.0, 3, 15.0, 3.0, 0.2, 2)
-	f.Add(int64(3), 1.0, 30, 2, 1, 4, 0, 5.0, 0, 6.0, 2.0, 1.0, 0)
+	f.Add(int64(1), 2.0, 40, 2, 1, 8, 6, 10.0, 2, 0.0, 0.0, 0.0, 1, false)
+	f.Add(int64(7), 0.3, 25, 1, 0, 1, 0, 0.0, 0, 0.0, 0.0, 0.0, 0, false)
+	f.Add(int64(9), 5.0, 60, 3, 2, 16, 4, 8.0, 3, 15.0, 3.0, 0.2, 2, false)
+	f.Add(int64(3), 1.0, 30, 2, 1, 4, 0, 5.0, 0, 6.0, 2.0, 1.0, 0, false)
 	// A valid but far-future MTBF: no outage may begin inside the run.
-	f.Add(int64(5), 0.3, 40, 2, 1, 8, 4, 0.0, 2, 1e300, 5.0, 0.3, 2)
+	f.Add(int64(5), 0.3, 40, 2, 1, 8, 4, 0.0, 2, 1e300, 5.0, 0.3, 2, false)
+	// NoTBT, plain and with lane faults falling back to the SoC lane.
+	f.Add(int64(2), 2.0, 40, 2, 1, 1, 0, 0.0, 0, 0.0, 0.0, 0.0, 0, true)
+	f.Add(int64(4), 2.0, 50, 3, 1, 8, 6, 10.0, 2, 15.0, 3.0, 0.2, 1, true)
 	f.Fuzz(func(t *testing.T, seed int64, rate float64, queries, replicas, mode, preempt, queueCap int,
-		timeout float64, retries int, mtbf, mttr, corrupt float64, policy int) {
+		timeout float64, retries int, mtbf, mttr, corrupt float64, policy int, noTBT bool) {
 		cfg := SimConfig{
 			Mode:         Mode(clampInt(mode, 0, 2)),
 			Kind:         engine.FACIL,
@@ -328,6 +357,7 @@ func FuzzSimDifferential(f *testing.F) {
 			Timeout:      timeout,
 			MaxRetries:   clampInt(retries, 0, 4),
 			preemptSteps: clampInt(preempt, 0, 64),
+			NoTBT:        noTBT,
 		}
 		if mtbf > 0 || corrupt > 0 {
 			cfg.Faults = fault.Scenario{

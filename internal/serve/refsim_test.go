@@ -487,7 +487,9 @@ func (sm *refSim) emitTokens(q *query, start float64, steps int, kind engine.Kin
 			return err
 		}
 		t += st * factor
-		sm.tbts = append(sm.tbts, t-q.prevToken)
+		if !sm.cfg.NoTBT {
+			sm.tbts = append(sm.tbts, t-q.prevToken)
+		}
 		q.prevToken = t
 	}
 	q.stepsDone += steps

@@ -1174,8 +1174,14 @@ func (sm *sim) quantumSecondsKind(q *query, steps int, kind engine.Kind, factor 
 // emitTokens replays the token emission times of a finished quantum that
 // started at `start`, recording the inter-token gaps. kind and factor
 // must match the dispatch-time values so the replayed times land exactly
-// on the quantum's end event.
+// on the quantum's end event. Under NoTBT the token times feed only the
+// final quantum's TTLT, and each quantum restarts from its own start, so
+// a non-final quantum only advances the step count.
 func (sm *sim) emitTokens(q *query, start float64, steps int, kind engine.Kind, factor float64) error {
+	if sm.cfg.NoTBT && q.stepsDone+steps < q.decode-1 {
+		q.stepsDone += steps
+		return nil
+	}
 	t := start
 	for i := 0; i < steps; i++ {
 		st, err := sm.sys.DecodeStepSeconds(kind, q.prefill+q.stepsDone+i+1)
