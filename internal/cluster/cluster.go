@@ -1,8 +1,8 @@
 // Package cluster is the fleet layer of the serving stack: a router
 // that owns many heterogeneous device replicas — each an independent
 // host-fed serve.Sim built from its own soc platform and PIM
-// configuration — and dispatches an arrival stream across them through
-// a pluggable balancing strategy.
+// configuration — and dispatches an arrival stream across them under
+// one of four balancing strategies (StrategyKind).
 //
 // The router is the only component that sees the whole fleet. It
 // observes devices exclusively at telemetry barriers (every
@@ -19,7 +19,7 @@
 // Per-device health feeds the same serve.Breaker state machine the
 // in-device PIM-lane breaker uses: barrier-observed query failures
 // strike a device's breaker, an open breaker removes the device from
-// every strategy's candidate set until its cooldown, and the first
+// routing and steal candidates until its cooldown, and the first
 // routed query after the cooldown is the half-open probe.
 package cluster
 

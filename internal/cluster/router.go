@@ -17,7 +17,7 @@ import (
 
 // device is the router's ledger entry for one fleet member: the
 // host-fed sim it drives, the router-side health breaker, and the
-// assignment-time signals the strategies read. inflight is assigned
+// assignment-time signals the router scores. inflight is assigned
 // minus observed-terminal — it leads the device's own counters by up to
 // one barrier, which is exactly the knowledge an assignment-time router
 // has.
@@ -72,40 +72,37 @@ func eligible(cfg *Config, d *device, at float64) bool {
 	return !d.brk.Probing() || d.probes < DefaultProbeQuota
 }
 
-// routeViews holds the DeviceViews the strategy reads between two
-// barriers and refreshes only the ones that can have changed. Between
-// barriers the router mutates one device per arrival — the one assign
-// routes to (ledger, half-open admission, probation count) — and every
-// other view depends on the clock only through its breaker's Blocked,
-// which can only turn false as the clock moves forward. So after a full
-// rebuild at the first arrival past a barrier, each later arrival
-// rebuilds the last assigned view plus the views that were still
-// blocked; the result equals a full rebuild at that arrival.
+// routeViews holds the routing signals the router reads between two
+// barriers — each device's eligibility and strategy score — and
+// refreshes only the ones that can have changed. Between barriers the
+// router mutates one device per arrival — the one assign routes to
+// (ledger, half-open admission, probation count) — and every other
+// device's signals depend on the clock only through its breaker's
+// Blocked, which can only turn false as the clock moves forward. So
+// after a full rebuild at the first arrival past a barrier, each later
+// arrival rebuilds the last assigned device plus the devices that were
+// still blocked; the result equals a full rebuild at that arrival.
 //
-// For a ranker strategy it also keeps a min-tournament tree over the
-// device indices, ordered by (ineligible last, score, index), whose
-// root is the device the strategy's linear Pick would choose: an
-// arrival reads the root and re-fixes only the O(log n) paths of the
-// views it rebuilt.
+// It also keeps a min-tournament tree over the device indices, ordered
+// by (ineligible last, score, index), whose root is the eligible device
+// of least score, lowest index on ties: an arrival reads the root and
+// re-fixes only the O(log n) paths of the devices it rebuilt.
 type routeViews struct {
-	cfg   *Config
-	devs  []*device
-	views []DeviceView
+	cfg      *Config
+	devs     []*device
+	eligible []bool
+	// score holds cfg.Strategy.score of each device.
+	score []float64
 	// blocked lists the devices whose breaker blocked them at the last
 	// refresh, in index order.
 	blocked []int
 	// picked is the device assigned since the last refresh (-1: none).
 	picked int
-	// stale forces the next refresh to rebuild every view; set it
+	// stale forces the next refresh to rebuild every device; set it
 	// whenever devices change outside assign (every barrier).
 	stale bool
-
-	strat Strategy
-	// rank is strat as a ranker, nil for a strategy the tree cannot
-	// serve (round-robin keeps its cursor).
-	rank ranker
-	// score holds rank.score of each view.
-	score []float64
+	// next is the round-robin cursor.
+	next int
 	// tree is the tournament: leaves at len(tree)/2+i (a power of two
 	// past n, padded with -1), node k holding the better of nodes 2k and
 	// 2k+1. Leaves run in index order, so on equal rank the left
@@ -114,32 +111,27 @@ type routeViews struct {
 }
 
 func newRouteViews(cfg *Config, devs []*device) *routeViews {
-	rv := &routeViews{cfg: cfg, devs: devs, views: make([]DeviceView, len(devs)), picked: -1, stale: true,
-		strat: NewStrategy(cfg.Strategy)}
-	if r, ok := rv.strat.(ranker); ok {
-		leaves := 1
-		for leaves < len(devs) {
-			leaves *= 2
-		}
-		rv.rank = r
-		rv.score = make([]float64, len(devs))
-		rv.tree = make([]int32, 2*leaves)
-		for i := range leaves {
-			rv.tree[leaves+i] = -1
-			if i < len(devs) {
-				rv.tree[leaves+i] = int32(i)
-			}
+	leaves := 1
+	for leaves < len(devs) {
+		leaves *= 2
+	}
+	rv := &routeViews{cfg: cfg, devs: devs, eligible: make([]bool, len(devs)),
+		score: make([]float64, len(devs)), picked: -1, stale: true, tree: make([]int32, 2*leaves)}
+	for i := range leaves {
+		rv.tree[leaves+i] = -1
+		if i < len(devs) {
+			rv.tree[leaves+i] = int32(i)
 		}
 	}
 	return rv
 }
 
-// refresh brings every view up to date for an arrival at at (at never
-// decreases between invalidations) and returns them.
-func (rv *routeViews) refresh(at float64) []DeviceView {
+// refresh brings every device's signals and the tree up to date for an
+// arrival at at (at never decreases between invalidations).
+func (rv *routeViews) refresh(at float64) {
 	if rv.stale {
 		rv.blocked = rv.blocked[:0]
-		for i := range rv.views {
+		for i := range rv.devs {
 			if rv.set(i, at) {
 				rv.blocked = append(rv.blocked, i)
 			}
@@ -155,7 +147,7 @@ func (rv *routeViews) refresh(at float64) []DeviceView {
 			rv.set(rv.picked, at)
 			rv.fix(rv.picked)
 		}
-		// A device still blocked keeps its view: it was assigned
+		// A device still blocked keeps its signals: it was assigned
 		// nothing, and its ledger moves only at barriers.
 		still := rv.blocked[:0]
 		for _, i := range rv.blocked {
@@ -168,44 +160,42 @@ func (rv *routeViews) refresh(at float64) []DeviceView {
 		rv.blocked = still
 	}
 	rv.picked = -1
-	return rv.views
 }
 
-// pick refreshes the views for q and returns the strategy's choice:
-// the tree's root behind the ranker's admission gate, or the
-// strategy's own Pick when it is not a ranker. -1 sheds q.
-func (rv *routeViews) pick(q QueryInfo) int {
-	views := rv.refresh(q.Arrival)
-	if rv.rank == nil {
-		return rv.strat.Pick(views, q)
-	}
-	best := rv.tree[1]
-	if !views[best].Eligible || !rv.rank.admit(views[best], q) {
+// pick refreshes the signals for an arrival of class c at at and
+// returns its device: the cursor's next eligible device under
+// round-robin, otherwise the tree's root behind the strategy's
+// admission gate. -1 sheds the arrival.
+func (rv *routeViews) pick(at float64, c Class) int {
+	rv.refresh(at)
+	if rv.cfg.Strategy == RoundRobin {
+		n := len(rv.devs)
+		for off := range n {
+			if i := (rv.next + off) % n; rv.eligible[i] {
+				rv.next = (i + 1) % n
+				return i
+			}
+		}
 		return -1
 	}
-	return int(best)
+	best := int(rv.tree[1])
+	if !rv.eligible[best] || !rv.cfg.Strategy.admits(rv.devs[best].inflight, c) {
+		return -1
+	}
+	return best
 }
 
-// set rebuilds view i at time at and reports whether device i's breaker
-// blocks it then.
+// set rebuilds device i's signals at time at and reports whether its
+// breaker blocks it then.
 func (rv *routeViews) set(i int, at float64) bool {
 	d := rv.devs[i]
-	rv.views[i] = DeviceView{
-		Eligible: eligible(rv.cfg, d, at),
-		InFlight: d.inflight,
-		TTFTEWMA: d.ewma,
-	}
-	if rv.rank != nil {
-		rv.score[i] = rv.rank.score(rv.views[i])
-	}
+	rv.eligible[i] = eligible(rv.cfg, d, at)
+	rv.score[i] = rv.cfg.Strategy.score(d.inflight, d.ewma)
 	return rv.cfg.BreakerThreshold > 0 && d.brk.Blocked(at, rv.cfg.BreakerCooldown)
 }
 
 // fix replays the tournament on the path from leaf i to the root.
 func (rv *routeViews) fix(i int) {
-	if rv.rank == nil {
-		return
-	}
 	for k := (len(rv.tree)/2 + i) / 2; k >= 1; k /= 2 {
 		rv.tree[k] = rv.better(rv.tree[2*k], rv.tree[2*k+1])
 	}
@@ -217,7 +207,7 @@ func (rv *routeViews) better(a, b int32) int32 {
 	if b < 0 {
 		return a
 	}
-	if ea, eb := rv.views[a].Eligible, rv.views[b].Eligible; ea != eb {
+	if ea, eb := rv.eligible[a], rv.eligible[b]; ea != eb {
 		if eb {
 			return b
 		}
@@ -244,6 +234,84 @@ func (rv *routeViews) assign(i int, at float64) {
 	d.inflight++
 	d.routed++
 	rv.picked = i
+}
+
+// reroute is the serial re-route phase after each barrier's collect at
+// at: it steals queued work from breaker-open devices (full evacuation)
+// and from over-threshold healthy devices (down to the threshold, and
+// only while the move strictly improves balance), re-injecting each
+// query on the eligible destination with room of least LeastLoaded
+// score (LatencyWeighted's with LatencySteal), lowest index on ties.
+// Both paths take admission-queued queries first — those move free —
+// then prefilled-but-preempted ones, which pay the KV handoff penalty.
+// It runs serially in device order — all sims are quiescent at the
+// barrier — so the migration flow is part of the deterministic merge,
+// and because the router's ledger is settled right after collect
+// (inflight equals each device's in-system depth), one counter serves
+// both the source condition and the destination choice.
+func reroute(cfg *Config, devs []*device, at float64, m *Metrics) error {
+	if !cfg.Steal {
+		return nil
+	}
+	rank := LeastLoaded
+	if cfg.LatencySteal {
+		rank = LatencyWeighted
+	}
+	for di, d := range devs {
+		open := cfg.BreakerThreshold > 0 && d.brk.Blocked(at, cfg.BreakerCooldown)
+		target := cfg.StealThreshold
+		if open {
+			target = 0
+		} else if cfg.StealThreshold == 0 || d.inflight < cfg.StealThreshold {
+			continue
+		}
+		for d.inflight > target {
+			to, best := -1, 0.0
+			for j, e := range devs {
+				// Never fill a destination up to the steal trigger: that
+				// work would just be stolen again next barrier.
+				// Evacuations are exempt — a breaker-open source cannot
+				// serve at all, so any live destination with queue room
+				// beats leaving the query stranded.
+				if j == di || !eligible(cfg, e, at) || cfg.QueueCap > 0 && e.inflight >= cfg.QueueCap ||
+					!open && cfg.StealThreshold > 0 && e.inflight >= cfg.StealThreshold {
+					continue
+				}
+				if s := rank.score(e.inflight, e.ewma); to < 0 || s < best {
+					to, best = j, s
+				}
+			}
+			if to < 0 || !open && devs[to].inflight+1 >= d.inflight {
+				break
+			}
+			r, ok := d.sim.Retract()
+			if !ok {
+				r, ok = d.sim.RetractPrefilled()
+			}
+			if !ok {
+				break
+			}
+			pen := 0.0
+			if r.Prefilled {
+				pen = DefaultMigrationPenalty
+			}
+			if err := devs[to].sim.InjectResume(at, r, pen); err != nil {
+				return err
+			}
+			d.inflight--
+			devs[to].inflight++
+			if cfg.BreakerThreshold > 0 && devs[to].brk.Probing() {
+				devs[to].probes++
+			}
+			m.Stolen++
+			Live.stolen.Add(1)
+			if r.Prefilled {
+				m.StolenPrefilled++
+				Live.stolenPrefilled.Add(1)
+			}
+		}
+	}
+	return nil
 }
 
 // Run routes cfg.Queries across the fleet under cfg.Strategy and
@@ -371,90 +439,6 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 		}
 	}
 
-	// reroute is the serial re-route phase after each barrier's collect:
-	// it steals queued work from breaker-open devices (full evacuation)
-	// and from over-threshold healthy devices (down to the threshold, and
-	// only while the move strictly improves balance), re-injecting each
-	// query on the device the leastLoaded strategy (or, with
-	// LatencySteal, latencyWeighted) picks from dst, the scratch views in
-	// which only eligible destinations with queue room count. Both paths
-	// take admission-queued queries first — those move free — then
-	// prefilled-but-preempted ones, which pay the KV handoff penalty. It
-	// runs serially in device order — all sims are quiescent at the
-	// barrier — so the migration flow is part of the deterministic
-	// merge, and because the router's ledger is settled right after
-	// collect (inflight equals each device's in-system depth), one
-	// counter serves both the source condition and the destination
-	// choice.
-	pick := leastLoaded{}.Pick
-	if cfg.LatencySteal {
-		pick = latencyWeighted{}.Pick
-	}
-	dst := make([]DeviceView, n)
-	reroute := func(at float64) error {
-		if !cfg.Steal {
-			return nil
-		}
-		for di, d := range devs {
-			open := cfg.BreakerThreshold > 0 && d.brk.Blocked(at, cfg.BreakerCooldown)
-			target := cfg.StealThreshold
-			if open {
-				target = 0
-			} else if cfg.StealThreshold == 0 || d.inflight < cfg.StealThreshold {
-				continue
-			}
-			for d.inflight > target {
-				for j, e := range devs {
-					// Never fill a destination up to the steal trigger:
-					// that work would just be stolen again next barrier.
-					// Evacuations are exempt — a breaker-open source
-					// cannot serve at all, so any live destination with
-					// queue room beats leaving the query stranded.
-					dst[j] = DeviceView{
-						Eligible: j != di && eligible(&cfg, e, at) &&
-							(cfg.QueueCap <= 0 || e.inflight < cfg.QueueCap) &&
-							(open || cfg.StealThreshold <= 0 || e.inflight < cfg.StealThreshold),
-						InFlight: e.inflight,
-						TTFTEWMA: e.ewma,
-					}
-				}
-				to := pick(dst, QueryInfo{})
-				if to < 0 {
-					break
-				}
-				if !open && devs[to].inflight+1 >= d.inflight {
-					break
-				}
-				r, ok := d.sim.Retract()
-				if !ok {
-					r, ok = d.sim.RetractPrefilled()
-				}
-				if !ok {
-					break
-				}
-				pen := 0.0
-				if r.Prefilled {
-					pen = DefaultMigrationPenalty
-				}
-				if err := devs[to].sim.InjectResume(at, r, pen); err != nil {
-					return err
-				}
-				d.inflight--
-				devs[to].inflight++
-				if cfg.BreakerThreshold > 0 && devs[to].brk.Probing() {
-					devs[to].probes++
-				}
-				m.Stolen++
-				Live.stolen.Add(1)
-				if r.Prefilled {
-					m.StolenPrefilled++
-					Live.stolenPrefilled.Add(1)
-				}
-			}
-		}
-		return nil
-	}
-
 	// barrier crosses the next telemetry barrier: advance every device
 	// to it, settle the ledger, run the re-route phase, and schedule the
 	// one after.
@@ -467,7 +451,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			return err
 		}
 		collect(nextB)
-		if err := reroute(nextB); err != nil {
+		if err := reroute(&cfg, devs, nextB, &m); err != nil {
 			return err
 		}
 		m.Barriers++
@@ -495,23 +479,15 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 				return Metrics{}, err
 			}
 		}
-		q := QueryInfo{
-			ID: qi, Arrival: clock,
-			Prefill: ds.Queries[qi].Prefill, Decode: ds.Queries[qi].Decode,
-			Class: class,
-		}
-		pick := rv.pick(q)
+		pick := rv.pick(clock, class)
 		if pick < 0 {
 			m.Shed++
 			m.ShedByClass[class]++
 			Live.shed.Add(1)
 			continue
 		}
-		if pick >= n || !rv.views[pick].Eligible {
-			return Metrics{}, fmt.Errorf("cluster: strategy %s picked invalid device %d", cfg.Strategy, pick)
-		}
 		rv.assign(pick, clock)
-		if err := devs[pick].sim.Inject(clock, q.Prefill, q.Decode); err != nil {
+		if err := devs[pick].sim.Inject(clock, ds.Queries[qi].Prefill, ds.Queries[qi].Decode); err != nil {
 			return Metrics{}, err
 		}
 		m.Routed++

@@ -87,163 +87,34 @@ func Strategies() []StrategyKind {
 	return []StrategyKind{RoundRobin, LeastLoaded, LatencyWeighted, SLOTiered}
 }
 
-// DeviceView is the router's frozen per-device signal set offered to a
-// strategy: ledger state updated at arrival granularity plus telemetry
-// refreshed at the last barrier. Strategies read views; only the router
-// writes them.
-type DeviceView struct {
-	// Eligible is false while the device's health breaker blocks it;
-	// no strategy may pick an ineligible device.
-	Eligible bool
-	// InFlight is the router's ledger count of queries assigned to the
-	// device and not yet observed terminal — assignment-time knowledge,
-	// ahead of the device's own barrier-frozen counters.
-	InFlight int
-	// TTFTEWMA is the exponentially-weighted moving average of the
-	// device's observed TTFT samples (0 until the first observation).
-	TTFTEWMA float64
-}
-
-// QueryInfo describes one arrival being routed.
-type QueryInfo struct {
-	// ID is the cluster-wide arrival index.
-	ID int
-	// Arrival is the arrival time on the cluster clock.
-	Arrival float64
-	// Prefill and Decode are the token lengths.
-	Prefill, Decode int
-	// Class is the priority tier.
-	Class Class
-}
-
-// Strategy picks the device for each arrival. Implementations must be
-// deterministic functions of (their own state, views, q): the router
-// calls Pick serially in arrival order, so any internal state (e.g. the
-// round-robin cursor) evolves deterministically too. For the built-in
-// strategies other than round-robin the router reads the same choice
-// from a tournament tree instead of calling Pick (DESIGN.md §13).
-type Strategy interface {
-	// Pick returns the index of the chosen device, or -1 to shed the
-	// arrival. Picking an ineligible device is a contract violation.
-	Pick(views []DeviceView, q QueryInfo) int
-}
-
-// NewStrategy builds a fresh strategy instance (cursor state zeroed)
-// for one run.
-func NewStrategy(k StrategyKind) Strategy {
-	switch k {
-	case LeastLoaded:
-		return leastLoaded{}
-	case LatencyWeighted:
-		return latencyWeighted{}
-	case SLOTiered:
-		return sloTiered{}
-	default:
-		return &roundRobin{}
+// score ranks a device with inflight queries in the router's ledger and
+// a TTFT EWMA of ewma: LatencyWeighted's expected-wait proxy
+// ewma × (inflight+1), where an unobserved device scores 0 and wins
+// first, or the in-flight count for the others. The router picks the
+// eligible device of least score, lowest index on ties, for arrivals
+// (round-robin aside) and, under LeastLoaded's or LatencyWeighted's
+// score, for steal destinations.
+func (k StrategyKind) score(inflight int, ewma float64) float64 {
+	if k == LatencyWeighted {
+		return ewma * float64(inflight+1)
 	}
+	return float64(inflight)
 }
 
-// roundRobin cycles a cursor over eligible devices.
-type roundRobin struct {
-	next int
-}
-
-// Pick returns the next eligible device at or after the cursor.
-func (r *roundRobin) Pick(views []DeviceView, _ QueryInfo) int {
-	n := len(views)
-	for off := 0; off < n; off++ {
-		i := (r.next + off) % n
-		if views[i].Eligible {
-			r.next = (i + 1) % n
-			return i
-		}
+// admits reports whether an arrival of class c may be routed to the
+// picked device at ledger depth depth. SLOTiered applies the class's
+// shed threshold to the least-loaded eligible device, so a single hot
+// device cannot shed traffic the rest of the fleet could take; every
+// other strategy admits all.
+func (k StrategyKind) admits(depth int, c Class) bool {
+	if k != SLOTiered {
+		return true
 	}
-	return -1
-}
-
-// leastLoaded picks the shallowest eligible device.
-type leastLoaded struct{}
-
-// Pick returns the eligible device with minimum in-flight count
-// (lowest index on ties), or -1 when none is eligible.
-func (leastLoaded) Pick(views []DeviceView, _ QueryInfo) int {
-	best, depth := -1, 0
-	for i := range views {
-		if !views[i].Eligible {
-			continue
-		}
-		if best < 0 || views[i].InFlight < depth {
-			best, depth = i, views[i].InFlight
-		}
-	}
-	return best
-}
-
-// latencyWeighted minimizes an expected-wait proxy.
-type latencyWeighted struct{}
-
-// Pick returns the eligible device minimizing TTFTEWMA × (InFlight+1),
-// lowest index on ties; unobserved devices score 0 and win first.
-func (latencyWeighted) Pick(views []DeviceView, _ QueryInfo) int {
-	best := -1
-	var score float64
-	for i := range views {
-		if !views[i].Eligible {
-			continue
-		}
-		s := views[i].TTFTEWMA * float64(views[i].InFlight+1)
-		if best < 0 || s < score {
-			best, score = i, s
-		}
-	}
-	return best
-}
-
-// sloTiered is least-loaded routing behind classful admission gates
-// (DefaultShedStandard, DefaultShedBatch).
-type sloTiered struct{}
-
-// Pick admits the arrival against its class's depth threshold — judged
-// on the least-loaded eligible device, so a single hot device cannot
-// shed traffic the rest of the fleet could take — then routes
-// least-loaded.
-func (s sloTiered) Pick(views []DeviceView, q QueryInfo) int {
-	best := leastLoaded{}.Pick(views, q)
-	if best < 0 || !s.admit(views[best], q) {
-		return -1
-	}
-	return best
-}
-
-// ranker is a strategy whose Pick is the eligible device of least
-// score, lowest index on ties, followed by an admission gate on that
-// device. The router keeps such devices in a tournament tree (see
-// routeViews) and reads its root instead of calling Pick.
-type ranker interface {
-	score(v DeviceView) float64
-	admit(best DeviceView, q QueryInfo) bool
-}
-
-func (leastLoaded) score(v DeviceView) float64 { return float64(v.InFlight) }
-
-func (leastLoaded) admit(DeviceView, QueryInfo) bool { return true }
-
-func (latencyWeighted) score(v DeviceView) float64 {
-	return v.TTFTEWMA * float64(v.InFlight+1)
-}
-
-func (latencyWeighted) admit(DeviceView, QueryInfo) bool { return true }
-
-func (sloTiered) score(v DeviceView) float64 { return float64(v.InFlight) }
-
-// admit applies the class's shed threshold to the least-loaded
-// eligible device's depth.
-func (sloTiered) admit(best DeviceView, q QueryInfo) bool {
-	switch q.Class {
+	switch c {
 	case Standard:
-		return best.InFlight < DefaultShedStandard
+		return depth < DefaultShedStandard
 	case Batch:
-		return best.InFlight < DefaultShedBatch
+		return depth < DefaultShedBatch
 	}
 	return true
 }

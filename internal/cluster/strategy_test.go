@@ -1,112 +1,104 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 )
 
-// v builds a DeviceView row for the scripted strategy tests.
-func v(eligible bool, inflight int, ewma float64) DeviceView {
-	return DeviceView{Eligible: eligible, InFlight: inflight, TTFTEWMA: ewma}
+// scripted builds the router's signals over devices at the given ledger
+// depths and TTFT EWMAs (nil: all zero) under strategy k; the devices
+// listed in blocked have a health breaker open for the whole test.
+func scripted(k StrategyKind, depth []int, ewma []float64, blocked ...int) *routeViews {
+	cfg := &Config{Strategy: k, BreakerThreshold: 1, BreakerCooldown: 1e9}
+	devs := make([]*device, len(depth))
+	for i := range devs {
+		devs[i] = &device{inflight: depth[i]}
+		if ewma != nil {
+			devs[i].ewma = ewma[i]
+		}
+	}
+	for _, i := range blocked {
+		devs[i].brk.Failure(0, cfg.BreakerThreshold)
+	}
+	return newRouteViews(cfg, devs)
 }
 
-// picks feeds one scripted view set to a strategy repeatedly and
-// records the pick sequence, mutating the views' in-flight counts the
-// way the router's ledger would.
-func picks(s Strategy, views []DeviceView, qs []QueryInfo) []int {
-	out := make([]int, len(qs))
-	for i, q := range qs {
-		p := s.Pick(views, q)
-		out[i] = p
-		if p >= 0 {
-			views[p].InFlight++
+// picks routes one arrival per class in order, booking each pick on the
+// router's ledger as Run does, and records the pick sequence.
+func picks(rv *routeViews, classes ...Class) []int {
+	out := make([]int, len(classes))
+	for i, c := range classes {
+		out[i] = rv.pick(0, c)
+		if out[i] >= 0 {
+			rv.assign(out[i], 0)
 		}
 	}
 	return out
 }
 
-func eq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestRoundRobinOrder(t *testing.T) {
-	s := NewStrategy(RoundRobin)
-	views := []DeviceView{v(true, 0, 0), v(false, 0, 0), v(true, 0, 0)}
-	qs := make([]QueryInfo, 5)
 	// Ineligible device 1 is skipped; the cursor wraps past it.
-	if got := picks(s, views, qs); !eq(got, []int{0, 2, 0, 2, 0}) {
+	rv := scripted(RoundRobin, []int{0, 0, 0}, nil, 1)
+	if got := picks(rv, make([]Class, 5)...); !slices.Equal(got, []int{0, 2, 0, 2, 0}) {
 		t.Errorf("round-robin picks %v", got)
 	}
 	// All devices blocked: shed.
-	none := []DeviceView{v(false, 0, 0), v(false, 0, 0)}
-	if p := s.Pick(none, QueryInfo{}); p != -1 {
+	if p := scripted(RoundRobin, []int{0, 0}, nil, 0, 1).pick(0, Interactive); p != -1 {
 		t.Errorf("round-robin picked %d from an empty candidate set", p)
 	}
 }
 
 func TestLeastLoadedOrder(t *testing.T) {
-	s := NewStrategy(LeastLoaded)
-	views := []DeviceView{v(true, 2, 0), v(true, 0, 0), v(true, 1, 0)}
 	// Fills the shallowest first, then lowest index on depth ties.
-	if got := picks(s, views, make([]QueryInfo, 4)); !eq(got, []int{1, 1, 2, 0}) {
+	rv := scripted(LeastLoaded, []int{2, 0, 1}, nil)
+	if got := picks(rv, make([]Class, 4)...); !slices.Equal(got, []int{1, 1, 2, 0}) {
 		t.Errorf("least-loaded picks %v", got)
 	}
 	// An ineligible device never wins, however shallow.
-	views = []DeviceView{v(false, 0, 0), v(true, 9, 0)}
-	if p := s.Pick(views, QueryInfo{}); p != 1 {
+	if p := scripted(LeastLoaded, []int{0, 9}, nil, 0).pick(0, Interactive); p != 1 {
 		t.Errorf("least-loaded picked %d past an ineligible device", p)
 	}
 }
 
 func TestLatencyWeightedOrder(t *testing.T) {
-	s := NewStrategy(LatencyWeighted)
 	// Unobserved device 2 scores zero and is probed before the fast one.
-	views := []DeviceView{v(true, 0, 0.9), v(true, 0, 0.1), v(true, 0, 0)}
-	if p := s.Pick(views, QueryInfo{}); p != 2 {
+	rv := scripted(LatencyWeighted, []int{0, 0, 0}, []float64{0.9, 0.1, 0})
+	if p := rv.pick(0, Interactive); p != 2 {
 		t.Errorf("latency-weighted skipped the unobserved device: picked %d", p)
 	}
 	// With all devices observed, expected wait EWMA*(inflight+1) rules:
 	// the fast device absorbs load until its queue outweighs its speed.
-	views = []DeviceView{v(true, 0, 0.9), v(true, 0, 0.1), v(true, 0, 0.4)}
-	got := picks(s, views, make([]QueryInfo, 5))
+	rv = scripted(LatencyWeighted, []int{0, 0, 0}, []float64{0.9, 0.1, 0.4})
 	// Scores start 0.9/0.1/0.4: device 1 wins until 0.1*(n+1) exceeds
 	// 0.4 (the 0.4-vs-0.4 tie stays on the lower index).
-	if !eq(got, []int{1, 1, 1, 1, 2}) {
+	if got := picks(rv, make([]Class, 5)...); !slices.Equal(got, []int{1, 1, 1, 1, 2}) {
 		t.Errorf("latency-weighted picks %v", got)
 	}
 }
 
 func TestSLOTieredAdmission(t *testing.T) {
-	s := NewStrategy(SLOTiered)
-	views := []DeviceView{v(true, 3, 0), v(true, 2, 0)}
+	rv := scripted(SLOTiered, []int{3, 2}, nil)
 	// Least-loaded depth is 2: Batch is at DefaultShedBatch and sheds,
 	// Standard and Interactive are admitted.
-	if p := s.Pick(views, QueryInfo{Class: Batch}); p != -1 {
+	if p := rv.pick(0, Batch); p != -1 {
 		t.Errorf("batch admitted at depth 2 with threshold 2: device %d", p)
 	}
-	if p := s.Pick(views, QueryInfo{Class: Standard}); p != 1 {
+	if p := rv.pick(0, Standard); p != 1 {
 		t.Errorf("standard routed to %d, want least-loaded 1", p)
 	}
 	// Standard sheds exactly at DefaultShedStandard.
-	if p := s.Pick([]DeviceView{v(true, 5, 0)}, QueryInfo{Class: Standard}); p != 0 {
+	if p := scripted(SLOTiered, []int{5}, nil).pick(0, Standard); p != 0 {
 		t.Errorf("standard shed at depth 5 with threshold 6: pick %d", p)
 	}
-	if p := s.Pick([]DeviceView{v(true, 6, 0)}, QueryInfo{Class: Standard}); p != -1 {
+	if p := scripted(SLOTiered, []int{6}, nil).pick(0, Standard); p != -1 {
 		t.Errorf("standard admitted at depth 6 with threshold 6: device %d", p)
 	}
 	// Interactive is admitted at any depth while a device is eligible.
-	deep := []DeviceView{v(true, 100, 0)}
-	if p := s.Pick(deep, QueryInfo{Class: Interactive}); p != 0 {
+	deep := scripted(SLOTiered, []int{100}, nil)
+	if p := deep.pick(0, Interactive); p != 0 {
 		t.Errorf("interactive shed at depth 100: pick %d", p)
 	}
-	if p := s.Pick(deep, QueryInfo{Class: Standard}); p != -1 {
+	if p := deep.pick(0, Standard); p != -1 {
 		t.Errorf("standard admitted at depth 100 with threshold 6: device %d", p)
 	}
 }

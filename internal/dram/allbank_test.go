@@ -133,7 +133,7 @@ func checkAllBankPasses(t testing.TB, tc allBankCase) (fast bool) {
 					t.Fatal(err)
 				}
 			}
-			c.Drain()
+			drained(t, c)
 			if tc.prefix == 2 {
 				for rk := range c.ranks {
 					if _, err := c.AllBankPRE(rk); err != nil {
@@ -176,7 +176,7 @@ func checkAllBankPasses(t testing.TB, tc allBankCase) (fast bool) {
 			t.Fatal(err)
 		}
 	}
-	if g, w := got.Drain(), want.Drain(); g != w {
+	if g, w := drained(t, got), drained(t, want); g != w {
 		t.Fatalf("%v: follow-on drain ends at %d, loop at %d", tc, g, w)
 	}
 	if g, w := got.Stats(), want.Stats(); g != w {
@@ -284,7 +284,7 @@ func TestGlobalBufferTransfersMatchLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			c.Drain()
+			drained(t, c)
 		}
 		for step := 0; step < 6; step++ {
 			n, rk := rng.Intn(80)-5, rng.Intn(tc.spec.Geometry.RanksPerChannel)

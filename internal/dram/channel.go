@@ -553,12 +553,14 @@ func (cand *candidate) better(e int64, pos uint64) bool {
 }
 
 // Drain runs the scheduler until the queue is empty and returns the cycle
-// at which the last request's data burst completed.
-func (c *Channel) Drain() int64 {
-	for c.count > 0 {
-		c.step()
+// at which the last request's data burst completed. It runs under
+// DrainUpTo's step budget, so a livelocked scheduler fails the drain
+// instead of spinning.
+func (c *Channel) Drain() (int64, error) {
+	if err := c.DrainUpTo(0); err != nil {
+		return 0, err
 	}
-	return c.stats.LastDone
+	return c.stats.LastDone, nil
 }
 
 // DrainUpTo runs until at most n requests remain (used by streaming

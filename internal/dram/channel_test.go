@@ -8,6 +8,17 @@ import (
 // smallSpec returns a compact spec for fast unit tests. The arguments
 // are known-good, so the constructor error is impossible; a regression
 // there fails the first test that validates the zero spec.
+// drained drains d, failing the test when the drain exceeds its
+// livelock step budget, and returns the last completion cycle.
+func drained(tb testing.TB, d interface{ Drain() (int64, error) }) int64 {
+	tb.Helper()
+	done, err := d.Drain()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return done
+}
+
 func smallSpec() Spec {
 	s, _ := LPDDR5("test LPDDR5 1ch", 16, 6400, 2, 256*1<<20) // 1 channel, 256 MiB
 	return s
@@ -32,7 +43,7 @@ func TestSequentialReadsSaturateBus(t *testing.T) {
 			n++
 		}
 	}
-	done := ctl.Drain()
+	done := drained(t, ctl)
 	// Lower bound: n bursts need >= n cycles plus one tRCD pipeline fill.
 	if done < int64(n) {
 		t.Fatalf("completed in %d cycles for %d bursts: too fast", done, n)
@@ -55,7 +66,7 @@ func TestRowConflictsSlowDown(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return ctl.Drain()
+		return drained(t, ctl)
 	}
 	sameRow := mk(0)
 	conflict := mk(1) // every access a new row in the same bank
@@ -73,7 +84,7 @@ func TestRowHitClassification(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctl.Drain()
+	drained(t, ctl)
 	s := ctl.Stats()
 	if s.RowMisses != 1 {
 		t.Errorf("RowMisses = %d, want 1 (first access opens the row)", s.RowMisses)
@@ -104,7 +115,7 @@ func TestWriteReadTurnaroundPenalty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return ctl.Drain()
+		return drained(t, ctl)
 	}
 	readsOnly := run(false)
 	alternating := run(true)
@@ -132,7 +143,7 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ch.Drain()
+	drained(t, ch)
 	if !(reqs[2].Done < reqs[1].Done && reqs[3].Done < reqs[1].Done) {
 		t.Errorf("row hits not prioritized: done cycles = %d,%d,%d,%d",
 			reqs[0].Done, reqs[1].Done, reqs[2].Done, reqs[3].Done)
@@ -159,7 +170,7 @@ func TestRefreshOverheadVisible(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return ctl.Drain()
+		return drained(t, ctl)
 	}
 	without := run(false)
 	with := run(true)
@@ -176,7 +187,7 @@ func TestArrivalTimesRespected(t *testing.T) {
 	if err := ctl.Enqueue(late); err != nil {
 		t.Fatal(err)
 	}
-	ctl.Drain()
+	drained(t, ctl)
 	if late.Done < 10_000 {
 		t.Errorf("request completed at %d before its arrival 10000", late.Done)
 	}
@@ -225,7 +236,7 @@ func TestRandomTrafficCompletesAndCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	done := ctl.Drain()
+	done := drained(t, ctl)
 	s := ctl.Stats()
 	if s.Reads != wantReads || s.Writes != wantWrites {
 		t.Errorf("reads/writes = %d/%d, want %d/%d", s.Reads, s.Writes, wantReads, wantWrites)
@@ -291,7 +302,7 @@ func TestCloseRowPolicyHelpsRandomTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return ctl.Drain()
+		return drained(t, ctl)
 	}
 	// Random traffic: close-row hides precharge latency.
 	openRandom := run(OpenRow, true)

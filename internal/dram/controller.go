@@ -53,17 +53,21 @@ func (ctl *Controller) EnqueueValue(r Request) error {
 }
 
 // Drain runs every channel until its queue is empty and returns the cycle
-// at which the last request in the whole system completed. Channels drain
-// one after another, as MeasureStream's final drains do: it drains each
-// channel in-line as it enqueues, so the final drains of a paper run hold
-// only 0.77% of its replayed requests, too little work to gain from
-// concurrent drains.
-func (ctl *Controller) Drain() int64 {
+// at which the last request in the whole system completed, or the first
+// channel's livelock error. Channels drain one after another; MeasureStream
+// ends with this drain, but it drains each channel in-line as it enqueues,
+// so the final drains of a paper run hold only 0.77% of its replayed
+// requests, too little work to gain from concurrent drains.
+func (ctl *Controller) Drain() (int64, error) {
 	var last int64
 	for _, c := range ctl.channels {
-		last = max(last, c.Drain())
+		done, err := c.Drain()
+		if err != nil {
+			return 0, err
+		}
+		last = max(last, done)
 	}
-	return last
+	return last, nil
 }
 
 // Stats merges the per-channel snapshots into one system-level snapshot

@@ -269,7 +269,7 @@ func TestSetWindowPanicsWhenQueued(t *testing.T) {
 		}()
 		c.SetWindow(8)
 	}()
-	c.Drain()
+	drained(t, c)
 	c.SetWindow(8)
 }
 

@@ -50,7 +50,7 @@ func TestDataBusExclusive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctl.Drain()
+	drained(t, ctl)
 	slots := map[int]map[int64]bool{}
 	for _, r := range reqs {
 		if r.Done <= 0 {
@@ -87,7 +87,7 @@ func TestCompletionAfterArrival(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctl.Drain()
+	drained(t, ctl)
 	for _, r := range reqs {
 		min := r.Arrival + int64(spec.Timing.CWL) + int64(spec.Timing.TCCD)
 		if !r.Write {
@@ -118,7 +118,7 @@ func TestStatsConservation(t *testing.T) {
 				return false
 			}
 		}
-		ctl.Drain()
+		drained(t, ctl)
 		s := ctl.Stats()
 		return s.Reads+s.Writes == int64(n) && s.RowHits+s.RowMisses == int64(n)
 	}
@@ -167,7 +167,7 @@ func TestDualRowBufferIsolation(t *testing.T) {
 	if err := ch.Enqueue(r1); err != nil {
 		t.Fatal(err)
 	}
-	ch.Drain()
+	drained(t, ch)
 
 	ch.SetDualRowBuffer(true)
 	if _, err := ch.AllBankACT(0, 99); err != nil {
@@ -182,7 +182,7 @@ func TestDualRowBufferIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ch.Stats().RowHits
-	ch.Drain()
+	drained(t, ch)
 	if got := ch.Stats().RowHits; got != before+1 {
 		t.Errorf("SoC row evicted by dual-buffer PIM activity (hits %d -> %d)", before, got)
 	}
@@ -201,7 +201,7 @@ func TestSingleRowBufferConflict(t *testing.T) {
 	if err := ch.Enqueue(&Request{Addr: Addr{Bank: 3, Row: 7}}); err != nil {
 		t.Fatal(err)
 	}
-	ch.Drain()
+	drained(t, ch)
 	if _, err := ch.AllBankACT(0, 99); err == nil {
 		t.Fatal("all-bank ACT succeeded over an open SoC row")
 	}

@@ -41,7 +41,7 @@ func BenchmarkChannelDrain(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ch.Drain()
+	drained(b, ch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,7 +50,7 @@ func BenchmarkChannelDrain(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		ch.Drain()
+		drained(b, ch)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(reqs)), "ns/req")
@@ -111,7 +111,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ch.Drain()
+		drained(t, ch)
 	}
 	warm()
 	if avg := testing.AllocsPerRun(10, warm); avg != 0 {
@@ -147,7 +147,7 @@ func TestOptimizedSchedulerSpeedup(t *testing.T) {
 		for j := range reqs {
 			opt.EnqueueValue(reqs[j])
 		}
-		opt.Drain()
+		drained(t, opt)
 	}
 	runRef := func() {
 		for j := range reqs {

@@ -79,12 +79,9 @@ func MeasureStream(spec Spec, src RequestSource, window int) (StreamResult, erro
 			}
 		}
 	}
-	var done int64
-	for _, ch := range ctl.channels {
-		if err := ch.DrainUpTo(0); err != nil {
-			return StreamResult{}, err
-		}
-		done = max(done, ch.stats.LastDone)
+	done, err := ctl.Drain()
+	if err != nil {
+		return StreamResult{}, err
 	}
 	stats := ctl.Stats()
 	Global.record(ctl, stats, done)

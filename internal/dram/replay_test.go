@@ -47,7 +47,7 @@ func TestReplayBoundMatchesFullQueue(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					if cycles := ctl.Drain(); res.Cycles != cycles {
+					if cycles := drained(t, ctl); res.Cycles != cycles {
 						t.Fatalf("cycles: replay %d, full queue %d", res.Cycles, cycles)
 					}
 					if stats := ctl.Stats(); res.Stats != stats {

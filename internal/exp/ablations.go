@@ -327,7 +327,10 @@ func rowPolicyBandwidth(policy dram.RowPolicy, random bool) (float64, error) {
 			return 0, err
 		}
 	}
-	cycles := ctl.Drain()
+	cycles, err := ctl.Drain()
+	if err != nil {
+		return 0, err
+	}
 	bytes := float64(n * g.TransferBytes)
 	return bytes / spec.Timing.Seconds(cycles) / 1e9, nil
 }

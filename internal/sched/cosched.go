@@ -177,7 +177,9 @@ func isolatedSoCLatency(spec dram.Spec, w Workload) (mean float64, err error) {
 			return 0, err
 		}
 	}
-	ch.Drain()
+	if _, err := ch.Drain(); err != nil {
+		return 0, err
+	}
 	lat := make([]float64, len(reqs))
 	for i := range reqs {
 		lat[i] = float64(reqs[i].Done - reqs[i].Arrival)
@@ -243,7 +245,9 @@ func Cosimulate(spec dram.Spec, w Workload, policy Policy) (Result, error) {
 		pimDone = ch.Now()
 	}
 	// Finish remaining SoC traffic.
-	ch.Drain()
+	if _, err := ch.Drain(); err != nil {
+		return Result{}, err
+	}
 
 	res := Result{
 		Policy:      policy,

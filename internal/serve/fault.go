@@ -253,27 +253,9 @@ func (sm *sim) dispatchSoCDecode(ri int) error {
 			sm.abort(q)
 			continue
 		}
-		steps := q.decode - 1 - q.stepsDone
-		if steps > sm.cfg.preemptSteps {
-			steps = sm.cfg.preemptSteps
-		}
-		factor := sm.factorAt(sm.now)
-		dur, err := sm.quantumSecondsKind(q, steps, engine.SoCOnly, factor)
-		if err != nil {
+		if err := sm.startQuantum(qi, ri, traceLaneSoC, sm.now); err != nil {
 			return err
 		}
-		penalty := q.penalty
-		q.penalty = 0
-		r.socBusy = true
-		sm.busySoC++
-		sm.socBusySecs += penalty + dur
-		if penalty > 0 {
-			sm.traceSpan(ri, traceLaneSoC, "fault-recovery", q, sm.now, penalty)
-		}
-		sm.push(event{
-			at: sm.now + penalty + dur, kind: evQuantumDone, q: qi, rep: int32(ri),
-			steps: int32(steps), dur: dur, factor: factor, soc: true,
-		})
 	}
 	return nil
 }

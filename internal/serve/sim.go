@@ -1219,39 +1219,57 @@ func (sm *sim) dispatchDecode(ri int) error {
 			}
 			continue
 		}
-		steps := q.decode - 1 - q.stepsDone
-		if steps > sm.cfg.preemptSteps {
-			steps = sm.cfg.preemptSteps
-		}
 		// A relayout window may still hold the lane: the quantum is
 		// reserved now and starts when the weights are back.
-		start := sm.now
-		if r.pimFreeAt > start {
-			start = r.pimFreeAt
-		}
-		factor := sm.factorAt(start)
-		dur, err := sm.quantumSecondsKind(q, steps, sm.cfg.Kind, factor)
-		if err != nil {
+		if err := sm.startQuantum(qi, ri, traceLanePIM, max(sm.now, r.pimFreeAt)); err != nil {
 			return err
 		}
-		// A one-shot penalty (failover migration, PTE repair) delays the
-		// quantum without emitting tokens.
-		penalty := q.penalty
-		q.penalty = 0
-		r.pimBusy = true
-		sm.busyPIM++
-		sm.pimBusySecs += penalty + dur
-		if penalty > 0 {
-			sm.traceSpan(ri, traceLanePIM, "fault-recovery", q, start, penalty)
-		}
-		sm.push(event{
-			at: start + penalty + dur, kind: evQuantumDone, q: qi, rep: int32(ri),
-			steps: int32(steps), dur: dur, factor: factor,
-		})
 	}
 	if sm.flt != nil && sm.cfg.Policy != PolicyNone {
 		return sm.dispatchSoCDecode(ri)
 	}
+	return nil
+}
+
+// startQuantum starts query qi's next decode quantum (at most
+// preemptSteps steps) on replica ri's lane at start: on the PIM lane
+// at the configured design's latency, or on the SoC lane
+// (traceLaneSoC) at engine.SoCOnly latency for a degraded query. It
+// marks the lane busy and queues the quantum's evQuantumDone, which
+// carries the dispatch-time duration and thermal factor.
+func (sm *sim) startQuantum(qi int32, ri int, lane int64, start float64) error {
+	r, q := &sm.reps[ri], &sm.qs[qi]
+	soc := lane == traceLaneSoC
+	kind := sm.cfg.Kind
+	if soc {
+		kind = engine.SoCOnly
+	}
+	steps := min(q.decode-1-q.stepsDone, sm.cfg.preemptSteps)
+	factor := sm.factorAt(start)
+	dur, err := sm.quantumSecondsKind(q, steps, kind, factor)
+	if err != nil {
+		return err
+	}
+	// A one-shot penalty (failover migration, PTE repair, cross-device
+	// handoff) delays the quantum without emitting tokens.
+	penalty := q.penalty
+	q.penalty = 0
+	if soc {
+		r.socBusy = true
+		sm.busySoC++
+		sm.socBusySecs += penalty + dur
+	} else {
+		r.pimBusy = true
+		sm.busyPIM++
+		sm.pimBusySecs += penalty + dur
+	}
+	if penalty > 0 {
+		sm.traceSpan(ri, lane, "fault-recovery", q, start, penalty)
+	}
+	sm.push(event{
+		at: start + penalty + dur, kind: evQuantumDone, q: qi, rep: int32(ri),
+		steps: int32(steps), dur: dur, factor: factor, soc: soc,
+	})
 	return nil
 }
 
