@@ -61,7 +61,7 @@ func NewArena(platform string) (*Arena, error) {
 	}
 	mem := mapping.MemoryConfig{Geometry: p.Spec.Geometry, HugePageBytes: vm.HugePageBytes}
 	chunk := mapping.AiMChunk(p.Spec.Geometry)
-	space, err := vm.NewAddressSpace(mem, chunk, 1)
+	space, err := vm.NewAddressSpace(mem, chunk)
 	if err != nil {
 		return nil, err
 	}

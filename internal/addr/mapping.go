@@ -89,6 +89,14 @@ type segPlan struct {
 	mask       uint64
 }
 
+// Translator is a PA-to-DA mapping seen through its translation and
+// inverse: what a request stream, a replay or a bijection check needs
+// of it. Mapping and HashedMapping satisfy it.
+type Translator interface {
+	Translate(pa uint64) (dram.Addr, int)
+	Inverse(a dram.Addr, offset int) uint64
+}
+
 // Mapping is a complete, validated PA-to-DA bit assignment for a geometry.
 type Mapping struct {
 	geom dram.Geometry

@@ -287,7 +287,8 @@ func TestRerouteDestination(t *testing.T) {
 			if err := src.sim.AdvanceTo(at); err != nil {
 				t.Fatal(err)
 			}
-			src.inflight = src.sim.Probe().InSystem
+			m0 := src.sim.Counters()
+			src.inflight = m0.Admitted - m0.Completed - m0.TimedOut - m0.Failed - m0.Retracted
 			devs[1].inflight, devs[1].ewma = 1, 0.9
 			devs[2].inflight, devs[2].ewma = 2, 0.1
 			devs[3].inflight = min(c.threshold, c.queueCap)
@@ -313,14 +314,14 @@ func TestRerouteDestination(t *testing.T) {
 				if i == want {
 					arrived = 1
 				}
-				if d.inflight != depth[i] || i > 0 && d.sim.Probe().Arrived != arrived {
+				if got := d.sim.Counters().Arrived; d.inflight != depth[i] || i > 0 && got != arrived {
 					t.Errorf("%s, latency %v: device %d holds %d in the ledger and %d moved arrivals, want %d and %d",
-						c.name, latency, i, d.inflight, d.sim.Probe().Arrived, depth[i], arrived)
+						c.name, latency, i, d.inflight, got, depth[i], arrived)
 				}
 			}
-			if m.Stolen != 1 || src.sim.Probe().Retracted != 1 {
+			if got := src.sim.Counters().Retracted; m.Stolen != 1 || got != 1 {
 				t.Errorf("%s, latency %v: stole %d, source retracted %d, want 1 and 1",
-					c.name, latency, m.Stolen, src.sim.Probe().Retracted)
+					c.name, latency, m.Stolen, got)
 			}
 		}
 	}

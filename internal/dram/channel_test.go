@@ -37,7 +37,7 @@ func TestSequentialReadsSaturateBus(t *testing.T) {
 	for bank := 0; bank < 4; bank++ {
 		for col := 0; col < 64; col++ {
 			req := &Request{Addr: Addr{Bank: bank, Row: 0, Column: col}}
-			if err := ctl.Enqueue(req); err != nil {
+			if err := ctl.Channel(0).Enqueue(req); err != nil {
 				t.Fatal(err)
 			}
 			n++
@@ -62,7 +62,7 @@ func TestRowConflictsSlowDown(t *testing.T) {
 		ctl.SetRefreshEnabled(false)
 		for i := 0; i < 256; i++ {
 			req := &Request{Addr: Addr{Bank: 0, Row: (i * rowStride) % spec.Geometry.Rows, Column: i % 64}}
-			if err := ctl.Enqueue(req); err != nil {
+			if err := ctl.Channel(0).Enqueue(req); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,7 +80,7 @@ func TestRowHitClassification(t *testing.T) {
 	ctl, _ := NewController(spec)
 	ctl.SetRefreshEnabled(false)
 	for col := 0; col < 8; col++ {
-		if err := ctl.Enqueue(&Request{Addr: Addr{Bank: 0, Row: 5, Column: col}}); err != nil {
+		if err := ctl.Channel(0).Enqueue(&Request{Addr: Addr{Bank: 0, Row: 5, Column: col}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func TestWriteReadTurnaroundPenalty(t *testing.T) {
 			if alternate {
 				w = i%2 == 1
 			}
-			if err := ctl.Enqueue(&Request{
+			if err := ctl.Channel(0).Enqueue(&Request{
 				Addr:  Addr{Bank: 0, Row: 0, Column: i},
 				Write: w,
 			}); err != nil {
@@ -133,10 +133,10 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	// request (row 1) ahead of more row-0 hits. FR-FCFS should finish
 	// the hits before closing the row.
 	reqs := []*Request{
-		{Addr: Addr{Bank: 0, Row: 0, Column: 0}, ID: 0},
-		{Addr: Addr{Bank: 0, Row: 1, Column: 0}, ID: 1},
-		{Addr: Addr{Bank: 0, Row: 0, Column: 1}, ID: 2},
-		{Addr: Addr{Bank: 0, Row: 0, Column: 2}, ID: 3},
+		{Addr: Addr{Bank: 0, Row: 0, Column: 0}},
+		{Addr: Addr{Bank: 0, Row: 1, Column: 0}},
+		{Addr: Addr{Bank: 0, Row: 0, Column: 1}},
+		{Addr: Addr{Bank: 0, Row: 0, Column: 2}},
 	}
 	for _, r := range reqs {
 		if err := ch.Enqueue(r); err != nil {
@@ -162,7 +162,7 @@ func TestRefreshOverheadVisible(t *testing.T) {
 		// Enough traffic to span several tREFI windows.
 		n := spec.Timing.TREFI * 4
 		for i := 0; i < n; i++ {
-			if err := ctl.Enqueue(&Request{Addr: Addr{
+			if err := ctl.Channel(0).Enqueue(&Request{Addr: Addr{
 				Bank:   i % 16,
 				Row:    (i / 1024) % spec.Geometry.Rows,
 				Column: i % 64,
@@ -184,7 +184,7 @@ func TestArrivalTimesRespected(t *testing.T) {
 	ctl, _ := NewController(spec)
 	ctl.SetRefreshEnabled(false)
 	late := &Request{Addr: Addr{Bank: 0, Row: 0, Column: 0}, Arrival: 10_000}
-	if err := ctl.Enqueue(late); err != nil {
+	if err := ctl.Channel(0).Enqueue(late); err != nil {
 		t.Fatal(err)
 	}
 	drained(t, ctl)
@@ -204,7 +204,7 @@ func TestEnqueueRejectsOutOfRange(t *testing.T) {
 		{Rank: 2},
 	}
 	for _, a := range bad {
-		if err := ctl.Enqueue(&Request{Addr: a}); err == nil {
+		if err := ctl.EnqueueValue(Request{Addr: a}); err == nil {
 			t.Errorf("address %v accepted", a)
 		}
 	}
@@ -224,7 +224,7 @@ func TestRandomTrafficCompletesAndCounts(t *testing.T) {
 		} else {
 			wantReads++
 		}
-		if err := ctl.Enqueue(&Request{
+		if err := ctl.Channel(0).Enqueue(&Request{
 			Addr: Addr{
 				Rank:   rng.Intn(g.RanksPerChannel),
 				Bank:   rng.Intn(g.BanksPerRank),
@@ -298,7 +298,7 @@ func TestCloseRowPolicyHelpsRandomTraffic(t *testing.T) {
 					Column: rng.Intn(g.ColumnsPerRow()),
 				}
 			}
-			if err := ctl.Enqueue(&Request{Addr: a}); err != nil {
+			if err := ctl.Channel(0).Enqueue(&Request{Addr: a}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -34,14 +34,6 @@ func (ctl *Controller) SetRefreshEnabled(v bool) {
 	}
 }
 
-// Enqueue routes a request to its channel.
-func (ctl *Controller) Enqueue(r *Request) error {
-	if r.Addr.Channel < 0 || r.Addr.Channel >= len(ctl.channels) {
-		return fmt.Errorf("dram: channel %d out of range", r.Addr.Channel)
-	}
-	return ctl.channels[r.Addr.Channel].Enqueue(r)
-}
-
 // EnqueueValue routes a request by value: the scheduler keeps its own
 // copy and does not write the completion cycle back to the caller. This
 // is the allocation-free path for streaming producers.

@@ -81,7 +81,6 @@ func diffStream(spec *Spec, shape string, pace, n int, seed int64) []Request {
 			Addr:    a,
 			Write:   rng.Float64() < 0.3,
 			Arrival: arrival,
-			ID:      int64(i),
 		}
 		if pace == paceJitter || (pace == pacePhased && i >= n/3 && i < n/2) {
 			reqs[i].Arrival += int64(rng.Intn(48))

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"facil/internal/addr"
 	"facil/internal/dram"
 	"facil/internal/mapping"
 	"facil/internal/tune"
@@ -61,7 +62,7 @@ func gateCapture(t testing.TB, spec dram.Spec, sampleBytes int64) (*tune.Space, 
 // (the reference keeps pointers to them); it returns each segment's
 // merged channel stats, whose LastDone is the segment's cycles, and the
 // grown buffer.
-func referenceReplay(spec *dram.Spec, tr *tune.Trace, m tune.Translator, buf []dram.Request) ([]dram.ChannelStats, []dram.Request) {
+func referenceReplay(spec *dram.Spec, tr *tune.Trace, m addr.Translator, buf []dram.Request) ([]dram.ChannelStats, []dram.Request) {
 	offBits := uint(spec.Geometry.OffsetBits())
 	channels := int64(spec.Geometry.Channels)
 	drainTo := dram.DefaultWindow

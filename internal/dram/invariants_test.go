@@ -46,7 +46,7 @@ func TestDataBusExclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reqs {
-		if err := ctl.Enqueue(r); err != nil {
+		if err := ctl.Channel(r.Addr.Channel).Enqueue(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestCompletionAfterArrival(t *testing.T) {
 	reqs := randomTraffic(spec, 2000, 13)
 	ctl, _ := NewController(spec)
 	for _, r := range reqs {
-		if err := ctl.Enqueue(r); err != nil {
+		if err := ctl.Channel(r.Addr.Channel).Enqueue(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestStatsConservation(t *testing.T) {
 			return false
 		}
 		for _, r := range reqs {
-			if err := ctl.Enqueue(r); err != nil {
+			if err := ctl.Channel(r.Addr.Channel).Enqueue(r); err != nil {
 				return false
 			}
 		}

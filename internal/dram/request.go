@@ -13,6 +13,4 @@ type Request struct {
 	// Done is the cycle the request finished (data burst completed).
 	// Populated by the controller.
 	Done int64
-	// ID is an optional caller tag carried through the pipeline.
-	ID int64
 }

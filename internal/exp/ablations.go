@@ -354,10 +354,7 @@ func measureXORHashing(_ context.Context, _ *Lab, tab *Table) error {
 		return err
 	}
 	stride := int64(g.RowBytes * g.BanksPerRank * g.Channels * g.RanksPerChannel)
-	type translator interface {
-		Translate(uint64) (dram.Addr, int)
-	}
-	run := func(m translator) (float64, error) {
+	run := func(m addr.Translator) (float64, error) {
 		var i int64
 		res, err := dram.MeasureStream(spec, func(r *dram.Request) bool {
 			if i >= 4096 {

@@ -16,7 +16,10 @@ import (
 // any parallelism. Configs that set a TraceLabel record into the lab's
 // tracer on disjoint pid blocks assigned up front in config order
 // (Replicas+1 tracks each: the replicas plus the admission-queue
-// counter), keeping traces deterministic at any parallelism too.
+// counter), so the set of traced events is the same at any
+// parallelism. The trace file's bytes are fixed only at parallelism 1:
+// concurrent sims append to the shared tracer as they run, and events
+// with equal timestamps keep that arrival order when written.
 func (l *Lab) serveSweep(ctx context.Context, experiment string, cfgs []serve.SimConfig) ([]serve.Metrics, error) {
 	s, err := l.System(soc.Jetson)
 	if err != nil {

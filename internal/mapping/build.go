@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"facil/internal/addr"
-	"facil/internal/dram"
 )
 
 // BuildPIM constructs the full PA-to-DA mapping selected by a MapID for a
@@ -64,12 +63,6 @@ func BuildPIM(mc MemoryConfig, chunk ChunkConfig, id MapID) (*addr.Mapping, erro
 	return addr.New(g, name, segs)
 }
 
-// BuildConventional returns the SoC's default mapping for the geometry
-// (row:rank:column:bank:channel).
-func BuildConventional(g dram.Geometry) (*addr.Mapping, error) {
-	return addr.Conventional(g)
-}
-
 // Table holds every mapping the memory-controller frontend can select:
 // index 0 is the conventional mapping, indices MinMapID..MaxMapID are the
 // PIM-optimized ones. It corresponds to the mux inputs of paper Fig. 12.
@@ -89,7 +82,7 @@ func NewTable(mc MemoryConfig, chunk ChunkConfig) (*Table, error) {
 	if err := chunk.Validate(mc.Geometry); err != nil {
 		return nil, err
 	}
-	conv, err := BuildConventional(mc.Geometry)
+	conv, err := addr.Conventional(mc.Geometry)
 	if err != nil {
 		return nil, err
 	}

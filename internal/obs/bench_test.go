@@ -33,7 +33,10 @@ func BenchmarkTracerEnabled(b *testing.B) {
 // miniature benchmark run. The bound is deliberately loose (20 ns vs
 // the ~1 ns measured) so a shared CI runner cannot flake it, while a
 // regression that adds locking or allocation to the disabled path still
-// fails outright.
+// fails outright. The time budget holds for plain builds only: the race
+// detector instruments the nil-receiver call's entry and exit, which
+// alone costs 20-29 ns per event on a 2-core runner. The allocation
+// check runs under both.
 func TestTracerDisabledOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short mode")
@@ -42,7 +45,7 @@ func TestTracerDisabledOverhead(t *testing.T) {
 	if res.AllocsPerOp() != 0 {
 		t.Fatalf("disabled tracer allocates: %d allocs/op", res.AllocsPerOp())
 	}
-	if ns := float64(res.T.Nanoseconds()) / float64(res.N); ns > 20 {
+	if ns := float64(res.T.Nanoseconds()) / float64(res.N); !raceEnabled && ns > 20 {
 		t.Fatalf("disabled tracer costs %.1f ns/event, want ≤2 (20 with CI slack)", ns)
 	}
 }
@@ -52,7 +55,7 @@ func TestTracerDisabledOverhead(t *testing.T) {
 func TestTracerEnabledNoAllocs(t *testing.T) {
 	tr := New(1 << 10)
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Complete(1, 0, "prefill", 0, 1)
+		tr.CompleteArg(1, 0, "prefill", 0, 1, "query", 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled tracer allocates %.1f allocs/op on the hot path", allocs)

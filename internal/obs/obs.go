@@ -114,16 +114,9 @@ func (t *Tracer) record(e Event) {
 	t.mu.Unlock()
 }
 
-// Complete records a duration slice on (pid, tid) starting at tsUS and
-// lasting durUS microseconds.
-func (t *Tracer) Complete(pid, tid int64, name string, tsUS, durUS float64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Phase: PhaseComplete, PID: pid, TID: tid, Name: name, TS: tsUS, Dur: durUS})
-}
-
-// CompleteArg is Complete with one numeric argument attached.
+// CompleteArg records a duration slice on (pid, tid) starting at tsUS
+// and lasting durUS microseconds, with one numeric argument attached
+// (none when argName is empty).
 func (t *Tracer) CompleteArg(pid, tid int64, name string, tsUS, durUS float64, argName string, arg float64) {
 	if t == nil {
 		return
@@ -131,15 +124,8 @@ func (t *Tracer) CompleteArg(pid, tid int64, name string, tsUS, durUS float64, a
 	t.record(Event{Phase: PhaseComplete, PID: pid, TID: tid, Name: name, TS: tsUS, Dur: durUS, ArgName: argName, Arg: arg})
 }
 
-// Instant records a zero-width marker on (pid, tid) at tsUS.
-func (t *Tracer) Instant(pid, tid int64, name string, tsUS float64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{Phase: PhaseInstant, PID: pid, TID: tid, Name: name, TS: tsUS})
-}
-
-// InstantArg is Instant with one numeric argument attached.
+// InstantArg records a zero-width marker on (pid, tid) at tsUS, with
+// one numeric argument attached (none when argName is empty).
 func (t *Tracer) InstantArg(pid, tid int64, name string, tsUS float64, argName string, arg float64) {
 	if t == nil {
 		return

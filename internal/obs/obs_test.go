@@ -14,9 +14,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
 	}
-	tr.Complete(1, 2, "a", 0, 1)
 	tr.CompleteArg(1, 2, "a", 0, 1, "x", 3)
-	tr.Instant(1, 2, "b", 0)
 	tr.InstantArg(1, 2, "b", 0, "x", 3)
 	tr.Counter(1, "c", 0, 4)
 	tr.ProcessName(1, "p")
@@ -44,7 +42,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 7; i++ {
-		tr.Instant(0, 0, "e", float64(i))
+		tr.InstantArg(0, 0, "e", float64(i), "", 0)
 	}
 	if got := tr.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
@@ -68,10 +66,10 @@ func TestWriteJSONValidAndMonotonic(t *testing.T) {
 	tr := New(64)
 	tr.ProcessName(1, "replica 0")
 	tr.ThreadName(1, 0, "SoC lane")
-	tr.Complete(1, 0, "late", 50, 10)
-	tr.Complete(1, 0, "early", 5, 40) // recorded second, starts first
+	tr.CompleteArg(1, 0, "late", 50, 10, "", 0)
+	tr.CompleteArg(1, 0, "early", 5, 40, "", 0) // recorded second, starts first
 	tr.CompleteArg(1, 1, "decode", 20, 5, "query", 7)
-	tr.Instant(1, 0, "arrival", 30)
+	tr.InstantArg(1, 0, "arrival", 30, "", 0)
 	tr.Counter(1, "depth", 35, 2)
 
 	var buf bytes.Buffer
@@ -124,7 +122,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr.Complete(int64(g), 0, "work", float64(i), 1)
+				tr.CompleteArg(int64(g), 0, "work", float64(i), 1, "", 0)
 				tr.Counter(int64(g), "n", float64(i), float64(i))
 			}
 		}(g)

@@ -15,16 +15,14 @@ import (
 )
 
 // testOnlyAllowed names exported functions and methods under internal/
-// and cmd/ that may have no caller outside tests, each with its reason.
-// The root facil package is the module's public API and is not audited.
+// and cmd/ that may have no caller outside tests, each with its reason:
+// a helper that tests of several packages share, or a path the paper
+// models. The root facil package is the module's public API and is not
+// audited.
 var testOnlyAllowed = map[string]string{
-	"obs.Tracer.Complete":      "router spans will emit complete events; the disabled-tracer overhead gate measures it",
-	"obs.Tracer.Instant":       "router spans will emit instant events; the disabled-tracer overhead gate measures it",
-	"dram.Controller.Enqueue":  "single-request test helper with dozens of call sites",
-	"dram.Addr.GlobalBank":     "bank-identity helper with dozens of test call sites",
+	"dram.Addr.GlobalBank":     "bank-identity helper shared by the dram, mapping and vm tests",
 	"vm.AddressSpace.Alloc":    "the 4 KB page path of the paper's Fig. 7 mixed page table",
-	"stats.TimeHist.Max":       "serve tests check lane concurrency with it",
-	"stats.TimeHist.TotalTime": "serve tests check the makespan with it",
+	"stats.TimeHist.TotalTime": "serve tests check that QueueDepth spans the makespan with it",
 }
 
 // implicitIfaces are standard-library interfaces whose methods the

@@ -95,9 +95,3 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		FailedOver:     l.failedOver.Load(),
 	}
 }
-
-// addVirtual accumulates one clock advance (seconds) into the odometer,
-// as the reference sim does on every advance.
-func (l *LiveStats) addVirtual(dt float64) {
-	l.virtualNanos.Add(int64(dt * 1e9))
-}

@@ -57,6 +57,9 @@ func NewReferenceSim(s *engine.System, cfg SimConfig) (*ReferenceSim, error) {
 			return nil, err
 		}
 	}
+	if sm.steps, err = newStepTable(s, cfg.Kind, ds.Queries); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var clock float64
 	for i, q := range ds.Queries {
@@ -115,6 +118,49 @@ func (s *ReferenceSim) Finish() Metrics {
 		Live.runsFinished.Add(1)
 	}
 	return s.sm.finish()
+}
+
+// stepTable is the reference's frozen engine cost: the decode-step
+// latency of every context its queries can reach, copied from the
+// engine when the run is built. Row 0 is the configured design, row 1
+// engine.SoCOnly (the degraded path); each is indexed by context.
+// Reading a slice instead of DecodeStepSeconds keeps the reference's
+// cost that of its event loop, so a faster engine lookup cannot shrink
+// the ratio TestOptimizedSimSpeedup measures.
+type stepTable [2][]float64
+
+// newStepTable fills a stepTable for kind over qs from the engine.
+func newStepTable(s *engine.System, kind engine.Kind, qs []workload.Query) (stepTable, error) {
+	var tab stepTable
+	maxCtx := 0
+	for _, q := range qs {
+		maxCtx = max(maxCtx, q.Prefill+q.Decode-1)
+	}
+	for i, k := range [...]engine.Kind{kind, engine.SoCOnly} {
+		row := make([]float64, maxCtx+1)
+		for _, q := range qs {
+			for ctx := q.Prefill + 1; ctx < q.Prefill+q.Decode; ctx++ {
+				if row[ctx] != 0 {
+					continue
+				}
+				st, err := s.DecodeStepSeconds(k, ctx)
+				if err != nil {
+					return tab, err
+				}
+				row[ctx] = st
+			}
+		}
+		tab[i] = row
+	}
+	return tab, nil
+}
+
+// stepSeconds reads one decode-step latency from the run's stepTable.
+func (sm *refSim) stepSeconds(kind engine.Kind, ctx int) float64 {
+	if kind == sm.cfg.Kind {
+		return sm.steps[0][ctx]
+	}
+	return sm.steps[1][ctx]
 }
 
 // refEvent is one entry of the reference simulator's time-ordered heap:
@@ -206,8 +252,6 @@ type refSim struct {
 
 	now      float64
 	inSystem int
-	busySoC  int
-	busyPIM  int
 	lastT    float64
 
 	open int
@@ -226,6 +270,8 @@ type refSim struct {
 	tr   *obs.Tracer
 	pid0 int64
 	qpid int64
+
+	steps stepTable
 }
 
 func (sm *refSim) initTrace() {
@@ -271,11 +317,15 @@ func (sm *refSim) push(ev refEvent) {
 	heap.Push(&sm.evs, e)
 }
 
+// addVirtual accumulates one clock advance (seconds) into the Live
+// odometer, as the reference sim does on every advance.
+func (l *LiveStats) addVirtual(dt float64) {
+	l.virtualNanos.Add(int64(dt * 1e9))
+}
+
 func (sm *refSim) advance(t float64) {
 	if dt := t - sm.lastT; dt > 0 {
 		sm.m.QueueDepth.Add(float64(sm.inSystem), dt)
-		sm.m.SoCBusy.Add(float64(sm.busySoC), dt)
-		sm.m.PIMBusy.Add(float64(sm.busyPIM), dt)
 		sm.lastT = t
 		Live.addVirtual(dt)
 	}
@@ -400,8 +450,6 @@ func (sm *refSim) startPrefill(q *query, ri int) error {
 			return err
 		}
 		r.socBusy, r.pimBusy = true, true
-		sm.busySoC++
-		sm.busyPIM++
 		sm.socBusySecs += ttlt
 		sm.pimBusySecs += ttlt
 		sm.traceSpan(ri, traceLaneSoC, "prefill", q, sm.now, ttft)
@@ -426,7 +474,6 @@ func (sm *refSim) startPrefill(q *query, ri int) error {
 			sm.traceSpan(ri, traceLanePIM, "relayout", q, sm.now, sm.relay)
 		}
 		r.socBusy = true
-		sm.busySoC++
 		sm.socBusySecs += pre
 		sm.traceSpan(ri, traceLaneSoC, "prefill", q, sm.now, pre)
 		sm.push(refEvent{at: sm.now + pre, kind: evPrefillDone, q: q, rep: ri})
@@ -443,15 +490,11 @@ func (sm *refSim) onPrefillDone(q *query, ri int) error {
 		if q.decode <= 1 {
 			return sm.completeSerial(q, ri)
 		}
-		dur, err := sm.quantumSeconds(q, q.decode-1)
-		if err != nil {
-			return err
-		}
+		dur := sm.quantumSecondsKind(q, q.decode-1, sm.cfg.Kind, 1)
 		sm.push(refEvent{at: sm.now + dur, kind: evQuantumDone, q: q, rep: ri, steps: q.decode - 1})
 		return nil
 	}
 	r.socBusy = false
-	sm.busySoC--
 	if q.decode <= 1 {
 		sm.complete(q)
 	} else if !q.corrupt || sm.onCorruptHandoff(q) {
@@ -463,37 +506,24 @@ func (sm *refSim) onPrefillDone(q *query, ri int) error {
 	return sm.dispatchDecode(ri)
 }
 
-func (sm *refSim) quantumSeconds(q *query, steps int) (float64, error) {
-	return sm.quantumSecondsKind(q, steps, sm.cfg.Kind, 1)
-}
-
-func (sm *refSim) quantumSecondsKind(q *query, steps int, kind engine.Kind, factor float64) (float64, error) {
+func (sm *refSim) quantumSecondsKind(q *query, steps int, kind engine.Kind, factor float64) float64 {
 	var t float64
 	for i := 0; i < steps; i++ {
-		st, err := sm.sys.DecodeStepSeconds(kind, q.prefill+q.stepsDone+i+1)
-		if err != nil {
-			return 0, err
-		}
-		t += st * factor
+		t += sm.stepSeconds(kind, q.prefill+q.stepsDone+i+1) * factor
 	}
-	return t, nil
+	return t
 }
 
-func (sm *refSim) emitTokens(q *query, start float64, steps int, kind engine.Kind, factor float64) error {
+func (sm *refSim) emitTokens(q *query, start float64, steps int, kind engine.Kind, factor float64) {
 	t := start
 	for i := 0; i < steps; i++ {
-		st, err := sm.sys.DecodeStepSeconds(kind, q.prefill+q.stepsDone+i+1)
-		if err != nil {
-			return err
-		}
-		t += st * factor
+		t += sm.stepSeconds(kind, q.prefill+q.stepsDone+i+1) * factor
 		if !sm.cfg.NoTBT {
 			sm.tbts = append(sm.tbts, t-q.prevToken)
 		}
 		q.prevToken = t
 	}
 	q.stepsDone += steps
-	return nil
 }
 
 func (sm *refSim) dispatchDecode(ri int) error {
@@ -520,14 +550,10 @@ func (sm *refSim) dispatchDecode(ri int) error {
 			start = r.pimFreeAt
 		}
 		factor := sm.factorAt(start)
-		dur, err := sm.quantumSecondsKind(q, steps, sm.cfg.Kind, factor)
-		if err != nil {
-			return err
-		}
+		dur := sm.quantumSecondsKind(q, steps, sm.cfg.Kind, factor)
 		penalty := q.penalty
 		q.penalty = 0
 		r.pimBusy = true
-		sm.busyPIM++
 		sm.pimBusySecs += penalty + dur
 		if penalty > 0 {
 			sm.traceSpan(ri, traceLanePIM, "fault-recovery", q, start, penalty)
@@ -547,9 +573,7 @@ func (sm *refSim) onQuantumDone(e *refEvent) error {
 	q, ri, steps := e.q, e.rep, e.steps
 	r := &sm.reps[ri]
 	if sm.cfg.Mode == Serial {
-		if err := sm.emitTokens(q, q.firstToken, steps, sm.cfg.Kind, 1); err != nil {
-			return err
-		}
+		sm.emitTokens(q, q.firstToken, steps, sm.cfg.Kind, 1)
 		sm.traceSpan(ri, traceLanePIM, "decode", q, q.firstToken, sm.now-q.firstToken)
 		return sm.completeSerial(q, ri)
 	}
@@ -557,16 +581,12 @@ func (sm *refSim) onQuantumDone(e *refEvent) error {
 	if e.soc {
 		kind, lane = engine.SoCOnly, traceLaneSoC
 	}
-	if err := sm.emitTokens(q, sm.now-e.dur, steps, kind, e.factor); err != nil {
-		return err
-	}
+	sm.emitTokens(q, sm.now-e.dur, steps, kind, e.factor)
 	sm.traceSpan(ri, lane, "decode", q, sm.now-e.dur, e.dur)
 	if e.soc {
 		r.socBusy = false
-		sm.busySoC--
 	} else {
 		r.pimBusy = false
-		sm.busyPIM--
 	}
 	if q.stepsDone >= q.decode-1 {
 		sm.complete(q)
@@ -598,8 +618,6 @@ func (sm *refSim) complete(q *query) {
 func (sm *refSim) completeSerial(q *query, ri int) error {
 	r := &sm.reps[ri]
 	r.socBusy, r.pimBusy = false, false
-	sm.busySoC--
-	sm.busyPIM--
 	sm.complete(q)
 	return sm.dispatchPrefills()
 }
@@ -832,14 +850,10 @@ func (sm *refSim) dispatchSoCDecode(ri int) error {
 			steps = sm.cfg.preemptSteps
 		}
 		factor := sm.factorAt(sm.now)
-		dur, err := sm.quantumSecondsKind(q, steps, engine.SoCOnly, factor)
-		if err != nil {
-			return err
-		}
+		dur := sm.quantumSecondsKind(q, steps, engine.SoCOnly, factor)
 		penalty := q.penalty
 		q.penalty = 0
 		r.socBusy = true
-		sm.busySoC++
 		sm.socBusySecs += penalty + dur
 		if penalty > 0 {
 			sm.traceSpan(ri, traceLaneSoC, "fault-recovery", q, sm.now, penalty)

@@ -264,10 +264,8 @@ type Metrics struct {
 	SoCUtilization, PIMUtilization float64
 
 	// QueueDepth is the time-weighted distribution of in-system queries
-	// (waiting + executing); SoCBusy/PIMBusy the time-weighted busy-lane
-	// counts (0..Replicas).
-	QueueDepth       stats.TimeHist
-	SoCBusy, PIMBusy stats.TimeHist
+	// (waiting + executing).
+	QueueDepth stats.TimeHist
 	// MaxQueueDepth is the deepest in-system backlog observed.
 	MaxQueueDepth int
 }
@@ -380,9 +378,7 @@ type sim struct {
 
 	now      float64
 	inSystem int
-	busySoC  int
-	busyPIM  int
-	lastT    float64 // previous state-change instant for the TimeHists
+	lastT    float64 // previous state-change instant for QueueDepth
 
 	// open counts queries not yet terminal (completed, rejected, timed
 	// out or failed); once it reaches zero — and the arrival stream is
@@ -696,47 +692,22 @@ func (s *Sim) AdvanceTo(t float64) error {
 }
 
 // Probe is a point-in-time, allocation-free view of a running sim's
-// counters — the per-device health signal a fleet router reads at each
-// telemetry barrier. All counts are cumulative since construction;
-// deltas between probes are the barrier-interval signal.
+// terminal outcomes — the per-device health signal a fleet router reads
+// at each telemetry barrier. All counts are cumulative since
+// construction; deltas between probes are the barrier-interval signal.
 type Probe struct {
-	// Now is the sim's virtual clock (the last processed event).
-	Now float64
-	// InSystem is the current admitted-but-unfinished query count — the
-	// live queue-depth signal behind least-loaded routing.
-	InSystem int
-	// Arrived, Admitted and Rejected mirror the Metrics admission
-	// identities (Arrived = Admitted + Rejected for terminal queries).
-	Arrived, Admitted, Rejected int
-	// Completed, TimedOut and Failed are the terminal outcomes so far.
-	Completed, TimedOut, Failed int
-	// Retracted counts queries the host pulled back out for migration;
-	// they left the system without a terminal outcome here.
-	Retracted int
-	// Degraded, FailedOver and BreakerOpens count the in-device
-	// degradation machinery's activity.
-	Degraded, FailedOver, BreakerOpens int
+	// Completed, Failed, TimedOut and Rejected are the terminal outcomes
+	// so far: their sum retires queries from the router's in-flight
+	// ledger, and Failed and Completed drive its health breaker.
+	Completed, Failed, TimedOut, Rejected int
 }
 
-// Probe snapshots the sim's live counters. It must not race with Step
-// or AdvanceTo on another goroutine (the cluster router probes between
-// barriers, when the device is quiescent).
+// Probe snapshots the sim's terminal counters. It must not race with
+// Step or AdvanceTo on another goroutine (the cluster router probes
+// between barriers, when the device is quiescent).
 func (s *Sim) Probe() Probe {
-	sm := s.sm
-	return Probe{
-		Now:          sm.now,
-		InSystem:     sm.inSystem,
-		Arrived:      sm.m.Arrived,
-		Admitted:     sm.m.Admitted,
-		Rejected:     sm.m.Rejected,
-		Completed:    sm.m.Completed,
-		TimedOut:     sm.m.TimedOut,
-		Failed:       sm.m.Failed,
-		Retracted:    sm.m.Retracted,
-		Degraded:     sm.m.Degraded,
-		FailedOver:   sm.m.FailedOver,
-		BreakerOpens: sm.m.BreakerOpens,
-	}
+	m := &s.sm.m
+	return Probe{Completed: m.Completed, Failed: m.Failed, TimedOut: m.TimedOut, Rejected: m.Rejected}
 }
 
 // Latencies exposes the raw per-query samples collected so far: TTFT
@@ -878,16 +849,14 @@ func (sm *sim) publish() {
 }
 
 // advance moves the clock to t for one processed event, charging the
-// elapsed interval to the time-weighted histograms at the state held
-// since the last change, and counts the event, publishing every 1024th.
-// Every clock movement funnels through here — arrivals and queued
-// events — so the histograms and the Live odometer cannot disagree
-// about elapsed virtual time.
+// elapsed interval to QueueDepth at the depth held since the last
+// change, and counts the event, publishing every 1024th. Every clock
+// movement funnels through here — arrivals and queued events — so
+// QueueDepth and the Live odometer cannot disagree about elapsed
+// virtual time.
 func (sm *sim) advance(t float64) {
 	if dt := t - sm.lastT; dt > 0 {
 		sm.m.QueueDepth.Add(float64(sm.inSystem), dt)
-		sm.m.SoCBusy.Add(float64(sm.busySoC), dt)
-		sm.m.PIMBusy.Add(float64(sm.busyPIM), dt)
 		sm.lastT = t
 		sm.virtualNanos += int64(dt * 1e9)
 	}
@@ -917,8 +886,8 @@ func (sm *sim) step() (bool, error) {
 // this sim's future).
 //
 // Once every query is terminal in a sealed run, remaining fault events
-// are discarded without advancing the clock: the makespan (and the
-// time-weighted histograms) end at the last query event, not at whatever
+// are discarded without advancing the clock: the makespan (and
+// QueueDepth) end at the last query event, not at whatever
 // outage the infinite stochastic stream scheduled next.
 func (sm *sim) stepUntil(horizon float64) (bool, error) {
 	if g := drainGen.Load(); g != sm.drainSeen {
@@ -1074,8 +1043,6 @@ func (sm *sim) startPrefill(qi int32, ri int) error {
 			return err
 		}
 		r.socBusy, r.pimBusy = true, true
-		sm.busySoC++
-		sm.busyPIM++
 		sm.socBusySecs += ttlt
 		sm.pimBusySecs += ttlt
 		sm.traceSpan(ri, traceLaneSoC, "prefill", q, sm.now, ttft)
@@ -1108,7 +1075,6 @@ func (sm *sim) startPrefill(qi int32, ri int) error {
 			sm.traceSpan(ri, traceLanePIM, "relayout", q, sm.now, sm.relay)
 		}
 		r.socBusy = true
-		sm.busySoC++
 		sm.socBusySecs += pre
 		sm.traceSpan(ri, traceLaneSoC, "prefill", q, sm.now, pre)
 		sm.push(event{at: sm.now + pre, kind: evPrefillDone, q: qi, rep: int32(ri)})
@@ -1140,7 +1106,6 @@ func (sm *sim) onPrefillDone(qi int32, ri int) error {
 		return nil
 	}
 	r.socBusy = false
-	sm.busySoC--
 	if q.decode <= 1 {
 		sm.complete(q)
 	} else if !q.corrupt || sm.onCorruptHandoff(q) {
@@ -1256,11 +1221,9 @@ func (sm *sim) startQuantum(qi int32, ri int, lane int64, start float64) error {
 	q.penalty = 0
 	if soc {
 		r.socBusy = true
-		sm.busySoC++
 		sm.socBusySecs += penalty + dur
 	} else {
 		r.pimBusy = true
-		sm.busyPIM++
 		sm.pimBusySecs += penalty + dur
 	}
 	if penalty > 0 {
@@ -1298,10 +1261,8 @@ func (sm *sim) onQuantumDone(e *event) error {
 	sm.traceSpan(ri, lane, "decode", q, sm.now-e.dur, e.dur)
 	if e.soc {
 		r.socBusy = false
-		sm.busySoC--
 	} else {
 		r.pimBusy = false
-		sm.busyPIM--
 	}
 	if q.stepsDone >= q.decode-1 {
 		sm.complete(q)
@@ -1339,8 +1300,6 @@ func (sm *sim) complete(q *query) {
 func (sm *sim) completeSerial(q *query, ri int) error {
 	r := &sm.reps[ri]
 	r.socBusy, r.pimBusy = false, false
-	sm.busySoC--
-	sm.busyPIM--
 	sm.complete(q)
 	return sm.dispatchPrefills()
 }

@@ -94,12 +94,13 @@ func TestCooperativeOverlapBeatsSerial(t *testing.T) {
 	// Overlap means both lanes are busy at once some of the time:
 	// utilizations in serial mode are identical, in cooperative mode the
 	// two lanes' busy time must coexist within the same (shorter)
-	// makespan.
+	// makespan. On one replica, lane busy time summing past the makespan
+	// is only possible if the lanes overlapped.
 	if coop.Makespan >= serial.Makespan {
 		t.Errorf("cooperative makespan %.2f not below serial %.2f", coop.Makespan, serial.Makespan)
 	}
-	if coop.SoCBusy.Max() < 1 || coop.PIMBusy.Max() < 1 {
-		t.Error("cooperative run never used both lanes")
+	if u := coop.SoCUtilization + coop.PIMUtilization; u <= 1 {
+		t.Errorf("cooperative lanes never overlapped: SoC+PIM utilization %.3f, want > 1", u)
 	}
 }
 
@@ -131,26 +132,35 @@ func TestRelayoutHybridPaysForHandoffs(t *testing.T) {
 }
 
 // TestReplicasScaleThroughput: at saturation, two replicas complete
-// queries faster than one.
+// queries faster than one, and the second replica's SoC lane prefills
+// while the first one's is busy.
 func TestReplicasScaleThroughput(t *testing.T) {
-	s := servingSystem(t)
-	run := func(replicas int) Metrics {
+	run := func(replicas int) ([]parsedEvent, Metrics) {
 		cfg := simConfig(Cooperative, engine.FACIL, 50)
 		cfg.Replicas = replicas
 		cfg.Queries = 60
-		m, err := Run(s, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+		return traceEventsOf(t, cfg)
 	}
-	one, two := run(1), run(2)
+	_, one := run(1)
+	evs, two := run(2)
 	if two.ThroughputQPS <= one.ThroughputQPS {
 		t.Errorf("2 replicas %.4f q/s not above 1 replica %.4f q/s",
 			two.ThroughputQPS, one.ThroughputQPS)
 	}
-	if two.SoCBusy.Max() < 2 {
-		t.Error("second replica's SoC lane never used")
+	var spans [2][][2]float64 // per replica: SoC-lane [start, end)
+	for _, e := range evs {
+		if e.Ph == "X" && e.TID == traceLaneSoC && e.PID < 2 {
+			spans[e.PID] = append(spans[e.PID], [2]float64{e.TS, e.TS + e.Dur})
+		}
+	}
+	overlap := false
+	for _, a := range spans[0] {
+		for _, b := range spans[1] {
+			overlap = overlap || a[0] < b[1] && b[0] < a[1]
+		}
+	}
+	if !overlap {
+		t.Errorf("the two SoC lanes never prefilled at once (%d and %d spans)", len(spans[0]), len(spans[1]))
 	}
 }
 

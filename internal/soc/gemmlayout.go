@@ -3,6 +3,7 @@ package soc
 import (
 	"fmt"
 
+	"facil/internal/addr"
 	"facil/internal/dram"
 	"facil/internal/mapping"
 )
@@ -49,9 +50,7 @@ func (c *LayoutSlowdownConfig) defaults() {
 // row groups of `streams` rows concurrently, column-major across the
 // group (each "tick" advances every stream one burst) — so the window
 // never materializes as a request slice.
-func gemmWeightStream(m interface {
-	Translate(uint64) (dram.Addr, int)
-}, rows int, rowBytes int64, streams, channels int, limit int64, transfer int64) dram.RequestSource {
+func gemmWeightStream(m addr.Translator, rows int, rowBytes int64, streams, channels int, limit int64, transfer int64) dram.RequestSource {
 	if streams > rows {
 		streams = rows
 	}

@@ -4,12 +4,11 @@ package stats
 // lane count) weighted by how long each value was held, so its mean
 // reflects *time at a level* rather than *number of transitions*. The
 // event-driven serving simulator feeds it one (value, duration) pair per
-// inter-event interval. It keeps three running values, so Add never
+// inter-event interval. It keeps two running values, so Add never
 // allocates.
 type TimeHist struct {
 	total float64
 	sum   float64 // integral of value*dt
-	max   float64
 }
 
 // Add records that the signal held value for duration seconds. Zero or
@@ -20,9 +19,6 @@ func (h *TimeHist) Add(value, duration float64) {
 	}
 	h.total += duration
 	h.sum += value * duration
-	if value > h.max {
-		h.max = value
-	}
 }
 
 // TotalTime returns the summed duration.
@@ -35,6 +31,3 @@ func (h *TimeHist) Mean() float64 {
 	}
 	return h.sum / h.total
 }
-
-// Max returns the largest recorded value (0 when empty).
-func (h *TimeHist) Max() float64 { return h.max }

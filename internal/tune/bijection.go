@@ -3,16 +3,9 @@ package tune
 import (
 	"fmt"
 
+	"facil/internal/addr"
 	"facil/internal/dram"
 )
-
-// Translator is the mapping surface the tuner validates and replays:
-// PA-to-DA translation and its inverse (satisfied by addr.Mapping and
-// addr.HashedMapping).
-type Translator interface {
-	Translate(pa uint64) (dram.Addr, int)
-	Inverse(a dram.Addr, offset int) uint64
-}
 
 // splitmix64 is the deterministic probe generator for the sampled
 // bijection check (no math/rand allocation in the scoring path).
@@ -30,7 +23,7 @@ func splitmix64(x uint64) uint64 {
 // and round-trip exactly through Inverse. The exhaustive full-page
 // variant lives in the property tests; this probe set is the per-
 // candidate gate.
-func VerifyBijection(m Translator, g dram.Geometry, samples int, seed uint64) error {
+func VerifyBijection(m addr.Translator, g dram.Geometry, samples int, seed uint64) error {
 	mask := uint64(1)<<uint(g.AddressBits()) - 1
 	probe := func(pa uint64) error {
 		a, off := m.Translate(pa)

@@ -43,7 +43,6 @@ type Cost struct {
 type Evaluator struct {
 	space  *Space
 	trace  *Trace
-	timing dram.Timing
 	window int // max bursts scored per segment (0 = all)
 
 	colBits, puBits   uint
@@ -87,7 +86,6 @@ func NewEvaluator(s *Space, trace *Trace, t dram.Timing, window int) (*Evaluator
 	e := &Evaluator{
 		space:       s,
 		trace:       trace,
-		timing:      t,
 		window:      window,
 		colBits:     uint(s.colBits),
 		puBits:      uint(s.puBits),

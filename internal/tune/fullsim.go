@@ -3,6 +3,7 @@ package tune
 import (
 	"fmt"
 
+	"facil/internal/addr"
 	"facil/internal/dram"
 )
 
@@ -20,7 +21,7 @@ type SimResult struct {
 // SimScore is the tier-two validator: it replays the full trace through
 // the real FR-FCFS controller (ReplaySegments) under mapping m and
 // returns the weighted cycle score the estimator approximates.
-func SimScore(spec dram.Spec, tr *Trace, m Translator) (SimResult, error) {
+func SimScore(spec dram.Spec, tr *Trace, m addr.Translator) (SimResult, error) {
 	segs, err := ReplaySegments(spec, tr, m)
 	if err != nil {
 		return SimResult{}, err
@@ -33,7 +34,7 @@ func SimScore(spec dram.Spec, tr *Trace, m Translator) (SimResult, error) {
 // mapping that concentrates traffic on few channels queues rather than
 // being reordered away. Segment weights play no part: traces that differ
 // only in weights replay once and Weigh apart.
-func ReplaySegments(spec dram.Spec, tr *Trace, m Translator) ([]dram.StreamResult, error) {
+func ReplaySegments(spec dram.Spec, tr *Trace, m addr.Translator) ([]dram.StreamResult, error) {
 	if tr == nil || len(tr.Codes) == 0 {
 		return nil, fmt.Errorf("tune: cannot replay an empty trace")
 	}

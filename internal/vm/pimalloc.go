@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math/rand"
 
 	"facil/internal/mapping"
 )
@@ -44,7 +43,6 @@ type AddressSpace struct {
 	physBase uint64
 	nextVA   uint64
 	cursor   int
-	rng      *rand.Rand
 
 	// MovedFrames accumulates compaction migration work (for load-time
 	// accounting).
@@ -56,7 +54,7 @@ type AddressSpace struct {
 
 // NewAddressSpace builds an address space over the memory config. The
 // buddy allocator covers the geometry's full capacity.
-func NewAddressSpace(mem mapping.MemoryConfig, chunk mapping.ChunkConfig, seed int64) (*AddressSpace, error) {
+func NewAddressSpace(mem mapping.MemoryConfig, chunk mapping.ChunkConfig) (*AddressSpace, error) {
 	if err := mem.Validate(); err != nil {
 		return nil, err
 	}
@@ -81,7 +79,6 @@ func NewAddressSpace(mem mapping.MemoryConfig, chunk mapping.ChunkConfig, seed i
 		buddy:  b,
 		pt:     NewPageTable(),
 		nextVA: 1 << 30, // arbitrary non-zero mmap base
-		rng:    rand.New(rand.NewSource(seed)),
 	}, nil
 }
 

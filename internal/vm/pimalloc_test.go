@@ -18,7 +18,7 @@ func testAddressSpace(t *testing.T) *AddressSpace {
 		TransferBytes:   32,
 	}
 	mem := mapping.MemoryConfig{Geometry: g, HugePageBytes: HugePageBytes}
-	as, err := NewAddressSpace(mem, mapping.AiMChunk(g), 1)
+	as, err := NewAddressSpace(mem, mapping.AiMChunk(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPimallocDistinctRegionsDoNotOverlap(t *testing.T) {
 func TestNewAddressSpaceValidation(t *testing.T) {
 	g := dram.JetsonOrinLPDDR5.Geometry
 	mem := mapping.MemoryConfig{Geometry: g, HugePageBytes: 4 << 20}
-	if _, err := NewAddressSpace(mem, mapping.AiMChunk(g), 1); err == nil {
+	if _, err := NewAddressSpace(mem, mapping.AiMChunk(g)); err == nil {
 		t.Error("non-2MB huge page accepted")
 	}
 }

@@ -32,7 +32,7 @@ func newPlacementRig(t *testing.T) *placementRig {
 		mem:   mapping.MemoryConfig{Geometry: spec.Geometry, HugePageBytes: HugePageBytes},
 		chunk: mapping.AiMChunk(spec.Geometry),
 	}
-	if r.space, err = NewAddressSpace(r.mem, r.chunk, 1); err != nil {
+	if r.space, err = NewAddressSpace(r.mem, r.chunk); err != nil {
 		t.Fatal(err)
 	}
 	if r.tlb, err = NewTLB(64, 4, r.space.PageTable()); err != nil {
