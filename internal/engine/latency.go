@@ -129,8 +129,8 @@ func (s *System) RelayoutAllWeightsSeconds() (float64, error) {
 }
 
 // DecodeStepSeconds returns one decode step's latency at context length
-// ctx under a design, served from the System's step slices. The serving
-// sims call it twice per token; a hit is two loads.
+// ctx under a design, served from the System's step slices; a hit is
+// two loads.
 func (s *System) DecodeStepSeconds(k Kind, ctx int) (float64, error) {
 	if uint(k) < uint(numKinds) && uint(ctx) < memoMaxCtx {
 		if v := s.steps[k][ctx].Load(); v != 0 {
@@ -153,6 +153,45 @@ func (s *System) decodeStep(k Kind, ctx int) (float64, error) {
 	t := b.LinearSeconds + b.AttentionSeconds + b.OtherSeconds
 	if uint(ctx) < memoMaxCtx {
 		s.steps[k][ctx].Store(math.Float64bits(t))
+	}
+	return t, nil
+}
+
+// DecodeQuantumSteps is the serving sims' decode scheduling quantum in
+// steps: the window DecodeQuantumSeconds serves from its table.
+const DecodeQuantumSteps = 8
+
+// DecodeQuantumSeconds returns the latency of the n decode steps at
+// contexts ctx, ctx+1, ..., ctx+n-1 of design k, summed left to right
+// from 0 — the same bits as adding DecodeStepSeconds in that order. A
+// full quantum (n == DecodeQuantumSteps) whose window fits the step
+// slices is served from the System's quantum slices, one load on a hit;
+// any other window is summed step by step.
+func (s *System) DecodeQuantumSeconds(k Kind, ctx, n int) (float64, error) {
+	if n == DecodeQuantumSteps && uint(k) < uint(numKinds) && uint(ctx) <= memoMaxCtx-DecodeQuantumSteps {
+		if v := s.quanta[k][ctx].Load(); v != 0 {
+			return math.Float64frombits(v), nil
+		}
+	}
+	return s.decodeQuantum(k, ctx, n)
+}
+
+// decodeQuantum is DecodeQuantumSeconds' step-by-step path: it stores a
+// full quantum whose window fits the quantum slices.
+func (s *System) decodeQuantum(k Kind, ctx, n int) (float64, error) {
+	if uint(k) >= uint(numKinds) {
+		return 0, fmt.Errorf("engine: unknown design %v", k)
+	}
+	var t float64
+	for i := 0; i < n; i++ {
+		st, err := s.DecodeStepSeconds(k, ctx+i)
+		if err != nil {
+			return 0, err
+		}
+		t += st
+	}
+	if n == DecodeQuantumSteps && uint(ctx) <= memoMaxCtx-DecodeQuantumSteps {
+		s.quanta[k][ctx].Store(math.Float64bits(t))
 	}
 	return t, nil
 }

@@ -207,13 +207,14 @@ func TestTTFTStaticMemoConcurrent(t *testing.T) {
 // callers grow one running-sum row from several lengths at once.
 var decodeGrid = []int{1, 2, 3, 17, 128, 511, 512}
 
-// TestDecodeMemoConcurrent storms a cold System's decode rows from eight
-// goroutines and requires every DecodeSeconds, TTLT and TTLTStatic to
-// equal the unmemoized oracle bit for bit.
+// TestDecodeMemoConcurrent storms a cold System's decode rows and
+// quantum slices from eight goroutines and requires every DecodeSeconds,
+// TTLT, TTLTStatic and DecodeQuantumSeconds to equal the unmemoized
+// oracle bit for bit.
 func TestDecodeMemoConcurrent(t *testing.T) {
 	s := coldSystem(t)
 	const prefills = 48
-	type want struct{ dec, ttlt, ttltStatic float64 }
+	type want struct{ dec, ttlt, ttltStatic, quantum float64 }
 	wants := make(map[Kind][]want)
 	for _, k := range Kinds() {
 		for p := 0; p < prefills; p++ {
@@ -224,6 +225,11 @@ func TestDecodeMemoConcurrent(t *testing.T) {
 				}
 				var w want
 				w.dec = dec
+				// The quantum of DecodeQuantumSteps steps from context
+				// p+1 is a decode of DecodeQuantumSteps+1 tokens.
+				if w.quantum, err = decodeOracle(s, k, p, DecodeQuantumSteps+1); err != nil {
+					t.Fatal(err)
+				}
 				if p > 0 {
 					ttft, err := ttftOracle(s, k, p)
 					if err != nil {
@@ -250,6 +256,13 @@ func TestDecodeMemoConcurrent(t *testing.T) {
 			if !sameBits(dec, w.dec) {
 				t.Errorf("DecodeSeconds(%v, %d, %d) = %v, want %v", k, p, d, dec, w.dec)
 			}
+			qs, err := s.DecodeQuantumSeconds(k, p+1, DecodeQuantumSteps)
+			if err != nil {
+				return err
+			}
+			if !sameBits(qs, w.quantum) {
+				t.Errorf("DecodeQuantumSeconds(%v, %d, %d) = %v, want %v", k, p+1, DecodeQuantumSteps, qs, w.quantum)
+			}
 			if p == 0 {
 				continue // no prefill: TTLT rejects it
 			}
@@ -270,6 +283,45 @@ func TestDecodeMemoConcurrent(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestDecodeQuantumTableMatchesLoop holds DecodeQuantumSeconds to the
+// step-by-step sum from 0 for every context of both decode paths and
+// every window of 1 to DecodeQuantumSteps steps, cold and warm, and
+// requires exactly the full quanta that fit the step slices to be
+// cached.
+func TestDecodeQuantumTableMatchesLoop(t *testing.T) {
+	s := coldSystem(t)
+	for _, k := range []Kind{SoCOnly, FACIL} {
+		for ctx := 0; ctx < memoMaxCtx+DecodeQuantumSteps; ctx++ {
+			for n := 1; n <= DecodeQuantumSteps; n++ {
+				var want float64
+				for i := 0; i < n; i++ {
+					st, err := s.DecodeStepSeconds(k, ctx+i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want += st
+				}
+				for pass := 0; pass < 2; pass++ {
+					got, err := s.DecodeQuantumSeconds(k, ctx, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(got, want) {
+						t.Fatalf("DecodeQuantumSeconds(%v, %d, %d) pass %d = %v, want %v", k, ctx, n, pass, got, want)
+					}
+				}
+			}
+			fits := ctx+DecodeQuantumSteps <= memoMaxCtx
+			if cached := ctx < len(s.quanta[k]) && s.quanta[k][ctx].Load() != 0; cached != fits {
+				t.Errorf("quantum of %v at context %d cached=%v, want %v", k, ctx, cached, fits)
+			}
+		}
+	}
+	if _, err := s.DecodeQuantumSeconds(Kind(99), 64, DecodeQuantumSteps); err == nil {
+		t.Error("DecodeQuantumSeconds accepted an unknown design")
+	}
 }
 
 // TestLatencyMemoErrorsNotCached requires invalid lengths and designs to
@@ -470,6 +522,9 @@ func TestLatencyWarmZeroAllocs(t *testing.T) {
 		"TTFT":       func() (float64, error) { return s.TTFT(FACIL, 64) },
 		"TTLT":       func() (float64, error) { return s.TTLT(HybridDynamic, 64, 200) },
 		"TTLTStatic": func() (float64, error) { return s.TTLTStatic(SoCOnly, 64, 200) },
+		"DecodeQuantumSeconds": func() (float64, error) {
+			return s.DecodeQuantumSeconds(FACIL, 64, DecodeQuantumSteps)
+		},
 	}
 	for name, call := range calls {
 		if _, err := call(); err != nil {

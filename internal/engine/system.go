@@ -97,14 +97,17 @@ type System struct {
 	weights []placedWeight
 	// The latency memos every serving sim and dataset query on the
 	// System shares. The four PIM designs decode alike, so they alias
-	// one steps slice and one decodeRows slice, and SoC-only has its
-	// own. steps holds DecodeStepSeconds by context, 0 meaning "not
-	// computed" (20 KB per decode path, allocated up front: the serving
-	// loop reads it twice per token); decodeRows holds DecodeSeconds as
-	// running sums by prefill. prefills holds both TTFT routes by
-	// (design, route, prefill), and pimPrefills the all-PIM prefill by
-	// length, the same for every design.
+	// one steps, quanta and decodeRows slice each, and SoC-only has its
+	// own. steps holds DecodeStepSeconds by context and quanta the
+	// DecodeQuantumSteps-step sums of DecodeQuantumSeconds by first
+	// context, 0 meaning "not computed" (20 KB each per decode path,
+	// allocated up front: the serving loop reads them on every decode
+	// quantum); decodeRows
+	// holds DecodeSeconds as running sums by prefill. prefills holds
+	// both TTFT routes by (design, route, prefill), and pimPrefills the
+	// all-PIM prefill by length, the same for every design.
 	steps       [numKinds][]atomic.Uint64
+	quanta      [numKinds][]atomic.Uint64
 	decodeRows  [numKinds][]table
 	prefills    [numKinds][2]table
 	pimPrefills table
@@ -215,11 +218,14 @@ func NewSystem(p soc.Platform, m llm.Model, cfg Config) (*System, error) {
 		Model:    m,
 		mem:      mapping.MemoryConfig{Geometry: p.Spec.Geometry, HugePageBytes: 2 << 20},
 	}
-	pimSteps, pimRows := make([]atomic.Uint64, memoMaxCtx), make([]table, memoMaxPrefill+1)
-	for k := range s.steps {
-		s.steps[k], s.decodeRows[k] = pimSteps, pimRows
+	newPath := func() ([]atomic.Uint64, []atomic.Uint64, []table) {
+		return make([]atomic.Uint64, memoMaxCtx), make([]atomic.Uint64, memoMaxCtx), make([]table, memoMaxPrefill+1)
 	}
-	s.steps[SoCOnly], s.decodeRows[SoCOnly] = make([]atomic.Uint64, memoMaxCtx), make([]table, memoMaxPrefill+1)
+	pimSteps, pimQuanta, pimRows := newPath()
+	for k := range s.steps {
+		s.steps[k], s.quanta[k], s.decodeRows[k] = pimSteps, pimQuanta, pimRows
+	}
+	s.steps[SoCOnly], s.quanta[SoCOnly], s.decodeRows[SoCOnly] = newPath()
 	pimCfg := pim.DefaultAiM(p.Spec.Geometry)
 	if cfg.PIM != nil {
 		pimCfg = *cfg.PIM

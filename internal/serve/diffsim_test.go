@@ -185,12 +185,16 @@ func TestDifferentialSim(t *testing.T) {
 				t.Errorf("NoTBT faulted cell ran no degraded quanta")
 			}
 			sameLiveDelta(t, liveDelta(b1, b2), liveDelta(b0, b1))
-			// Pass 2: lockstep stepping — both engines must pop the same
-			// event sequence, landing on identical completion clocks with
-			// identical backlog at every step. Both are also finished
-			// midway: the optimized sim's in-place selection reorders its
-			// sample buffers, and the later Finishes must still equal
-			// the reference's sorted copies bit for bit.
+			// Pass 2: lockstep stepping — both engines must process the
+			// same event sequence. One optimized Step may cover several
+			// events (decode quanta run in place), so after each the
+			// reference takes as many steps as the optimized event count
+			// moved (one when neither has events left), and the two must
+			// land on identical completion clocks with identical backlog.
+			// Both are also finished midway: the optimized sim's in-place
+			// selection reorders its sample buffers, and the later
+			// Finishes must still equal the reference's sorted copies bit
+			// for bit.
 			ref, err := NewReferenceSim(s, cfg)
 			if err != nil {
 				t.Fatalf("NewReferenceSim: %v", err)
@@ -203,8 +207,16 @@ func TestDifferentialSim(t *testing.T) {
 				if rp, op := ref.Pending(), opt.Pending(); rp != op {
 					t.Fatalf("step %d: Pending diverges: reference %d, optimized %d", step, rp, op)
 				}
-				moreRef, errRef := ref.Step()
+				e0 := opt.eventCount()
 				moreOpt, errOpt := opt.Step()
+				n := max(opt.eventCount()-e0, 1)
+				var moreRef bool
+				var errRef error
+				for i := int64(0); i < n && errRef == nil; i++ {
+					if moreRef, errRef = ref.Step(); !moreRef && i < n-1 {
+						t.Fatalf("step %d: reference ran out after %d of %d events", step, i+1, n)
+					}
+				}
 				if (errRef == nil) != (errOpt == nil) {
 					t.Fatalf("step %d: reference err %v, optimized err %v", step, errRef, errOpt)
 				}
@@ -279,6 +291,78 @@ func TestGeneratedMatchesInjected(t *testing.T) {
 			}
 			sameLiveDelta(t, liveDelta(b1, b2), liveDelta(b0, b1))
 		})
+	}
+}
+
+// barrierRun feeds a host-fed copy of cfg its generated arrivals the
+// way the cluster router feeds a device: at each barrier k*spacing it
+// injects the arrivals before the next barrier and advances to it. The
+// stream is sealed with its last arrival and then drained.
+func barrierRun(t *testing.T, s *engine.System, cfg SimConfig, spacing float64) *Sim {
+	t.Helper()
+	ds, err := workload.Generate(cfg.Workload, cfg.Queries, cfg.Seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	ats := make([]float64, len(ds.Queries))
+	var clock float64
+	for i := range ats {
+		clock += rng.ExpFloat64() / cfg.ArrivalRate
+		ats[i] = clock
+	}
+	qs := ds.Queries
+	host := cfg
+	host.Queries = 0
+	sim, err := NewSim(s, host)
+	if err != nil {
+		t.Fatalf("NewSim: %v", err)
+	}
+	next := 0
+	for k := 1; next < len(ats); k++ {
+		barrier := float64(k) * spacing
+		for ; next < len(ats) && ats[next] < barrier; next++ {
+			if err := sim.Inject(ats[next], qs[next].Prefill, qs[next].Decode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if next == len(ats) {
+			sim.Seal()
+		}
+		if err := sim.AdvanceTo(barrier); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sim.AdvanceTo(math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+// TestBarrierAdvanceMatchesRun holds a barrier-driven host-fed sim to
+// Run for every grid cell at two barrier spacings: the bit-identical
+// Metrics and Live movement require every decode quantum run in place
+// to stop before a finite AdvanceTo horizon and before the next
+// injected arrival, as the unfused loop would.
+func TestBarrierAdvanceMatchesRun(t *testing.T) {
+	s := servingSystem(t)
+	for i, cfg := range diffGrid() {
+		for _, spacing := range []float64{0.37, 5} {
+			t.Run(fmt.Sprintf("%s-b%g", diffName(i, cfg), spacing), func(t *testing.T) {
+				b0 := Live.Snapshot()
+				mg, err := Run(s, cfg)
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				b1 := Live.Snapshot()
+				mb := barrierRun(t, s, cfg, spacing).Finish()
+				b2 := Live.Snapshot()
+				if !reflect.DeepEqual(mb, mg) {
+					t.Errorf("metrics diverge:\n barrier   %+v\n generated %+v", mb, mg)
+				}
+				sameLiveDelta(t, liveDelta(b1, b2), liveDelta(b0, b1))
+			})
+		}
 	}
 }
 

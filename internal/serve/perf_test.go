@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"facil/internal/engine"
+	"facil/internal/fault"
 	"facil/internal/obs"
 	"facil/internal/stats"
 	"facil/internal/workload"
@@ -392,5 +393,71 @@ func TestSteppedTraceMatchesOneShot(t *testing.T) {
 	}, base)
 	if !bytes.Equal(oneShot, stepped) {
 		t.Errorf("stepped trace diverges from one-shot: %d vs %d bytes", len(stepped), len(oneShot))
+	}
+}
+
+// fleetDeviceConfig is one fleet device as the cluster router builds it
+// (one replica, NoTBT, bounded queue, SoC fallback behind a breaker,
+// stochastic lane faults) at the fleet's per-device rate.
+func fleetDeviceConfig() SimConfig {
+	return SimConfig{
+		Mode: Cooperative, Kind: engine.FACIL, Replicas: 1, ArrivalRate: 0.25,
+		Queries: 2000, Workload: workload.AlpacaSpec(), Seed: 11, NoTBT: true,
+		QueueCap: 16, DeadlineTTLT: 30, Policy: PolicySoCFallback, BreakerThreshold: 3,
+		Faults: fault.Scenario{Seed: 99, LaneMTBF: 900, LaneMTTR: 30},
+	}
+}
+
+// The exact work of fleetDeviceConfig's run, fed at 5 s barriers: the
+// events the optimized sim processes (the reference processes the same
+// events), its heap pushes, and the reference's pushes (one per arrival
+// plus one per event the loop schedules, every quantum included).
+const (
+	fleetDeviceEvents    = 25279
+	fleetDevicePushes    = 11403
+	fleetDeviceRefPushes = 25280
+)
+
+// TestFleetDeviceWorkCounts is the serve layer's exact work gate: on
+// any machine the fleet-like device run must process exactly the
+// reference's events and make exactly the committed number of heap
+// pushes, at most 0.6x the reference's, because uncontended decode
+// quanta run in place. A change that fuses less, or processes one event
+// more, fails it.
+func TestFleetDeviceWorkCounts(t *testing.T) {
+	s := servingSystem(t)
+	cfg := fleetDeviceConfig()
+	ref, err := NewReferenceSim(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refEvents int64
+	for {
+		more, err := ref.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
+		refEvents++
+	}
+	opt := barrierRun(t, s, cfg, 5)
+	events, pushes, refPushes := opt.sm.events, opt.sm.seq, ref.sm.seq
+	per := func(n int64) float64 { return float64(n) / float64(cfg.Queries) }
+	t.Logf("per query: %.3f events (reference %.3f), %.3f heap pushes (reference %.3f, ratio %.3f)",
+		per(events), per(refEvents), per(pushes), per(refPushes), float64(pushes)/float64(refPushes))
+	if events != refEvents || events != fleetDeviceEvents {
+		t.Errorf("processed %d events, reference %d, committed %d", events, refEvents, fleetDeviceEvents)
+	}
+	if pushes != fleetDevicePushes || refPushes != fleetDeviceRefPushes {
+		t.Errorf("made %d heap pushes (committed %d), reference %d (committed %d)",
+			pushes, fleetDevicePushes, refPushes, fleetDeviceRefPushes)
+	}
+	if float64(pushes) > 0.6*float64(refPushes) {
+		t.Errorf("%d heap pushes exceed 0.6x the reference's %d", pushes, refPushes)
+	}
+	if m := opt.Counters(); m.LaneFailures == 0 || m.Degraded == 0 {
+		t.Errorf("the run took %d lane failures and %d degraded queries; the gate needs both", m.LaneFailures, m.Degraded)
 	}
 }

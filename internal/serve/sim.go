@@ -148,8 +148,9 @@ type SimConfig struct {
 
 // DefaultPreemptSteps is the decode-lane scheduling quantum in decode
 // steps: after that many tokens the lane rotates to the next waiting
-// query (round-robin).
-const DefaultPreemptSteps = 8
+// query (round-robin). It is the engine's table-served quantum, so a
+// full quantum's duration is one engine load.
+const DefaultPreemptSteps = engine.DecodeQuantumSteps
 
 // Validate rejects degenerate scenarios: non-positive sizes, negative
 // limits, NaN/Inf rates or durations anywhere (including the fault
@@ -379,6 +380,9 @@ type sim struct {
 	now      float64
 	inSystem int
 	lastT    float64 // previous state-change instant for QueueDepth
+	// horizon is the bound of the stepUntil call in progress: no event
+	// at or past it may be processed (+Inf bounds nothing).
+	horizon float64
 
 	// open counts queries not yet terminal (completed, rejected, timed
 	// out or failed); once it reaches zero — and the arrival stream is
@@ -498,7 +502,7 @@ func Run(s *engine.System, cfg SimConfig) (Metrics, error) {
 }
 
 // Sim is a pausable, steppable serving simulation: Run's event loop
-// exposed one event at a time, so a host can advance virtual time in
+// exposed one step at a time, so a host can advance virtual time in
 // increments. The cluster router is that host: it drives one
 // host-fed Sim per fleet device between telemetry barriers.
 // Observers (facild's /metrics, which runs experiments through
@@ -595,9 +599,14 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 	return &Sim{sm: sm}, nil
 }
 
-// Step processes the next pending event and reports whether any events
-// remain afterwards. On an error the simulation is poisoned: discard
-// the Sim (partial metrics are meaningless).
+// Step processes the next pending event and reports whether one was
+// processed. A step that ends a decode quantum on an otherwise
+// uncontended PIM lane also runs that query's following quanta in place,
+// each counted as its own event, for as long as none of them can end at
+// or after anything else pending (see onQuantumDone): it may cover
+// several quantum ends, and the clock lands on the last. On an error
+// the simulation is poisoned: discard the Sim (partial metrics are
+// meaningless).
 func (s *Sim) Step() (bool, error) {
 	return s.sm.step()
 }
@@ -894,6 +903,7 @@ func (sm *sim) stepUntil(horizon float64) (bool, error) {
 		sm.drainSeen = g
 		sm.applyDrainOutage(math.Float64frombits(drainDur.Load()))
 	}
+	sm.horizon = horizon
 	for {
 		hasArr := int(sm.nextArr) < len(sm.qs)
 		if len(sm.evs) > 0 {
@@ -1122,12 +1132,17 @@ func (sm *sim) onPrefillDone(qi int32, ri int) error {
 // quantumSecondsKind sums the next `steps` decode-step latencies of q
 // under an explicit design (degraded quanta run at engine.SoCOnly
 // latency) and thermal slowdown factor. Each step is scaled before
-// summing so the quantum's internal token times match emitTokens; at
-// factor 1 the products are bit-identical to the unscaled sum.
+// summing so the quantum's internal token times match emitTokens. At
+// factor 1 each product st*1 is st exactly, so the engine's unscaled
+// quantum sum (a table load for a full quantum) has the same bits.
 func (sm *sim) quantumSecondsKind(q *query, steps int, kind engine.Kind, factor float64) (float64, error) {
+	ctx := q.prefill + q.stepsDone + 1
+	if factor == 1 {
+		return sm.sys.DecodeQuantumSeconds(kind, ctx, steps)
+	}
 	var t float64
 	for i := 0; i < steps; i++ {
-		st, err := sm.sys.DecodeStepSeconds(kind, q.prefill+q.stepsDone+i+1)
+		st, err := sm.sys.DecodeStepSeconds(kind, ctx+i)
 		if err != nil {
 			return 0, err
 		}
@@ -1196,13 +1211,25 @@ func (sm *sim) dispatchDecode(ri int) error {
 	return nil
 }
 
-// startQuantum starts query qi's next decode quantum (at most
-// preemptSteps steps) on replica ri's lane at start: on the PIM lane
-// at the configured design's latency, or on the SoC lane
-// (traceLaneSoC) at engine.SoCOnly latency for a degraded query. It
-// marks the lane busy and queues the quantum's evQuantumDone, which
-// carries the dispatch-time duration and thermal factor.
+// startQuantum starts query qi's next decode quantum on replica ri's
+// lane at start and queues its evQuantumDone (see quantum).
 func (sm *sim) startQuantum(qi int32, ri int, lane int64, start float64) error {
+	ev, err := sm.quantum(qi, ri, lane, start)
+	if err != nil {
+		return err
+	}
+	sm.push(ev)
+	return nil
+}
+
+// quantum begins query qi's next decode quantum (at most preemptSteps
+// steps) on replica ri's lane at start: on the PIM lane at the
+// configured design's latency, or on the SoC lane (traceLaneSoC) at
+// engine.SoCOnly latency for a degraded query. It marks the lane busy,
+// charges its busy time and returns the quantum's evQuantumDone, which
+// carries the dispatch-time duration and thermal factor, for the caller
+// to queue or (onQuantumDone's in-place run) to process at once.
+func (sm *sim) quantum(qi int32, ri int, lane int64, start float64) (event, error) {
 	r, q := &sm.reps[ri], &sm.qs[qi]
 	soc := lane == traceLaneSoC
 	kind := sm.cfg.Kind
@@ -1213,7 +1240,7 @@ func (sm *sim) startQuantum(qi int32, ri int, lane int64, start float64) error {
 	factor := sm.factorAt(start)
 	dur, err := sm.quantumSecondsKind(q, steps, kind, factor)
 	if err != nil {
-		return err
+		return event{}, err
 	}
 	// A one-shot penalty (failover migration, PTE repair, cross-device
 	// handoff) delays the quantum without emitting tokens.
@@ -1229,11 +1256,10 @@ func (sm *sim) startQuantum(qi int32, ri int, lane int64, start float64) error {
 	if penalty > 0 {
 		sm.traceSpan(ri, lane, "fault-recovery", q, start, penalty)
 	}
-	sm.push(event{
+	return event{
 		at: start + penalty + dur, kind: evQuantumDone, q: qi, rep: int32(ri),
 		steps: int32(steps), dur: dur, factor: factor, soc: soc,
-	})
-	return nil
+	}, nil
 }
 
 // onQuantumDone finishes one decode quantum: tokens are emitted, the
@@ -1241,6 +1267,14 @@ func (sm *sim) startQuantum(qi int32, ri int, lane int64, start float64) error {
 // quantum. The event carries the dispatch-time duration and thermal
 // factor so the replay cannot drift if fault conditions changed
 // mid-quantum.
+//
+// When the next quantum would go straight back to the same query on a
+// PIM lane no one else wants (chainable), and would end strictly before
+// anything else pending (nextBoundary), nothing can happen in between:
+// the quantum is begun, its end processed in place — advance, tokens,
+// span, as if popped from the heap — and the loop repeats. The unfused
+// path's queue round trip and heap push are all it skips, so every
+// count, sample and trace record keeps its bits.
 func (sm *sim) onQuantumDone(e *event) error {
 	q, ri, steps := &sm.qs[e.q], int(e.rep), int(e.steps)
 	r := &sm.reps[ri]
@@ -1255,22 +1289,43 @@ func (sm *sim) onQuantumDone(e *event) error {
 	if e.soc {
 		kind, lane = engine.SoCOnly, traceLaneSoC
 	}
-	if err := sm.emitTokens(q, sm.now-e.dur, steps, kind, e.factor); err != nil {
-		return err
-	}
-	sm.traceSpan(ri, lane, "decode", q, sm.now-e.dur, e.dur)
-	if e.soc {
-		r.socBusy = false
-	} else {
-		r.pimBusy = false
-	}
-	if q.stepsDone >= q.decode-1 {
-		sm.complete(q)
-	} else {
-		// Rejoin the replica's main decode queue: the next dispatch
-		// re-decides the route, so a degraded query returns to the PIM
-		// lane as soon as it recovers.
-		r.decodeQ.push(sm.qs, e.q)
+	dur, factor := e.dur, e.factor
+	for {
+		if err := sm.emitTokens(q, sm.now-dur, steps, kind, factor); err != nil {
+			return err
+		}
+		sm.traceSpan(ri, lane, "decode", q, sm.now-dur, dur)
+		if e.soc {
+			r.socBusy = false
+		} else {
+			r.pimBusy = false
+		}
+		if q.stepsDone >= q.decode-1 {
+			sm.complete(q)
+			break
+		}
+		if e.soc || !sm.chainable(q, ri) {
+			// Rejoin the replica's main decode queue: the next dispatch
+			// re-decides the route, so a degraded query returns to the
+			// PIM lane as soon as it recovers.
+			r.decodeQ.push(sm.qs, e.q)
+			break
+		}
+		// dispatchDecode would pop q straight back onto the lane: the
+		// same acquirePIM bookkeeping, then its next quantum at now.
+		if sm.flt != nil {
+			sm.acquirePIM(ri)
+		}
+		next, err := sm.quantum(e.q, ri, traceLanePIM, sm.now)
+		if err != nil {
+			return err
+		}
+		if !(next.at < sm.nextBoundary()) {
+			sm.push(next)
+			break
+		}
+		sm.advance(next.at)
+		steps, dur, factor = int(next.steps), next.dur, next.factor
 	}
 	if e.soc {
 		// The freed SoC lane goes to waiting prefills first.
@@ -1279,6 +1334,36 @@ func (sm *sim) onQuantumDone(e *event) error {
 		}
 	}
 	return sm.dispatchDecode(ri)
+}
+
+// chainable reports whether dispatchDecode, run now on replica ri
+// after q's PIM quantum ended, would do nothing but start q's next
+// quantum at now with no penalty: no other query waits for the lane, q
+// has not timed out, no relayout window holds the lane, no drain outage
+// is pending, and with the fault layer armed the lane is up, its
+// breaker closed, and the SoC fallback queue has nothing to start.
+func (sm *sim) chainable(q *query, ri int) bool {
+	r := &sm.reps[ri]
+	if !r.decodeQ.empty() || sm.expired(q) || q.penalty != 0 || r.pimFreeAt > sm.now || drainGen.Load() != sm.drainSeen {
+		return false
+	}
+	return sm.flt == nil || (!r.pimDown && r.brk.state == brkClosed && (r.socQ.empty() || r.socBusy))
+}
+
+// nextBoundary returns the earliest instant at which anything other
+// than a running quantum can happen: the earliest pending event, the
+// next arrival, or the stepUntil horizon. Only a quantum ending strictly
+// before it is certainly the next event: on an exact tie the older event
+// (lower seq) and the arrival go first.
+func (sm *sim) nextBoundary() float64 {
+	b := sm.horizon
+	if len(sm.evs) > 0 && sm.evs[0].at < b {
+		b = sm.evs[0].at
+	}
+	if int(sm.nextArr) < len(sm.qs) && sm.qs[sm.nextArr].start < b {
+		b = sm.qs[sm.nextArr].start
+	}
+	return b
 }
 
 // complete retires a cooperative-mode query.

@@ -142,3 +142,8 @@ func (s *Sim) Now() float64 { return s.sm.now }
 func (s *Sim) Pending() int {
 	return len(s.sm.qs) - int(s.sm.nextArr) + len(s.sm.evs)
 }
+
+// eventCount returns the number of events the sim has processed. One
+// Step may process several (uncontended decode quanta run in place), so
+// the lockstep differential steps the reference this many times.
+func (s *Sim) eventCount() int64 { return s.sm.events }

@@ -35,14 +35,12 @@ type Region struct {
 //  3. huge pages are allocated and their PTEs record {PFN, MapID},
 //  4. the virtual address is returned.
 type AddressSpace struct {
-	mem   mapping.MemoryConfig
-	chunk mapping.ChunkConfig
-	buddy *Buddy
-	pt    *PageTable
-	// physBase is the physical address of frame 0 (usually 0).
-	physBase uint64
-	nextVA   uint64
-	cursor   int
+	mem    mapping.MemoryConfig
+	chunk  mapping.ChunkConfig
+	buddy  *Buddy
+	pt     *PageTable
+	nextVA uint64
+	cursor int
 
 	// MovedFrames accumulates compaction migration work (for load-time
 	// accounting).
@@ -126,7 +124,7 @@ func (as *AddressSpace) Pimalloc(m mapping.MatrixConfig) (*Region, error) {
 			as.CompactedPages++
 			as.MovedFrames += int64(moved)
 		}
-		phys := as.physBase + uint64(start)*BasePageBytes
+		phys := uint64(start) * BasePageBytes
 		if err := as.pt.MapHuge(va+uint64(off), phys, sel.ID, PTEWrite|PTEUser); err != nil {
 			as.releasePages(reg)
 			return nil, err
@@ -156,7 +154,7 @@ func (as *AddressSpace) Alloc(bytes int64) (*Region, error) {
 			as.releasePages(reg)
 			return nil, err
 		}
-		phys := as.physBase + uint64(start)*BasePageBytes
+		phys := uint64(start) * BasePageBytes
 		if err := as.pt.MapBase(va+uint64(off), phys, PTEWrite|PTEUser); err != nil {
 			as.releasePages(reg)
 			return nil, err
@@ -174,7 +172,7 @@ func (as *AddressSpace) Free(reg *Region) error {
 	}
 	for i, phys := range reg.Pages {
 		as.pt.Unmap(reg.VA + uint64(i)*uint64(reg.PageBytes))
-		frame := int((phys - as.physBase) / BasePageBytes)
+		frame := int(phys / BasePageBytes)
 		if err := as.buddy.Free(frame, order); err != nil {
 			return err
 		}
@@ -191,7 +189,7 @@ func (as *AddressSpace) releasePages(reg *Region) {
 	}
 	for i, phys := range reg.Pages {
 		as.pt.Unmap(reg.VA + uint64(i)*uint64(reg.PageBytes))
-		frame := int((phys - as.physBase) / BasePageBytes)
+		frame := int(phys / BasePageBytes)
 		_ = as.buddy.Free(frame, order)
 	}
 	reg.Pages = nil
