@@ -361,14 +361,12 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	}
 
 	// The cluster arrival process mirrors a single sim's: one
-	// exponential gap per query from a run-owned RNG, plus a second
-	// stream drawing the priority class (Interactive 50%, Standard 30%,
-	// Batch 20%). Both streams are consumed for every query — shed or
-	// routed — so strategies see identical arrival sequences.
-	ds, err := workload.Generate(cfg.Workload, cfg.Queries, cfg.Seed+1)
-	if err != nil {
-		return Metrics{}, err
-	}
+	// exponential gap per query from a run-owned RNG and its lengths from
+	// the workload stream, plus a third stream drawing the priority class
+	// (Interactive 50%, Standard 30%, Batch 20%). Each is drawn as its
+	// query arrives and consumed for every query — shed or routed — so
+	// strategies see identical arrival sequences.
+	lengths := workload.NewStream(cfg.Workload, cfg.Seed+1)
 	arrRNG := rand.New(rand.NewSource(cfg.Seed))
 	clsRNG := rand.New(rand.NewSource(cfg.Seed + 3))
 
@@ -462,8 +460,9 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	}
 
 	var clock float64
-	for qi := 0; qi < cfg.Queries; qi++ {
+	for range cfg.Queries {
 		clock += arrRNG.ExpFloat64() / cfg.ArrivalRate
+		q := lengths.Next()
 		u := clsRNG.Float64()
 		class := Interactive
 		switch {
@@ -487,7 +486,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			continue
 		}
 		rv.assign(pick, clock)
-		if err := devs[pick].sim.Inject(clock, ds.Queries[qi].Prefill, ds.Queries[qi].Decode); err != nil {
+		if err := devs[pick].sim.Inject(clock, q.Prefill, q.Decode); err != nil {
 			return Metrics{}, err
 		}
 		m.Routed++
@@ -526,9 +525,20 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	collect(clock)
 
 	// Reduce: pool latency samples, sum outcome counters, and average
-	// the per-device utilization/availability within each class.
-	var allTTFT, allTTLT []float64
+	// the per-device utilization/availability within each class. The
+	// pooled buffers are sized from the devices' sample counts first.
+	nTTFT, nTTLT, classN := 0, 0, make([]int, len(fl.classes))
+	for _, d := range devs {
+		ttft, ttlt := d.sim.Latencies()
+		nTTFT += len(ttft)
+		nTTLT += len(ttlt)
+		classN[d.class] += len(ttft)
+	}
+	allTTFT, allTTLT := make([]float64, 0, nTTFT), make([]float64, 0, nTTLT)
 	classTTFT := make([][]float64, len(fl.classes))
+	for ci := range classTTFT {
+		classTTFT[ci] = make([]float64, 0, classN[ci])
+	}
 	m.PerClass = make([]ClassMetrics, len(fl.classes))
 	for ci, cl := range fl.classes {
 		m.PerClass[ci] = ClassMetrics{Class: cl.Label(), Devices: cl.Count}

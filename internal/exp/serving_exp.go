@@ -17,9 +17,11 @@ import (
 // tracer on disjoint pid blocks assigned up front in config order
 // (Replicas+1 tracks each: the replicas plus the admission-queue
 // counter), so the set of traced events is the same at any
-// parallelism. The trace file's bytes are fixed only at parallelism 1:
-// concurrent sims append to the shared tracer as they run, and events
-// with equal timestamps keep that arrival order when written.
+// parallelism. Concurrent sims append to the shared tracer as they run,
+// but each owns its pid block and the tracer writes records in a
+// canonical (timestamp, pid) order, so the trace file is byte-identical
+// at any parallelism unless its ring evicted events (which ones it
+// evicts depends on the interleaving).
 func (l *Lab) serveSweep(ctx context.Context, experiment string, cfgs []serve.SimConfig) ([]serve.Metrics, error) {
 	s, err := l.System(soc.Jetson)
 	if err != nil {

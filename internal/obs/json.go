@@ -27,16 +27,29 @@ type traceFile struct {
 }
 
 // WriteJSON serializes the buffered trace in Chrome trace-event JSON
-// object format. Metadata (track names) is emitted first, then every
-// buffered event sorted by timestamp, so the file's event stream is
-// monotonic even though duration slices are recorded at their *end*
-// time. WriteJSON is a cold path: it allocates freely and may run while
-// recording continues (it works on a snapshot).
+// object format. Metadata (track names) is emitted first, stably sorted
+// by (PID, TID), then every buffered event stably sorted by (timestamp,
+// PID), so the file's event stream is monotonic even though duration
+// slices are recorded at their *end* time. The order is canonical when
+// each PID has one recorder (each sim owns its PID block): records of
+// one PID keep their recording order, and records of different PIDs
+// interleave by key alone, so concurrent recorders write the same bytes
+// in any interleaving as long as the ring evicted nothing. WriteJSON is
+// a cold path: it allocates freely and may run while recording
+// continues (it works on a snapshot).
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	events := t.Snapshot()
-	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
-	out := traceFile{DisplayTimeUnit: "ms", TraceEvents: make([]jsonEvent, 0, len(events)+t.metaLen())}
-	for _, m := range t.Metadata() {
+	sort.SliceStable(events, func(i, j int) bool {
+		a, b := &events[i], &events[j]
+		return a.TS < b.TS || a.TS == b.TS && a.PID < b.PID
+	})
+	meta := t.Metadata()
+	sort.SliceStable(meta, func(i, j int) bool {
+		a, b := &meta[i], &meta[j]
+		return a.PID < b.PID || a.PID == b.PID && a.TID < b.TID
+	})
+	out := traceFile{DisplayTimeUnit: "ms", TraceEvents: make([]jsonEvent, 0, len(events)+len(meta))}
+	for _, m := range meta {
 		out.TraceEvents = append(out.TraceEvents, jsonEvent{
 			Name: m.Name, Ph: string(PhaseMetadata), PID: m.PID, TID: m.TID,
 			Args: map[string]any{"name": m.Str},
@@ -58,16 +71,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// metaLen returns the metadata count (0 for nil).
-func (t *Tracer) metaLen() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.meta)
 }
 
 // WriteFile writes the trace to path (0644), creating or truncating it.

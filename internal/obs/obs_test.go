@@ -112,6 +112,58 @@ func TestWriteJSONValidAndMonotonic(t *testing.T) {
 	}
 }
 
+// TestWriteJSONCanonicalOrder records the same per-PID sequences in two
+// interleavings, as concurrent sims sharing one tracer do, and requires
+// byte-identical files. The sequences tie on timestamps within and
+// across PIDs, and their metadata interleaves, so a sort by timestamp
+// alone, or metadata left in recording order, fails it.
+func TestWriteJSONCanonicalOrder(t *testing.T) {
+	// seqs[p] is PID p's records in its own recording order.
+	seqs := make([][]func(*Tracer), 3)
+	for p := range seqs {
+		pid := int64(p)
+		seqs[p] = []func(*Tracer){
+			func(tr *Tracer) { tr.ProcessName(pid, "replica") },
+			func(tr *Tracer) { tr.ThreadName(pid, 1, "PIM lane") },
+			func(tr *Tracer) { tr.ThreadName(pid, 0, "SoC lane") },
+			func(tr *Tracer) { tr.InstantArg(pid, 0, "arrival", 10, "query", float64(p)) },
+			func(tr *Tracer) { tr.Counter(pid, "depth", 10, 1) },
+			func(tr *Tracer) { tr.CompleteArg(pid, 1, "decode", 10, 5, "query", float64(p)) },
+			func(tr *Tracer) { tr.CompleteArg(pid, 0, "prefill", 4, 6, "query", float64(p)) },
+			func(tr *Tracer) { tr.InstantArg(pid, 0, "complete", 15, "query", float64(p)) },
+		}
+	}
+	write := func(order []int) []byte {
+		tr := New(64)
+		next := make([]int, len(seqs))
+		for _, p := range order {
+			seqs[p][next[p]](tr)
+			next[p]++
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var byPID, interleaved []int
+	for p, seq := range seqs {
+		for range seq {
+			byPID = append(byPID, p)
+		}
+	}
+	for i := range seqs[0] {
+		for p := len(seqs) - 1; p >= 0; p-- {
+			if i < len(seqs[p]) {
+				interleaved = append(interleaved, p)
+			}
+		}
+	}
+	if a, b := write(byPID), write(interleaved); !bytes.Equal(a, b) {
+		t.Errorf("the same per-PID records write different files in two interleavings:\n%s\n%s", a, b)
+	}
+}
+
 // TestConcurrentRecording hammers one tracer from several goroutines;
 // run under -race this pins the locking contract.
 func TestConcurrentRecording(t *testing.T) {

@@ -297,8 +297,9 @@ func TestGeneratedMatchesInjected(t *testing.T) {
 // barrierRun feeds a host-fed copy of cfg its generated arrivals the
 // way the cluster router feeds a device: at each barrier k*spacing it
 // injects the arrivals before the next barrier and advances to it. The
-// stream is sealed with its last arrival and then drained.
-func barrierRun(t *testing.T, s *engine.System, cfg SimConfig, spacing float64) *Sim {
+// stream is sealed with its last arrival and then drained. injected,
+// when not nil, runs after every Inject.
+func barrierRun(t *testing.T, s *engine.System, cfg SimConfig, spacing float64, injected func(*Sim)) *Sim {
 	t.Helper()
 	ds, err := workload.Generate(cfg.Workload, cfg.Queries, cfg.Seed+1)
 	if err != nil {
@@ -324,6 +325,9 @@ func barrierRun(t *testing.T, s *engine.System, cfg SimConfig, spacing float64) 
 		for ; next < len(ats) && ats[next] < barrier; next++ {
 			if err := sim.Inject(ats[next], qs[next].Prefill, qs[next].Decode); err != nil {
 				t.Fatal(err)
+			}
+			if injected != nil {
+				injected(sim)
 			}
 		}
 		if next == len(ats) {
@@ -355,7 +359,7 @@ func TestBarrierAdvanceMatchesRun(t *testing.T) {
 					t.Fatalf("Run: %v", err)
 				}
 				b1 := Live.Snapshot()
-				mb := barrierRun(t, s, cfg, spacing).Finish()
+				mb := barrierRun(t, s, cfg, spacing, nil).Finish()
 				b2 := Live.Snapshot()
 				if !reflect.DeepEqual(mb, mg) {
 					t.Errorf("metrics diverge:\n barrier   %+v\n generated %+v", mb, mg)

@@ -26,7 +26,7 @@ type event struct {
 	at  float64
 	seq int64 // tie-break: FIFO among simultaneous events
 	// q is the query-slab index the event targets (initial arrivals are
-	// not events — they stream from the arrival cursor).
+	// not events — they wait in the arrival FIFO).
 	q    int32
 	rep  int32 // replica index (evPrefillDone, evQuantumDone, lane events)
 	kind evKind

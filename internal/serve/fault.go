@@ -102,11 +102,12 @@ func (sm *sim) maybeCorrupt(q *query) {
 // policies the bad ID is detected and a page-table re-walk repairs it,
 // adding MapIDRepairSeconds to the query. Returns whether the query
 // survived.
-func (sm *sim) onCorruptHandoff(q *query) bool {
+func (sm *sim) onCorruptHandoff(qi int32) bool {
 	if sm.cfg.Policy == PolicyNone {
-		sm.failQuery(q, "corrupt-mapid")
+		sm.failQuery(qi, "corrupt-mapid")
 		return false
 	}
+	q := &sm.qs[qi]
 	q.penalty += MapIDRepairSeconds
 	sm.m.CorruptRepaired++
 	sm.traceInstant("mapid-repair", q)
@@ -115,12 +116,12 @@ func (sm *sim) onCorruptHandoff(q *query) bool {
 
 // failQuery terminally fails a query (fault consequence, not a timeout
 // or rejection).
-func (sm *sim) failQuery(q *query, why string) {
+func (sm *sim) failQuery(qi int32, why string) {
 	sm.m.Failed++
 	sm.inSystem--
-	sm.open--
-	sm.traceInstant(why, q)
+	sm.traceInstant(why, &sm.qs[qi])
 	sm.traceDepth()
+	sm.release(qi)
 }
 
 // onLaneDown starts (or extends) a PIM-lane outage on a replica and
@@ -234,7 +235,7 @@ func (sm *sim) degrade(qi int32, ri int) error {
 		sm.reps[ri].socQ.push(sm.qs, qi)
 		return sm.dispatchSoCDecode(ri)
 	default:
-		sm.failQuery(q, "lane-fail")
+		sm.failQuery(qi, "lane-fail")
 		return nil
 	}
 }
@@ -248,9 +249,8 @@ func (sm *sim) dispatchSoCDecode(ri int) error {
 	r := &sm.reps[ri]
 	for !r.socBusy && !r.socQ.empty() {
 		qi := r.socQ.pop(sm.qs)
-		q := &sm.qs[qi]
-		if sm.expired(q) {
-			sm.abort(q)
+		if sm.expired(&sm.qs[qi]) {
+			sm.abort(qi)
 			continue
 		}
 		if err := sm.startQuantum(qi, ri, traceLaneSoC, sm.now); err != nil {

@@ -442,7 +442,7 @@ func TestFleetDeviceWorkCounts(t *testing.T) {
 		}
 		refEvents++
 	}
-	opt := barrierRun(t, s, cfg, 5)
+	opt := barrierRun(t, s, cfg, 5, nil)
 	events, pushes, refPushes := opt.sm.events, opt.sm.seq, ref.sm.seq
 	per := func(n int64) float64 { return float64(n) / float64(cfg.Queries) }
 	t.Logf("per query: %.3f events (reference %.3f), %.3f heap pushes (reference %.3f, ratio %.3f)",
@@ -459,5 +459,116 @@ func TestFleetDeviceWorkCounts(t *testing.T) {
 	}
 	if m := opt.Counters(); m.LaneFailures == 0 || m.Degraded == 0 {
 		t.Errorf("the run took %d lane failures and %d degraded queries; the gate needs both", m.LaneFailures, m.Degraded)
+	}
+}
+
+// fleetDeviceSlabPeak is the slab high-water mark of fleetDeviceConfig
+// fed slabGateQueries arrivals at 5 s barriers: the peak count of open
+// queries, injected ahead of the clock included.
+const (
+	slabGateQueries     = 100_000
+	fleetDeviceSlabPeak = 20
+)
+
+// TestSlabHoldsOnlyOpenQueries is the exact bound on the query slab.
+// A fleet-like device fed 1e5 queries at barriers must end with a slab
+// exactly as large as its peak count of open queries (each open query
+// owns one slot, and a terminal one frees its slot for the next
+// arrival), with every slot back on the free list after the drain. A
+// two-replica device then takes fresh and resumed arrivals and reaches
+// all five terminal points (completion, timeout, rejection, failure and
+// retraction), with slots reused out of arrival order: the same bound
+// holds, and every resumed query must decode on replica id mod 2,
+// picked by its arrival ordinal, never by its slot.
+func TestSlabHoldsOnlyOpenQueries(t *testing.T) {
+	s := servingSystem(t)
+	cfg := fleetDeviceConfig()
+	cfg.Queries = slabGateQueries
+	peak := 0
+	sim := barrierRun(t, s, cfg, 5, func(sim *Sim) { peak = max(peak, sim.sm.open) })
+	checkSlab(t, sim, peak, cfg.Queries)
+	if len(sim.sm.qs) != fleetDeviceSlabPeak {
+		t.Errorf("slab high-water mark %d, committed %d", len(sim.sm.qs), fleetDeviceSlabPeak)
+	}
+
+	tr := obs.New(1 << 16)
+	rcfg := streamConfig(2, 6)
+	rcfg.Tracer, rcfg.Timeout = tr, 2
+	rcfg.Faults = fault.Scenario{Seed: 5, LaneMTBF: 60, LaneMTTR: 4}
+	rs, err := NewSim(s, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := map[int]bool{}
+	peak, id := 0, 0
+	for b := 1; b <= 200; b++ {
+		// Every tenth barrier brings a burst of long prompts that
+		// overflows the queue and outwaits the timeout.
+		at, n, pre := float64(b), 2, 32
+		if b%10 == 0 {
+			n, pre = 12, 1024
+		}
+		for k := 0; k < n; k++ {
+			if err := rs.Inject(at, pre+8*k, 4+4*(b%3)); err != nil {
+				t.Fatal(err)
+			}
+			id++
+			peak = max(peak, rs.sm.open)
+		}
+		if b%2 == 0 {
+			r := Retracted{Arrival: at - 0.5, Prefill: 48, Decode: 12, StepsDone: b % 5, Prefilled: true}
+			if err := rs.InjectResume(at, r, 0.001); err != nil {
+				t.Fatal(err)
+			}
+			resumed[id] = true
+			id++
+			peak = max(peak, rs.sm.open)
+		}
+		if err := rs.AdvanceTo(at); err != nil {
+			t.Fatal(err)
+		}
+		if b%7 == 0 {
+			rs.Retract()
+		}
+	}
+	rs.Seal()
+	if err := rs.AdvanceTo(math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	checkSlab(t, rs, peak, id)
+	if m := rs.Counters(); m.Completed == 0 || m.Rejected == 0 || m.TimedOut == 0 || m.Failed == 0 || m.Retracted == 0 {
+		t.Errorf("two-replica run must reach all five terminal points: %+v", m)
+	}
+	t.Logf("slab high-water marks: %d slots for %d fleet-device arrivals, %d for %d two-replica arrivals (%d resumed)", len(sim.sm.qs), cfg.Queries, len(rs.sm.qs), id, len(resumed))
+	if len(rs.sm.qs) >= id/4 {
+		t.Errorf("two-replica slab holds %d slots for %d arrivals: too little reuse to test the replica choice", len(rs.sm.qs), id)
+	}
+	decodes := 0
+	for _, e := range tr.Snapshot() {
+		if q := int(e.Arg); e.Name == "decode" && resumed[q] {
+			decodes++
+			if ri := int(e.PID - rcfg.TracePIDBase); ri != q%2 {
+				t.Fatalf("resumed query %d decoded on replica %d, want %d (its arrival ordinal mod 2)", q, ri, q%2)
+			}
+		}
+	}
+	if decodes < len(resumed)/2 {
+		t.Errorf("%d decode spans for %d resumed queries", decodes, len(resumed))
+	}
+}
+
+// checkSlab requires a drained sim's slab to be exactly as large as
+// peak, its open query count back to zero, every slot on the free list
+// and n arrivals to have been counted.
+func checkSlab(t *testing.T, sim *Sim, peak, n int) {
+	t.Helper()
+	sm := sim.sm
+	free := 0
+	for qi := sm.free; qi >= 0; qi = sm.qs[qi].next {
+		free++
+	}
+	if len(sm.qs) != peak || sm.open != 0 || free != len(sm.qs) || sm.ids != n {
+		t.Errorf("slab of %d slots (%d free) after %d arrivals with %d still open; peak open count %d",
+			len(sm.qs), free, sm.ids, sm.open, peak)
 	}
 }

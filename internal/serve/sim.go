@@ -272,10 +272,12 @@ type Metrics struct {
 }
 
 // query is one request flowing through the simulator. The optimized sim
-// stores all of a run's queries in one slab, in arrival order, and
-// threads pending FIFOs through the intrusive next link; the reference
-// sim heap-allocates them and leaves next untouched.
+// keeps its open queries in one slab of reusable slots and threads
+// pending FIFOs (and the free-slot list) through the intrusive next
+// link; the reference sim heap-allocates them and leaves next untouched.
 type query struct {
+	// id is the query's arrival ordinal in this sim, never its slot: it
+	// labels trace events and picks a resumed query's replica.
 	id      int
 	arrival float64
 	// start is the query's position in this sim's arrival stream — the
@@ -290,18 +292,19 @@ type query struct {
 	firstToken      float64 // prefill completion (token 1)
 	prevToken       float64 // last emitted token (TBT anchor)
 
-	// next is the intrusive pending-list link (-1 = none). A query sits
-	// in at most one place at a time — the admission FIFO, one decode
-	// queue, one SoC fallback queue, or an in-flight event — so a single
-	// link suffices.
-	next int32
-
 	// Fault-layer state (zero on the happy path):
 	attempts int     // client retries consumed so far
+	penalty  float64 // one-shot delay before the next quantum (failover migration, PTE repair)
 	corrupt  bool    // scenario corrupted the PTE MapID
 	degraded bool    // counted in Metrics.Degraded already
 	resumed  bool    // migrated in after prefill ran elsewhere: skip straight to decode
-	penalty  float64 // one-shot delay before the next quantum (failover migration, PTE repair)
+
+	// next is the intrusive pending-list link (-1 = none). A query sits
+	// in at most one place at a time — the arrival FIFO, the admission
+	// FIFO, one decode queue, one SoC fallback queue, or an in-flight
+	// event — and a free slot only on the free list, so a single link
+	// suffices.
+	next int32
 }
 
 // qlist is an intrusive FIFO of slab queries linked through query.next.
@@ -356,23 +359,38 @@ type replica struct {
 	socQ      qlist
 }
 
-// sim is the run state of one event-driven simulation. The hot path is
-// allocation-free in steady state: queries live in one slab indexed by
-// arrival order (the arrival stream needs no scheduling structure at
-// all — nextArr is a cursor), dynamic events live in a value-typed
-// min-heap that keeps its capacity, pending queries thread through
-// intrusive qlists, and the per-token engine latencies are reads of the
-// System's lock-free tables.
+// sim is the run state of one event-driven simulation. It holds only
+// the queries in flight: each open query owns one slot of the qs slab,
+// and a terminal one returns its slot to a free list, so the slab never
+// outgrows the peak count of open queries however long the run. The hot
+// path is allocation-free in steady state: pending arrivals wait in a
+// FIFO (they need no scheduling structure — the stream is in start
+// order), dynamic events live in a value-typed min-heap that keeps its
+// capacity, pending queries thread through intrusive qlists, and the
+// per-token engine latencies are reads of the System's lock-free tables.
 type sim struct {
 	cfg SimConfig
 	sys *engine.System
 	evs eventQueue
 	// seq numbers dynamic events FIFO among equal times. Arrivals are
-	// not events: stepUntil takes the arrival cursor on an exact tie,
-	// so an arrival beats any queued event at the same instant.
-	seq     int64
-	qs      []query
-	nextArr int32 // arrival cursor into qs
+	// not events: stepUntil takes the arrival FIFO's head on an exact
+	// tie, so an arrival beats any queued event at the same instant.
+	seq int64
+	// qs is the query slab and free the head of its free-slot list,
+	// linked through query.next (-1 = none). Slots are reused, so only
+	// events and qlists name them; query.id keeps the arrival ordinal.
+	qs   []query
+	free int32
+	// arr is the FIFO of appended arrivals not yet taken, ids counts
+	// every appended arrival (the next query.id), and lastStart is the
+	// newest one's start, which the next must not precede.
+	arr       qlist
+	ids       int
+	lastStart float64
+	// gen holds a generated run's arrivals (nil when host-fed) and
+	// genNext the next one to enter the slab.
+	gen     []genArrival
+	genNext int
 	reps    []replica
 	wait    qlist   // admission FIFO feeding SoC lanes
 	relay   float64 // per-handoff re-layout seconds (RelayoutHybrid)
@@ -540,6 +558,8 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 		sys:  s,
 		reps: make([]replica, cfg.Replicas),
 		m:    Metrics{Mode: cfg.Mode, Kind: cfg.Kind, Replicas: cfg.Replicas},
+		free: -1,
+		arr:  emptyQlist,
 		wait: emptyQlist,
 	}
 	for ri := range sm.reps {
@@ -560,27 +580,30 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 		sm.relay = relay
 	}
 	// A generated run owns two RNG streams — Seed draws one exponential
-	// gap per query in arrival order, Seed+1 the token lengths — and
-	// feeds its arrivals through the path Inject uses, then seals.
+	// gap per query in arrival order, Seed+1 the token lengths — drawn
+	// here into gen (24 bytes a query, beside the 16 of TTFT and TTLT
+	// samples the run reserves), so the event loop pays no sampling. The
+	// lengths also size the TBT buffer exactly. Each arrival enters the
+	// slab through the path Inject uses one ahead of the clock (see
+	// pull), and the run is sealed from the start.
 	if cfg.Queries > 0 {
-		ds, err := workload.Generate(cfg.Workload, cfg.Queries, cfg.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
+		lengths := workload.NewStream(cfg.Workload, cfg.Seed+1)
+		gaps := rand.New(rand.NewSource(cfg.Seed))
+		sm.gen = make([]genArrival, cfg.Queries)
 		var clock float64
-		sm.qs = make([]query, 0, cfg.Queries)
 		tbtCap := 0
-		for _, q := range ds.Queries {
-			clock += rng.ExpFloat64() / cfg.ArrivalRate
-			if err := sm.appendArrival("NewSim", query{arrival: clock, start: clock, prefill: q.Prefill, decode: q.Decode}); err != nil {
-				return nil, err
-			}
+		for i := range sm.gen {
+			q := lengths.Next()
+			clock += gaps.ExpFloat64() / cfg.ArrivalRate
+			sm.gen[i] = genArrival{at: clock, q: q}
 			tbtCap += max(q.Decode-1, 0)
 		}
 		sm.ttfts, sm.ttlts = make([]float64, 0, cfg.Queries), make([]float64, 0, cfg.Queries)
 		if !cfg.NoTBT {
 			sm.tbts = make([]float64, 0, tbtCap)
+		}
+		if err := sm.pull(); err != nil {
+			return nil, err
 		}
 		sm.sealed = true
 	}
@@ -658,22 +681,63 @@ func (s *Sim) Inject(at float64, prefill, decode int) error {
 	return sm.appendArrival("Inject", query{arrival: at, start: at, prefill: prefill, decode: decode})
 }
 
-// appendArrival is the one path onto the arrival stream: it
-// rejects a start time that is not finite, behind the clock or before
-// the last arrival, then appends q to the slab as the newest open
-// query. op names the caller in errors.
+// appendArrival is the one path onto the arrival stream: it rejects
+// a start time that is not finite, behind the clock or before the last
+// arrival, then puts q in a free slab slot (growing the slab only when
+// none is free) and queues it as the newest open query, numbered by
+// arrival. op names the caller in errors.
 func (sm *sim) appendArrival(op string, q query) error {
 	at := q.start
 	if math.IsNaN(at) || math.IsInf(at, 0) || at < sm.now {
 		return fmt.Errorf("serve: %s at %g behind the clock %g", op, at, sm.now)
 	}
-	if n := len(sm.qs); n > 0 && at < sm.qs[n-1].start {
-		return fmt.Errorf("serve: %s arrivals must be time-ordered (%g after %g)", op, at, sm.qs[n-1].start)
+	if at < sm.lastStart {
+		return fmt.Errorf("serve: %s arrivals must be time-ordered (%g after %g)", op, at, sm.lastStart)
 	}
-	q.id, q.next = len(sm.qs), -1
-	sm.qs = append(sm.qs, q)
+	q.id = sm.ids
+	qs, qi := sm.qs, sm.free
+	if qi >= 0 {
+		sm.free = qs[qi].next
+		qs[qi] = q
+	} else {
+		qi = int32(len(qs))
+		qs = append(qs, q)
+		sm.qs = qs
+	}
+	sm.arr.push(qs, qi)
+	sm.ids++
+	sm.lastStart = at
 	sm.open++
 	return nil
+}
+
+// release retires a terminal query at one of the five points where a
+// query leaves for good (complete, abort, reject, failQuery, retract):
+// it stops counting as open and its slot goes onto the free list. No
+// event or qlist names the slot by then.
+func (sm *sim) release(qi int32) {
+	sm.open--
+	sm.qs[qi].next = sm.free
+	sm.free = qi
+}
+
+// genArrival is one arrival of a generated run: its time and lengths.
+type genArrival struct {
+	at float64
+	q  workload.Query
+}
+
+// pull appends a generated run's next arrival, if one is left. NewSim
+// pulls the first and stepUntil the next as it takes each arrival, so
+// exactly one generated arrival is pending until the run's last: the
+// merge and nextBoundary see it as they would a whole stream's head.
+func (sm *sim) pull() error {
+	if sm.genNext == len(sm.gen) {
+		return nil
+	}
+	a := &sm.gen[sm.genNext]
+	sm.genNext++
+	return sm.appendArrival("NewSim", query{arrival: a.at, start: a.at, prefill: a.q.Prefill, decode: a.q.Decode})
 }
 
 // Seal marks a host-fed arrival stream complete: no further Inject
@@ -792,13 +856,14 @@ func (sm *sim) retract(qi int32, prefilled bool) Retracted {
 	q := &sm.qs[qi]
 	sm.m.Retracted++
 	sm.inSystem--
-	sm.open--
 	sm.traceInstant("retract", q)
 	sm.traceDepth()
-	return Retracted{
+	r := Retracted{
 		Arrival: q.arrival, Prefill: q.prefill, Decode: q.decode,
 		StepsDone: q.stepsDone, Prefilled: prefilled,
 	}
+	sm.release(qi)
+	return r
 }
 
 // InjectResume appends a retracted query to a sim's arrival
@@ -877,13 +942,13 @@ func (sm *sim) advance(t float64) {
 
 // step processes the next pending event with no horizon — the whole-run
 // event loop. The merge logic lives in stepUntil; at an infinite horizon
-// the limit reduces to the bare arrival cursor, so this is bit-identical
+// the limit reduces to the bare arrival FIFO, so this is bit-identical
 // to the pre-horizon loop.
 func (sm *sim) step() (bool, error) {
 	return sm.stepUntil(math.Inf(1))
 }
 
-// stepUntil merges the arrival cursor against the event heap, pops the
+// stepUntil merges the arrival FIFO against the event heap, pops the
 // earlier of the two if it lies strictly before horizon, handles it, and
 // reports whether an event was processed. On an exact (at) tie the
 // arrival goes first — the reference heap's order, where arrivals are
@@ -905,10 +970,10 @@ func (sm *sim) stepUntil(horizon float64) (bool, error) {
 	}
 	sm.horizon = horizon
 	for {
-		hasArr := int(sm.nextArr) < len(sm.qs)
+		hasArr := !sm.arr.empty()
 		if len(sm.evs) > 0 {
 			at := sm.evs[0].at
-			if (!hasArr || at < sm.qs[sm.nextArr].start) && (at < horizon || math.IsInf(horizon, 1)) {
+			if (!hasArr || at < sm.qs[sm.arr.head].start) && (at < horizon || math.IsInf(horizon, 1)) {
 				ev := sm.evs.pop()
 				if (ev.kind == evLaneDown || ev.kind == evLaneUp) && sm.open == 0 && sm.sealed {
 					continue
@@ -930,10 +995,12 @@ func (sm *sim) stepUntil(horizon float64) (bool, error) {
 				return true, err
 			}
 		}
-		if hasArr && sm.qs[sm.nextArr].start < horizon {
-			qi := sm.nextArr
-			sm.nextArr++
+		if hasArr && sm.qs[sm.arr.head].start < horizon {
+			qi := sm.arr.pop(sm.qs)
 			sm.advance(sm.qs[qi].start)
+			if err := sm.pull(); err != nil {
+				return true, err
+			}
 			return true, sm.onArrival(qi)
 		}
 		return false, nil
@@ -957,8 +1024,8 @@ func (sm *sim) onArrival(qi int32) error {
 			return nil
 		}
 		sm.m.Rejected++
-		sm.open--
 		sm.traceInstant("reject", q)
+		sm.release(qi)
 		return nil
 	}
 	sm.m.Admitted++
@@ -979,7 +1046,7 @@ func (sm *sim) onArrival(qi int32) error {
 		// token clock restarts here so TBT/TTLT stay monotone.
 		q.firstToken = sm.now
 		q.prevToken = sm.now
-		ri := int(qi) % len(sm.reps)
+		ri := q.id % len(sm.reps)
 		sm.reps[ri].decodeQ.push(sm.qs, qi)
 		return sm.dispatchDecode(ri)
 	}
@@ -993,12 +1060,12 @@ func (sm *sim) expired(q *query) bool {
 }
 
 // abort drops a query at a scheduling boundary.
-func (sm *sim) abort(q *query) {
+func (sm *sim) abort(qi int32) {
 	sm.m.TimedOut++
 	sm.inSystem--
-	sm.open--
-	sm.traceInstant("timeout", q)
+	sm.traceInstant("timeout", &sm.qs[qi])
 	sm.traceDepth()
+	sm.release(qi)
 }
 
 // dispatchPrefills starts waiting queries on every free SoC lane. In
@@ -1009,7 +1076,7 @@ func (sm *sim) dispatchPrefills() error {
 		qi := sm.wait.head
 		if sm.expired(&sm.qs[qi]) {
 			sm.wait.pop(sm.qs)
-			sm.abort(&sm.qs[qi])
+			sm.abort(qi)
 			continue
 		}
 		ri := -1
@@ -1106,7 +1173,7 @@ func (sm *sim) onPrefillDone(qi int32, ri int) error {
 		// The device stays occupied; completion arrives as one quantum
 		// covering every decode step.
 		if q.decode <= 1 {
-			return sm.completeSerial(q, ri)
+			return sm.completeSerial(qi, ri)
 		}
 		dur, err := sm.quantumSecondsKind(q, q.decode-1, sm.cfg.Kind, 1)
 		if err != nil {
@@ -1117,8 +1184,8 @@ func (sm *sim) onPrefillDone(qi int32, ri int) error {
 	}
 	r.socBusy = false
 	if q.decode <= 1 {
-		sm.complete(q)
-	} else if !q.corrupt || sm.onCorruptHandoff(q) {
+		sm.complete(qi)
+	} else if !q.corrupt || sm.onCorruptHandoff(qi) {
 		// The decode handoff is where a corrupted PTE MapID first hits
 		// the MC frontend mux; onCorruptHandoff fails or repairs it.
 		r.decodeQ.push(sm.qs, qi)
@@ -1162,20 +1229,25 @@ func (sm *sim) emitTokens(q *query, start float64, steps int, kind engine.Kind, 
 		q.stepsDone += steps
 		return nil
 	}
-	t := start
+	// The walk runs on locals and stores once: the same operations in
+	// the same order as updating the sim per token, without reloading
+	// its fields after every store.
+	t, ctx, keep := start, q.prefill+q.stepsDone+1, !sm.cfg.NoTBT
+	prev, tbts, sum := q.prevToken, sm.tbts, sm.tbtSum
 	for i := 0; i < steps; i++ {
-		st, err := sm.sys.DecodeStepSeconds(kind, q.prefill+q.stepsDone+i+1)
+		st, err := sm.sys.DecodeStepSeconds(kind, ctx+i)
 		if err != nil {
 			return err
 		}
 		t += st * factor
-		if !sm.cfg.NoTBT {
-			tbt := t - q.prevToken
-			sm.tbts = append(sm.tbts, tbt)
-			sm.tbtSum += tbt
+		if keep {
+			tbt := t - prev
+			tbts = append(tbts, tbt)
+			sum += tbt
 		}
-		q.prevToken = t
+		prev = t
 	}
+	q.prevToken, sm.tbts, sm.tbtSum = prev, tbts, sum
 	q.stepsDone += steps
 	return nil
 }
@@ -1188,9 +1260,8 @@ func (sm *sim) dispatchDecode(ri int) error {
 	r := &sm.reps[ri]
 	for !r.pimBusy && !r.decodeQ.empty() {
 		qi := r.decodeQ.pop(sm.qs)
-		q := &sm.qs[qi]
-		if sm.expired(q) {
-			sm.abort(q)
+		if sm.expired(&sm.qs[qi]) {
+			sm.abort(qi)
 			continue
 		}
 		if sm.flt != nil && !sm.acquirePIM(ri) {
@@ -1283,7 +1354,7 @@ func (sm *sim) onQuantumDone(e *event) error {
 			return err
 		}
 		sm.traceSpan(ri, traceLanePIM, "decode", q, q.firstToken, sm.now-q.firstToken)
-		return sm.completeSerial(q, ri)
+		return sm.completeSerial(e.q, ri)
 	}
 	kind, lane := sm.cfg.Kind, traceLanePIM
 	if e.soc {
@@ -1301,7 +1372,7 @@ func (sm *sim) onQuantumDone(e *event) error {
 			r.pimBusy = false
 		}
 		if q.stepsDone >= q.decode-1 {
-			sm.complete(q)
+			sm.complete(e.q)
 			break
 		}
 		if e.soc || !sm.chainable(q, ri) {
@@ -1360,17 +1431,17 @@ func (sm *sim) nextBoundary() float64 {
 	if len(sm.evs) > 0 && sm.evs[0].at < b {
 		b = sm.evs[0].at
 	}
-	if int(sm.nextArr) < len(sm.qs) && sm.qs[sm.nextArr].start < b {
-		b = sm.qs[sm.nextArr].start
+	if !sm.arr.empty() && sm.qs[sm.arr.head].start < b {
+		b = sm.qs[sm.arr.head].start
 	}
 	return b
 }
 
 // complete retires a cooperative-mode query.
-func (sm *sim) complete(q *query) {
+func (sm *sim) complete(qi int32) {
+	q := &sm.qs[qi]
 	sm.m.Completed++
 	sm.inSystem--
-	sm.open--
 	ttlt := q.prevToken - q.arrival
 	sm.ttlts = append(sm.ttlts, ttlt)
 	sm.ttltSum += ttlt
@@ -1379,13 +1450,14 @@ func (sm *sim) complete(q *query) {
 	}
 	sm.traceInstant("complete", q)
 	sm.traceDepth()
+	sm.release(qi)
 }
 
 // completeSerial retires a serial-mode query and frees the whole device.
-func (sm *sim) completeSerial(q *query, ri int) error {
+func (sm *sim) completeSerial(qi int32, ri int) error {
 	r := &sm.reps[ri]
 	r.socBusy, r.pimBusy = false, false
-	sm.complete(q)
+	sm.complete(qi)
 	return sm.dispatchPrefills()
 }
 

@@ -137,10 +137,16 @@ func TestEventQueueOrder(t *testing.T) {
 func (s *Sim) Now() float64 { return s.sm.now }
 
 // Pending returns the number of scheduled events not yet processed:
-// arrivals still to stream plus queued events (including tail fault
-// events that Step will discard).
+// arrivals still to stream (in the arrival FIFO, or a generated run's
+// still to enter it) plus queued events (including tail fault events
+// that Step will discard).
 func (s *Sim) Pending() int {
-	return len(s.sm.qs) - int(s.sm.nextArr) + len(s.sm.evs)
+	sm := s.sm
+	n := len(sm.evs)
+	for qi := sm.arr.head; qi >= 0; qi = sm.qs[qi].next {
+		n++
+	}
+	return n + len(sm.gen) - sm.genNext
 }
 
 // eventCount returns the number of events the sim has processed. One

@@ -84,18 +84,36 @@ func AutocompleteSpec() Spec {
 	}
 }
 
-// Generate draws n queries deterministically from a spec.
+// Stream draws a spec's queries one at a time. It makes exactly the
+// rand.Rand calls Generate makes, in the same order, so its k-th draw is
+// Generate's k-th query for the same seed; a caller that consumes
+// arrivals as they come holds none of the rest.
+type Stream struct {
+	spec Spec
+	rng  *rand.Rand
+}
+
+// NewStream starts the query stream of spec under seed.
+func NewStream(spec Spec, seed int64) *Stream {
+	return &Stream{spec: spec, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Next draws the next query: its prefill length, then its decode length.
+func (s *Stream) Next() Query {
+	p := s.spec.Prefill.Sample(s.rng)
+	return Query{Prefill: p, Decode: s.spec.Decode.Sample(s.rng)}
+}
+
+// Generate draws n queries deterministically from a spec: the first n
+// draws of NewStream(spec, seed).
 func Generate(spec Spec, n int, seed int64) (Dataset, error) {
 	if n <= 0 {
 		return Dataset{}, fmt.Errorf("workload: sample size %d must be positive", n)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	st := NewStream(spec, seed)
 	ds := Dataset{Name: spec.Name, Queries: make([]Query, n)}
 	for i := range ds.Queries {
-		ds.Queries[i] = Query{
-			Prefill: spec.Prefill.Sample(rng),
-			Decode:  spec.Decode.Sample(rng),
-		}
+		ds.Queries[i] = st.Next()
 	}
 	return ds, nil
 }

@@ -98,3 +98,29 @@ func TestMeansOnEmptyDataset(t *testing.T) {
 		t.Error("empty dataset means must be 0")
 	}
 }
+
+// TestStreamMatchesGenerate holds the lazy stream to the up-front
+// dataset: for every spec at several seeds, the stream's k-th draw
+// equals Generate's k-th query and a frozen copy of the draw loop
+// Generate ran before the stream existed (one rng, prefill then decode
+// per query), so a caller that switches between the two sees the same
+// lengths.
+func TestStreamMatchesGenerate(t *testing.T) {
+	const n = 5000
+	for _, spec := range []Spec{AlpacaSpec(), AutocompleteSpec()} {
+		for _, seed := range []int64{0, 1, 8, 12, -7} {
+			ds, err := Generate(spec, n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewStream(spec, seed)
+			rng := rand.New(rand.NewSource(seed))
+			for k, q := range ds.Queries {
+				frozen := Query{Prefill: spec.Prefill.Sample(rng), Decode: spec.Decode.Sample(rng)}
+				if got := st.Next(); got != q || got != frozen {
+					t.Fatalf("%s seed %d: draw %d is %+v, Generate %+v, frozen loop %+v", spec.Name, seed, k, got, q, frozen)
+				}
+			}
+		}
+	}
+}
