@@ -5,16 +5,12 @@
 // one of four balancing strategies (StrategyKind).
 //
 // The router is the only component that sees the whole fleet. It
-// observes devices exclusively at telemetry barriers (every
-// Config.SyncInterval seconds of virtual time): between barriers every
-// device advances independently — and concurrently, via
-// parallel.Sweep — while the router routes the interval's arrivals
-// using the signals frozen at the last barrier plus its own
-// arrival-ordered ledger. Because every piece of cross-device
-// information flows through that serial barrier/route alternation, a
-// cluster run is deterministic in its seeds at any worker count (the
-// par1/parN tests hold runs byte-identical; DESIGN.md §13 sketches the
-// argument).
+// observes devices only at telemetry barriers (every
+// Config.SyncInterval seconds of virtual time): at each one it advances
+// every device to the barrier and settles its ledger entry, in device
+// order on one goroutine, then routes the next interval's arrivals on
+// those signals plus its own arrival-ordered ledger. A run is therefore
+// a deterministic function of its seeds (DESIGN.md §13).
 //
 // Per-device health feeds the same serve.Breaker state machine the
 // in-device PIM-lane breaker uses: barrier-observed query failures
@@ -231,7 +227,7 @@ func ScaleFleet(classes []DeviceClass, total int) []DeviceClass {
 
 // DefaultSyncInterval is the telemetry-barrier period in virtual
 // seconds when Config leaves SyncInterval 0 — the cadence at which the
-// router refreshes device signals and devices advance concurrently.
+// router advances its devices and refreshes their signals.
 const DefaultSyncInterval = 5.0
 
 // Default per-device queue-depth admission thresholds for the
@@ -287,8 +283,8 @@ type Config struct {
 	// PIM-lane breaker (0 disables it; router health breakers are
 	// independent).
 	DeviceBreakerThreshold int
-	// Steal enables cross-device query migration: a serial re-route
-	// phase after each barrier's collect retracts queued work from
+	// Steal enables cross-device query migration: a re-route phase
+	// after each barrier's settle retracts queued work from
 	// devices whose health breaker is open (admission-queued first,
 	// then prefilled queries) or whose in-system depth reaches
 	// StealThreshold (admission-queued only) and re-injects it on the
@@ -312,8 +308,8 @@ type Config struct {
 	// with no TTFT observation yet score zero and win first, matching
 	// LatencyWeighted's probing behavior.
 	LatencySteal bool
-	// Parallelism caps the workers advancing devices between barriers
-	// (0 = GOMAXPROCS). It cannot change results, only wall-clock.
+	// Deprecated: Parallelism has no effect; Run advances every device
+	// on its own goroutine.
 	Parallelism int
 }
 

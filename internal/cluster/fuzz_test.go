@@ -85,7 +85,8 @@ func testFleet(t testing.TB, mask uint8) *Fleet {
 // (strategy, fleet-mix, fault, load, steal) corners and checks the two
 // properties every configuration must keep: the run's conservation
 // identities hold — including the migration flow when stealing is
-// enabled — and 3- and 4-worker runs reproduce the serial run exactly.
+// enabled — and runs at Parallelism 3 and 4 reproduce the run at 1
+// exactly (the deprecated field has no effect).
 func FuzzCluster(f *testing.F) {
 	f.Add(uint8(0), uint8(0x0F), uint8(0), uint8(40), uint8(0))
 	f.Add(uint8(1), uint8(0x03), uint8(7), uint8(60), uint8(0))

@@ -42,8 +42,8 @@ type LiveSnapshot struct {
 	// Shed counts arrivals dropped at the router (no eligible device,
 	// or a tiered admission refusal).
 	Shed int64 `json:"shed"`
-	// Barriers counts telemetry barriers crossed (each one concurrent
-	// device advancement plus a serial signal refresh).
+	// Barriers counts telemetry barriers crossed (each one pass that
+	// advances and settles every device, then the re-route phase).
 	Barriers int64 `json:"barriers"`
 	// BreakerOpens counts router-side device health-breaker opens.
 	BreakerOpens int64 `json:"breaker_opens"`

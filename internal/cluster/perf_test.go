@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"facil/internal/serve"
@@ -65,15 +64,28 @@ func fleetBenchConfig() Config {
 	}
 }
 
+// bigFleet is the cluster experiment's fleet scale: 26 devices of each
+// platform, the IdeaPads on a derated PIM stack.
+func bigFleet(t testing.TB) *Fleet {
+	fl, err := NewFleet([]DeviceClass{
+		{Platform: soc.Jetson, Count: 26},
+		{Platform: soc.Macbook, Count: 26},
+		{Platform: soc.IdeaPad, Count: 26, MACIntervalCycles: 8},
+		{Platform: soc.IPhone, Count: 26},
+	}, testSystem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
 // BenchmarkClusterRun measures a full cluster.Run per routed query
 // (fleet construction excluded). On the small faulted fleet it routes
-// round-robin serially without and with the barrier re-route (steal)
-// phase — the ratio of the two is the price of the migration machinery
-// on a fleet that actually steals — and steal-par runs the stealing
-// case with one device shard per GOMAXPROCS worker. fleet-latency
-// routes latency-weighted over a 4×26-device mix, the cluster
-// experiment's fleet scale, where each arrival's pick ranges over 104
-// devices.
+// round-robin without and with the barrier re-route (steal) phase —
+// the ratio of the two is the price of the migration machinery on a
+// fleet that actually steals. fleet-latency routes latency-weighted
+// over a 4×26-device mix, the cluster experiment's fleet scale, where
+// each arrival's pick ranges over 104 devices.
 func BenchmarkClusterRun(b *testing.B) {
 	small, err := NewFleet([]DeviceClass{
 		{Platform: soc.Jetson, Count: 2},
@@ -83,29 +95,18 @@ func BenchmarkClusterRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	big, err := NewFleet([]DeviceClass{
-		{Platform: soc.Jetson, Count: 26},
-		{Platform: soc.Macbook, Count: 26},
-		{Platform: soc.IdeaPad, Count: 26, MACIntervalCycles: 8},
-		{Platform: soc.IPhone, Count: 26},
-	}, testSystem)
-	if err != nil {
-		b.Fatal(err)
-	}
+	big := bigFleet(b)
 	for _, bc := range []struct {
 		name string
 		fl   *Fleet
 		cfg  Config
-		par  int
 	}{
-		{"plain", small, clusterBenchConfig(false), 1},
-		{"steal", small, clusterBenchConfig(true), 1},
-		{"steal-par", small, clusterBenchConfig(true), runtime.GOMAXPROCS(0)},
-		{"fleet-latency", big, fleetBenchConfig(), runtime.GOMAXPROCS(0)},
+		{"plain", small, clusterBenchConfig(false)},
+		{"steal", small, clusterBenchConfig(true)},
+		{"fleet-latency", big, fleetBenchConfig()},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := bc.cfg
-			cfg.Parallelism = bc.par
 			// One warm run so the shared latency caches don't bill the
 			// first iteration.
 			if _, err := Run(context.Background(), bc.fl, cfg); err != nil {

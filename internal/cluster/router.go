@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 
 	"facil/internal/engine"
 	"facil/internal/fault"
-	"facil/internal/parallel"
 	"facil/internal/serve"
 	"facil/internal/stats"
 	"facil/internal/workload"
@@ -30,7 +28,7 @@ type device struct {
 	// probes counts queries routed or stolen to this device while its
 	// breaker is half-open, within the current barrier interval; the
 	// probation quota caps it so a recovering device re-earns traffic
-	// gradually (collect resets it every barrier).
+	// gradually (settle resets it every barrier).
 	probes   int
 	ewma     float64
 	ttftSeen int
@@ -221,7 +219,7 @@ func (rv *routeViews) better(a, b int32) int32 {
 
 // assign books an arrival at at onto device i in the router's ledger.
 // Routing to a cooled-down open breaker is the half-open probe; the
-// next collect's outcome closes or reopens it, and the probation quota
+// next settle's outcome closes or reopens it, and the probation quota
 // meters further traffic until then.
 func (rv *routeViews) assign(i int, at float64) {
 	d := rv.devs[i]
@@ -236,19 +234,17 @@ func (rv *routeViews) assign(i int, at float64) {
 	rv.picked = i
 }
 
-// reroute is the serial re-route phase after each barrier's collect at
-// at: it steals queued work from breaker-open devices (full evacuation)
-// and from over-threshold healthy devices (down to the threshold, and
+// reroute is the re-route phase after each barrier's settle at at: it
+// steals queued work from breaker-open devices (full evacuation) and
+// from over-threshold healthy devices (down to the threshold, and
 // only while the move strictly improves balance), re-injecting each
 // query on the eligible destination with room of least LeastLoaded
 // score (LatencyWeighted's with LatencySteal), lowest index on ties.
 // Both paths take admission-queued queries first — those move free —
 // then prefilled-but-preempted ones, which pay the KV handoff penalty.
-// It runs serially in device order — all sims are quiescent at the
-// barrier — so the migration flow is part of the deterministic merge,
-// and because the router's ledger is settled right after collect
-// (inflight equals each device's in-system depth), one counter serves
-// both the source condition and the destination choice.
+// It runs in device order once every device has settled, so inflight
+// equals each device's in-system depth and one counter serves both the
+// source condition and the destination choice.
 func reroute(cfg *Config, devs []*device, at float64, m *Metrics) error {
 	if !cfg.Steal {
 		return nil
@@ -316,11 +312,10 @@ func reroute(cfg *Config, devs []*device, at float64, m *Metrics) error {
 
 // Run routes cfg.Queries across the fleet under cfg.Strategy and
 // returns the cluster-level reduction. The run is deterministic in
-// (cfg, fleet) at any Parallelism: all cross-device information flows
-// through the serial route/collect phases at telemetry barriers, and
-// between barriers devices advance independently (one interleaved
-// device shard per worker, via parallel.Sweep) with no shared mutable
-// state — see DESIGN.md §13 for the merge argument.
+// (cfg, fleet): it advances every device itself, in index order, on
+// the caller's goroutine, and all cross-device information flows
+// through the route and settle phases at telemetry barriers — see
+// DESIGN.md §13.
 func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -375,80 +370,58 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 
 	rv := newRouteViews(&cfg, devs)
 
-	// advanceAll moves every device's virtual clock up to (strictly
-	// before) t. Worker w advances the interleaved shard i ≡ w (mod nw)
-	// serially — interleaving spreads each class's devices over every
-	// worker — so a barrier costs nw dispatches, not n. Devices share
-	// nothing mutable, so worker count cannot matter.
-	nw := cfg.Parallelism
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	nw = min(nw, n)
-	shards := make([]int, nw)
-	for w := range shards {
-		shards[w] = w
-	}
-	advanceAll := func(t float64) error {
-		_, err := parallel.Sweep(ctx, shards, func(_ context.Context, w int) (struct{}, error) {
-			for i := w; i < n; i += nw {
-				if err := devs[i].sim.AdvanceTo(t); err != nil {
-					return struct{}{}, err
-				}
-			}
-			return struct{}{}, nil
-		}, parallel.Workers(nw))
-		return err
-	}
-	// collect refreshes the router's ledger from each device's counters
-	// — serially, in device order, so health-breaker strikes and EWMA
-	// updates happen in one deterministic sequence.
-	collect := func(at float64) {
-		for _, d := range devs {
-			p := d.sim.Probe()
-			termNew := p.Completed + p.Failed + p.TimedOut + p.Rejected
-			termOld := d.last.Completed + d.last.Failed + d.last.TimedOut + d.last.Rejected
-			d.inflight -= termNew - termOld
-			if cfg.BreakerThreshold > 0 {
-				for f := d.last.Failed; f < p.Failed; f++ {
-					if d.brk.Failure(at, cfg.BreakerThreshold) {
-						m.BreakerOpens++
-						Live.breakerOpens.Add(1)
-					}
-				}
-				if p.Completed > d.last.Completed && p.Failed == d.last.Failed {
-					d.brk.Success()
-				}
-			}
-			ttft, _ := d.sim.Latencies()
-			for _, v := range ttft[d.ttftSeen:] {
-				if d.ewma == 0 {
-					d.ewma = v
-				} else {
-					d.ewma = DefaultEWMAAlpha*v + (1-DefaultEWMAAlpha)*d.ewma
-				}
-			}
-			d.ttftSeen = len(ttft)
-			d.last = p
-			// A fresh barrier interval starts: half-open devices get a
-			// fresh probation quota (their probe outcome, if any, was just
-			// observed above).
-			d.probes = 0
+	// settle advances one device to (strictly before) t and refreshes
+	// its ledger entry from the device's counters at at: the terminal
+	// delta retires in-flight entries, failures strike and completions
+	// heal the health breaker, new TTFT samples feed the EWMA, and a
+	// fresh barrier interval restarts the probation quota (a half-open
+	// device's probe outcome, if any, was just observed).
+	settle := func(d *device, t, at float64) error {
+		if err := d.sim.AdvanceTo(t); err != nil {
+			return err
 		}
+		p := d.sim.Probe()
+		termNew := p.Completed + p.Failed + p.TimedOut + p.Rejected
+		termOld := d.last.Completed + d.last.Failed + d.last.TimedOut + d.last.Rejected
+		d.inflight -= termNew - termOld
+		if cfg.BreakerThreshold > 0 {
+			for f := d.last.Failed; f < p.Failed; f++ {
+				if d.brk.Failure(at, cfg.BreakerThreshold) {
+					m.BreakerOpens++
+					Live.breakerOpens.Add(1)
+				}
+			}
+			if p.Completed > d.last.Completed && p.Failed == d.last.Failed {
+				d.brk.Success()
+			}
+		}
+		ttft, _ := d.sim.Latencies()
+		for _, v := range ttft[d.ttftSeen:] {
+			if d.ewma == 0 {
+				d.ewma = v
+			} else {
+				d.ewma = DefaultEWMAAlpha*v + (1-DefaultEWMAAlpha)*d.ewma
+			}
+		}
+		d.ttftSeen = len(ttft)
+		d.last = p
+		d.probes = 0
+		return nil
 	}
 
-	// barrier crosses the next telemetry barrier: advance every device
-	// to it, settle the ledger, run the re-route phase, and schedule the
-	// one after.
+	// barrier crosses the next telemetry barrier: settle every device at
+	// it in index order, run the re-route phase, and schedule the one
+	// after.
 	nextB := cfg.SyncInterval
 	barrier := func() error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := advanceAll(nextB); err != nil {
-			return err
+		for _, d := range devs {
+			if err := settle(d, nextB, nextB); err != nil {
+				return err
+			}
 		}
-		collect(nextB)
 		if err := reroute(&cfg, devs, nextB, &m); err != nil {
 			return err
 		}
@@ -519,10 +492,14 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			}
 		}
 	}
-	if err := advanceAll(math.Inf(1)); err != nil {
+	if err := ctx.Err(); err != nil {
 		return Metrics{}, err
 	}
-	collect(clock)
+	for _, d := range devs {
+		if err := settle(d, math.Inf(1), clock); err != nil {
+			return Metrics{}, err
+		}
+	}
 
 	// Reduce: pool latency samples, sum outcome counters, and average
 	// the per-device utilization/availability within each class. The

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"facil/internal/engine"
 	"facil/internal/serve"
@@ -13,28 +14,14 @@ import (
 )
 
 // TestRunWorkerCountInvariant runs a faulted fleet with the router's
-// health breakers armed, plain and then stealing, at worker counts from
-// serial to more workers than devices, and requires identical Metrics
-// at each: the interleaved device shards must cover every device
-// exactly once whatever their count. The breaker cooldown is not a
-// multiple of the sync interval, so breakers reopen routing between
-// barriers.
+// health breakers armed, plain and then stealing, at Parallelism values
+// from 1 to more than the device count, and requires identical Metrics
+// at each: the deprecated field must have no effect.
 func TestRunWorkerCountInvariant(t *testing.T) {
-	fl, err := NewFleet([]DeviceClass{
-		{Platform: soc.Jetson, Count: 2},
-		{Platform: soc.Macbook, Count: 2},
-		{Platform: soc.IdeaPad, Count: 1, MACIntervalCycles: 8},
-		{Platform: soc.IPhone, Count: 4},
-	}, testSystem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := faultedFleet(t)
 	n := fl.Devices()
 	for _, steal := range []bool{false, true} {
-		cfg := clusterBenchConfig(steal)
-		cfg.Queries = 800
-		cfg.BreakerCooldown = 37
-		cfg.Policy = serve.PolicyNone
+		cfg := faultedConfig(steal)
 		var serial Metrics
 		for _, par := range []int{1, 2, 3, 7, n, n + 5} {
 			c := cfg
@@ -54,6 +41,79 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 				t.Errorf("steal %v, par %d metrics diverge from serial:\n%+v\nvs\n%+v", steal, par, serial, m)
 			}
 		}
+	}
+}
+
+// faultedFleet is a nine-device mix of all four platforms, one IdeaPad
+// on a derated PIM stack.
+func faultedFleet(t testing.TB) *Fleet {
+	fl, err := NewFleet([]DeviceClass{
+		{Platform: soc.Jetson, Count: 2},
+		{Platform: soc.Macbook, Count: 2},
+		{Platform: soc.IdeaPad, Count: 1, MACIntervalCycles: 8},
+		{Platform: soc.IPhone, Count: 4},
+	}, testSystem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
+// faultedConfig loads faultedFleet with 800 faulted queries and the
+// router's health breakers armed. The breaker cooldown is not a
+// multiple of the sync interval, so breakers reopen routing between
+// barriers.
+func faultedConfig(steal bool) Config {
+	cfg := clusterBenchConfig(steal)
+	cfg.Queries = 800
+	cfg.BreakerCooldown = 37
+	cfg.Policy = serve.PolicyNone
+	return cfg
+}
+
+// runCounts is a cluster run's exact work: the router's barriers and
+// decisions, the devices' outcomes, and the device events the run
+// added to serve.Live.
+type runCounts struct {
+	Barriers, Routed, Shed, Stolen, StolenPrefilled, BreakerOpens int
+	Completed, Rejected, Failed, TimedOut                         int
+	Events                                                        int64
+}
+
+// TestFleetRunCounts commits the exact work of three fleet runs: the
+// faulted small fleet plain and stealing, and the 104-device fleet at
+// the benchmark's configuration. Counts are exact on any machine, so a
+// barrier that skips its re-route phase or settles one device fewer, a
+// routing change or one device event more fails it.
+func TestFleetRunCounts(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fl   func(testing.TB) *Fleet
+		cfg  Config
+		want runCounts
+	}{
+		{"faulted", faultedFleet, faultedConfig(false), runCounts{40, 800, 0, 0, 0, 40, 702, 49, 49, 0, 9600}},
+		{"faulted+steal", faultedFleet, faultedConfig(true), runCounts{54, 800, 0, 44, 44, 38, 741, 12, 47, 0, 10112}},
+		{"fleet-latency", bigFleet, fleetBenchConfig(), runCounts{158, 20000, 0, 414, 310, 0, 7997, 12003, 0, 0, 113984}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fl := c.fl(t)
+			// A ledger that never settles would keep the stealing drain
+			// crossing barriers forever; the deadline turns that into a
+			// failure.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			before := serve.Live.Snapshot().Events
+			m, err := Run(ctx, fl, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runCounts{m.Barriers, m.Routed, m.Shed, m.Stolen, m.StolenPrefilled, m.BreakerOpens,
+				m.Completed, m.Rejected, m.Failed, m.TimedOut, serve.Live.Snapshot().Events - before}
+			if got != c.want {
+				t.Errorf("run counts\n%+v\nwant\n%+v", got, c.want)
+			}
+		})
 	}
 }
 

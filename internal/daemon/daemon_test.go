@@ -342,6 +342,36 @@ func TestPimallocEndpoint(t *testing.T) {
 	}
 }
 
+// TestPimallocRejectsOverflowingShapes sends GET /pimalloc shapes
+// whose padded size overflows int64 — a column count whose padding
+// never terminates, and two shapes that wrap to a bogus size — and
+// requires each to answer 400 within a second, naming the overflow.
+func TestPimallocRejectsOverflowingShapes(t *testing.T) {
+	s := New(Options{})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	for _, q := range []string{
+		"cols=4611686018427387905",
+		"cols=1152921504606846977&dtype=8",
+		"rows=4611686018427387904&cols=4096",
+	} {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/pimalloc?"+q, nil))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			if body := rec.Body.String(); rec.Code != http.StatusBadRequest || !strings.Contains(body, "overflows") {
+				t.Errorf("GET /pimalloc?%s: status %d, %q; want 400 naming the overflow", q, rec.Code, body)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("GET /pimalloc?%s: no answer within 1 s", q)
+		}
+	}
+}
+
 // TestDaemonReportMatchesBatch pins cross-front-end determinism: one
 // scenario produces a byte-identical canonical report whether the
 // daemon ran it (tracer attached, runner goroutine) or a batch engine

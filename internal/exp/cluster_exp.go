@@ -113,8 +113,7 @@ func (l *Lab) clusterSystem(c cluster.DeviceClass) (*engine.System, error) {
 }
 
 // clusterConfigs expands the strategy sweep into one cluster.Config per
-// run, its devices advancing serially (the runs are the sweep's unit of
-// parallelism): with Migration on, each strategy runs plain and again
+// run (the runs are the sweep's unit of parallelism): with Migration on, each strategy runs plain and again
 // with stealing, adjacent in the output so the rows read as paired
 // comparisons.
 func (cfg ClusterConfig) clusterConfigs() []cluster.Config {
@@ -139,7 +138,6 @@ func (cfg ClusterConfig) clusterConfigs() []cluster.Config {
 			FaultSeed:              cfg.FaultSeed,
 			StealThreshold:         cfg.StealThreshold,
 			LatencySteal:           cfg.LatencySteal,
-			Parallelism:            1,
 		}
 		cfgs = append(cfgs, c)
 		if cfg.Migration {
@@ -153,9 +151,9 @@ func (cfg ClusterConfig) clusterConfigs() []cluster.Config {
 // ClusterCompute evaluates every strategy over one shared fleet (twice
 // per strategy — without and with stealing — when Migration is on). The
 // runs are the sweep points and fan out over the lab's worker bound;
-// each cluster.Run advances its devices serially over the read-only
-// Fleet. cluster.Run returns the same metrics at any device
-// parallelism, so the tables are byte-identical at any worker count.
+// each cluster.Run advances its devices on its own goroutine over the
+// read-only Fleet, so the tables are byte-identical at any worker
+// count.
 func (l *Lab) ClusterCompute(ctx context.Context, cfg ClusterConfig) ([]cluster.Metrics, error) {
 	fl, err := cluster.NewFleet(cfg.Fleet, l.clusterSystem)
 	if err != nil {

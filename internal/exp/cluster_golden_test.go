@@ -75,8 +75,8 @@ func TestClusterScaleGolden(t *testing.T) {
 // same fleet and seeds render byte-identically when the (strategy,
 // steal) cells run serially and when they run on 8 workers over one
 // shared fleet (and across repeated runs, so no state leaks between
-// runs of one lab); and each cell run directly with its devices fanned
-// out over 8 workers matches the experiment's serial-device cell.
+// runs of one lab); and each cell run directly at the deprecated,
+// no-effect Parallelism 8 matches the experiment's cell.
 func TestClusterDeterministic(t *testing.T) {
 	cfg := goldenClusterConfig()
 	render := func(par int) string {
@@ -108,7 +108,7 @@ func TestClusterDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(m, mets[i]) {
-			t.Errorf("run %d (%s, steal %v): device fan-out changed the metrics:\n%+v\nvs\n%+v", i, rc.Strategy, rc.Steal, m, mets[i])
+			t.Errorf("run %d (%s, steal %v): Parallelism 8 changed the metrics:\n%+v\nvs\n%+v", i, rc.Strategy, rc.Steal, m, mets[i])
 		}
 	}
 }

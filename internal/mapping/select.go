@@ -2,6 +2,8 @@ package mapping
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"facil/internal/dram"
 )
@@ -18,17 +20,25 @@ type MatrixConfig struct {
 	DTypeBytes int
 }
 
-// Validate rejects non-positive dimensions.
+// Validate rejects non-positive dimensions, unsupported element sizes
+// and shapes whose padded size (PaddedRowBytes, PaddedBytes) overflows
+// int64.
 func (m MatrixConfig) Validate() error {
 	if m.Rows <= 0 || m.Cols <= 0 {
 		return fmt.Errorf("mapping: matrix dimensions %dx%d must be positive", m.Rows, m.Cols)
 	}
 	switch m.DTypeBytes {
 	case 1, 2, 4, 8:
-		return nil
 	default:
 		return fmt.Errorf("mapping: unsupported element size %d", m.DTypeBytes)
 	}
+	// A padded row is 2^shift bytes.
+	shift := bits.Len(uint(m.Cols-1)) + bits.TrailingZeros(uint(m.DTypeBytes))
+	if shift > 62 || int64(m.Rows) > math.MaxInt64>>shift {
+		return fmt.Errorf("mapping: padded size of the %dx%d matrix of %d-byte elements overflows int64",
+			m.Rows, m.Cols, m.DTypeBytes)
+	}
+	return nil
 }
 
 // PaddedRowBytes returns the matrix row size padded up to a power of two:

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -78,6 +79,35 @@ func TestSelectMappingErrors(t *testing.T) {
 	bad.HugePageBytes = 12345
 	if _, err := SelectMapping(MatrixConfig{10, 10, 2}, bad, chunk); err == nil {
 		t.Error("bad memory config accepted")
+	}
+}
+
+// TestMatrixValidateOverflow requires Validate to reject every shape
+// whose padded row or padded total overflows int64 — the column count
+// whose padding would double past the int range included — and to
+// accept the largest shapes that still fit.
+func TestMatrixValidateOverflow(t *testing.T) {
+	for _, c := range []struct {
+		m  MatrixConfig
+		ok bool
+	}{
+		{MatrixConfig{1, 4611686018427387905, 2}, false}, // pads to 2^63 columns
+		{MatrixConfig{1, 1152921504606846977, 8}, false}, // 2^61 columns of 8 B
+		{MatrixConfig{4611686018427387904, 4096, 2}, false},
+		{MatrixConfig{1<<50 + 1, 4096, 2}, false},
+		{MatrixConfig{math.MaxInt64, 1, 1}, true},
+		{MatrixConfig{1, 1 << 62, 1}, true},
+		{MatrixConfig{1, 1<<62 + 1, 1}, false},
+		{MatrixConfig{1<<50 - 1, 4096, 2}, true},
+	} {
+		err := c.m.Validate()
+		if ok := err == nil; ok != c.ok {
+			t.Errorf("Validate(%+v) = %v, want ok %v", c.m, err, c.ok)
+			continue
+		}
+		if c.ok && c.m.PaddedBytes() <= 0 {
+			t.Errorf("%+v: accepted shape pads to %d bytes", c.m, c.m.PaddedBytes())
+		}
 	}
 }
 

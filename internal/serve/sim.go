@@ -775,9 +775,9 @@ type Probe struct {
 	Completed, Failed, TimedOut, Rejected int
 }
 
-// Probe snapshots the sim's terminal counters. It must not race with
-// Step or AdvanceTo on another goroutine (the cluster router probes
-// between barriers, when the device is quiescent).
+// Probe snapshots the sim's terminal counters. Like every Sim method it
+// must not race with Step or AdvanceTo (the cluster router probes each
+// device right after advancing it to a barrier).
 func (s *Sim) Probe() Probe {
 	m := &s.sm.m
 	return Probe{Completed: m.Completed, Failed: m.Failed, TimedOut: m.TimedOut, Rejected: m.Rejected}

@@ -104,6 +104,9 @@ func (as *AddressSpace) Pimalloc(m mapping.MatrixConfig) (*Region, error) {
 		return nil, fmt.Errorf("vm: MapID %d exceeds PTE capacity %d", sel.ID, MaxPTEMapID)
 	}
 	bytes := m.PaddedBytes()
+	if capacity := as.mem.Geometry.CapacityBytes(); bytes > capacity {
+		return nil, fmt.Errorf("vm: pimalloc of %d B exceeds the %d B of physical memory", bytes, capacity)
+	}
 	mapped := (bytes + HugePageBytes - 1) / HugePageBytes * HugePageBytes
 	va := as.reserveVA(mapped, HugePageBytes)
 	reg := &Region{

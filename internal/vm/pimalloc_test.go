@@ -119,6 +119,25 @@ func TestFreeReturnsMemory(t *testing.T) {
 	}
 }
 
+// TestPimallocRejectsOversize requires a matrix larger than physical
+// memory to fail up front and leave every frame free — including one
+// whose padded size fits int64 but whose huge-page rounding would not.
+func TestPimallocRejectsOversize(t *testing.T) {
+	as := testAddressSpace(t)
+	before := as.buddy.FreeFrames()
+	for _, m := range []mapping.MatrixConfig{
+		{Rows: 1<<15 + 1, Cols: 8192, DTypeBytes: 2}, // 512 MiB + one row
+		{Rows: 1<<50 - 1, Cols: 4096, DTypeBytes: 2}, // 2^63 - 8 KiB
+	} {
+		if _, err := as.Pimalloc(m); err == nil {
+			t.Errorf("%+v: pimalloc past physical memory accepted", m)
+		}
+	}
+	if got := as.buddy.FreeFrames(); got != before {
+		t.Errorf("free frames = %d after refused pimallocs, want %d", got, before)
+	}
+}
+
 func TestPimallocDistinctRegionsDoNotOverlap(t *testing.T) {
 	as := testAddressSpace(t)
 	seen := map[uint64]bool{}
