@@ -388,6 +388,7 @@ type ClassMetrics struct {
 	Devices int
 	// Routed counts arrivals the router sent to this class; the
 	// remaining fields are summed device outcomes for those arrivals.
+	// TimedOut is always 0, like Metrics.TimedOut.
 	Routed, Completed, Failed, TimedOut, Rejected int
 	// TTFT summarizes arrival-to-first-token over the class's
 	// completions.
@@ -413,9 +414,12 @@ type Metrics struct {
 	// Device-side accounting over routed queries: every migration
 	// re-counts its query as Arrived at the destination, so once
 	// drained Arrived == Routed + Stolen while the terminal identity
-	// Completed + Failed + TimedOut + Rejected == Routed counts each
-	// query exactly once (without stealing both reduce to
-	// Arrived == Routed).
+	// Completed + Failed + Rejected == Routed counts each query
+	// exactly once (without stealing both reduce to Arrived == Routed).
+	// TimedOut is always 0: devices have no hard query timeout. It
+	// stays only because the benchmark harness under bench/ compiles
+	// against it and digests these metrics with %+v, field names
+	// included.
 	Arrived, Completed, Failed, TimedOut, Rejected int
 	// Degraded, FailedOver and DeviceBreakerOpens sum the in-device
 	// degradation machinery; BreakerOpens counts router-side health

@@ -35,15 +35,6 @@ type device struct {
 	last     serve.Probe
 }
 
-// splitmix64 decorrelates per-device seeds from one cluster seed (same
-// finalizer internal/fault uses for its stream hashing).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // faulty deterministically selects whether device di carries a lane
 // fault stream: a FaultFraction Bernoulli drawn by hashing (FaultSeed,
 // di), so the faulty subset is a pure function of the config — stable
@@ -52,7 +43,7 @@ func faulty(cfg Config, di int) bool {
 	if cfg.FaultFraction <= 0 {
 		return false
 	}
-	h := splitmix64(uint64(cfg.FaultSeed)<<16 + uint64(di))
+	h := fault.SplitMix64(uint64(cfg.FaultSeed)<<16 + uint64(di))
 	return float64(h>>11)/(1<<53) < cfg.FaultFraction
 }
 
@@ -324,7 +315,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 	n := fl.Devices()
 
 	// Build one host-fed sim per device (arrivals come from Inject).
-	// Per-device seeds are decorrelated with splitmix64.
+	// Per-device seeds are decorrelated with fault.SplitMix64.
 	devs := make([]*device, 0, n)
 	for ci, cl := range fl.classes {
 		for k := 0; k < cl.Count; k++ {
@@ -334,7 +325,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 				Kind:             engine.FACIL,
 				Replicas:         1,
 				NoTBT:            true,
-				Seed:             int64(splitmix64(uint64(cfg.Seed) + 0x5EED*uint64(di))),
+				Seed:             int64(fault.SplitMix64(uint64(cfg.Seed) + 0x5EED*uint64(di))),
 				QueueCap:         cfg.QueueCap,
 				DeadlineTTLT:     cfg.DeadlineTTLT,
 				Policy:           cfg.Policy,
@@ -342,7 +333,7 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			}
 			if cfg.FaultMTBF > 0 && faulty(cfg, di) {
 				scfg.Faults = fault.Scenario{
-					Seed:     int64(splitmix64(uint64(cfg.FaultSeed) + uint64(di))),
+					Seed:     int64(fault.SplitMix64(uint64(cfg.FaultSeed) + uint64(di))),
 					LaneMTBF: cfg.FaultMTBF,
 					LaneMTTR: cfg.FaultMTTR,
 				}
@@ -381,8 +372,8 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 			return err
 		}
 		p := d.sim.Probe()
-		termNew := p.Completed + p.Failed + p.TimedOut + p.Rejected
-		termOld := d.last.Completed + d.last.Failed + d.last.TimedOut + d.last.Rejected
+		termNew := p.Completed + p.Failed + p.Rejected
+		termOld := d.last.Completed + d.last.Failed + d.last.Rejected
 		d.inflight -= termNew - termOld
 		if cfg.BreakerThreshold > 0 {
 			for f := d.last.Failed; f < p.Failed; f++ {
@@ -528,7 +519,6 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 		m.Arrived += dm.Arrived
 		m.Completed += dm.Completed
 		m.Failed += dm.Failed
-		m.TimedOut += dm.TimedOut
 		m.Rejected += dm.Rejected
 		m.Retracted += dm.Retracted
 		m.Degraded += dm.Degraded
@@ -546,7 +536,6 @@ func Run(ctx context.Context, fl *Fleet, cfg Config) (Metrics, error) {
 		pc.Routed += d.routed
 		pc.Completed += dm.Completed
 		pc.Failed += dm.Failed
-		pc.TimedOut += dm.TimedOut
 		pc.Rejected += dm.Rejected
 		pc.PIMUtilization += dm.PIMUtilization
 		pc.Availability += dm.Availability

@@ -76,7 +76,7 @@ func faultedConfig(steal bool) Config {
 // added to serve.Live.
 type runCounts struct {
 	Barriers, Routed, Shed, Stolen, StolenPrefilled, BreakerOpens int
-	Completed, Rejected, Failed, TimedOut                         int
+	Completed, Rejected, Failed                                   int
 	Events                                                        int64
 }
 
@@ -92,9 +92,9 @@ func TestFleetRunCounts(t *testing.T) {
 		cfg  Config
 		want runCounts
 	}{
-		{"faulted", faultedFleet, faultedConfig(false), runCounts{40, 800, 0, 0, 0, 40, 702, 49, 49, 0, 9600}},
-		{"faulted+steal", faultedFleet, faultedConfig(true), runCounts{54, 800, 0, 44, 44, 38, 741, 12, 47, 0, 10112}},
-		{"fleet-latency", bigFleet, fleetBenchConfig(), runCounts{158, 20000, 0, 414, 310, 0, 7997, 12003, 0, 0, 113984}},
+		{"faulted", faultedFleet, faultedConfig(false), runCounts{40, 800, 0, 0, 0, 40, 702, 49, 49, 9600}},
+		{"faulted+steal", faultedFleet, faultedConfig(true), runCounts{54, 800, 0, 44, 44, 38, 741, 12, 47, 10112}},
+		{"fleet-latency", bigFleet, fleetBenchConfig(), runCounts{158, 20000, 0, 414, 310, 0, 7997, 12003, 0, 113984}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fl := c.fl(t)
@@ -109,7 +109,7 @@ func TestFleetRunCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := runCounts{m.Barriers, m.Routed, m.Shed, m.Stolen, m.StolenPrefilled, m.BreakerOpens,
-				m.Completed, m.Rejected, m.Failed, m.TimedOut, serve.Live.Snapshot().Events - before}
+				m.Completed, m.Rejected, m.Failed, serve.Live.Snapshot().Events - before}
 			if got != c.want {
 				t.Errorf("run counts\n%+v\nwant\n%+v", got, c.want)
 			}
@@ -348,7 +348,7 @@ func TestRerouteDestination(t *testing.T) {
 				t.Fatal(err)
 			}
 			m0 := src.sim.Counters()
-			src.inflight = m0.Admitted - m0.Completed - m0.TimedOut - m0.Failed - m0.Retracted
+			src.inflight = m0.Admitted - m0.Completed - m0.Failed - m0.Retracted
 			devs[1].inflight, devs[1].ewma = 1, 0.9
 			devs[2].inflight, devs[2].ewma = 2, 0.1
 			devs[3].inflight = min(c.threshold, c.queueCap)

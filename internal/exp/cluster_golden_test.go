@@ -143,7 +143,7 @@ func TestClusterAccounting(t *testing.T) {
 		if !m.Steal && m.Stolen != 0 {
 			t.Errorf("%s: stolen %d without stealing enabled", name, m.Stolen)
 		}
-		if got := m.Completed + m.Failed + m.TimedOut + m.Rejected; got != m.Routed {
+		if got := m.Completed + m.Failed + m.Rejected; got != m.Routed {
 			t.Errorf("%s: terminal outcomes %d != routed %d", name, got, m.Routed)
 		}
 		shed := 0

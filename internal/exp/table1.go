@@ -14,27 +14,25 @@ type Table1Cell struct {
 	Result            vm.LoadResult
 }
 
-// Table1Config scales the simulation. The paper loads the 16.2 GB
-// Llama3-8B checkpoint on a 64 GB Jetson; Scale divides both sizes (the
-// normalized load times are scale-free, and absolute times are scaled
-// back up linearly when rendering).
+// The paper's Table I testbed loads the 16.2 GB Llama3-8B checkpoint on
+// a 64 GB Jetson.
+const (
+	table1ModelBytes = 16200 << 20
+	table1TotalBytes = 64 << 30
+)
+
+// Table1Config scales the simulation. Scale divides the testbed's model
+// and memory sizes (the normalized load times are scale-free, and
+// absolute times are scaled back up linearly when rendering); Seed
+// drives the fragmentation synthesis.
 type Table1Config struct {
-	ModelBytes int64
-	TotalBytes int64
-	Scale      int64
-	Load       vm.LoadModelConfig
-	Seed       int64
+	Scale int64
+	Seed  int64
 }
 
 // DefaultTable1Config matches the paper at 1/8 scale for tractable runs.
 func DefaultTable1Config() Table1Config {
-	return Table1Config{
-		ModelBytes: 16200 << 20, // 16.2 GB
-		TotalBytes: 64 << 30,
-		Scale:      8,
-		Load:       vm.DefaultLoadModelConfig(),
-		Seed:       1,
-	}
+	return Table1Config{Scale: 8, Seed: 1}
 }
 
 // Table1FMFIBands and Table1FreeRels are the paper's grid.
@@ -56,8 +54,8 @@ func (l *Lab) Table1Compute(ctx context.Context, cfg Table1Config) ([]Table1Cell
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
-	model := cfg.ModelBytes / cfg.Scale
-	total := cfg.TotalBytes / cfg.Scale
+	model := table1ModelBytes / cfg.Scale
+	total := table1TotalBytes / cfg.Scale
 	var points []table1Point
 	for _, band := range Table1FMFIBands {
 		for _, rel := range Table1FreeRels {
@@ -66,7 +64,7 @@ func (l *Lab) Table1Compute(ctx context.Context, cfg Table1Config) ([]Table1Cell
 	}
 	return sweep(ctx, l, "tab1", points, func(ctx context.Context, pt table1Point) (Table1Cell, error) {
 		scatter := (pt.band[0] + pt.band[1]) / 2
-		res, err := vm.SimulateModelLoad(model, total, pt.rel, scatter, cfg.Load, cfg.Seed)
+		res, err := vm.SimulateModelLoad(model, total, pt.rel, scatter, cfg.Seed)
 		if err != nil {
 			return Table1Cell{}, fmt.Errorf("exp: table1 FMFI %.1f-%.1f x%.1f: %w",
 				pt.band[0], pt.band[1], pt.rel, err)

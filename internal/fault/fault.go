@@ -8,7 +8,7 @@
 // slowdown instead of assuming it.
 //
 // Everything is reproducible: the stochastic windows come from a
-// per-replica PRNG derived from Scenario.Seed with a splitmix64 hash,
+// per-replica PRNG derived from Scenario.Seed with a SplitMix64 hash,
 // so the same scenario yields byte-identical fault schedules at any
 // sweep parallelism.
 package fault
@@ -19,9 +19,8 @@ import (
 	"math/rand"
 )
 
-// DefaultRefreshMult is the refresh-rate multiplier of a thermal window
-// when Scenario.RefreshMult is zero: JEDEC-style temperature-doubled
-// refresh (tREFI halved).
+// DefaultRefreshMult is the refresh-rate multiplier inside every thermal
+// window: JEDEC-style temperature-doubled refresh (tREFI halved).
 const DefaultRefreshMult = 2
 
 // Window is one half-open fault interval [Start, End) in simulated
@@ -62,12 +61,9 @@ type Scenario struct {
 
 	// Thermal holds fleet-wide thermal-throttle windows (sorted,
 	// non-overlapping). Inside one, the DRAM refresh rate is raised by
-	// RefreshMult and every lane slows by the *measured* throughput
-	// ratio (see dram.ThrottleFactor).
+	// DefaultRefreshMult and every lane slows by the *measured*
+	// throughput ratio (see dram.ThrottleFactor).
 	Thermal []Window
-	// RefreshMult is the refresh-rate multiplier inside thermal
-	// windows (0 = DefaultRefreshMult, i.e. tREFI halved).
-	RefreshMult float64
 
 	// MapIDCorruptRate is the per-admitted-query probability that the
 	// query's weight-page MapID (the PTE bits of paper Fig. 11) is
@@ -82,14 +78,6 @@ type Scenario struct {
 func (s Scenario) Empty() bool {
 	return s.LaneMTBF == 0 && len(s.LaneWindows) == 0 &&
 		len(s.Thermal) == 0 && s.MapIDCorruptRate == 0
-}
-
-// EffectiveRefreshMult resolves the thermal refresh multiplier.
-func (s Scenario) EffectiveRefreshMult() float64 {
-	if s.RefreshMult == 0 {
-		return DefaultRefreshMult
-	}
-	return s.RefreshMult
 }
 
 // Validate rejects non-physical or non-terminating scenarios (NaN/Inf
@@ -112,9 +100,6 @@ func (s Scenario) Validate() error {
 	}
 	if err := validateWindows("Thermal", s.Thermal); err != nil {
 		return err
-	}
-	if bad(s.RefreshMult) || s.RefreshMult < 0 || (s.RefreshMult > 0 && s.RefreshMult < 1) {
-		return fmt.Errorf("fault: RefreshMult must be 0 (default) or >= 1, got %g", s.RefreshMult)
 	}
 	if bad(s.MapIDCorruptRate) || s.MapIDCorruptRate < 0 || s.MapIDCorruptRate > 1 {
 		return fmt.Errorf("fault: MapIDCorruptRate must be a probability in [0,1], got %g", s.MapIDCorruptRate)
@@ -166,7 +151,7 @@ func (s Scenario) Lanes(ri int) *LaneFaults {
 	}
 	if s.LaneMTBF > 0 {
 		lf.mtbf, lf.mttr = s.LaneMTBF, s.LaneMTTR
-		lf.rng = rand.New(rand.NewSource(int64(splitmix64(uint64(s.Seed) + uint64(ri)*0x9E3779B97F4A7C15))))
+		lf.rng = rand.New(rand.NewSource(int64(SplitMix64(uint64(s.Seed) + uint64(ri)*0x9E3779B97F4A7C15))))
 	}
 	return lf
 }
@@ -210,10 +195,10 @@ func (lf *LaneFaults) Next() (Window, bool) {
 	}
 }
 
-// splitmix64 is the SplitMix64 finalizer — a cheap, well-distributed
-// hash used to derive independent per-replica RNG seeds from one
-// scenario seed.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 finalizer — a cheap, well-distributed
+// hash that derives independent seeds from one seed: per-replica fault
+// streams here, per-device arrival and fault seeds in the fleet router.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB

@@ -50,8 +50,6 @@ func TestValidateRejections(t *testing.T) {
 		{"nan window", Scenario{Thermal: []Window{{Start: nan, End: 1}}}},
 		{"overlapping windows", Scenario{Thermal: []Window{{0, 2}, {1, 3}}}},
 		{"unsorted lane windows", Scenario{LaneWindows: [][]Window{{{5, 6}, {1, 2}}}}},
-		{"refresh mult below 1", Scenario{Thermal: []Window{{0, 1}}, RefreshMult: 0.5}},
-		{"nan refresh mult", Scenario{Thermal: []Window{{0, 1}}, RefreshMult: nan}},
 		{"corrupt rate above 1", Scenario{MapIDCorruptRate: 1.5}},
 		{"corrupt rate negative", Scenario{MapIDCorruptRate: -0.1}},
 		{"nan corrupt rate", Scenario{MapIDCorruptRate: nan}},
@@ -126,12 +124,5 @@ func TestThermalAt(t *testing.T) {
 		if got := s.ThermalAt(tc.t); got != tc.want {
 			t.Errorf("ThermalAt(%g) = %v, want %v", tc.t, got, tc.want)
 		}
-	}
-	if s.EffectiveRefreshMult() != DefaultRefreshMult {
-		t.Fatalf("default refresh mult = %g", s.EffectiveRefreshMult())
-	}
-	s.RefreshMult = 4
-	if s.EffectiveRefreshMult() != 4 {
-		t.Fatalf("explicit refresh mult = %g", s.EffectiveRefreshMult())
 	}
 }

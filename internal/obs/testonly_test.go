@@ -36,36 +36,8 @@ var implicitIfaces = [][2]string{{"fmt", "Stringer"}, {"", "error"}}
 // uses each function gets. A method also counts as used when it
 // implements a used method of an interface, or fmt.Stringer or error.
 func TestNoTestOnlyExports(t *testing.T) {
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Type-check the pure-Go variant of every package, so the source
-	// importer needs no C toolchain for the standard library's cgo files.
-	defer func(old bool) { build.Default.CgoEnabled = old }(build.Default.CgoEnabled)
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	l := &loader{root: root, fset: fset, pkgs: map[string]*loaded{},
-		std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
-
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if _, err := build.Default.ImportDir(path, 0); err != nil {
-			return nil // no buildable non-test Go files here
-		}
-		rel, _ := filepath.Rel(root, path)
-		_, err = l.load(filepath.ToSlash(filepath.Join("facil", rel)))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	l := loadModule(t)
+	fset := l.fset
 	used := map[*types.Func]bool{}
 	ifaceUsed := map[*types.Func]bool{}
 	for _, p := range l.pkgs {
@@ -153,10 +125,154 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// unsetFieldAllowed names exported config-struct fields that no
+// non-test code writes but that stay, each with its reason.
+var unsetFieldAllowed = map[string]string{
+	"fault.Scenario.LaneWindows": "serve's policy tests and the differential grid place deterministic outages with it",
+}
+
+// isConfigStruct reports whether a type name marks a config struct: the
+// types named *Config, Scenario, Options and ExecOpts.
+func isConfigStruct(name string) bool {
+	return strings.HasSuffix(name, "Config") || name == "Scenario" || name == "Options" || name == "ExecOpts"
+}
+
+// TestNoUnsetConfigFields fails when an exported field of a config
+// struct under internal/ is written by no non-test code of the module
+// or of bench/: a setting nothing sets is dead weight, and its zero
+// value belongs in the code as a constant. A write is a composite-
+// literal element, an assignment or increment, or taking the field's
+// address (as a flag binding does).
+func TestNoUnsetConfigFields(t *testing.T) {
+	l := loadModule(t)
+	fields := map[*types.Var]string{}
+	for path, p := range l.pkgs {
+		if !strings.HasPrefix(path, "facil/internal/") {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !isConfigStruct(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = p.pkg.Name() + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, p := range l.pkgs {
+		field := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					written[s.Obj().(*types.Var).Origin()] = true
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, e := range n.Elts {
+						kv, ok := e.(*ast.KeyValueExpr)
+						if !ok {
+							written[st.Field(i).Origin()] = true
+						} else if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							written[v.Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						field(lhs)
+					}
+				case *ast.IncDecStmt:
+					field(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						field(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	allowed := map[string]bool{}
+	for f, name := range fields {
+		if written[f] {
+			continue
+		}
+		if _, ok := unsetFieldAllowed[name]; ok {
+			allowed[name] = true
+		} else {
+			unset = append(unset, l.fset.Position(f.Pos()).String()+": "+name)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is a config field no non-test code sets: make it a constant or delete it", u)
+	}
+	for name := range unsetFieldAllowed {
+		if !allowed[name] {
+			t.Errorf("unsetFieldAllowed entry %s is gone or has a production writer: drop the entry", name)
+		}
+	}
+}
+
+// loadModule type-checks every non-test package of the module and of
+// bench/ (standard library from source).
+func loadModule(t *testing.T) *loader {
+	t.Helper()
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Type-check the pure-Go variant of every package, so the source
+	// importer needs no C toolchain for the standard library's cgo files.
+	defer func(old bool) { build.Default.CgoEnabled = old }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	l := &loader{root: root, fset: fset, pkgs: map[string]*loaded{},
+		std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
+
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err := build.Default.ImportDir(path, 0); err != nil {
+			return nil // no buildable non-test Go files here
+		}
+		rel, _ := filepath.Rel(root, path)
+		_, err = l.load(filepath.ToSlash(filepath.Join("facil", rel)))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // loaded is one type-checked non-test package.
 type loaded struct {
 	pkg   *types.Package
 	info  *types.Info
+	files []*ast.File
 	funcs []*types.Func // exported top-level functions and methods
 }
 
@@ -202,13 +318,14 @@ func (l *loader) load(path string) (*loaded, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	p := &loaded{pkg: pkg, info: info}
+	p := &loaded{pkg: pkg, info: info, files: files}
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {

@@ -31,9 +31,6 @@ type Config struct {
 	// paper's Fig. 3 (PIM ~3.3x over an ideal bandwidth-bound NPU
 	// end-to-end).
 	MACIntervalCycles int
-	// GlobalBufferBytes is the shared input buffer per rank; the paper
-	// assumes one DRAM row (2 KB).
-	GlobalBufferBytes int
 }
 
 // DefaultAiM returns the paper's evaluation configuration for a geometry:
@@ -42,7 +39,6 @@ func DefaultAiM(g dram.Geometry) Config {
 	return Config{
 		Chunk:             mapping.AiMChunk(g),
 		MACIntervalCycles: 6,
-		GlobalBufferBytes: g.RowBytes,
 	}
 }
 
@@ -51,7 +47,6 @@ func DefaultHBMPIM(g dram.Geometry) Config {
 	return Config{
 		Chunk:             mapping.HBMPIMChunk(g),
 		MACIntervalCycles: 6,
-		GlobalBufferBytes: g.RowBytes,
 	}
 }
 
@@ -62,10 +57,6 @@ func (c Config) Validate(g dram.Geometry) error {
 	}
 	if c.MACIntervalCycles < 1 {
 		return fmt.Errorf("pim: MACIntervalCycles %d must be >= 1", c.MACIntervalCycles)
-	}
-	if c.GlobalBufferBytes < g.RowBytes {
-		return fmt.Errorf("pim: global buffer %d B smaller than a DRAM row %d B",
-			c.GlobalBufferBytes, g.RowBytes)
 	}
 	return nil
 }

@@ -164,11 +164,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(g); err == nil {
 		t.Error("zero MAC interval accepted")
 	}
-	cfg = DefaultAiM(g)
-	cfg.GlobalBufferBytes = 128
-	if err := cfg.Validate(g); err == nil {
-		t.Error("sub-row global buffer accepted")
-	}
 	if err := DefaultAiM(g).Validate(g); err != nil {
 		t.Error(err)
 	}

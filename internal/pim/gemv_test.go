@@ -36,18 +36,19 @@ func referenceGEMV(d *Device, ch *dram.Channel, matrix mapping.MatrixConfig) (GE
 	}
 	passesPerSeg := (dramRowsPerBank + segments - 1) / segments
 
+	// A segment fills each rank's global input buffer, which holds one
+	// DRAM row (the paper's assumption), so it is one row of bursts.
 	burstsPerRow := g.ColumnsPerRow()
-	segBursts := d.cfg.GlobalBufferBytes / g.TransferBytes
 
 	ranks := g.RanksPerChannel
 	row := 0
 	passesLeft := dramRowsPerBank
 	for seg := 0; seg < segments && passesLeft > 0; seg++ {
 		for rk := 0; rk < ranks; rk++ {
-			if _, err := ch.WriteGlobalBuffer(rk, segBursts); err != nil {
+			if _, err := ch.WriteGlobalBuffer(rk, burstsPerRow); err != nil {
 				return GEMVResult{}, err
 			}
-			res.InputBursts += int64(segBursts)
+			res.InputBursts += int64(burstsPerRow)
 		}
 		passes := passesPerSeg
 		if passes > passesLeft {

@@ -26,7 +26,6 @@ func liveDelta(before, after LiveSnapshot) LiveSnapshot {
 		Rejected:       after.Rejected - before.Rejected,
 		Retries:        after.Retries - before.Retries,
 		Completed:      after.Completed - before.Completed,
-		TimedOut:       after.TimedOut - before.TimedOut,
 		Failed:         after.Failed - before.Failed,
 		Degraded:       after.Degraded - before.Degraded,
 		FailedOver:     after.FailedOver - before.FailedOver,
@@ -50,8 +49,8 @@ func sameLiveDelta(t *testing.T, got, want LiveSnapshot) {
 }
 
 // diffGrid enumerates the differential-test scenarios: every scheduling
-// mode crossed with load, fleet size, preemption, admission/timeout/
-// retry pressure and the fault machinery (outage windows, stochastic
+// mode crossed with load, fleet size, preemption, admission/retry
+// pressure and the fault machinery (outage windows, stochastic
 // failures, thermal throttle, MapID corruption under each policy).
 func diffGrid() []SimConfig {
 	alpaca := workload.AlpacaSpec()
@@ -79,17 +78,15 @@ func diffGrid() []SimConfig {
 		}
 	}
 
-	// Admission pressure: bounded queue, SLO, hard timeout, retries.
+	// Admission pressure: bounded queue, SLO, retries.
 	pressured := base(Cooperative, 4)
 	pressured.QueueCap = 6
 	pressured.DeadlineTTLT = 15
-	pressured.Timeout = 30
 	pressured.MaxRetries = 3
 	grid = append(grid, pressured)
 
 	hybridPressured := base(RelayoutHybrid, 2)
 	hybridPressured.QueueCap = 4
-	hybridPressured.Timeout = 20
 	grid = append(grid, hybridPressured)
 
 	// Fault scenarios under each degradation policy: scheduled outage
@@ -396,7 +393,7 @@ func TestDifferentialTrace(t *testing.T) {
 	cfg := SimConfig{
 		Mode: Cooperative, Kind: engine.FACIL, Replicas: 2, ArrivalRate: 4,
 		Queries: 120, Workload: workload.AlpacaSpec(), Seed: 11,
-		QueueCap: 6, DeadlineTTLT: 15, Timeout: 30, MaxRetries: 3,
+		QueueCap: 6, DeadlineTTLT: 15, MaxRetries: 3,
 	}
 	trace := func(run func(SimConfig) error) []byte {
 		tr := obs.New(1 << 16)
@@ -419,20 +416,20 @@ func TestDifferentialTrace(t *testing.T) {
 }
 
 // FuzzSimDifferential fuzzes the optimized Sim against the reference
-// over randomized arrival/timeout/fault interleavings: any reachable
+// over randomized arrival/admission/fault interleavings: any reachable
 // configuration must produce bit-identical Metrics.
 func FuzzSimDifferential(f *testing.F) {
-	f.Add(int64(1), 2.0, 40, 2, 1, 8, 6, 10.0, 2, 0.0, 0.0, 0.0, 1, false)
-	f.Add(int64(7), 0.3, 25, 1, 0, 1, 0, 0.0, 0, 0.0, 0.0, 0.0, 0, false)
-	f.Add(int64(9), 5.0, 60, 3, 2, 16, 4, 8.0, 3, 15.0, 3.0, 0.2, 2, false)
-	f.Add(int64(3), 1.0, 30, 2, 1, 4, 0, 5.0, 0, 6.0, 2.0, 1.0, 0, false)
+	f.Add(int64(1), 2.0, 40, 2, 1, 8, 6, 2, 0.0, 0.0, 0.0, 1, false)
+	f.Add(int64(7), 0.3, 25, 1, 0, 1, 0, 0, 0.0, 0.0, 0.0, 0, false)
+	f.Add(int64(9), 5.0, 60, 3, 2, 16, 4, 3, 15.0, 3.0, 0.2, 2, false)
+	f.Add(int64(3), 1.0, 30, 2, 1, 4, 0, 0, 6.0, 2.0, 1.0, 0, false)
 	// A valid but far-future MTBF: no outage may begin inside the run.
-	f.Add(int64(5), 0.3, 40, 2, 1, 8, 4, 0.0, 2, 1e300, 5.0, 0.3, 2, false)
+	f.Add(int64(5), 0.3, 40, 2, 1, 8, 4, 2, 1e300, 5.0, 0.3, 2, false)
 	// NoTBT, plain and with lane faults falling back to the SoC lane.
-	f.Add(int64(2), 2.0, 40, 2, 1, 1, 0, 0.0, 0, 0.0, 0.0, 0.0, 0, true)
-	f.Add(int64(4), 2.0, 50, 3, 1, 8, 6, 10.0, 2, 15.0, 3.0, 0.2, 1, true)
+	f.Add(int64(2), 2.0, 40, 2, 1, 1, 0, 0, 0.0, 0.0, 0.0, 0, true)
+	f.Add(int64(4), 2.0, 50, 3, 1, 8, 6, 2, 15.0, 3.0, 0.2, 1, true)
 	f.Fuzz(func(t *testing.T, seed int64, rate float64, queries, replicas, mode, preempt, queueCap int,
-		timeout float64, retries int, mtbf, mttr, corrupt float64, policy int, noTBT bool) {
+		retries int, mtbf, mttr, corrupt float64, policy int, noTBT bool) {
 		cfg := SimConfig{
 			Mode:         Mode(clampInt(mode, 0, 2)),
 			Kind:         engine.FACIL,
@@ -442,7 +439,6 @@ func FuzzSimDifferential(f *testing.F) {
 			Workload:     workload.AlpacaSpec(),
 			Seed:         seed,
 			QueueCap:     clampInt(queueCap, 0, 16),
-			Timeout:      timeout,
 			MaxRetries:   clampInt(retries, 0, 4),
 			preemptSteps: clampInt(preempt, 0, 64),
 			NoTBT:        noTBT,

@@ -70,7 +70,7 @@ func TestDrainOutageFailsUnderPolicyNone(t *testing.T) {
 	if m.Failed == 0 {
 		t.Error("no query failed through a full-fleet outage under PolicyNone")
 	}
-	if got := m.Completed + m.TimedOut + m.Failed + m.Retracted; got != m.Admitted {
+	if got := m.Completed + m.Failed + m.Retracted; got != m.Admitted {
 		t.Errorf("outcomes %d != admitted %d", got, m.Admitted)
 	}
 }

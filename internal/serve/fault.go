@@ -52,7 +52,7 @@ type faultState struct {
 func (sm *sim) initFaults(s *engine.System) error {
 	fs := &faultState{sc: sm.cfg.Faults, thermal: 1}
 	if len(fs.sc.Thermal) > 0 {
-		f, err := dram.ThrottleFactor(s.Platform.Spec, fs.sc.EffectiveRefreshMult())
+		f, err := dram.ThrottleFactor(s.Platform.Spec, fault.DefaultRefreshMult)
 		if err != nil {
 			return err
 		}
@@ -114,8 +114,8 @@ func (sm *sim) onCorruptHandoff(qi int32) bool {
 	return true
 }
 
-// failQuery terminally fails a query (fault consequence, not a timeout
-// or rejection).
+// failQuery terminally fails a query (a fault consequence, not a
+// rejection).
 func (sm *sim) failQuery(qi int32, why string) {
 	sm.m.Failed++
 	sm.inSystem--
@@ -249,10 +249,6 @@ func (sm *sim) dispatchSoCDecode(ri int) error {
 	r := &sm.reps[ri]
 	for !r.socBusy && !r.socQ.empty() {
 		qi := r.socQ.pop(sm.qs)
-		if sm.expired(&sm.qs[qi]) {
-			sm.abort(qi)
-			continue
-		}
 		if err := sm.startQuantum(qi, ri, traceLaneSoC, sm.now); err != nil {
 			return err
 		}

@@ -34,8 +34,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		{"NaN deadline", func(c *SimConfig) { c.DeadlineTTLT = math.NaN() }},
 		{"Inf deadline", func(c *SimConfig) { c.DeadlineTTLT = math.Inf(1) }},
 		{"negative deadline", func(c *SimConfig) { c.DeadlineTTLT = -1 }},
-		{"NaN timeout", func(c *SimConfig) { c.Timeout = math.NaN() }},
-		{"Inf timeout", func(c *SimConfig) { c.Timeout = math.Inf(1) }},
 		{"negative breaker threshold", func(c *SimConfig) { c.BreakerThreshold = -1 }},
 		{"negative retries", func(c *SimConfig) { c.MaxRetries = -1 }},
 		{"retries without queue cap", func(c *SimConfig) { c.MaxRetries = 3 }},
@@ -48,10 +46,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		}},
 		{"inverted thermal window", func(c *SimConfig) {
 			c.Faults.Thermal = []fault.Window{{Start: 3, End: 3}}
-		}},
-		{"fractional refresh mult", func(c *SimConfig) {
-			c.Faults.Thermal = []fault.Window{{Start: 0, End: 1}}
-			c.Faults.RefreshMult = 0.5
 		}},
 		{"corrupt rate above 1", func(c *SimConfig) { c.Faults.MapIDCorruptRate = 1.5 }},
 		{"NaN corrupt rate", func(c *SimConfig) { c.Faults.MapIDCorruptRate = math.NaN() }},
@@ -86,7 +80,6 @@ func TestFaultConservation(t *testing.T) {
 				cfg.Replicas = 2
 				cfg.Seed = seed
 				cfg.QueueCap = 8
-				cfg.Timeout = 30
 				cfg.MaxRetries = 2
 				cfg.Policy = pol
 				cfg.Faults = fault.Scenario{Seed: seed + 100, MapIDCorruptRate: 0.05}
@@ -106,11 +99,11 @@ func TestFaultConservation(t *testing.T) {
 					t.Errorf("%s: arrived %d != admitted %d + rejected %d",
 						name, m.Arrived, m.Admitted, m.Rejected)
 				}
-				if m.Admitted != m.Completed+m.TimedOut+m.Failed {
-					t.Errorf("%s: admitted %d != completed %d + timed out %d + failed %d",
-						name, m.Admitted, m.Completed, m.TimedOut, m.Failed)
+				if m.Admitted != m.Completed+m.Failed {
+					t.Errorf("%s: admitted %d != completed %d + failed %d",
+						name, m.Admitted, m.Completed, m.Failed)
 				}
-				if m.Arrived != m.Completed+m.Rejected+m.TimedOut+m.Failed {
+				if m.Arrived != m.Completed+m.Rejected+m.Failed {
 					t.Errorf("%s: conservation broken: %+v", name, m)
 				}
 				if m.Availability < 0 || m.Availability > 1 {
@@ -339,7 +332,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if m.BreakerOpens == 0 {
 		t.Error("breaker never opened against a dead lane")
 	}
-	if m.Completed+m.TimedOut != m.Admitted {
+	if m.Completed != m.Admitted {
 		t.Errorf("accounting with breaker: %+v", m)
 	}
 	// The lane must be in use again after recovery: decode busy-seconds
@@ -372,7 +365,7 @@ func TestClientRetries(t *testing.T) {
 	if m.Arrived != cfg.Queries {
 		t.Errorf("arrived %d, want %d (retries must not double-count)", m.Arrived, cfg.Queries)
 	}
-	if m.Arrived != m.Completed+m.Rejected+m.TimedOut+m.Failed {
+	if m.Arrived != m.Completed+m.Rejected+m.Failed {
 		t.Errorf("conservation with retries: %+v", m)
 	}
 	if m.Completed <= noRetry.Completed {

@@ -22,7 +22,6 @@ type LiveStats struct {
 	rejected  atomic.Int64
 	retries   atomic.Int64
 	completed atomic.Int64
-	timedOut  atomic.Int64
 	failed    atomic.Int64
 	retracted atomic.Int64
 
@@ -50,7 +49,7 @@ type LiveSnapshot struct {
 	// VirtualSeconds is the total virtual time advanced, summed over
 	// every run (a throughput odometer, not a clock).
 	VirtualSeconds float64 `json:"virtual_seconds"`
-	// Arrived through TimedOut mirror the Metrics query accounting,
+	// Arrived through FailedOver mirror the Metrics query accounting,
 	// summed over every run.
 	Arrived int64 `json:"arrived"`
 	// Admitted counts queries admitted into the system.
@@ -62,8 +61,6 @@ type LiveSnapshot struct {
 	Retries int64 `json:"retries"`
 	// Completed counts queries that emitted their last token.
 	Completed int64 `json:"completed"`
-	// TimedOut counts queries aborted at a scheduling boundary.
-	TimedOut int64 `json:"timed_out"`
 	// Failed counts queries terminally lost to faults.
 	Failed int64 `json:"failed"`
 	// Retracted counts queries pulled back out of a sim for
@@ -88,7 +85,6 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		Rejected:       l.rejected.Load(),
 		Retries:        l.retries.Load(),
 		Completed:      l.completed.Load(),
-		TimedOut:       l.timedOut.Load(),
 		Failed:         l.failed.Load(),
 		Retracted:      l.retracted.Load(),
 		Degraded:       l.degraded.Load(),

@@ -234,7 +234,9 @@ func TestQuantileSelectionSpeedup(t *testing.T) {
 // bar about 10-30% below the typical ratio, so the gate takes the
 // median of paired ratios over interleaved rounds: each round times a
 // batch of runs on both engines back to back, alternating which goes
-// first.
+// first. The ratio is not checked under the race detector, which
+// instruments the optimized sim's atomic engine-table loads but not the
+// reference's plain reads, so the two slow down by different factors.
 func TestOptimizedSimSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping timing comparison in -short mode")
@@ -294,7 +296,7 @@ func TestOptimizedSimSpeedup(t *testing.T) {
 	}
 	sort.Float64s(ratios)
 	t.Logf("paired ref/opt ratios %.2f", ratios)
-	if med := ratios[rounds/2]; med < 3 {
+	if med := ratios[rounds/2]; !raceEnabled && med < 3 {
 		t.Errorf("optimized sim only %.2fx faster than reference (median of %d paired rounds), want >= 3x", med, rounds)
 	}
 }
@@ -476,7 +478,7 @@ const (
 // owns one slot, and a terminal one frees its slot for the next
 // arrival), with every slot back on the free list after the drain. A
 // two-replica device then takes fresh and resumed arrivals and reaches
-// all five terminal points (completion, timeout, rejection, failure and
+// all four terminal points (completion, rejection, failure and
 // retraction), with slots reused out of arrival order: the same bound
 // holds, and every resumed query must decode on replica id mod 2,
 // picked by its arrival ordinal, never by its slot.
@@ -493,7 +495,7 @@ func TestSlabHoldsOnlyOpenQueries(t *testing.T) {
 
 	tr := obs.New(1 << 16)
 	rcfg := streamConfig(2, 6)
-	rcfg.Tracer, rcfg.Timeout = tr, 2
+	rcfg.Tracer = tr
 	rcfg.Faults = fault.Scenario{Seed: 5, LaneMTBF: 60, LaneMTTR: 4}
 	rs, err := NewSim(s, rcfg)
 	if err != nil {
@@ -503,7 +505,7 @@ func TestSlabHoldsOnlyOpenQueries(t *testing.T) {
 	peak, id := 0, 0
 	for b := 1; b <= 200; b++ {
 		// Every tenth barrier brings a burst of long prompts that
-		// overflows the queue and outwaits the timeout.
+		// overflows the queue.
 		at, n, pre := float64(b), 2, 32
 		if b%10 == 0 {
 			n, pre = 12, 1024
@@ -536,8 +538,8 @@ func TestSlabHoldsOnlyOpenQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSlab(t, rs, peak, id)
-	if m := rs.Counters(); m.Completed == 0 || m.Rejected == 0 || m.TimedOut == 0 || m.Failed == 0 || m.Retracted == 0 {
-		t.Errorf("two-replica run must reach all five terminal points: %+v", m)
+	if m := rs.Counters(); m.Completed == 0 || m.Rejected == 0 || m.Failed == 0 || m.Retracted == 0 {
+		t.Errorf("two-replica run must reach all four terminal points: %+v", m)
 	}
 	t.Logf("slab high-water marks: %d slots for %d fleet-device arrivals, %d for %d two-replica arrivals (%d resumed)", len(sim.sm.qs), cfg.Queries, len(rs.sm.qs), id, len(resumed))
 	if len(rs.sm.qs) >= id/4 {

@@ -393,27 +393,9 @@ func (sm *refSim) onArrival(q *query) error {
 	return sm.dispatchPrefills()
 }
 
-func (sm *refSim) expired(q *query) bool {
-	return sm.cfg.Timeout > 0 && sm.now-q.arrival > sm.cfg.Timeout
-}
-
-func (sm *refSim) abort(q *query) {
-	sm.m.TimedOut++
-	Live.timedOut.Add(1)
-	sm.inSystem--
-	sm.open--
-	sm.traceInstant("timeout", q)
-	sm.traceDepth()
-}
-
 func (sm *refSim) dispatchPrefills() error {
 	for len(sm.wait) > 0 {
 		q := sm.wait[0]
-		if sm.expired(q) {
-			sm.wait = sm.wait[1:]
-			sm.abort(q)
-			continue
-		}
 		ri := -1
 		for i := range sm.reps {
 			r := &sm.reps[i]
@@ -531,10 +513,6 @@ func (sm *refSim) dispatchDecode(ri int) error {
 	for !r.pimBusy && len(r.decodeQ) > 0 {
 		q := r.decodeQ[0]
 		r.decodeQ = r.decodeQ[1:]
-		if sm.expired(q) {
-			sm.abort(q)
-			continue
-		}
 		if sm.flt != nil && !sm.acquirePIM(ri) {
 			if err := sm.degrade(q, ri); err != nil {
 				return err
@@ -687,7 +665,7 @@ func (sm *refSim) finish() Metrics {
 func (sm *refSim) initFaults(s *engine.System) error {
 	fs := &faultState{sc: sm.cfg.Faults, thermal: 1}
 	if len(fs.sc.Thermal) > 0 {
-		f, err := dram.ThrottleFactor(s.Platform.Spec, fs.sc.EffectiveRefreshMult())
+		f, err := dram.ThrottleFactor(s.Platform.Spec, fault.DefaultRefreshMult)
 		if err != nil {
 			return err
 		}
@@ -841,10 +819,6 @@ func (sm *refSim) dispatchSoCDecode(ri int) error {
 	for !r.socBusy && len(r.socQ) > 0 {
 		q := r.socQ[0]
 		r.socQ = r.socQ[1:]
-		if sm.expired(q) {
-			sm.abort(q)
-			continue
-		}
 		steps := q.decode - 1 - q.stepsDone
 		if steps > sm.cfg.preemptSteps {
 			steps = sm.cfg.preemptSteps

@@ -32,7 +32,7 @@ func drainStream(tb testing.TB, sim *Sim) Metrics {
 // TestRetractConservation is the migration-flow identity on a two-sim
 // fleet: queries retracted from a loaded source and resumed on an idle
 // destination leave the source's books balanced (Admitted = Completed +
-// TimedOut + Failed + Retracted), arrive exactly once at the
+// Failed + Retracted), arrive exactly once at the
 // destination, and every injected query completes somewhere.
 func TestRetractConservation(t *testing.T) {
 	s := servingSystem(t)
@@ -98,7 +98,7 @@ func TestRetractConservation(t *testing.T) {
 	if ms.Retracted != stolen {
 		t.Errorf("source retracted %d, stole %d", ms.Retracted, stolen)
 	}
-	if got := ms.Completed + ms.TimedOut + ms.Failed + ms.Retracted; got != ms.Admitted {
+	if got := ms.Completed + ms.Failed + ms.Retracted; got != ms.Admitted {
 		t.Errorf("source identity: outcomes %d != admitted %d", got, ms.Admitted)
 	}
 	if md.Arrived != stolen || md.Admitted != stolen {
@@ -188,7 +188,7 @@ func TestRetractionAPIValidation(t *testing.T) {
 			t.Fatalf("generated sim never queued a retractable query (more=%v, err=%v)", more, err)
 		}
 	}
-	if m := drainSim(t, fixed); m.Retracted != 1 || m.Admitted != m.Completed+m.TimedOut+m.Failed+m.Retracted {
+	if m := drainSim(t, fixed); m.Retracted != 1 || m.Admitted != m.Completed+m.Failed+m.Retracted {
 		t.Errorf("generated sim after one Retract: %+v", m)
 	}
 
@@ -334,7 +334,7 @@ func TestRetractSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sim.Counters()
-	if in := m.Admitted - m.Completed - m.TimedOut - m.Failed - m.Retracted; in < 300 {
+	if in := m.Admitted - m.Completed - m.Failed - m.Retracted; in < 300 {
 		t.Fatalf("only %d queries in system after warmup; backlog too shallow to measure", in)
 	}
 	starved := false
@@ -435,12 +435,12 @@ func FuzzStreamRetract(f *testing.F) {
 			if m.Arrived != m.Admitted+m.Rejected {
 				t.Errorf("%s: arrived %d != admitted %d + rejected %d", side.name, m.Arrived, m.Admitted, m.Rejected)
 			}
-			if got := m.Completed + m.TimedOut + m.Failed + m.Retracted; got != m.Admitted {
+			if got := m.Completed + m.Failed + m.Retracted; got != m.Admitted {
 				t.Errorf("%s: outcomes %d != admitted %d", side.name, got, m.Admitted)
 			}
 		}
-		terminal := ms.Completed + ms.TimedOut + ms.Failed + ms.Rejected +
-			md.Completed + md.TimedOut + md.Failed + md.Rejected
+		terminal := ms.Completed + ms.Failed + ms.Rejected +
+			md.Completed + md.Failed + md.Rejected
 		if terminal != n {
 			t.Errorf("fleet terminal outcomes %d != injected %d", terminal, n)
 		}

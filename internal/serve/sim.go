@@ -97,15 +97,11 @@ type SimConfig struct {
 	// within it count toward goodput. 0 disables the SLO (goodput ==
 	// throughput).
 	DeadlineTTLT float64
-	// Timeout hard-aborts a query whose age exceeds it, checked at the
-	// scheduling boundaries (prefill dispatch and decode preemption
-	// points). 0 = never.
-	Timeout float64
 	// Tracer, when enabled, records the run's structured timeline —
 	// per-lane occupancy spans, queue-depth counters, admission/
-	// rejection/timeout instants and re-layout windows — in trace-event
-	// form (see internal/obs). A nil tracer costs one pointer test per
-	// instrumentation point and records nothing.
+	// rejection/completion instants and re-layout windows — in
+	// trace-event form (see internal/obs). A nil tracer costs one pointer
+	// test per instrumentation point and records nothing.
 	Tracer *obs.Tracer
 	// TracePIDBase offsets this run's trace process ids so several
 	// sweep points can share one tracer without colliding: the run uses
@@ -168,13 +164,8 @@ func (c SimConfig) Validate() error {
 	if c.Replicas <= 0 {
 		return fmt.Errorf("serve: replica count must be positive")
 	}
-	for name, v := range map[string]float64{
-		"DeadlineTTLT": c.DeadlineTTLT,
-		"Timeout":      c.Timeout,
-	} {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("serve: %s must be a finite non-negative duration, got %g", name, v)
-		}
+	if v := c.DeadlineTTLT; v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("serve: DeadlineTTLT must be a finite non-negative duration, got %g", v)
 	}
 	if c.QueueCap < 0 || c.MaxRetries < 0 || c.BreakerThreshold < 0 {
 		return fmt.Errorf("serve: negative limit in %+v", c)
@@ -206,13 +197,13 @@ type Metrics struct {
 	Replicas int
 
 	// Query accounting: Arrived = Admitted + Rejected and
-	// Admitted = Completed + TimedOut + Failed + Retracted (Failed is
+	// Admitted = Completed + Failed + Retracted (Failed is
 	// zero without a fault scenario and Retracted is zero outside
 	// host-driven migration, reducing to the pre-fault identities).
 	// Each query counts once regardless of retries: Rejected counts
 	// only queries whose retry budget ran out.
 	Arrived, Admitted, Rejected int
-	Completed, TimedOut         int
+	Completed                   int
 	// Failed counts queries terminally lost to faults: PolicyNone
 	// decode on a dead PIM lane, or silent MapID mis-translation.
 	Failed int
@@ -402,8 +393,8 @@ type sim struct {
 	// at or past it may be processed (+Inf bounds nothing).
 	horizon float64
 
-	// open counts queries not yet terminal (completed, rejected, timed
-	// out or failed); once it reaches zero — and the arrival stream is
+	// open counts queries not yet terminal (completed, rejected, failed
+	// or retracted); once it reaches zero — and the arrival stream is
 	// sealed — pending fault events are discarded without advancing the
 	// clock, so an infinite stochastic fault stream cannot stretch the
 	// makespan.
@@ -417,7 +408,7 @@ type sim struct {
 	// events and virtualNanos count the processed events and virtual
 	// time, and published holds the counts publish last added to Live.
 	events, virtualNanos int64
-	published            [12]int64
+	published            [11]int64
 
 	// flt is nil with an empty fault scenario (layer off).
 	flt *faultState
@@ -480,7 +471,7 @@ func (sm *sim) traceSpan(ri int, lane int64, name string, q *query, start, dur f
 }
 
 // traceInstant records an admission-path marker (arrival, reject,
-// timeout, complete) on the queue track.
+// complete) on the queue track.
 func (sm *sim) traceInstant(name string, q *query) {
 	if sm.tr == nil {
 		return
@@ -711,9 +702,9 @@ func (sm *sim) appendArrival(op string, q query) error {
 	return nil
 }
 
-// release retires a terminal query at one of the five points where a
-// query leaves for good (complete, abort, reject, failQuery, retract):
-// it stops counting as open and its slot goes onto the free list. No
+// release retires a terminal query at one of the four points where a
+// query leaves for good (complete, reject, failQuery, retract): it
+// stops counting as open and its slot goes onto the free list. No
 // event or qlist names the slot by then.
 func (sm *sim) release(qi int32) {
 	sm.open--
@@ -769,10 +760,10 @@ func (s *Sim) AdvanceTo(t float64) error {
 // at each telemetry barrier. All counts are cumulative since
 // construction; deltas between probes are the barrier-interval signal.
 type Probe struct {
-	// Completed, Failed, TimedOut and Rejected are the terminal outcomes
-	// so far: their sum retires queries from the router's in-flight
-	// ledger, and Failed and Completed drive its health breaker.
-	Completed, Failed, TimedOut, Rejected int
+	// Completed, Failed and Rejected are the terminal outcomes so far:
+	// their sum retires queries from the router's in-flight ledger, and
+	// Failed and Completed drive its health breaker.
+	Completed, Failed, Rejected int
 }
 
 // Probe snapshots the sim's terminal counters. Like every Sim method it
@@ -780,7 +771,7 @@ type Probe struct {
 // device right after advancing it to a barrier).
 func (s *Sim) Probe() Probe {
 	m := &s.sm.m
-	return Probe{Completed: m.Completed, Failed: m.Failed, TimedOut: m.TimedOut, Rejected: m.Rejected}
+	return Probe{Completed: m.Completed, Failed: m.Failed, Rejected: m.Rejected}
 }
 
 // Latencies exposes the raw per-query samples collected so far: TTFT
@@ -912,10 +903,10 @@ func (sm *sim) push(ev event) {
 func (sm *sim) publish() {
 	m := &sm.m
 	now := [...]int64{sm.events, sm.virtualNanos, int64(m.Arrived), int64(m.Admitted),
-		int64(m.Rejected), int64(m.Retries), int64(m.Completed), int64(m.TimedOut),
+		int64(m.Rejected), int64(m.Retries), int64(m.Completed),
 		int64(m.Failed), int64(m.Retracted), int64(m.Degraded), int64(m.FailedOver)}
 	for i, c := range [...]*atomic.Int64{&Live.events, &Live.virtualNanos, &Live.arrived, &Live.admitted,
-		&Live.rejected, &Live.retries, &Live.completed, &Live.timedOut,
+		&Live.rejected, &Live.retries, &Live.completed,
 		&Live.failed, &Live.retracted, &Live.degraded, &Live.failedOver} {
 		c.Add(now[i] - sm.published[i])
 	}
@@ -1054,31 +1045,12 @@ func (sm *sim) onArrival(qi int32) error {
 	return sm.dispatchPrefills()
 }
 
-// expired reports whether q has outlived the hard timeout.
-func (sm *sim) expired(q *query) bool {
-	return sm.cfg.Timeout > 0 && sm.now-q.arrival > sm.cfg.Timeout
-}
-
-// abort drops a query at a scheduling boundary.
-func (sm *sim) abort(qi int32) {
-	sm.m.TimedOut++
-	sm.inSystem--
-	sm.traceInstant("timeout", &sm.qs[qi])
-	sm.traceDepth()
-	sm.release(qi)
-}
-
 // dispatchPrefills starts waiting queries on every free SoC lane. In
 // Serial mode a replica must be entirely idle (both lanes and no decode
 // backlog) — the query owns the whole device.
 func (sm *sim) dispatchPrefills() error {
 	for !sm.wait.empty() {
 		qi := sm.wait.head
-		if sm.expired(&sm.qs[qi]) {
-			sm.wait.pop(sm.qs)
-			sm.abort(qi)
-			continue
-		}
 		ri := -1
 		for i := range sm.reps {
 			r := &sm.reps[i]
@@ -1260,10 +1232,6 @@ func (sm *sim) dispatchDecode(ri int) error {
 	r := &sm.reps[ri]
 	for !r.pimBusy && !r.decodeQ.empty() {
 		qi := r.decodeQ.pop(sm.qs)
-		if sm.expired(&sm.qs[qi]) {
-			sm.abort(qi)
-			continue
-		}
 		if sm.flt != nil && !sm.acquirePIM(ri) {
 			if err := sm.degrade(qi, ri); err != nil {
 				return err
@@ -1409,13 +1377,13 @@ func (sm *sim) onQuantumDone(e *event) error {
 
 // chainable reports whether dispatchDecode, run now on replica ri
 // after q's PIM quantum ended, would do nothing but start q's next
-// quantum at now with no penalty: no other query waits for the lane, q
-// has not timed out, no relayout window holds the lane, no drain outage
-// is pending, and with the fault layer armed the lane is up, its
-// breaker closed, and the SoC fallback queue has nothing to start.
+// quantum at now with no penalty: no other query waits for the lane,
+// no relayout window holds the lane, no drain outage is pending, and
+// with the fault layer armed the lane is up, its breaker closed, and
+// the SoC fallback queue has nothing to start.
 func (sm *sim) chainable(q *query, ri int) bool {
 	r := &sm.reps[ri]
-	if !r.decodeQ.empty() || sm.expired(q) || q.penalty != 0 || r.pimFreeAt > sm.now || drainGen.Load() != sm.drainSeen {
+	if !r.decodeQ.empty() || q.penalty != 0 || r.pimFreeAt > sm.now || drainGen.Load() != sm.drainSeen {
 		return false
 	}
 	return sm.flt == nil || (!r.pimDown && r.brk.state == brkClosed && (r.socQ.empty() || r.socBusy))

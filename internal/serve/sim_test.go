@@ -65,7 +65,7 @@ func TestSerialMatchesLegacySimulate(t *testing.T) {
 		if m.MaxQueueDepth != want.maxDepth {
 			t.Errorf("%v max depth: %d vs legacy %d", kind, m.MaxQueueDepth, want.maxDepth)
 		}
-		if m.Completed != 120 || m.Rejected != 0 || m.TimedOut != 0 {
+		if m.Completed != 120 || m.Rejected != 0 {
 			t.Errorf("%v accounting: %+v", kind, m)
 		}
 	}
@@ -180,8 +180,8 @@ func TestAdmissionControl(t *testing.T) {
 	if m.Arrived != m.Admitted+m.Rejected {
 		t.Errorf("arrived %d != admitted %d + rejected %d", m.Arrived, m.Admitted, m.Rejected)
 	}
-	if m.Admitted != m.Completed+m.TimedOut {
-		t.Errorf("admitted %d != completed %d + timed out %d", m.Admitted, m.Completed, m.TimedOut)
+	if m.Admitted != m.Completed {
+		t.Errorf("admitted %d != completed %d", m.Admitted, m.Completed)
 	}
 	if m.MaxQueueDepth > cfg.QueueCap {
 		t.Errorf("depth %d exceeded cap %d", m.MaxQueueDepth, cfg.QueueCap)
@@ -213,29 +213,6 @@ func TestDeadlineGoodput(t *testing.T) {
 	}
 	if mt.GoodputQPS >= mt.ThroughputQPS {
 		t.Errorf("tight SLO: goodput %.4f not below throughput %.4f", mt.GoodputQPS, mt.ThroughputQPS)
-	}
-}
-
-// TestTimeoutAborts: under overload with a hard timeout, some admitted
-// queries are dropped at scheduling boundaries and never complete.
-func TestTimeoutAborts(t *testing.T) {
-	s := servingSystem(t)
-	cfg := simConfig(Cooperative, engine.FACIL, 50)
-	cfg.Timeout = 1.0
-	m, err := Run(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TimedOut == 0 {
-		t.Error("no query timed out under overload")
-	}
-	if m.Admitted != m.Completed+m.TimedOut {
-		t.Errorf("admitted %d != completed %d + timed out %d", m.Admitted, m.Completed, m.TimedOut)
-	}
-	for _, ttlt := range []float64{m.TTLT.P99} {
-		if ttlt > 1e6 {
-			t.Errorf("implausible TTLT %g with timeouts", ttlt)
-		}
 	}
 }
 
@@ -357,7 +334,6 @@ func TestSimConfigValidation(t *testing.T) {
 		{ArrivalRate: 1, Queries: -1, Replicas: 1},
 		{ArrivalRate: 1, Queries: 10, Replicas: 0},
 		{ArrivalRate: 1, Queries: 10, Replicas: 1, QueueCap: -1},
-		{ArrivalRate: 1, Queries: 10, Replicas: 1, Timeout: -2},
 	}
 	for _, cfg := range bad {
 		if _, err := Run(s, cfg); err == nil {

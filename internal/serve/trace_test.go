@@ -45,7 +45,7 @@ type parsedEvent struct {
 }
 
 // traceConfig is a small cooperative scenario that exercises admission
-// pressure (tiny queue cap) and timeouts.
+// pressure (tiny queue cap).
 func traceConfig(mode Mode) SimConfig {
 	return SimConfig{
 		Mode:        mode,
@@ -97,7 +97,7 @@ func TestTraceValidAndMonotonic(t *testing.T) {
 			if got, want := counts["complete/i"], m.Completed; got != want {
 				t.Errorf("complete instants = %d, want Completed = %d", got, want)
 			}
-			if got, want := counts["prefill/X"], m.Admitted-m.TimedOut; got != want {
+			if got, want := counts["prefill/X"], m.Admitted; got != want {
 				t.Errorf("prefill spans = %d, want %d", got, want)
 			}
 			if counts["in-system queries/C"] == 0 {

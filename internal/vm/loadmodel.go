@@ -5,36 +5,25 @@ import (
 	"math/rand"
 )
 
-// LoadModelConfig parameterizes the model-weight load-time model used for
-// the paper's Table I experiment (Jetson AGX Orin + Samsung 980 Pro NVMe).
-type LoadModelConfig struct {
-	// StorageReadGBs is the effective sequential read bandwidth from
+// The model-weight load-time model of the paper's Table I testbed
+// (Jetson AGX Orin + Samsung 980 Pro NVMe).
+const (
+	// storageReadGBs is the effective sequential read bandwidth from
 	// storage into memory during model load, including filesystem and
-	// page-fault overheads (GB/s).
-	StorageReadGBs float64
-	// ZeroGBs is the bandwidth at which the kernel clears a freshly
+	// page-fault overheads (GB/s): the baseline (non-huge-page) load of
+	// the 16.2 GB Llama3-8B checkpoint took ~8.8 s.
+	storageReadGBs = 1.83
+	// zeroGBs is the bandwidth at which the kernel clears a freshly
 	// allocated huge page at fault time (GB/s). Base pages are cleared
 	// in the shadow of storage I/O and carry no extra cost here.
-	ZeroGBs float64
-	// CompactCopyGBs is the effective migration bandwidth of kernel
+	zeroGBs = 12.0
+	// compactCopyGBs is the effective migration bandwidth of kernel
 	// compaction, including page-table fixups (GB/s of bytes moved;
 	// each moved byte is read and written).
-	CompactCopyGBs float64
-	// ScanWindow bounds the compaction region scan.
-	ScanWindow int
-}
-
-// DefaultLoadModelConfig matches the paper's testbed scale: the baseline
-// (non-huge-page) load of the 16.2 GB Llama3-8B checkpoint took ~8.8 s,
-// i.e. ~1.83 GB/s effective storage bandwidth.
-func DefaultLoadModelConfig() LoadModelConfig {
-	return LoadModelConfig{
-		StorageReadGBs: 1.83,
-		ZeroGBs:        12.0,
-		CompactCopyGBs: 2.0,
-		ScanWindow:     4096,
-	}
-}
+	compactCopyGBs = 2.0
+	// compactScanWindow bounds the compaction region scan.
+	compactScanWindow = 4096
+)
 
 // LoadResult reports one simulated model load.
 type LoadResult struct {
@@ -61,7 +50,7 @@ type LoadResult struct {
 // SimulateModelLoad reproduces one cell of Table I: load `modelBytes` of
 // weights into huge pages on a machine with `totalMemBytes` of DRAM, of
 // which `freeRel` x modelBytes is free, fragmented to `scatter` FMFI.
-func SimulateModelLoad(modelBytes, totalMemBytes int64, freeRel, scatter float64, cfg LoadModelConfig, seed int64) (LoadResult, error) {
+func SimulateModelLoad(modelBytes, totalMemBytes int64, freeRel, scatter float64, seed int64) (LoadResult, error) {
 	if modelBytes <= 0 || totalMemBytes <= 0 {
 		return LoadResult{}, fmt.Errorf("vm: sizes must be positive")
 	}
@@ -91,7 +80,7 @@ func SimulateModelLoad(modelBytes, totalMemBytes int64, freeRel, scatter float64
 	cursor := 0
 	var movedFrames int64
 	for i := int64(0); i < pages; i++ {
-		_, moved, err := b.AllocHugePage(&cursor, cfg.ScanWindow)
+		_, moved, err := b.AllocHugePage(&cursor, compactScanWindow)
 		if err != nil {
 			return LoadResult{}, fmt.Errorf("vm: huge page %d/%d: %w", i, pages, err)
 		}
@@ -102,10 +91,10 @@ func SimulateModelLoad(modelBytes, totalMemBytes int64, freeRel, scatter float64
 	}
 	res.MovedBytes = movedFrames * BasePageBytes
 
-	readSec := float64(modelBytes) / (cfg.StorageReadGBs * 1e9)
-	zeroSec := float64(pages*HugePageBytes) / (cfg.ZeroGBs * 1e9)
+	readSec := float64(modelBytes) / (storageReadGBs * 1e9)
+	zeroSec := float64(pages*HugePageBytes) / (zeroGBs * 1e9)
 	// Compaction both reads and writes every moved byte.
-	compactSec := 2 * float64(res.MovedBytes) / (cfg.CompactCopyGBs * 1e9)
+	compactSec := 2 * float64(res.MovedBytes) / (compactCopyGBs * 1e9)
 	res.Seconds = readSec + zeroSec + compactSec
 	res.BaselineSeconds = readSec
 	res.Normalized = res.Seconds / res.BaselineSeconds

@@ -6,10 +6,9 @@ import "testing"
 // bench uses the paper's full 16.2 GB / 64 GB configuration.
 
 func TestSimulateModelLoadBaseline(t *testing.T) {
-	cfg := DefaultLoadModelConfig()
 	model := int64(256 << 20)
 	total := int64(2 << 30)
-	res, err := SimulateModelLoad(model, total, 2.5, 0.05, cfg, 1)
+	res, err := SimulateModelLoad(model, total, 2.5, 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +17,7 @@ func TestSimulateModelLoadBaseline(t *testing.T) {
 	}
 	// With low fragmentation, the overhead is just zeroing: bounded by
 	// 1 + read/zero ratio.
-	maxFloor := 1 + cfg.ZeroGBs/cfg.StorageReadGBs // generous bound
+	maxFloor := 1 + zeroGBs/storageReadGBs // generous bound
 	if res.Normalized > maxFloor {
 		t.Errorf("low-fragmentation normalized = %g too high", res.Normalized)
 	}
@@ -31,12 +30,11 @@ func TestSimulateModelLoadBaseline(t *testing.T) {
 }
 
 func TestSimulateModelLoadMonotoneInFMFI(t *testing.T) {
-	cfg := DefaultLoadModelConfig()
 	model := int64(256 << 20)
 	total := int64(2 << 30)
 	prev := 0.0
 	for _, scatter := range []float64{0.05, 0.45, 0.75} {
-		res, err := SimulateModelLoad(model, total, 1.1, scatter, cfg, 42)
+		res, err := SimulateModelLoad(model, total, 1.1, scatter, 42)
 		if err != nil {
 			t.Fatalf("scatter %g: %v", scatter, err)
 		}
@@ -49,13 +47,12 @@ func TestSimulateModelLoadMonotoneInFMFI(t *testing.T) {
 }
 
 func TestSimulateModelLoadMonotoneInPressure(t *testing.T) {
-	cfg := DefaultLoadModelConfig()
 	model := int64(256 << 20)
 	total := int64(2 << 30)
 	prev := 0.0
 	// Tighter free memory (lower freeRel) must not speed up the load.
 	for _, rel := range []float64{2.5, 2.0, 1.5, 1.1} {
-		res, err := SimulateModelLoad(model, total, rel, 0.45, cfg, 42)
+		res, err := SimulateModelLoad(model, total, rel, 0.45, 42)
 		if err != nil {
 			t.Fatalf("rel %g: %v", rel, err)
 		}
@@ -68,8 +65,7 @@ func TestSimulateModelLoadMonotoneInPressure(t *testing.T) {
 }
 
 func TestSimulateModelLoadHighFragmentationCompacts(t *testing.T) {
-	cfg := DefaultLoadModelConfig()
-	res, err := SimulateModelLoad(256<<20, 2<<30, 1.1, 0.75, cfg, 7)
+	res, err := SimulateModelLoad(256<<20, 2<<30, 1.1, 0.75, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +81,13 @@ func TestSimulateModelLoadHighFragmentationCompacts(t *testing.T) {
 }
 
 func TestSimulateModelLoadErrors(t *testing.T) {
-	cfg := DefaultLoadModelConfig()
-	if _, err := SimulateModelLoad(0, 1<<30, 2, 0.1, cfg, 1); err == nil {
+	if _, err := SimulateModelLoad(0, 1<<30, 2, 0.1, 1); err == nil {
 		t.Error("zero model size accepted")
 	}
-	if _, err := SimulateModelLoad(1<<30, 1<<30, 2, 0.1, cfg, 1); err == nil {
+	if _, err := SimulateModelLoad(1<<30, 1<<30, 2, 0.1, 1); err == nil {
 		t.Error("free memory larger than total accepted")
 	}
-	if _, err := SimulateModelLoad(1<<30, 4<<30, 0.5, 0.1, cfg, 1); err == nil {
+	if _, err := SimulateModelLoad(1<<30, 4<<30, 0.5, 0.1, 1); err == nil {
 		t.Error("model larger than free memory accepted")
 	}
 }

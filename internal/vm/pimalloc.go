@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 
 	"facil/internal/mapping"
@@ -120,19 +121,17 @@ func (as *AddressSpace) Pimalloc(m mapping.MatrixConfig) (*Region, error) {
 	for off := int64(0); off < mapped; off += HugePageBytes {
 		start, moved, err := as.buddy.AllocHugePage(&as.cursor, 4096)
 		if err != nil {
-			as.releasePages(reg)
-			return nil, fmt.Errorf("vm: pimalloc: %w", err)
+			return nil, as.rollback(reg, fmt.Errorf("vm: pimalloc: %w", err))
 		}
 		if moved > 0 {
 			as.CompactedPages++
 			as.MovedFrames += int64(moved)
 		}
 		phys := uint64(start) * BasePageBytes
-		if err := as.pt.MapHuge(va+uint64(off), phys, sel.ID, PTEWrite|PTEUser); err != nil {
-			as.releasePages(reg)
-			return nil, err
-		}
 		reg.Pages = append(reg.Pages, phys)
+		if err := as.pt.MapHuge(va+uint64(off), phys, sel.ID, PTEWrite|PTEUser); err != nil {
+			return nil, as.rollback(reg, err)
+		}
 	}
 	return reg, nil
 }
@@ -154,17 +153,22 @@ func (as *AddressSpace) Alloc(bytes int64) (*Region, error) {
 	for off := int64(0); off < mapped; off += BasePageBytes {
 		start, err := as.buddy.Alloc(0)
 		if err != nil {
-			as.releasePages(reg)
-			return nil, err
+			return nil, as.rollback(reg, err)
 		}
 		phys := uint64(start) * BasePageBytes
-		if err := as.pt.MapBase(va+uint64(off), phys, PTEWrite|PTEUser); err != nil {
-			as.releasePages(reg)
-			return nil, err
-		}
 		reg.Pages = append(reg.Pages, phys)
+		if err := as.pt.MapBase(va+uint64(off), phys, PTEWrite|PTEUser); err != nil {
+			return nil, as.rollback(reg, err)
+		}
 	}
 	return reg, nil
+}
+
+// rollback frees a half-built region after err stopped its build. Its
+// last page may hold a frame that was never mapped: Free's unmap of it
+// is a no-op, and the frame still goes back to the buddy allocator.
+func (as *AddressSpace) rollback(reg *Region, err error) error {
+	return errors.Join(err, as.Free(reg))
 }
 
 // Free unmaps and releases a region.
@@ -182,18 +186,4 @@ func (as *AddressSpace) Free(reg *Region) error {
 	}
 	reg.Pages = nil
 	return nil
-}
-
-// releasePages rolls back a partially built region.
-func (as *AddressSpace) releasePages(reg *Region) {
-	order := 0
-	if reg.PageBytes == HugePageBytes {
-		order = HugeOrder
-	}
-	for i, phys := range reg.Pages {
-		as.pt.Unmap(reg.VA + uint64(i)*uint64(reg.PageBytes))
-		frame := int(phys / BasePageBytes)
-		_ = as.buddy.Free(frame, order)
-	}
-	reg.Pages = nil
 }

@@ -162,3 +162,49 @@ func TestNewAddressSpaceValidation(t *testing.T) {
 		t.Error("non-2MB huge page accepted")
 	}
 }
+
+// TestAllocRollsBackWhenFramesRunOut fills memory until fewer frames
+// are free than a region needs, so each allocation runs out of frames
+// mid-region: it must fail and hand every frame it took back, leaving
+// the free-frame count and the page table as they were.
+func TestAllocRollsBackWhenFramesRunOut(t *testing.T) {
+	as := testAddressSpace(t)
+	var held []int
+	for {
+		start, err := as.buddy.Alloc(HugeOrder)
+		if err != nil {
+			break
+		}
+		held = append(held, start)
+	}
+	// Two huge pages' worth of frames free, one of them split by a held
+	// base page, so no third huge page can be found or compacted.
+	for _, start := range held[:2] {
+		if err := as.buddy.Free(start, HugeOrder); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := as.buddy.Alloc(0); err != nil {
+		t.Fatal(err)
+	}
+	free := as.buddy.FreeFrames()
+	for _, tc := range []struct {
+		name  string
+		alloc func() (*Region, error)
+	}{
+		{"base pages", func() (*Region, error) { return as.Alloc((free + 1) * BasePageBytes) }},
+		{"huge pages", func() (*Region, error) {
+			return as.Pimalloc(mapping.MatrixConfig{Rows: 1024, Cols: 2048, DTypeBytes: 2}) // 4 MiB
+		}},
+	} {
+		if _, err := tc.alloc(); err == nil {
+			t.Fatalf("%s: allocation past the free frames succeeded", tc.name)
+		}
+		if got := as.buddy.FreeFrames(); got != free {
+			t.Errorf("%s: free frames = %d after the failed allocation, want %d", tc.name, got, free)
+		}
+		if n := len(as.pt.base) + len(as.pt.huge); n != 0 {
+			t.Errorf("%s: %d page-table entries left after the failed allocation", tc.name, n)
+		}
+	}
+}

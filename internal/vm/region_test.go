@@ -109,7 +109,7 @@ func BenchmarkAllocHugePageFragmented(b *testing.B) {
 	var res LoadResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = SimulateModelLoad(model, total, 1.1, 0.75, DefaultLoadModelConfig(), 1)
+		res, err = SimulateModelLoad(model, total, 1.1, 0.75, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
