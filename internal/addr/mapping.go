@@ -100,7 +100,9 @@ type Translator interface {
 // Mapping is a complete, validated PA-to-DA bit assignment for a geometry.
 type Mapping struct {
 	geom dram.Geometry
-	// segs is the LSB-to-MSB segment list as provided.
+	// segs is the LSB-to-MSB segment list as provided; plans compiles
+	// it with adjacent segments of one field merged, so a mapping built
+	// from one-bit segments translates in one step per field run.
 	segs  []Segment
 	plans []segPlan
 	name  string
@@ -143,12 +145,19 @@ func New(g dram.Geometry, name string, segs []Segment) (*Mapping, error) {
 		if s.Bits == 0 {
 			continue
 		}
-		m.plans = append(m.plans, segPlan{
-			kind:       s.Kind,
-			paShift:    paShift,
-			fieldShift: uint(got[s.Kind]),
-			mask:       (uint64(1) << s.Bits) - 1,
-		})
+		if n := len(m.plans); n > 0 && m.plans[n-1].kind == s.Kind {
+			// Adjacent segments of one field are contiguous in both the
+			// PA and the field: widen the previous plan instead.
+			p := &m.plans[n-1]
+			p.mask |= ((uint64(1) << s.Bits) - 1) << (paShift - p.paShift)
+		} else {
+			m.plans = append(m.plans, segPlan{
+				kind:       s.Kind,
+				paShift:    paShift,
+				fieldShift: uint(got[s.Kind]),
+				mask:       (uint64(1) << s.Bits) - 1,
+			})
+		}
 		got[s.Kind] += s.Bits
 		paShift += uint(s.Bits)
 	}

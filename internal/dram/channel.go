@@ -119,11 +119,13 @@ type Channel struct {
 	// a bank's row state changes.
 	hits     []int32
 	hitTotal [2]int32
-	// prepBanks is the dense set of banks with visible work and no
+	// prep holds one record for each bank with visible work and no
 	// visible hit: only they yield ACT/PRE candidates. prepPos maps a
-	// bank to its index in prepBanks, -1 if absent.
-	prepBanks []int32
-	prepPos   []int32
+	// bank to its record's index, -1 if absent. actFloor is
+	// pickCommand's per-rank ACT floor scratch.
+	prep     []prepRec
+	prepPos  []int32
+	actFloor []int64
 	// seen stamps each (bank, class) with the last pick that met a hit
 	// of it (see pickCommand).
 	seen []int64
@@ -183,6 +185,24 @@ type bankLoc struct {
 	b  *bank
 }
 
+// prepRec caches what the prep scan reads of one prep bank, so the scan
+// walks one dense array instead of bank, rank and slot state. syncPrep
+// rewrites a bank's record whenever its row state or visible list may
+// have changed; AllBankMAC, which moves nextPRE without a recount,
+// rewrites its rank's records.
+type prepRec struct {
+	// floor is the bank's own bound on its row command: nextPRE when a
+	// row is open (act false), nextACT when it is idle (act true).
+	floor int64
+	// arrival, pos and head are the bank's visible list head's.
+	arrival int64
+	pos     uint64
+	head    int32
+	bank    int32
+	rank    int32
+	act     bool
+}
+
 // RowPolicy selects what happens to a row after a column access.
 type RowPolicy int
 
@@ -229,12 +249,13 @@ func (c *Channel) initBankLists() {
 	g := c.spec.Geometry
 	nb := g.RanksPerChannel * g.BanksPerRank
 	// The per-bank index arrays share one allocation.
-	idx := make([]int32, 5*nb)
+	idx := make([]int32, 4*nb)
 	c.bankHead = idx[0*nb : 1*nb : 1*nb]
 	c.bankTail = idx[1*nb : 2*nb : 2*nb]
 	c.hits = idx[2*nb : 3*nb : 3*nb]
 	c.prepPos = idx[3*nb : 4*nb : 4*nb]
-	c.prepBanks = idx[4*nb : 4*nb : 5*nb]
+	c.prep = make([]prepRec, 0, nb)
+	c.actFloor = make([]int64, g.RanksPerChannel)
 	c.seen = make([]int64, 2*nb)
 	c.bankLoc = make([]bankLoc, nb)
 	for i := 0; i < nb; i++ {
@@ -433,19 +454,44 @@ func (c *Channel) uncountHit(sl *slot) {
 	}
 }
 
-// syncPrep puts bank b in the prep set exactly when it has visible work
-// and no visible hit.
+// syncPrep gives bank b a prep record exactly when it has visible work
+// and no visible hit, and rewrites the record from the bank's current
+// state.
 func (c *Channel) syncPrep(b int32) {
-	want := c.bankHead[b] != noSlot && !c.rowStillWanted(b)
-	if i := c.prepPos[b]; want && i < 0 {
-		c.prepPos[b] = int32(len(c.prepBanks))
-		c.prepBanks = append(c.prepBanks, b)
-	} else if !want && i >= 0 {
-		last := c.prepBanks[len(c.prepBanks)-1]
-		c.prepBanks[i] = last
-		c.prepPos[last] = i
-		c.prepBanks = c.prepBanks[:len(c.prepBanks)-1]
-		c.prepPos[b] = -1
+	i := c.prepPos[b]
+	if c.bankHead[b] == noSlot || c.rowStillWanted(b) {
+		if i >= 0 {
+			last := c.prep[len(c.prep)-1]
+			c.prep[i] = last
+			c.prepPos[last.bank] = i
+			c.prep = c.prep[:len(c.prep)-1]
+			c.prepPos[b] = -1
+		}
+		return
+	}
+	if i < 0 {
+		i = int32(len(c.prep))
+		c.prepPos[b] = i
+		c.prep = append(c.prep, prepRec{})
+	}
+	c.fillPrep(&c.prep[i], b)
+}
+
+// fillPrep writes bank b's prep record.
+func (c *Channel) fillPrep(p *prepRec, b int32) {
+	bk := c.bankLoc[b].b
+	h := c.bankHead[b]
+	sl := &c.slots[h]
+	*p = prepRec{
+		floor:   bk.nextPRE,
+		arrival: sl.req.Arrival,
+		pos:     sl.pos,
+		head:    h,
+		bank:    b,
+		rank:    int32(sl.req.Addr.Rank),
+	}
+	if bk.state != bankActive {
+		p.floor, p.act = bk.nextACT, true
 	}
 }
 
@@ -679,23 +725,29 @@ func (c *Channel) pickCommand() candidate {
 	}
 
 	rowCmdBase := max(c.rowCmdEarliest(), c.now)
-	for _, bi := range c.prepBanks {
-		loc := c.bankLoc[bi]
-		b := loc.b
-		kind, base := CmdPRE, max(b.nextPRE, rowCmdBase)
-		if b.state != bankActive {
-			kind, base = CmdACT, max(b.nextACT, loc.rk.earliestACT(), rowCmdBase)
+	for ri := range c.ranks {
+		c.actFloor[ri] = max(c.ranks[ri].earliestACT(), rowCmdBase)
+	}
+	for i := range c.prep {
+		p := &c.prep[i]
+		kind, base := CmdPRE, max(p.floor, rowCmdBase)
+		if p.act {
+			kind, base = CmdACT, max(p.floor, c.actFloor[p.rank])
 		}
-		for s := c.bankHead[bi]; s != noSlot; s = c.slots[s].bnext {
+		if c.inOrder {
 			visited++
-			sl := &c.slots[s]
-			e := max(base, sl.req.Arrival)
-			if !havePrep || bestPrep.better(e, sl.pos) {
-				bestPrep = candidate{kind: kind, slot: s, pos: sl.pos, earliest: e}
+			if e := max(base, p.arrival); !havePrep || bestPrep.better(e, p.pos) {
+				bestPrep = candidate{kind: kind, slot: p.head, pos: p.pos, earliest: e}
 				havePrep = true
 			}
-			if c.inOrder {
-				break
+			continue
+		}
+		for s := p.head; s != noSlot; s = c.slots[s].bnext {
+			visited++
+			sl := &c.slots[s]
+			if e := max(base, sl.req.Arrival); !havePrep || bestPrep.better(e, sl.pos) {
+				bestPrep = candidate{kind: kind, slot: s, pos: sl.pos, earliest: e}
+				havePrep = true
 			}
 		}
 	}

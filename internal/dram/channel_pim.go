@@ -125,6 +125,14 @@ func (c *Channel) AllBankMAC(rk, col, interval int) (int64, error) {
 	for i := range r.banks {
 		r.banks[i].apply(CmdMACab, r.banks[i].openRow, at, c.t)
 	}
+	if !c.dualRowBuffer {
+		// The MACs moved nextPRE on banks that may hold SoC work.
+		for i := range c.prep {
+			if p := &c.prep[i]; int(p.rank) == rk {
+				c.fillPrep(p, p.bank)
+			}
+		}
+	}
 	c.nextMAC[rk] = at + int64(interval)
 	c.cmdBusFree = at + 1
 	c.advanceNow(at)

@@ -107,7 +107,11 @@ func (l *Lab) MapTuneCompute(ctx context.Context, cfg MapTuneConfig) ([]MapTuneC
 			if err != nil {
 				return nil, fmt.Errorf("maptune %s/%s: %w", p.Name, w.Name, err)
 			}
-			cells = append(cells, MapTuneCell{Platform: p, Workload: w, Matrix: matrix, Selection: sel, Trace: tr, Result: res})
+			// The cell keeps the trace's codes and weights, not its replay
+			// memo: only this platform's searches read the memo, so it is
+			// garbage once the loop moves on.
+			kept := &tune.Trace{Codes: tr.Codes, Segments: tr.Segments, Geometry: tr.Geometry}
+			cells = append(cells, MapTuneCell{Platform: p, Workload: w, Matrix: matrix, Selection: sel, Trace: kept, Result: res})
 		}
 	}
 

@@ -37,16 +37,28 @@ func replayDelta(t *testing.T, fn func() error) replayWork {
 // scheduler's work is pinned exactly too: the commands it issued and
 // the queue entries its picks visited (a pick that walked every bank
 // with visible work would visit more).
+// The search side is pinned the same way: the cells of a platform share
+// their trace's estimator memo, so of the 1,024 candidates evaluated
+// only the genomes new to their platform replay on the estimator.
 func TestMapTuneReplayCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full tuner grid in -short mode")
 	}
-	got := replayDelta(t, func() error {
-		_, err := freshLab().MapTuneCompute(context.Background(), DefaultMapTuneConfig())
+	var cells []MapTuneCell
+	got := replayDelta(t, func() (err error) {
+		cells, err = freshLab().MapTuneCompute(context.Background(), DefaultMapTuneConfig())
 		return err
 	})
 	if want := (replayWork{42, 2752512, 3200285, 17669721}); got != want {
 		t.Errorf("MapTuneCompute did %+v, want %+v", got, want)
+	}
+	evaluated, replayed := 0, 0
+	for _, c := range cells {
+		evaluated += c.Result.Evaluated
+		replayed += c.Result.Replayed
+	}
+	if evaluated != 1024 || replayed != 738 {
+		t.Errorf("MapTuneCompute evaluated %d candidates and replayed %d on the estimator, want 1024 and 738", evaluated, replayed)
 	}
 }
 

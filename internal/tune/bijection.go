@@ -5,24 +5,17 @@ import (
 
 	"facil/internal/addr"
 	"facil/internal/dram"
+	"facil/internal/fault"
 )
-
-// splitmix64 is the deterministic probe generator for the sampled
-// bijection check (no math/rand allocation in the scoring path).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // VerifyBijection runs the PA-DA bijection property check every
 // candidate must pass before scoring: zero, every single-bit basis
 // address (sufficient to pin down a GF(2)-linear map) and `samples`
 // seeded random addresses must translate to in-geometry DRAM addresses
-// and round-trip exactly through Inverse. The exhaustive full-page
-// variant lives in the property tests; this probe set is the per-
-// candidate gate.
+// and round-trip exactly through Inverse. The random probes are a
+// fault.SplitMix64 sequence from seed, so the probe set is fixed and
+// draws no math/rand state. The exhaustive full-page variant lives in
+// the property tests; this probe set is the per-candidate gate.
 func VerifyBijection(m addr.Translator, g dram.Geometry, samples int, seed uint64) error {
 	mask := uint64(1)<<uint(g.AddressBits()) - 1
 	probe := func(pa uint64) error {
@@ -48,7 +41,7 @@ func VerifyBijection(m addr.Translator, g dram.Geometry, samples int, seed uint6
 	}
 	x := seed
 	for i := 0; i < samples; i++ {
-		x = splitmix64(x)
+		x = fault.SplitMix64(x)
 		if err := probe(x & mask); err != nil {
 			return err
 		}

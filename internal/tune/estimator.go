@@ -3,6 +3,7 @@ package tune
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"facil/internal/addr"
 	"facil/internal/dram"
@@ -58,9 +59,16 @@ type Evaluator struct {
 	rowPos  []int    // page index of each page-local row bit (scratch)
 	lo      [256]uint32
 	hi      []uint32
-	lastRow []uint32 // per global bank: last open row (^uint32(0) = none)
-	bankT   []int64  // per global bank: next cycle the bank is free
-	chanT   []int64  // per channel: next cycle the data bus is free
+	banks   []estBank  // per global bank
+	chanT   []int64    // per channel: next cycle the data bus is free
+	rc      replayCost // the last replay's weight-free result
+}
+
+// estBank is one bank's replay state: the next cycle it is free and
+// its open row (^uint32(0) = none).
+type estBank struct {
+	t   int64
+	row uint32
 }
 
 // NewEvaluator builds an evaluator for one space/trace pair. window
@@ -101,9 +109,9 @@ func NewEvaluator(s *Space, trace *Trace, t dram.Timing, window int) (*Evaluator
 		base:        make([]uint32, s.pageBits),
 		rowPos:      make([]int, s.pageRowBits),
 		hi:          make([]uint32, nHi),
-		lastRow:     make([]uint32, g.TotalBanks()),
-		bankT:       make([]int64, g.TotalBanks()),
+		banks:       make([]estBank, g.TotalBanks()),
 		chanT:       make([]int64, g.Channels),
+		rc:          replayCost{cycles: make([]float64, len(trace.Segments))},
 	}
 	return e, nil
 }
@@ -174,21 +182,37 @@ func (e *Evaluator) prepare(g Genome) error {
 	return nil
 }
 
-// Score evaluates one candidate with a paced virtual-time replay:
-// bursts arrive at the memory system's peak consumption rate (one per
-// channel per cycle, matching SimScore's pacing), each burst issues
-// when its arrival, its channel bus and its bank are all free, a row
-// miss holds the bank for the activation penalty, and the segment's
-// score is the last completion cycle. That is three running maxes per
-// burst — no scheduler, no event loop — yet it captures both
-// channel-level serialization and per-bank row locality, the two
-// effects that separate mappings. Steady state performs zero heap
-// allocations (gated by TestEstimatorZeroAllocs).
+// replayCost is the weight-free part of a candidate's score: each trace
+// segment's completion cycles (scaled back to the full segment when the
+// window cuts it short) and the hit and activation totals. Segment
+// weights play no part, so traces that differ only in weights share it.
+type replayCost struct {
+	cycles     []float64
+	hits, acts int64
+}
+
+// clone returns a copy that owns its cycles.
+func (rc *replayCost) clone() replayCost {
+	c := *rc
+	c.cycles = slices.Clone(rc.cycles)
+	return c
+}
+
+// Score evaluates one candidate: the weight-free replay, weighted by
+// the trace's segment weights, plus the re-layout cost against the
+// baseline. Steady state performs zero heap allocations (gated by
+// TestEstimatorZeroAllocs).
 func (e *Evaluator) Score(g Genome) (Cost, error) {
-	if err := e.prepare(g); err != nil {
+	if err := e.replay(g); err != nil {
 		return Cost{}, err
 	}
+	return e.weigh(&e.rc), nil
+}
 
+// weigh turns a weight-free replay of the genome whose contributions
+// e.contrib holds into its Cost: the weighted cycle sum in segment
+// order, and the exact moved fraction against the baseline.
+func (e *Evaluator) weigh(rc *replayCost) Cost {
 	// Re-layout cost: two GF(2)-linear maps agree exactly on the kernel
 	// of their difference, so the moved fraction is 1 - 2^-rank(diff).
 	var basis [32]uint32
@@ -205,23 +229,54 @@ func (e *Evaluator) Score(g Genome) (Cost, error) {
 			v ^= basis[b]
 		}
 	}
-	moved := 1 - 1/float64(uint64(1)<<uint(rank))
+	var total float64
+	for si, seg := range e.trace.Segments {
+		total += seg.Weight * rc.cycles[si]
+	}
+	c := Cost{EstCycles: total, Activations: rc.acts, MovedFrac: 1 - 1/float64(uint64(1)<<uint(rank))}
+	if hm := rc.hits + rc.acts; hm > 0 {
+		c.RowHitRate = float64(rc.hits) / float64(hm)
+	}
+	return c
+}
 
+// replay runs the weight-free part of Score into e.rc with a paced
+// virtual-time replay: bursts arrive at the memory system's peak
+// consumption rate (one per channel per cycle, matching SimScore's
+// pacing), each burst issues when its arrival, its channel bus and its
+// bank are all free, a row miss holds the bank for the activation
+// penalty, and the segment's score is the last completion cycle. That
+// is three running maxes per burst — no scheduler, no event loop — yet
+// it captures both channel-level serialization and per-bank row
+// locality, the two effects that separate mappings.
+func (e *Evaluator) replay(g Genome) error {
+	if err := e.prepare(g); err != nil {
+		return err
+	}
 	rowShift := e.colBits + e.puBits
 	chShift := e.bankBits + e.rankBit
 	chBits := uint(0)
 	for 1<<chBits < len(e.chanT) {
 		chBits++
 	}
-	var total float64
-	var hits, acts int64
-	for _, seg := range e.trace.Segments {
-		for i := range e.lastRow {
-			e.lastRow[i] = ^uint32(0)
-			e.bankT[i] = 0
+	// The hot loop reads its tables and constants from locals: stores
+	// through the slices would otherwise make the compiler reload every
+	// field of e on each burst. Every shift count is below 32 (a packed
+	// DA fits a uint32), and masking it says so, which spares each shift
+	// Go's fix-up for counts of 32 and more.
+	lo, hi := &e.lo, e.hi
+	banks, chanT := e.banks, e.chanT
+	pageMask, pageBits, pageRowBits := e.pageMask, e.pageBits&31, e.pageRowBits&31
+	colBits, puMask := e.colBits&31, e.puMask
+	rowShift, chShift, chBits = rowShift&31, chShift&31, chBits&31
+	tccd, missCost := e.tccd, e.missCost
+	e.rc.hits, e.rc.acts = 0, 0
+	for si, seg := range e.trace.Segments {
+		for i := range banks {
+			banks[i] = estBank{row: ^uint32(0)}
 		}
-		for i := range e.chanT {
-			e.chanT[i] = 0
+		for i := range chanT {
+			chanT[i] = 0
 		}
 		segLen := seg.End - seg.Start
 		scored := segLen
@@ -229,46 +284,34 @@ func (e *Evaluator) Score(g Genome) (Cost, error) {
 			scored = e.window
 		}
 		codes := e.trace.Codes[seg.Start : seg.Start+scored]
-		var end int64
+		var end, acts int64
 		for i, code := range codes {
-			pb := code & e.pageMask
-			pg := code >> e.pageBits
-			da := e.lo[pb&0xff] ^ e.hi[pb>>8]
-			gb := (da >> e.colBits) & e.puMask
-			row := (da >> rowShift) | (pg << e.pageRowBits)
-			ch := gb >> chShift
+			pb := code & pageMask
+			da := lo[pb&0xff] ^ hi[pb>>8]
+			gb := (da >> colBits) & puMask
+			row := (da >> rowShift) | (code>>pageBits)<<pageRowBits
 
 			issue := int64(i) >> chBits // paced arrival
-			if t := e.chanT[ch]; t > issue {
-				issue = t
-			}
-			if t := e.bankT[gb]; t > issue {
-				issue = t
-			}
-			serv := e.tccd
-			if e.lastRow[gb] == row {
-				hits++
-			} else {
-				e.lastRow[gb] = row
-				serv = e.missCost
+			ch := gb >> chShift
+			b := &banks[gb]
+			issue = max(issue, chanT[ch], b.t)
+			serv := tccd
+			if b.row != row {
+				b.row = row
+				serv = missCost
 				acts++
 			}
-			e.chanT[ch] = issue + e.tccd
-			e.bankT[gb] = issue + serv
-			if done := issue + serv; done > end {
-				end = done
-			}
+			chanT[ch] = issue + tccd
+			b.t = issue + serv
+			end = max(end, issue+serv)
 		}
 		cyc := float64(end)
 		if scored < segLen {
 			cyc *= float64(segLen) / float64(scored)
 		}
-		total += seg.Weight * cyc
+		e.rc.cycles[si] = cyc
+		e.rc.hits += int64(len(codes)) - acts
+		e.rc.acts += acts
 	}
-
-	c := Cost{EstCycles: total, Activations: acts, MovedFrac: moved}
-	if hm := hits + acts; hm > 0 {
-		c.RowHitRate = float64(hits) / float64(hm)
-	}
-	return c, nil
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"facil/internal/addr"
 	"facil/internal/dram"
+	"facil/internal/fault"
 	"facil/internal/mapping"
 )
 
@@ -244,7 +245,7 @@ func genomeFromFuzz(s *Space, permSeed uint64, xorA, xorB uint16) (Genome, bool)
 	lo := s.chunkPrefix
 	x := permSeed
 	for j := len(g.Fields) - 1; j > lo; j-- {
-		x = splitmix64(x)
+		x = fault.SplitMix64(x)
 		k := lo + int(x%uint64(j-lo+1))
 		g.Fields[j], g.Fields[k] = g.Fields[k], g.Fields[j]
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"facil/internal/addr"
 	"facil/internal/dram"
@@ -90,6 +91,9 @@ type Result struct {
 	Fixed []FixedScore
 	// Evaluated counts unique candidates scored (family included).
 	Evaluated int
+	// Replayed counts the candidates whose weight-free estimator replay
+	// this search ran; the rest reused one the trace's memo held.
+	Replayed int
 }
 
 // bijectionSamples is the random-probe count of the per-candidate
@@ -101,11 +105,12 @@ const (
 
 // Search runs the design-space exploration: the MapID family seeds the
 // population, deterministic seeded mutations propose new genomes,
-// parallel.Sweep fans the estimator out over a worker pool with
-// parallel.Flight deduplicating by genome key, and the Pareto front over
-// (estimated cycles, re-layout fraction) survives. Every candidate
-// passes VerifyBijection before scoring. Identical configs produce
-// byte-identical results at any worker count.
+// parallel.Sweep fans the estimator out over a worker pool, and the
+// Pareto front over (estimated cycles, re-layout fraction) survives.
+// Each genome's weight-free replay runs once per trace memo (see
+// Trace.WithDecodeWeight) and is weighed per search. Every candidate
+// passes VerifyBijection before its replay. Identical configs produce
+// byte-identical results at any worker count, memo hit or miss.
 func Search(ctx context.Context, cfg Config) (*Result, error) {
 	cfg.defaults()
 	geo := cfg.Spec.Geometry
@@ -145,21 +150,42 @@ func Search(ctx context.Context, cfg Config) (*Result, error) {
 		return e
 	}}
 
-	var flight parallel.Flight[string, Cost]
+	// The weight-free replay of each genome is memoized on the trace
+	// (and so shared with searches of its WithDecodeWeight copies);
+	// each search only weighs it and measures the moved fraction.
+	// A trace not made by CaptureTrace has no memo and gets a fresh one.
+	memo := cfg.Trace.memo
+	if memo == nil {
+		memo = new(parallel.Flight[replayKey, replayCost])
+	}
+	var replayed atomic.Int64
 	score := func(g Genome, key string) (Cost, error) {
-		return flight.Do(key, func() (Cost, error) {
+		e := pool.Get().(*Evaluator)
+		defer pool.Put(e)
+		var fresh Cost
+		ran := false
+		rc, err := memo.Do(replayKey{cfg.EstWindow, geo, cfg.Spec.Timing, key}, func() (replayCost, error) {
 			m, err := space.Build(g)
 			if err != nil {
-				return Cost{}, err
+				return replayCost{}, err
 			}
 			if err := VerifyBijection(m, geo, bijectionSamples, bijectionSeed); err != nil {
-				return Cost{}, err
+				return replayCost{}, err
 			}
-			e := pool.Get().(*Evaluator)
-			c, err := e.Score(g)
-			pool.Put(e)
-			return c, err
+			if fresh, err = e.Score(g); err != nil {
+				return replayCost{}, err
+			}
+			ran = true
+			replayed.Add(1)
+			return e.rc.clone(), nil
 		})
+		if err != nil || ran {
+			return fresh, err // a replay this call ran, Score already weighed
+		}
+		if err := e.fillContrib(g, e.contrib); err != nil {
+			return Cost{}, err
+		}
+		return e.weigh(&rc), nil
 	}
 
 	res := &Result{Space: space}
@@ -209,6 +235,7 @@ func Search(ctx context.Context, cfg Config) (*Result, error) {
 		front = paretoFront(all, 0)
 	}
 	res.Front = paretoFront(all, cfg.TopK)
+	res.Replayed = int(replayed.Load())
 	return res, nil
 }
 

@@ -2,9 +2,11 @@ package tune
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"facil/internal/dram"
+	"facil/internal/mapping"
 )
 
 func searchConfig(t *testing.T, workers int) Config {
@@ -118,5 +120,64 @@ func TestSearchBaselineOutOfRange(t *testing.T) {
 	cfg.Baseline = 0 // conventional: not a PIM family member
 	if _, err := Search(context.Background(), cfg); err == nil {
 		t.Fatal("Search accepted an out-of-range baseline")
+	}
+}
+
+// TestSearchMemoExact pins the trace's replay memo: a search of a
+// WithDecodeWeight copy of an already-searched trace reuses replays yet
+// returns exactly what a search of a freshly captured trace with that
+// decode weight returns, on both geometry extremes. A search of the same
+// trace under another estimator window or another timing replays every
+// candidate anew.
+func TestSearchMemoExact(t *testing.T) {
+	for _, spec := range []dram.Spec{dram.JetsonOrinLPDDR5, dram.IPhoneLPDDR5} {
+		tr, sel := testTrace(t, spec, 1<<19)
+		cfg := Config{Spec: spec, Trace: tr, Baseline: sel.ID, Budget: 96, Seed: 3, EstWindow: 4096}
+		search := func(cfg Config) *Result {
+			t.Helper()
+			res, err := Search(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		first := search(cfg)
+		if first.Replayed != first.Evaluated {
+			t.Fatalf("%s: a fresh trace replayed %d of %d candidates", spec.Name, first.Replayed, first.Evaluated)
+		}
+
+		const decode = 9
+		cfg.Trace = tr.WithDecodeWeight(decode)
+		shared := search(cfg)
+		fresh, err := CaptureTrace(spec.Geometry, TraceConfig{
+			Matrix:       mapping.MatrixConfig{Rows: 2048, Cols: 2048, DTypeBytes: 2},
+			Streams:      sel.RowsPerPass,
+			SampleBytes:  1 << 19,
+			DecodeWeight: decode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Trace = fresh
+		want := search(cfg)
+		if shared.Replayed >= shared.Evaluated || want.Replayed != want.Evaluated {
+			t.Fatalf("%s: the copy replayed %d of %d, the fresh capture %d of %d; want the copy to reuse replays",
+				spec.Name, shared.Replayed, shared.Evaluated, want.Replayed, want.Evaluated)
+		}
+		if shared.Evaluated != want.Evaluated || !reflect.DeepEqual(shared.Front, want.Front) || !reflect.DeepEqual(shared.Fixed, want.Fixed) {
+			t.Fatalf("%s: search of the memo-sharing copy differs from a fresh capture:\ncopy  %d %+v\nfresh %d %+v",
+				spec.Name, shared.Evaluated, shared.Front, want.Evaluated, want.Front)
+		}
+
+		cfg.Trace = tr
+		cfg.EstWindow = 2048
+		if r := search(cfg); r.Replayed != r.Evaluated {
+			t.Errorf("%s: another EstWindow reused %d replays", spec.Name, r.Evaluated-r.Replayed)
+		}
+		cfg.EstWindow = 4096
+		cfg.Spec.Timing.TRCD++
+		if r := search(cfg); r.Replayed != r.Evaluated {
+			t.Errorf("%s: another timing reused %d replays", spec.Name, r.Evaluated-r.Replayed)
+		}
 	}
 }

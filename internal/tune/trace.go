@@ -6,6 +6,7 @@ import (
 
 	"facil/internal/dram"
 	"facil/internal/mapping"
+	"facil/internal/parallel"
 )
 
 // Trace is a canonical burst-address trace of one workload's weight
@@ -21,6 +22,20 @@ type Trace struct {
 	Segments []TraceSegment
 	// Geometry records the geometry the codes were generated against.
 	Geometry dram.Geometry
+
+	// memo holds the weight-free estimator replays Search ran on these
+	// codes. WithDecodeWeight copies share it; CaptureTrace starts a
+	// new one, so nothing outlives the trace.
+	memo *parallel.Flight[replayKey, replayCost]
+}
+
+// replayKey names one weight-free estimator replay: a genome key and
+// what the replay reads besides the genome and the trace's codes.
+type replayKey struct {
+	window int
+	geo    dram.Geometry
+	timing dram.Timing
+	key    string
 }
 
 // TraceSegment is one weighted phase of a trace: Codes[Start:End].
@@ -39,7 +54,9 @@ type TraceSegment struct {
 func (t *Trace) Bursts() int { return len(t.Codes) }
 
 // WithDecodeWeight returns t with its gemv segment weighted w > 0,
-// sharing t's codes: what CaptureTrace returns for DecodeWeight w.
+// sharing t's codes and its replay memo: what CaptureTrace returns for
+// DecodeWeight w, except that a search of the copy reuses the replays
+// a search of t ran.
 func (t *Trace) WithDecodeWeight(w float64) *Trace {
 	c := *t
 	c.Segments = slices.Clone(t.Segments)
@@ -95,13 +112,23 @@ func CaptureTrace(g dram.Geometry, cfg TraceConfig) (*Trace, error) {
 	rowBytes := int64(cfg.Matrix.PaddedRowBytes())
 	rows := cfg.Matrix.Rows
 
-	tr := &Trace{Geometry: g}
+	tr := &Trace{Geometry: g, memo: new(parallel.Flight[replayKey, replayCost])}
 
 	// gemv: sequential scan of the padded matrix, capped by SampleBytes.
 	scan := cfg.Matrix.PaddedBytes()
 	if scan > cfg.SampleBytes {
 		scan = cfg.SampleBytes
 	}
+	streams := cfg.Streams
+	if streams > rows {
+		streams = rows
+	}
+	burstsPerRow := rowBytes / transfer
+	// Size Codes for both phases up front (the gemm walk stops within
+	// one tick past SampleBytes): the trace lives as long as its
+	// searches, and append's growth would leave its tail unused.
+	gemm := min(int64(rows)*burstsPerRow, (cfg.SampleBytes+transfer-1)/transfer+int64(streams))
+	tr.Codes = make([]uint32, 0, (scan+transfer-1)/transfer+gemm)
 	for pa := int64(0); pa < scan; pa += transfer {
 		tr.Codes = append(tr.Codes, uint32(uint64(pa)>>offBits))
 	}
@@ -113,11 +140,6 @@ func CaptureTrace(g dram.Geometry, cfg TraceConfig) (*Trace, error) {
 	// group — one tick advances every stream one burst. The size cap
 	// gates new ticks, never splits one.
 	start := len(tr.Codes)
-	streams := cfg.Streams
-	if streams > rows {
-		streams = rows
-	}
-	burstsPerRow := rowBytes / transfer
 	var emitted int64
 walk:
 	for group := 0; group*streams < rows; group++ {

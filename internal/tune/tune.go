@@ -18,8 +18,9 @@
 // lightweight replay cost model (Evaluator): a per-bank open-row /
 // activation / conflict estimator with no scheduler and no event loop,
 // value-typed, zero heap allocations per candidate in steady state.
-// Candidates are deduplicated through parallel.Flight and fanned out
-// with parallel.Sweep. Tier two re-validates only the surviving Pareto
+// Each genome's weight-free replay is memoized on the trace, shared by
+// traces that differ only in segment weights, and candidates are fanned
+// out with parallel.Sweep. Tier two re-validates only the surviving Pareto
 // front (estimated latency vs. re-layout cost) with the full
 // bit-identical dram.Channel scheduler (SimScore). Every candidate must
 // pass the PA-DA bijection property check (VerifyBijection) before it
