@@ -273,7 +273,16 @@ func mainErr() int {
 				fmt.Fprintf(os.Stderr, "facilsim: %s: %s\n", res.ID, res.Error)
 				return nil
 			}
-			return emitStdout(*format, res)
+			if *format == "json" {
+				return nil // bundled into the final Report document
+			}
+			if err := res.Write(os.Stdout, *format); err != nil {
+				return err
+			}
+			if *format == "table" {
+				fmt.Printf("[%s finished in %.1fs]\n\n", res.ID, res.ElapsedSeconds)
+			}
+			return nil
 		},
 	})
 	if err != nil {
@@ -305,20 +314,4 @@ func mainErr() int {
 		return 1
 	}
 	return 0
-}
-
-// emitStdout streams one successful result to stdout in the selected
-// format. JSON results are not streamed — they are bundled into the
-// final Report document instead.
-func emitStdout(format string, res exp.Result) error {
-	switch format {
-	case "table":
-		if err := res.WriteText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("[%s finished in %.1fs]\n\n", res.ID, res.ElapsedSeconds)
-	case "csv":
-		return res.WriteCSV(os.Stdout)
-	}
-	return nil
 }

@@ -133,12 +133,8 @@ type Channel struct {
 	// precomputed so the pick loop never divides by BanksPerRank.
 	bankLoc []bankLoc
 
-	// inOrder holds while queued arrivals are non-decreasing in enqueue
-	// order; lastArrival is the arrival of the most recent push. Under
-	// inOrder the first entry of each command class in a bank wins that
-	// class, so pickCommand skips the rest, and the queue head holds the
-	// earliest arrival (HasReady).
-	inOrder     bool
+	// lastArrival is the arrival of the most recent push (see
+	// checkArrival).
 	lastArrival int64
 
 	// now is the cycle of the most recently issued command.
@@ -306,12 +302,26 @@ func addrRangeError(a Addr) error {
 	return fmt.Errorf("dram: request address %v outside geometry", a)
 }
 
-// Enqueue adds a request to the channel queue. Requests must target this
-// channel's rank/bank/row space; the channel index in the address is not
-// re-checked. The request's Done field is written back on completion.
-func (c *Channel) Enqueue(r *Request) error {
+// checkArrival rejects a request outside the channel's rank/bank/row
+// space (the channel index is not re-checked), or one arriving before
+// the last request taken while requests are still queued. Every
+// producer walks its stream in time order, and in-order queues let a
+// pick read only each bank's first entries.
+func (c *Channel) checkArrival(r *Request) error {
 	if !r.Addr.chanLocalValid(c.spec.Geometry) {
 		return addrRangeError(r.Addr)
+	}
+	if c.count > 0 && r.Arrival < c.lastArrival {
+		return fmt.Errorf("dram: request arrival %d is earlier than the last queued arrival %d", r.Arrival, c.lastArrival)
+	}
+	return nil
+}
+
+// Enqueue adds a request to the channel queue (see checkArrival). The
+// request's Done field is written back on completion.
+func (c *Channel) Enqueue(r *Request) error {
+	if err := c.checkArrival(r); err != nil {
+		return err
 	}
 	c.push(*r, r)
 	return nil
@@ -322,8 +332,8 @@ func (c *Channel) Enqueue(r *Request) error {
 // lands in Stats().LastDone). This is the allocation-free enqueue path
 // for streaming producers that only need aggregate results.
 func (c *Channel) EnqueueValue(r Request) error {
-	if !r.Addr.chanLocalValid(c.spec.Geometry) {
-		return addrRangeError(r.Addr)
+	if err := c.checkArrival(&r); err != nil {
+		return err
 	}
 	c.push(r, nil)
 	return nil
@@ -335,18 +345,9 @@ func (c *Channel) Pending() int { return c.count }
 // HasReady reports whether a queued request has arrived by the current
 // clock, so a step issues queue work without jumping to a future
 // arrival. Co-schedulers use it to interleave SoC requests with PIM
-// work. Under inOrder only the queue head is read; otherwise the queue
-// is walked until an arrived request turns up.
+// work. Arrivals are in queue order, so the head's is the earliest.
 func (c *Channel) HasReady() bool {
-	for s := c.head; s != noSlot; s = c.slots[s].next {
-		if c.slots[s].req.Arrival <= c.now {
-			return true
-		}
-		if c.inOrder {
-			break
-		}
-	}
-	return false
+	return c.head != noSlot && c.slots[c.head].req.Arrival <= c.now
 }
 
 // bankIndex returns the per-channel dense bank index of a.
@@ -381,11 +382,7 @@ func (c *Channel) push(r Request, user *Request) {
 	sl.bnext, sl.bprev = noSlot, noSlot
 	if c.tail == noSlot {
 		c.head, c.tail = s, s
-		c.inOrder = true
 	} else {
-		if r.Arrival < c.lastArrival {
-			c.inOrder = false
-		}
 		c.slots[c.tail].next = s
 		sl.prev = c.tail
 		c.tail = s
@@ -674,15 +671,15 @@ func (c *Channel) step() {
 // order, over row hits only. Every read hit's earliest cycle is at least
 // the channel's read floor, every write hit's at least its write floor,
 // and later entries lose ties, so the scan stops once the best hit is no
-// later than the lowest floor among the classes with hits still ahead
-// (under inOrder, no earlier than the next entry's arrival either, which
-// bounds every later arrival). Under inOrder a bank's first hit of a
-// class also beats its later ones, so those are skipped.
+// later than the lowest floor among the classes with hits still ahead,
+// or than the next entry's arrival, which bounds every later arrival. A
+// bank's first hit of a class beats its later ones, so those are
+// skipped.
 //
 // ACT/PRE candidates come only from prep banks, which have no visible
-// hit, so every visible entry of one is a candidate: an ACT on an idle
-// bank, a PRE (closing a row no visible request wants) on an active one.
-// Under inOrder the bank's list head wins.
+// hit: an ACT on an idle bank, a PRE (closing a row no visible request
+// wants) on an active one. All of a prep bank's entries share that
+// command, so its list head, first in arrival and position, wins.
 func (c *Channel) pickCommand() candidate {
 	var bestCol, bestPrep candidate
 	haveCol, havePrep := false, false
@@ -694,7 +691,7 @@ func (c *Channel) pickCommand() candidate {
 	limit := lowestFloor(floor, left)
 	for s := c.head; left[0]+left[1] > 0; s = c.slots[s].next {
 		sl := &c.slots[s]
-		if haveCol && (bestCol.earliest <= limit || c.inOrder && bestCol.earliest <= sl.req.Arrival) {
+		if haveCol && (bestCol.earliest <= limit || bestCol.earliest <= sl.req.Arrival) {
 			break
 		}
 		visited++
@@ -705,13 +702,11 @@ func (c *Channel) pickCommand() candidate {
 		if left[w]--; left[w] == 0 {
 			limit = lowestFloor(floor, left)
 		}
-		if c.inOrder {
-			k := 2*int(sl.bank) + w
-			if c.seen[k] == pick {
-				continue
-			}
-			c.seen[k] = pick
+		k := 2*int(sl.bank) + w
+		if c.seen[k] == pick {
+			continue
 		}
+		c.seen[k] = pick
 		b := c.bankLoc[sl.bank].b
 		kind, e := CmdRD, b.nextRD
 		if w == 1 {
@@ -734,21 +729,10 @@ func (c *Channel) pickCommand() candidate {
 		if p.act {
 			kind, base = CmdACT, max(p.floor, c.actFloor[p.rank])
 		}
-		if c.inOrder {
-			visited++
-			if e := max(base, p.arrival); !havePrep || bestPrep.better(e, p.pos) {
-				bestPrep = candidate{kind: kind, slot: p.head, pos: p.pos, earliest: e}
-				havePrep = true
-			}
-			continue
-		}
-		for s := p.head; s != noSlot; s = c.slots[s].bnext {
-			visited++
-			sl := &c.slots[s]
-			if e := max(base, sl.req.Arrival); !havePrep || bestPrep.better(e, sl.pos) {
-				bestPrep = candidate{kind: kind, slot: s, pos: sl.pos, earliest: e}
-				havePrep = true
-			}
+		visited++
+		if e := max(base, p.arrival); !havePrep || bestPrep.better(e, p.pos) {
+			bestPrep = candidate{kind: kind, slot: p.head, pos: p.pos, earliest: e}
+			havePrep = true
 		}
 	}
 	c.visited += visited

@@ -210,6 +210,67 @@ func TestEnqueueRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestEnqueueRejectsEarlierArrival pins the in-order contract on every
+// enqueue path: while requests are queued, one arriving before the last
+// request taken is rejected with an error and leaves the queue and
+// stats as they were, and an equal arrival is taken. A queue drained
+// empty takes an earlier arrival again.
+func TestEnqueueRejectsEarlierArrival(t *testing.T) {
+	spec := smallSpec()
+	paths := []struct {
+		name    string
+		enqueue func(ctl *Controller, r Request) error
+	}{
+		{"Channel.Enqueue", func(ctl *Controller, r Request) error { return ctl.Channel(0).Enqueue(&r) }},
+		{"Channel.EnqueueValue", func(ctl *Controller, r Request) error { return ctl.Channel(0).EnqueueValue(r) }},
+		{"Controller.EnqueueValue", func(ctl *Controller, r Request) error { return ctl.EnqueueValue(r) }},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			ctl, err := NewController(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := ctl.Channel(0)
+			take := func(at int64) {
+				t.Helper()
+				if err := p.enqueue(ctl, Request{Addr: Addr{Bank: 1, Row: 2}, Arrival: at}); err != nil {
+					t.Fatalf("arrival %d rejected: %v", at, err)
+				}
+			}
+			reject := func(at int64) {
+				t.Helper()
+				pending, stats := c.Pending(), c.Stats()
+				if err := p.enqueue(ctl, Request{Addr: Addr{Bank: 2}, Arrival: at}); err == nil {
+					t.Fatalf("arrival %d taken behind a queued 250", at)
+				}
+				if c.Pending() != pending || c.Stats() != stats {
+					t.Fatalf("rejected arrival %d changed the channel: pending %d -> %d, stats %+v -> %+v",
+						at, pending, c.Pending(), stats, c.Stats())
+				}
+			}
+			take(100)
+			take(250)
+			reject(249)
+			reject(0)
+			take(250)
+			// A partly drained queue still holds the last request taken.
+			if err := c.DrainUpTo(1); err != nil {
+				t.Fatal(err)
+			}
+			reject(100)
+			drained(t, c)
+			if got := c.Stats().Reads; got != 3 {
+				t.Fatalf("%d reads completed, want the 3 requests taken", got)
+			}
+			take(0)
+			if c.Pending() != 1 {
+				t.Fatalf("pending %d after the drained queue took arrival 0, want 1", c.Pending())
+			}
+		})
+	}
+}
+
 func TestRandomTrafficCompletesAndCounts(t *testing.T) {
 	spec := smallSpec()
 	ctl, _ := NewController(spec)

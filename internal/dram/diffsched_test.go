@@ -11,19 +11,21 @@ import (
 // identical per-request Done cycles, identical clock, identical stats, for
 // randomized streams across row policies, window sizes and refresh modes.
 
-// Arrival pacings of diffStream. The scheduler takes an early-exit walk
-// while queued arrivals are non-decreasing and the full walk otherwise,
-// so the differential tests cover both and the switch between them.
+// Arrival pacings of diffStream. Channel rejects a request arriving
+// before the last one taken while requests are queued, while the
+// reference takes any order, so the out-of-order pacings test that rejection: the optimized
+// scheduler must refuse exactly the early requests, and with those kept
+// from the reference too, the two schedules must still agree.
 const (
-	// paceMonotone: arrivals never decrease (the early-exit walk only).
+	// paceMonotone: arrivals never decrease (every request is taken).
 	paceMonotone = iota
 	// paceJitter: each arrival is jittered around the monotone clock,
-	// so arrivals go backwards throughout (the full walk only).
+	// so arrivals go backwards throughout.
 	paceJitter
 	// pacePhased: in order, then out of order from n/3 while the queue
 	// still holds in-order entries, then in order again from n/2, where
-	// runDifferential drains the queue empty (full walk, then back to
-	// the early exit).
+	// runDifferential drains the queue empty, so its first request,
+	// though earlier than the last one taken, is taken again.
 	pacePhased
 )
 
@@ -89,12 +91,49 @@ func diffStream(spec *Spec, shape string, pace, n int, seed int64) []Request {
 	return reqs
 }
 
+// diffFeed offers each request to the optimized scheduler and, when it
+// takes it, to the reference. last is the arrival of the last request
+// taken.
+type diffFeed struct {
+	opt  *Channel
+	ref  *ReferenceChannel
+	last int64
+}
+
+// enqueue offers or to the optimized scheduler and rr, its copy, to the
+// reference. The optimized scheduler must reject or exactly when it
+// arrives before the last request taken while requests are still
+// queued, and a rejection must leave its queue and stats as they were.
+func (f *diffFeed) enqueue(t testing.TB, or, rr *Request) {
+	t.Helper()
+	early := f.ref.Pending() > 0 && or.Arrival < f.last
+	pending, stats := f.opt.Pending(), f.opt.Stats()
+	err := f.opt.Enqueue(or)
+	if early {
+		if err == nil {
+			t.Fatalf("arrival %d after a queued %d was taken", or.Arrival, f.last)
+		}
+		if f.opt.Pending() != pending || f.opt.Stats() != stats {
+			t.Fatalf("rejected arrival %d changed the channel: pending %d -> %d", or.Arrival, pending, f.opt.Pending())
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("opt enqueue (arrival %d, last %d, %d queued): %v", or.Arrival, f.last, pending, err)
+	}
+	if err := f.ref.Enqueue(rr); err != nil {
+		t.Fatalf("ref enqueue: %v", err)
+	}
+	f.last = or.Arrival
+}
+
 // runDifferential pumps the same stream through both schedulers in
 // identical waves (bounding the reference's O(n) queues) and asserts
-// bit-identical behavior. Halfway through the stream both queues are
-// drained empty, so every stream also restarts from an empty queue. It
-// also cross-checks HasReady against the reference's full-rescan
-// PendingReady at every wave boundary.
+// bit-identical behavior on the requests the optimized scheduler takes.
+// Halfway through the stream both queues are drained empty, so every
+// stream also restarts from an empty queue. It also cross-checks
+// HasReady against the reference's full-rescan PendingReady at every
+// wave boundary.
 func runDifferential(t *testing.T, spec *Spec, reqs []Request, policy RowPolicy, window int, refresh bool) {
 	t.Helper()
 
@@ -112,6 +151,7 @@ func runDifferential(t *testing.T, spec *Spec, reqs []Request, policy RowPolicy,
 	copy(optReqs, reqs)
 	copy(refReqs, reqs)
 
+	f := &diffFeed{opt: opt, ref: ref}
 	const wave = 192
 	const drainTo = 48
 	for lo := 0; lo < len(reqs); lo += wave {
@@ -124,12 +164,7 @@ func runDifferential(t *testing.T, spec *Spec, reqs []Request, policy RowPolicy,
 				drainBounded(t, opt, 0)
 				ref.Drain()
 			}
-			if err := opt.Enqueue(&optReqs[i]); err != nil {
-				t.Fatalf("opt enqueue %d: %v", i, err)
-			}
-			if err := ref.Enqueue(&refReqs[i]); err != nil {
-				t.Fatalf("ref enqueue %d: %v", i, err)
-			}
+			f.enqueue(t, &optReqs[i], &refReqs[i])
 		}
 		drainBounded(t, opt, drainTo)
 		ref.DrainUpTo(drainTo)
@@ -277,9 +312,9 @@ func TestSetWindowPanicsWhenQueued(t *testing.T) {
 // enqueue/drain cycles force the optimized scheduler's slot pool through
 // free-list reuse — the queue "wraparound" states a single monotone drain
 // never reaches.
-// mode also picks the arrival pacing (mode/4), so the fuzzer moves queues
-// between in-order and out-of-order arrivals; a drain byte below 4
-// empties the queue, which restarts the in-order tracking.
+// mode also picks the arrival pacing (mode/4): an out-of-order arrival
+// must be rejected with an error (see diffFeed), and a drain byte below
+// 4 empties the queue, after which an earlier arrival is taken again.
 func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0), []byte{40, 10, 80, 200, 5, 60})
 	f.Add(int64(7), uint8(1), uint8(1), []byte{255, 0, 3, 3, 3, 128, 17})
@@ -318,16 +353,12 @@ func FuzzSchedulerDifferential(f *testing.F) {
 		copy(optReqs, reqs)
 		copy(refReqs, reqs)
 
+		f := &diffFeed{opt: opt, ref: ref}
 		next := 0
 		for i, b := range script {
 			if i%2 == 0 {
 				for j := 0; j < int(b) && next < len(reqs); j++ {
-					if err := opt.Enqueue(&optReqs[next]); err != nil {
-						t.Fatal(err)
-					}
-					if err := ref.Enqueue(&refReqs[next]); err != nil {
-						t.Fatal(err)
-					}
+					f.enqueue(t, &optReqs[next], &refReqs[next])
 					next++
 				}
 			} else {

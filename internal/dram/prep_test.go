@@ -55,11 +55,12 @@ func checkPrep(t *testing.T, c *Channel, at string) {
 }
 
 // prepHarness drives one channel and checks its prep records after
-// every command.
+// every command. last is the arrival of the last request taken.
 type prepHarness struct {
-	t *testing.T
-	c *Channel
-	n int
+	t    *testing.T
+	c    *Channel
+	n    int
+	last int64
 }
 
 func (h *prepHarness) check(what string) {
@@ -68,10 +69,16 @@ func (h *prepHarness) check(what string) {
 	checkPrep(h.t, h.c, fmt.Sprintf("op %d (%s)", h.n, what))
 }
 
+// enqueue offers r to the channel, which must reject it exactly when it
+// arrives before the last request taken while requests are queued.
 func (h *prepHarness) enqueue(r Request) {
 	h.t.Helper()
-	if err := h.c.EnqueueValue(r); err != nil {
-		h.t.Fatal(err)
+	early := h.c.Pending() > 0 && r.Arrival < h.last
+	if err := h.c.EnqueueValue(r); (err != nil) != early {
+		h.t.Fatalf("enqueue of arrival %d after %d: err %v, want rejected %v", r.Arrival, h.last, err, early)
+	}
+	if !early {
+		h.last = r.Arrival
 	}
 	h.check("enqueue")
 }
@@ -95,7 +102,7 @@ func (h *prepHarness) do(what string, fn func() error) {
 // TestPrepRecordsFresh holds the prep records to a
 // fresh recompute after every enqueue, command, refresh and all-bank
 // operation: queue picks under both row policies (with refresh, and
-// with pacings that flip the queue in and out of arrival order), PIM
+// with pacings whose out-of-order arrivals the channel rejects), PIM
 // all-bank ACT/MAC/PRE on a single row buffer with SoC traffic queued,
 // and AllBankPasses on both its lock-step and its command-loop path.
 func TestPrepRecordsFresh(t *testing.T) {
@@ -127,14 +134,18 @@ func TestPrepRecordsFresh(t *testing.T) {
 	t.Run("allbank", func(t *testing.T) {
 		h := &prepHarness{t: t, c: NewChannel(&spec)}
 		rng := rand.New(rand.NewSource(9))
-		soc := func(n int, arrival int64) {
+		// soc queues n random requests arriving from cycle at on, in
+		// order.
+		soc := func(n int, at int64) {
+			at = max(at, h.last)
 			for i := 0; i < n; i++ {
+				at += int64(rng.Intn(8))
 				h.enqueue(Request{Addr: Addr{
 					Rank:   rng.Intn(g.RanksPerChannel),
 					Bank:   rng.Intn(g.BanksPerRank),
 					Row:    rng.Intn(g.Rows),
 					Column: rng.Intn(g.ColumnsPerRow()),
-				}, Arrival: arrival + int64(rng.Intn(8))})
+				}, Arrival: at})
 			}
 		}
 		// Lock-step path: the banks start idle and equal.
@@ -161,16 +172,13 @@ func TestPrepRecordsFresh(t *testing.T) {
 			h.do("AllBankPasses", func() error { return h.c.AllBankPasses(11, 2, 12, 2) })
 			h.steps(10)
 		}
-		// An out-of-order push behind a bank's list head flips inOrder:
-		// the head no longer bounds the bank's arrivals.
+		// The drained queue takes an arrival earlier than the last one
+		// taken; then a second row queues behind the bank's list head.
 		h.steps(1 << 30)
 		now := h.c.Now()
-		h.enqueue(Request{Addr: Addr{Bank: 3, Row: 5}, Arrival: now + 500})
-		h.enqueue(Request{Addr: Addr{Bank: 3, Row: 6}, Arrival: now})
-		if h.c.inOrder {
-			t.Fatal("the early push left inOrder set")
-		}
-		soc(8, now)
+		h.enqueue(Request{Addr: Addr{Bank: 3, Row: 5}, Arrival: 0})
+		h.enqueue(Request{Addr: Addr{Bank: 3, Row: 6}, Arrival: now + 500})
+		soc(8, now+500)
 		h.steps(1 << 30)
 	})
 }

@@ -14,7 +14,9 @@ import (
 // once it passes twice that, must give the same cycles and stats as
 // enqueueing the whole stream on a fresh Controller and draining it. The
 // stream holds 4096 requests per channel, so the 3000-entry window stays
-// inside the 4096 bound that windows above 2048 keep.
+// inside the 4096 bound that windows above 2048 keep. The replay never
+// drains a channel empty mid-stream, so on the out-of-order pacings both
+// must reject the same first early arrival.
 func TestReplayBoundMatchesFullQueue(t *testing.T) {
 	spec, err := LPDDR5("test LPDDR5 2ch", 32, 6400, 2, 512<<20)
 	if err != nil {
@@ -29,10 +31,7 @@ func TestReplayBoundMatchesFullQueue(t *testing.T) {
 					for i := range reqs {
 						reqs[i].Addr.Channel = i % channels
 					}
-					res, err := MeasureStream(spec, SliceSource(reqs), window)
-					if err != nil {
-						t.Fatal(err)
-					}
+					res, replayErr := MeasureStream(spec, SliceSource(reqs), window)
 					ctl, err := NewController(spec)
 					if err != nil {
 						t.Fatal(err)
@@ -43,9 +42,18 @@ func TestReplayBoundMatchesFullQueue(t *testing.T) {
 						}
 					}
 					for _, r := range reqs {
-						if err := ctl.EnqueueValue(r); err != nil {
-							t.Fatal(err)
+						if err = ctl.EnqueueValue(r); err != nil {
+							break
 						}
+					}
+					if pace != paceMonotone {
+						if replayErr == nil || err == nil || replayErr.Error() != err.Error() {
+							t.Fatalf("out-of-order stream: replay error %v, full queue error %v", replayErr, err)
+						}
+						return
+					}
+					if replayErr != nil || err != nil {
+						t.Fatalf("replay error %v, full queue error %v", replayErr, err)
 					}
 					if cycles := drained(t, ctl); res.Cycles != cycles {
 						t.Fatalf("cycles: replay %d, full queue %d", res.Cycles, cycles)

@@ -162,25 +162,19 @@ func (s *System) decodeStep(k Kind, ctx int) (float64, error) {
 const DecodeQuantumSteps = 8
 
 // DecodeQuantumSeconds returns the latency of the n decode steps at
-// contexts ctx, ctx+1, ..., ctx+n-1 of design k, summed left to right
-// from 0 — the same bits as adding DecodeStepSeconds in that order. A
-// full quantum (n == DecodeQuantumSteps) whose window fits the step
-// slices is served from the System's quantum slices, one load on a hit;
-// any other window is summed step by step.
-func (s *System) DecodeQuantumSeconds(k Kind, ctx, n int) (float64, error) {
-	if n == DecodeQuantumSteps && uint(k) < uint(numKinds) && uint(ctx) <= memoMaxCtx-DecodeQuantumSteps {
+// contexts ctx, ctx+1, ..., ctx+n-1 of design k, each scaled by a
+// thermal slowdown factor and summed left to right from 0: the same
+// bits as adding DecodeStepSeconds*factor in that order. An unscaled
+// full quantum (factor 1, n == DecodeQuantumSteps) whose window fits
+// the step slices is served from the System's quantum slices, one load
+// on a hit; any other window is summed step by step. At factor 1 each
+// product is the step itself, so DecodeSeconds sums its windows here.
+func (s *System) DecodeQuantumSeconds(k Kind, ctx, n int, factor float64) (float64, error) {
+	table := factor == 1 && n == DecodeQuantumSteps && uint(k) < uint(numKinds) && uint(ctx) <= memoMaxCtx-DecodeQuantumSteps
+	if table {
 		if v := s.quanta[k][ctx].Load(); v != 0 {
 			return math.Float64frombits(v), nil
 		}
-	}
-	return s.decodeQuantum(k, ctx, n)
-}
-
-// decodeQuantum is DecodeQuantumSeconds' step-by-step path: it stores a
-// full quantum whose window fits the quantum slices.
-func (s *System) decodeQuantum(k Kind, ctx, n int) (float64, error) {
-	if uint(k) >= uint(numKinds) {
-		return 0, fmt.Errorf("engine: unknown design %v", k)
 	}
 	var t float64
 	for i := 0; i < n; i++ {
@@ -188,9 +182,9 @@ func (s *System) decodeQuantum(k Kind, ctx, n int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		t += st
+		t += st * factor
 	}
-	if n == DecodeQuantumSteps && uint(ctx) <= memoMaxCtx-DecodeQuantumSteps {
+	if table {
 		s.quanta[k][ctx].Store(math.Float64bits(t))
 	}
 	return t, nil

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"facil/internal/dram"
+	"facil/internal/fault"
 	"facil/internal/llm"
 	"facil/internal/soc"
 )
@@ -256,7 +258,7 @@ func TestDecodeMemoConcurrent(t *testing.T) {
 			if !sameBits(dec, w.dec) {
 				t.Errorf("DecodeSeconds(%v, %d, %d) = %v, want %v", k, p, d, dec, w.dec)
 			}
-			qs, err := s.DecodeQuantumSeconds(k, p+1, DecodeQuantumSteps)
+			qs, err := s.DecodeQuantumSeconds(k, p+1, DecodeQuantumSteps, 1)
 			if err != nil {
 				return err
 			}
@@ -286,31 +288,42 @@ func TestDecodeMemoConcurrent(t *testing.T) {
 }
 
 // TestDecodeQuantumTableMatchesLoop holds DecodeQuantumSeconds to the
-// step-by-step sum from 0 for every context of both decode paths and
-// every window of 1 to DecodeQuantumSteps steps, cold and warm, and
-// requires exactly the full quanta that fit the step slices to be
-// cached.
+// step-by-step sum from 0 of each step times the factor, for every
+// context of both decode paths, every window of 1 to DecodeQuantumSteps
+// steps and the factors 1, 1.25 and the thermal-throttle factor, cold
+// and warm. Scaled windows run first and must leave the quantum slices
+// unwritten; then exactly the full unscaled quanta that fit the step
+// slices must be cached.
 func TestDecodeQuantumTableMatchesLoop(t *testing.T) {
 	s := coldSystem(t)
+	thermal, err := dram.ThrottleFactor(s.Platform.Spec, fault.DefaultRefreshMult)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range []Kind{SoCOnly, FACIL} {
 		for ctx := 0; ctx < memoMaxCtx+DecodeQuantumSteps; ctx++ {
-			for n := 1; n <= DecodeQuantumSteps; n++ {
-				var want float64
-				for i := 0; i < n; i++ {
-					st, err := s.DecodeStepSeconds(k, ctx+i)
-					if err != nil {
-						t.Fatal(err)
+			for _, factor := range []float64{1.25, thermal, 1} {
+				for n := 1; n <= DecodeQuantumSteps; n++ {
+					var want float64
+					for i := 0; i < n; i++ {
+						st, err := s.DecodeStepSeconds(k, ctx+i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want += st * factor
 					}
-					want += st
+					for pass := 0; pass < 2; pass++ {
+						got, err := s.DecodeQuantumSeconds(k, ctx, n, factor)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameBits(got, want) {
+							t.Fatalf("DecodeQuantumSeconds(%v, %d, %d, %v) pass %d = %v, want %v", k, ctx, n, factor, pass, got, want)
+						}
+					}
 				}
-				for pass := 0; pass < 2; pass++ {
-					got, err := s.DecodeQuantumSeconds(k, ctx, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameBits(got, want) {
-						t.Fatalf("DecodeQuantumSeconds(%v, %d, %d) pass %d = %v, want %v", k, ctx, n, pass, got, want)
-					}
+				if factor != 1 && ctx < len(s.quanta[k]) && s.quanta[k][ctx].Load() != 0 {
+					t.Fatalf("factor %v wrote the quantum of %v at context %d", factor, k, ctx)
 				}
 			}
 			fits := ctx+DecodeQuantumSteps <= memoMaxCtx
@@ -319,7 +332,7 @@ func TestDecodeQuantumTableMatchesLoop(t *testing.T) {
 			}
 		}
 	}
-	if _, err := s.DecodeQuantumSeconds(Kind(99), 64, DecodeQuantumSteps); err == nil {
+	if _, err := s.DecodeQuantumSeconds(Kind(99), 64, DecodeQuantumSteps, 1); err == nil {
 		t.Error("DecodeQuantumSeconds accepted an unknown design")
 	}
 }
@@ -523,7 +536,7 @@ func TestLatencyWarmZeroAllocs(t *testing.T) {
 		"TTLT":       func() (float64, error) { return s.TTLT(HybridDynamic, 64, 200) },
 		"TTLTStatic": func() (float64, error) { return s.TTLTStatic(SoCOnly, 64, 200) },
 		"DecodeQuantumSeconds": func() (float64, error) {
-			return s.DecodeQuantumSeconds(FACIL, 64, DecodeQuantumSteps)
+			return s.DecodeQuantumSeconds(FACIL, 64, DecodeQuantumSteps, 1)
 		},
 	}
 	for name, call := range calls {

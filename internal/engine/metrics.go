@@ -100,7 +100,7 @@ func (s *System) pimPrefill(l int) (float64, error) {
 // comes out of prefill), with the KV context growing from prefill+1.
 // Results are served from the System's running-sum rows: entry j of the
 // (design, prefill) row holds steps 1..j added left to right, the order
-// decodeLoop adds them, so it equals the loop bit for bit.
+// DecodeQuantumSeconds adds them, which serves lengths past the rows.
 func (s *System) DecodeSeconds(k Kind, prefill, decode int) (float64, error) {
 	if decode <= 0 {
 		return 0, fmt.Errorf("engine: decode length %d must be positive", decode)
@@ -109,7 +109,7 @@ func (s *System) DecodeSeconds(k Kind, prefill, decode int) (float64, error) {
 		return 0, fmt.Errorf("engine: unknown design %v", k)
 	}
 	if uint(prefill) > memoMaxPrefill || decode > memoMaxDecode {
-		return s.decodeLoop(k, prefill, decode)
+		return s.DecodeQuantumSeconds(k, prefill+1, decode-1, 1)
 	}
 	row := &s.decodeRows[k][prefill]
 	if v := row.get(decode - 1); v != 0 || decode == 1 {
@@ -130,20 +130,6 @@ func (s *System) DecodeSeconds(k Kind, prefill, decode int) (float64, error) {
 		row.put(j, memoMaxDecode, sum)
 	}
 	return sum, nil
-}
-
-// decodeLoop is DecodeSeconds without the rows, for lengths past its
-// bounds.
-func (s *System) decodeLoop(k Kind, prefill, decode int) (float64, error) {
-	var t float64
-	for step := 1; step < decode; step++ {
-		st, err := s.DecodeStepSeconds(k, prefill+step)
-		if err != nil {
-			return 0, err
-		}
-		t += st
-	}
-	return t, nil
 }
 
 // TTLT returns the time-to-last-token for a (prefill, decode) pair.

@@ -99,7 +99,7 @@ type System struct {
 	// System shares. The four PIM designs decode alike, so they alias
 	// one steps, quanta and decodeRows slice each, and SoC-only has its
 	// own. steps holds DecodeStepSeconds by context and quanta the
-	// DecodeQuantumSteps-step sums of DecodeQuantumSeconds by first
+	// unscaled DecodeQuantumSteps-step sums of DecodeQuantumSeconds by first
 	// context, 0 meaning "not computed" (20 KB each per decode path,
 	// allocated up front: the serving loop reads them on every decode
 	// quantum); decodeRows

@@ -65,39 +65,37 @@ func (r Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// WriteJSON serializes one result with indentation (the per-experiment
-// file form of `facilsim -format json -o dir`).
-func (r Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteCSV emits every table of the result in CSV form, each preceded
-// by a `# <title>` comment line and separated by a blank line —
-// byte-identical to what `facilsim -format csv` streams per experiment.
-func (r Result) WriteCSV(w io.Writer) error {
-	for _, t := range r.Tables {
-		if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
-			return err
+// Write emits the result in one output format, the same bytes whether
+// facilsim streams it or mirrors it into an `-o dir` file: "table"
+// writes every table in the aligned-text form followed by a blank line,
+// "csv" every table in CSV form preceded by a `# <title>` comment line
+// and followed by a blank line, and "json" the result with indentation.
+func (r Result) Write(w io.Writer, format string) error {
+	switch format {
+	case "table":
+		for _, t := range r.Tables {
+			if _, err := fmt.Fprintln(w, t.String()); err != nil {
+				return err
+			}
 		}
-		if err := t.WriteCSV(w); err != nil {
-			return err
+	case "csv":
+		for _, t := range r.Tables {
+			if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
+				return err
+			}
+			if err := t.WriteCSV(w); err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintln(w); err != nil {
+				return err
+			}
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteText emits every table in the aligned-text form, each followed
-// by a blank line (the `-format table -o dir` file form).
-func (r Result) WriteText(w io.Writer) error {
-	for _, t := range r.Tables {
-		if _, err := fmt.Fprintln(w, t.String()); err != nil {
-			return err
-		}
+	case "json":
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(r)
+	default:
+		return fmt.Errorf("exp: unknown output format %q", format)
 	}
 	return nil
 }

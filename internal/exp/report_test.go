@@ -46,7 +46,7 @@ func sampleResult() Result {
 func TestResultJSONRoundTrip(t *testing.T) {
 	want := sampleResult()
 	var buf bytes.Buffer
-	if err := want.WriteJSON(&buf); err != nil {
+	if err := want.Write(&buf, "json"); err != nil {
 		t.Fatal(err)
 	}
 	var got Result
@@ -105,7 +105,7 @@ func TestReportJSONSchema(t *testing.T) {
 // line with the title, the CSV body, a trailing blank line per table.
 func TestResultWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleResult().WriteCSV(&buf); err != nil {
+	if err := sampleResult().Write(&buf, "csv"); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.String()
@@ -120,7 +120,7 @@ func TestResultWriteCSV(t *testing.T) {
 func TestResultWriteText(t *testing.T) {
 	r := sampleResult()
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := r.Write(&buf, "table"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), r.Tables[0].String()) {

@@ -128,7 +128,30 @@ func TestNoTestOnlyExports(t *testing.T) {
 // unsetFieldAllowed names exported config-struct fields that no
 // non-test code writes but that stay, each with its reason.
 var unsetFieldAllowed = map[string]string{
-	"fault.Scenario.LaneWindows": "serve's policy tests and the differential grid place deterministic outages with it",
+	"fault.Scenario.LaneWindows":           "serve's policy tests and the differential grid place deterministic outages with it",
+	"pim.Config.Chunk":                     "DefaultAiM and DefaultHBMPIM give it two values",
+	"soc.LayoutSlowdownConfig.SampleBytes": "soc's and exp's tests shrink the 4 MiB default window to 256 KiB–2 MiB to stay fast",
+	// bench/ is changed only with the benchmark, so these wait for it.
+	"exp.ClusterConfig.Workload":               benchReads,
+	"exp.ClusterConfig.BreakerThreshold":       benchReads,
+	"exp.ClusterConfig.BreakerCooldown":        benchReads,
+	"exp.ClusterConfig.DeviceBreakerThreshold": benchReads,
+	"exp.ClusterConfig.FaultMTTR":              benchReads,
+	"exp.ClusterConfig.FaultFraction":          benchReads,
+	"exp.MapTuneConfig.Platforms":              benchReads,
+	"exp.MapTuneConfig.Workloads":              benchReads,
+	"exp.MapTuneConfig.TopK":                   benchReads,
+	"exp.MapTuneConfig.EstWindow":              benchReads,
+	"exp.MapTuneConfig.SampleBytes":            benchReads,
+}
+
+// benchReads is the reason for a default-only field that bench/ reads.
+const benchReads = "read by bench/; fold into a constant with the next benchmark change"
+
+// isDefaultFunc reports whether a function name marks a default
+// constructor or filler: Default*, defaults and withDefaults.
+func isDefaultFunc(name string) bool {
+	return strings.HasPrefix(name, "Default") || name == "defaults" || name == "withDefaults"
 }
 
 // isConfigStruct reports whether a type name marks a config struct: the
@@ -142,7 +165,9 @@ func isConfigStruct(name string) bool {
 // or of bench/: a setting nothing sets is dead weight, and its zero
 // value belongs in the code as a constant. A write is a composite-
 // literal element, an assignment or increment, or taking the field's
-// address (as a flag binding does).
+// address (as a flag binding does). A write inside a Default*, defaults
+// or withDefaults function of the field's own package does not count:
+// a setting only its default writes has one value, a constant too.
 func TestNoUnsetConfigFields(t *testing.T) {
 	l := loadModule(t)
 	fields := map[*types.Var]string{}
@@ -170,42 +195,54 @@ func TestNoUnsetConfigFields(t *testing.T) {
 
 	written := map[*types.Var]bool{}
 	for _, p := range l.pkgs {
+		// inDefault holds while the walk is inside one of this
+		// package's default functions.
+		inDefault := false
+		write := func(v *types.Var) {
+			if v = v.Origin(); !inDefault || v.Pkg() != p.pkg {
+				written[v] = true
+			}
+		}
 		field := func(e ast.Expr) {
 			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 				if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-					written[s.Obj().(*types.Var).Origin()] = true
+					write(s.Obj().(*types.Var))
 				}
 			}
 		}
 		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
-					if !ok {
-						break
-					}
-					for i, e := range n.Elts {
-						kv, ok := e.(*ast.KeyValueExpr)
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				inDefault = ok && isDefaultFunc(fd.Name.Name)
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
 						if !ok {
-							written[st.Field(i).Origin()] = true
-						} else if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-							written[v.Origin()] = true
+							break
+						}
+						for i, e := range n.Elts {
+							kv, ok := e.(*ast.KeyValueExpr)
+							if !ok {
+								write(st.Field(i))
+							} else if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								write(v)
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							field(lhs)
+						}
+					case *ast.IncDecStmt:
+						field(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							field(n.X)
 						}
 					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						field(lhs)
-					}
-				case *ast.IncDecStmt:
-					field(n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						field(n.X)
-					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // options collects the sweep knobs.
@@ -36,7 +37,8 @@ func Workers(n int) Option {
 // Progress installs a completion callback, invoked once per finished
 // point with the number of points done so far and the total. Calls are
 // serialized by the sweep (the callback needs no locking of its own) but
-// run on worker goroutines, so it should return quickly.
+// run on worker goroutines, the caller's among them, so it should return
+// quickly.
 func Progress(fn func(done, total int)) Option {
 	return func(o *options) { o.progress = fn }
 }
@@ -66,77 +68,55 @@ func Sweep[P, R any](ctx context.Context, points []P, fn func(ctx context.Contex
 		workers = n
 	}
 
-	if workers == 1 {
-		// Serial fast path: same semantics, no goroutines.
-		results := make([]R, n)
-		for i, p := range points {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := fn(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-			if o.progress != nil {
-				o.progress(i+1, n)
-			}
-		}
-		return results, nil
-	}
-
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]R, n)
 	var (
+		next     atomic.Int64 // the next unclaimed point index
 		mu       sync.Mutex
 		done     int
 		firstErr error
 		errIdx   = n // lowest failing index seen so far
 	)
-	indexes := make(chan int)
-	go func() {
-		defer close(indexes)
-		for i := 0; i < n; i++ {
-			select {
-			case indexes <- i:
-			case <-sctx.Done():
+	// work claims points in index order and runs them until none is left
+	// or the sweep is cancelled.
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n || sctx.Err() != nil {
 				return
 			}
+			r, err := fn(sctx, points[i])
+			mu.Lock()
+			if err != nil {
+				// Points that merely echo the sweep's own
+				// cancellation do not outrank the causing error.
+				if i < errIdx && !(errors.Is(err, context.Canceled) && sctx.Err() != nil && ctx.Err() == nil) {
+					errIdx, firstErr = i, err
+				}
+				mu.Unlock()
+				cancel()
+				continue
+			}
+			results[i] = r
+			done++
+			if o.progress != nil {
+				o.progress(done, n)
+			}
+			mu.Unlock()
 		}
-	}()
+	}
+	// The calling goroutine is one of the workers, so a one-worker sweep
+	// starts no goroutine.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range indexes {
-				if sctx.Err() != nil {
-					// Drain dispatched indexes without running them once
-					// the sweep is cancelled; the results are discarded.
-					continue
-				}
-				r, err := fn(sctx, points[i])
-				mu.Lock()
-				if err != nil {
-					// Points that merely echo the sweep's own
-					// cancellation do not outrank the causing error.
-					if i < errIdx && !(errors.Is(err, context.Canceled) && sctx.Err() != nil && ctx.Err() == nil) {
-						errIdx, firstErr = i, err
-					}
-					mu.Unlock()
-					cancel()
-					continue
-				}
-				results[i] = r
-				done++
-				if o.progress != nil {
-					o.progress(done, n)
-				}
-				mu.Unlock()
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -137,8 +137,9 @@ func TestSweepContextCancellation(t *testing.T) {
 	}
 }
 
-// TestSweepSerialPathHonorsCancelledContext checks the workers==1 path
-// stops between points once the context dies.
+// TestSweepSerialPathHonorsCancelledContext checks that a one-worker
+// sweep, which runs its points one after another, stops between points
+// once the context dies.
 func TestSweepSerialPathHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran int

@@ -193,15 +193,7 @@ func writeResultFile(dir, format string, res exp.Result) error {
 		return err
 	}
 	defer f.Close()
-	switch format {
-	case "table":
-		err = res.WriteText(f)
-	case "csv":
-		err = res.WriteCSV(f)
-	default:
-		err = res.WriteJSON(f)
-	}
-	if err != nil {
+	if err := res.Write(f, format); err != nil {
 		return err
 	}
 	return f.Close()

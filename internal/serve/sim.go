@@ -1147,7 +1147,7 @@ func (sm *sim) onPrefillDone(qi int32, ri int) error {
 		if q.decode <= 1 {
 			return sm.completeSerial(qi, ri)
 		}
-		dur, err := sm.quantumSecondsKind(q, q.decode-1, sm.cfg.Kind, 1)
+		dur, err := sm.sys.DecodeQuantumSeconds(sm.cfg.Kind, q.prefill+q.stepsDone+1, q.decode-1, 1)
 		if err != nil {
 			return err
 		}
@@ -1166,28 +1166,6 @@ func (sm *sim) onPrefillDone(qi int32, ri int) error {
 		return err
 	}
 	return sm.dispatchDecode(ri)
-}
-
-// quantumSecondsKind sums the next `steps` decode-step latencies of q
-// under an explicit design (degraded quanta run at engine.SoCOnly
-// latency) and thermal slowdown factor. Each step is scaled before
-// summing so the quantum's internal token times match emitTokens. At
-// factor 1 each product st*1 is st exactly, so the engine's unscaled
-// quantum sum (a table load for a full quantum) has the same bits.
-func (sm *sim) quantumSecondsKind(q *query, steps int, kind engine.Kind, factor float64) (float64, error) {
-	ctx := q.prefill + q.stepsDone + 1
-	if factor == 1 {
-		return sm.sys.DecodeQuantumSeconds(kind, ctx, steps)
-	}
-	var t float64
-	for i := 0; i < steps; i++ {
-		st, err := sm.sys.DecodeStepSeconds(kind, ctx+i)
-		if err != nil {
-			return 0, err
-		}
-		t += st * factor
-	}
-	return t, nil
 }
 
 // emitTokens replays the token emission times of a finished quantum that
@@ -1277,7 +1255,8 @@ func (sm *sim) quantum(qi int32, ri int, lane int64, start float64) (event, erro
 	}
 	steps := min(q.decode-1-q.stepsDone, sm.cfg.preemptSteps)
 	factor := sm.factorAt(start)
-	dur, err := sm.quantumSecondsKind(q, steps, kind, factor)
+	// Each step is scaled before summing, as emitTokens replays them.
+	dur, err := sm.sys.DecodeQuantumSeconds(kind, q.prefill+q.stepsDone+1, steps, factor)
 	if err != nil {
 		return event{}, err
 	}
